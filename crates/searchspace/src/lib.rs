@@ -13,7 +13,9 @@
 //! * [`SearchSpace`] — the resolved space: a compact columnar,
 //!   index-encoded configuration arena with [`ConfigId`] handles,
 //!   borrowing [`ConfigView`] decoding, hash lookups, true parameter
-//!   bounds, neighbor queries and sampling.
+//!   bounds, neighbor queries and sampling. Hamming neighbor queries probe
+//!   the same membership table as `index_of` (`Σ(|D_p| − 1)` lookups per
+//!   query), so no neighbor index is ever built.
 //!
 //! ```
 //! use at_searchspace::prelude::*;
@@ -43,9 +45,11 @@
 //! (decode lazily, borrowing), and `space.codes_of(id)` for
 //! `value_indices` (`&[u32]`, zero-copy). `index_of` returns a
 //! [`ConfigId`]; callers already in code space use `index_of_codes`.
-//! Neighbor queries ([`neighbors()`], [`NeighborIndex`]) and sampling
-//! ([`sample_indices`], [`latin_hypercube_sample`]) consume and produce
-//! [`ConfigId`]s and operate on encoded rows internally.
+//! Neighbor queries ([`neighbors()`]) and sampling ([`sample_indices`],
+//! [`latin_hypercube_sample`]) consume and produce [`ConfigId`]s and
+//! operate on encoded rows internally. `neighbors` no longer takes a
+//! prebuilt index: Hamming queries probe the membership table, and
+//! [`NeighborIndex`] is an empty stand-in whose `build` does nothing.
 //!
 //! # MIGRATION: collected construction → streaming construction
 //!
@@ -108,7 +112,7 @@ pub mod prelude {
     pub use crate::builder::{
         build_search_space, build_search_space_with, BuildOptions, BuildReport, Method,
     };
-    pub use crate::neighbors::{neighbors, NeighborIndex, NeighborMethod};
+    pub use crate::neighbors::{neighbors, NeighborMethod};
     pub use crate::param::TunableParameter;
     pub use crate::restriction::Restriction;
     pub use crate::sampling::{latin_hypercube_sample, sample_indices};

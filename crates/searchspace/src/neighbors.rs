@@ -2,16 +2,39 @@
 //!
 //! Optimization strategies such as genetic algorithms, hill climbing and
 //! simulated annealing repeatedly ask for the valid neighbors of a
-//! configuration. Because the space is fully resolved, neighbors can be
-//! served from an index instead of generating candidate configurations and
-//! re-checking constraints (Section 4.4).
+//! configuration. Because the space is fully resolved, validity is a hash
+//! lookup (Section 4.4), so neighbors never need re-checking against the
+//! constraints.
+//!
+//! # Hamming queries probe the membership table
+//!
+//! A Hamming-distance-1 neighbor differs from the queried row at exactly one
+//! position `p`. [`neighbors`] finds them all by substituting every other
+//! code `c ≠ codes[p]` of every parameter into a copy of the row and looking
+//! the candidate up with [`SearchSpace::index_of_codes`]; the hits come back
+//! sorted by id. A query costs `Σ_p (|D_p| − 1)` lookups (35 on MicroHH, 71
+//! on Hotspot), independent of the size of the space, and there is nothing
+//! to build: no index, no memory beyond one row-sized buffer and the result.
+//!
+//! Every returned id is a valid neighbor, because a lookup only returns an
+//! id after comparing its arena row with the candidate. Completeness rests
+//! on the membership table, exactly as for [`SearchSpace::index_of`]: a
+//! row the table cannot find (say, a trusted but stale persisted table) is
+//! missed, never replaced by a wrong one.
+//!
+//! **Duplicate rows.** [`SearchSpace::from_configs`] accepts repeated rows.
+//! A neighbor row that occurs several times is returned once, as its first
+//! occurrence — the id `index_of` gives. Solver- and store-built spaces
+//! never repeat rows.
+//!
+//! The code-distance variants ([`NeighborMethod::Adjacent`],
+//! [`NeighborMethod::StrictlyAdjacent`]) scan the whole space, which is also
+//! the reference definition the Hamming probe is tested against.
 //!
 //! All queries operate on [`ConfigId`]s and the space's encoded code rows —
 //! no configuration is decoded to [`at_csp::Value`]s anywhere in this module.
 
-use rustc_hash::FxHashMap;
-
-use crate::space::{hash_codes, ConfigId, SearchSpace};
+use crate::space::{ConfigId, SearchSpace};
 
 /// The neighbor definitions supported by Kernel Tuner's `SearchSpace`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -26,103 +49,52 @@ pub enum NeighborMethod {
     StrictlyAdjacent,
 }
 
-/// A prebuilt index for Hamming-distance-1 neighbor queries.
+/// An empty stand-in for the former Hamming neighbor index.
 ///
-/// For every configuration and every parameter position, the encoded row is
-/// hashed with that position wildcarded; configurations sharing a bucket are
-/// candidates that differ only in that position. Buckets are keyed by the
-/// 64-bit hash alone (ids are verified against the arena at query time, so a
-/// hash collision can only cost a wasted comparison, never a wrong neighbor),
-/// which keeps the index at one `u64 → Vec<u32>` entry per distinct wildcard
-/// row instead of a cloned key row per configuration.
+/// Hamming queries no longer need an index: [`neighbors`] probes the
+/// space's membership table directly. The type survives only because the
+/// repository benchmark (`perfbench/src/traced.rs`) still times
+/// `NeighborIndex::build`; remove it together with that call.
 #[derive(Debug, Default)]
-pub struct NeighborIndex {
-    buckets: FxHashMap<u64, Vec<u32>>,
-}
-
-/// Hash of a code row with position `pos` wildcarded, tagged with `pos` so
-/// buckets of different positions never merge by construction.
-fn wildcard_hash(codes: &[u32], pos: usize) -> u64 {
-    let mut h = hash_codes(&codes[..pos]) ^ (pos as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    h = (h ^ u32::MAX as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    for &c in &codes[pos + 1..] {
-        h = (h ^ c as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// True when `a` and `b` differ exactly at position `pos` and nowhere else.
-fn differs_only_at(a: &[u32], b: &[u32], pos: usize) -> bool {
-    a[pos] != b[pos] && a[..pos] == b[..pos] && a[pos + 1..] == b[pos + 1..]
-}
+pub struct NeighborIndex;
 
 impl NeighborIndex {
-    /// Build the index for a space. Cost is `O(len × params)`.
-    pub fn build(space: &SearchSpace) -> Self {
-        let mut buckets: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        for id in space.ids() {
-            let codes = space.codes_of(id).expect("id in range");
-            for pos in 0..codes.len() {
-                buckets
-                    .entry(wildcard_hash(codes, pos))
-                    .or_default()
-                    .push(id.index() as u32);
-            }
-        }
-        NeighborIndex { buckets }
-    }
-
-    /// Hamming-distance-1 neighbors of the configuration with the given id.
-    pub fn hamming_neighbors(&self, space: &SearchSpace, id: ConfigId) -> Vec<ConfigId> {
-        let codes = match space.codes_of(id) {
-            Some(c) => c,
-            None => return Vec::new(),
-        };
-        let mut out = Vec::new();
-        for pos in 0..codes.len() {
-            if let Some(bucket) = self.buckets.get(&wildcard_hash(codes, pos)) {
-                out.extend(
-                    bucket
-                        .iter()
-                        .map(|&j| ConfigId::from_index(j as usize))
-                        .filter(|&j| {
-                            j != id
-                                && differs_only_at(
-                                    codes,
-                                    space.codes_of(j).expect("indexed id in range"),
-                                    pos,
-                                )
-                        }),
-                );
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
+    /// O(1) and allocation-free: there is nothing to build.
+    pub fn build(_space: &SearchSpace) -> Self {
+        NeighborIndex
     }
 }
 
-/// Neighbors of the configuration with the given id according to `method`.
+/// Neighbors of the configuration with the given id according to `method`,
+/// sorted by id. An id outside the space has no neighbors.
 ///
-/// `Hamming` queries use the prebuilt index when provided and fall back to a
-/// scan otherwise; the code-distance variants always scan (their candidate
-/// sets are not bucketable by a single wildcard position).
-pub fn neighbors(
-    space: &SearchSpace,
-    id: ConfigId,
-    method: NeighborMethod,
-    prebuilt: Option<&NeighborIndex>,
-) -> Vec<ConfigId> {
-    if space.codes_of(id).is_none() {
+/// `Hamming` queries probe the membership table (see the
+/// [module documentation](self)); the code-distance variants scan.
+pub fn neighbors(space: &SearchSpace, id: ConfigId, method: NeighborMethod) -> Vec<ConfigId> {
+    let Some(codes) = space.codes_of(id) else {
         return Vec::new();
-    }
+    };
     match method {
-        NeighborMethod::Hamming => match prebuilt {
-            Some(index) => index.hamming_neighbors(space, id),
-            None => scan_neighbors(space, id, method),
-        },
+        NeighborMethod::Hamming => probe_hamming(space, codes),
         _ => scan_neighbors(space, id, method),
     }
+}
+
+/// The Hamming neighbors of the row `codes`: every one-position
+/// substitution that the membership table finds, sorted by id.
+fn probe_hamming(space: &SearchSpace, codes: &[u32]) -> Vec<ConfigId> {
+    let mut candidate = codes.to_vec();
+    let mut out = Vec::new();
+    for (pos, param) in space.params().iter().enumerate() {
+        let own = codes[pos];
+        for code in (0..param.len() as u32).filter(|&c| c != own) {
+            candidate[pos] = code;
+            out.extend(space.index_of_codes(&candidate));
+        }
+        candidate[pos] = own;
+    }
+    out.sort_unstable();
+    out
 }
 
 fn scan_neighbors(space: &SearchSpace, id: ConfigId, method: NeighborMethod) -> Vec<ConfigId> {
@@ -199,22 +171,20 @@ mod tests {
     }
 
     #[test]
-    fn hamming_neighbors_scan_and_index_agree() {
+    fn hamming_probe_matches_the_scan() {
         let s = space();
-        let index = NeighborIndex::build(&s);
         for id in s.ids() {
-            let scanned = neighbors(&s, id, NeighborMethod::Hamming, None);
-            let indexed = neighbors(&s, id, NeighborMethod::Hamming, Some(&index));
-            assert_eq!(scanned, indexed, "config {id}");
+            let scanned = scan_neighbors(&s, id, NeighborMethod::Hamming);
+            let probed = neighbors(&s, id, NeighborMethod::Hamming);
+            assert_eq!(scanned, probed, "config {id}");
         }
     }
 
     #[test]
     fn hamming_neighbors_of_corner() {
         let s = space();
-        let index = NeighborIndex::build(&s);
         let origin = s.index_of(&int_values([1, 1])).unwrap();
-        let n = neighbors(&s, origin, NeighborMethod::Hamming, Some(&index));
+        let n = neighbors(&s, origin, NeighborMethod::Hamming);
         // same row or same column: (1,2), (1,4), (2,1), (4,1)
         assert_eq!(n.len(), 4);
         for j in n {
@@ -224,10 +194,46 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_neighbor_rows_resolve_to_their_first_occurrence() {
+        // (1,2) appears at ids 1 and 3; (1,1) at ids 0 and 4.
+        let params = vec![
+            TunableParameter::ints("x", [1, 2]),
+            TunableParameter::ints("y", [1, 2]),
+        ];
+        let configs = vec![
+            int_values([1, 1]),
+            int_values([1, 2]),
+            int_values([2, 1]),
+            int_values([1, 2]),
+            int_values([1, 1]),
+        ];
+        let s = SearchSpace::from_configs("dup", params, configs).unwrap();
+        let id = ConfigId::from_index;
+        // Every copy of a neighbor row is a scan hit; the probe returns the
+        // copy `index_of` resolves to, once.
+        assert_eq!(
+            scan_neighbors(&s, id(0), NeighborMethod::Hamming),
+            vec![id(1), id(2), id(3)]
+        );
+        assert_eq!(
+            neighbors(&s, id(0), NeighborMethod::Hamming),
+            vec![id(1), id(2)]
+        );
+        assert_eq!(s.index_of(&int_values([1, 2])), Some(id(1)));
+        // A duplicate is not its own neighbor, and both copies of the queried
+        // row get the same answer.
+        assert_eq!(
+            neighbors(&s, id(4), NeighborMethod::Hamming),
+            vec![id(1), id(2)]
+        );
+        assert_eq!(neighbors(&s, id(3), NeighborMethod::Hamming), vec![id(0)]);
+    }
+
+    #[test]
     fn adjacent_neighbors_use_value_positions() {
         let s = space();
         let center = s.index_of(&int_values([2, 2])).unwrap();
-        let n = neighbors(&s, center, NeighborMethod::Adjacent, None);
+        let n = neighbors(&s, center, NeighborMethod::Adjacent);
         // all 8 surrounding grid cells except the removed (4,4)
         assert_eq!(n.len(), 7);
     }
@@ -236,26 +242,25 @@ mod tests {
     fn strictly_adjacent_neighbors() {
         let s = space();
         let center = s.index_of(&int_values([2, 2])).unwrap();
-        let n = neighbors(&s, center, NeighborMethod::StrictlyAdjacent, None);
+        let n = neighbors(&s, center, NeighborMethod::StrictlyAdjacent);
         // only the 4 axis-aligned direct neighbors
         assert_eq!(n.len(), 4);
         let corner = s.index_of(&int_values([1, 1])).unwrap();
-        let n = neighbors(&s, corner, NeighborMethod::StrictlyAdjacent, None);
+        let n = neighbors(&s, corner, NeighborMethod::StrictlyAdjacent);
         assert_eq!(n.len(), 2);
     }
 
     #[test]
     fn neighborhood_is_symmetric() {
         let s = space();
-        let index = NeighborIndex::build(&s);
         for method in [
             NeighborMethod::Hamming,
             NeighborMethod::Adjacent,
             NeighborMethod::StrictlyAdjacent,
         ] {
             for i in s.ids() {
-                for &j in &neighbors(&s, i, method, Some(&index)) {
-                    let back = neighbors(&s, j, method, Some(&index));
+                for &j in &neighbors(&s, i, method) {
+                    let back = neighbors(&s, j, method);
                     assert!(
                         back.contains(&i),
                         "{method:?} asymmetric between {i} and {j}"
@@ -269,6 +274,12 @@ mod tests {
     fn invalid_id_has_no_neighbors() {
         let s = space();
         let bogus = ConfigId::from_index(999);
-        assert!(neighbors(&s, bogus, NeighborMethod::Hamming, None).is_empty());
+        assert!(neighbors(&s, bogus, NeighborMethod::Hamming).is_empty());
+    }
+
+    #[test]
+    fn neighbor_index_is_an_empty_stand_in() {
+        assert_eq!(std::mem::size_of::<NeighborIndex>(), 0);
+        let _ = NeighborIndex::build(&space());
     }
 }

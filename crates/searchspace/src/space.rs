@@ -167,9 +167,10 @@ const EMPTY_SLOT: u32 = u32::MAX;
 /// decoded codes).
 pub const INDEX_HASH_VERSION: u32 = 1;
 
-/// Hash a row of value codes. Mixed with a position tag by the neighbor
-/// index; persisted membership tables depend on it byte-for-byte (see
-/// [`INDEX_HASH_VERSION`]).
+/// Hash a row of value codes: the slot function of the membership table,
+/// which every lookup (`index_of`, `index_of_codes`, Hamming neighbor
+/// probes) goes through. Persisted membership tables depend on it
+/// byte-for-byte (see [`INDEX_HASH_VERSION`]).
 ///
 /// Rows are hashed two codes per step with a rotate-multiply mix (in the
 /// style of `FxHasher`): half the multiply chain of a per-code FNV walk,

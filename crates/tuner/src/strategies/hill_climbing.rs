@@ -2,7 +2,7 @@
 
 use rand::Rng;
 
-use at_searchspace::{neighbors, ConfigId, NeighborIndex, NeighborMethod};
+use at_searchspace::{neighbors, ConfigId, NeighborMethod};
 
 use crate::eval::out_of_budget;
 use crate::tuning::{Strategy, TuningContext};
@@ -32,7 +32,6 @@ impl Strategy for HillClimbing {
     }
 
     fn run(&self, ctx: &mut TuningContext<'_>) {
-        let index = NeighborIndex::build(ctx.space());
         let n = ctx.space().len();
         while !ctx.exhausted() {
             // random restart
@@ -46,7 +45,7 @@ impl Strategy for HillClimbing {
             };
             let mut current = current;
             loop {
-                let ring = neighbors(ctx.space(), current, self.neighbor_method, Some(&index));
+                let ring = neighbors(ctx.space(), current, self.neighbor_method);
                 let outcomes = ctx.evaluate_batch(&ring);
                 // steepest descent: best improving neighbor, if any
                 let mut best: Option<(ConfigId, f64)> = None;

@@ -167,4 +167,32 @@ mod tests {
             assert!(run.total_ms <= run.budget_ms + 1e-9, "{name}");
         }
     }
+
+    #[test]
+    fn every_strategy_survives_one_and_two_configuration_spaces() {
+        let row = |x, y| vec![Value::Int(x), Value::Int(y)];
+        for rows in [vec![row(1, 1)], vec![row(1, 1), row(1, 2)]] {
+            let params = vec![
+                TunableParameter::ints("x", [1, 2]),
+                TunableParameter::ints("y", [1, 2]),
+            ];
+            let space = SearchSpace::from_configs("tiny", params, rows).unwrap();
+            let model = SyntheticKernel::for_space(&space, 13);
+            for name in all_strategy_names() {
+                let strategy = strategy_by_name(name).unwrap();
+                let run = tune(
+                    &space,
+                    &model,
+                    strategy.as_ref(),
+                    Duration::from_secs(2),
+                    Duration::ZERO,
+                    3,
+                );
+                let size = space.len();
+                assert!(run.num_evaluations() >= 1, "{name} on {size}");
+                assert!(run.metrics.measured <= size as u64, "{name} on {size}");
+                assert!(run.num_evaluations() <= size, "{name} on {size}");
+            }
+        }
+    }
 }

@@ -7,7 +7,7 @@
 
 use autotuning_searchspaces::prelude::*;
 use autotuning_searchspaces::searchspace::{
-    latin_hypercube_sample, neighbors, NeighborIndex, NeighborMethod, Restriction,
+    latin_hypercube_sample, neighbors, NeighborMethod, Restriction,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -54,8 +54,7 @@ fn main() {
 
     // valid neighbors, as used by the genetic algorithm's mutation step
     if let Some(center) = space.index_of(&config) {
-        let index = NeighborIndex::build(&space);
-        let hamming = neighbors(&space, center, NeighborMethod::Hamming, Some(&index));
+        let hamming = neighbors(&space, center, NeighborMethod::Hamming);
         println!(
             "(8, 8, tiled) has {} Hamming-distance-1 valid neighbors, e.g.:",
             hamming.len()

@@ -1,13 +1,19 @@
 //! Property-based tests of the index-encoded `SearchSpace` core: for
 //! arbitrary small specifications, encode/decode round-trips, `iter_decoded`,
 //! `ConfigView` and `index_of`/`index_of_codes` must all agree with the
-//! plain row semantics of the old `Vec<Vec<Value>>` representation, and
-//! construction must reject rows containing out-of-domain values.
+//! plain row semantics of the old `Vec<Vec<Value>>` representation,
+//! construction must reject rows containing out-of-domain values, and
+//! Hamming neighbor queries (membership-table probes) must return exactly
+//! what a scan of the whole space finds.
 
 use proptest::prelude::*;
 
 use autotuning_searchspaces::csp::Value;
-use autotuning_searchspaces::searchspace::{ConfigId, SearchSpace, SpaceError, TunableParameter};
+use autotuning_searchspaces::searchspace::{
+    build_search_space, neighbors, ConfigId, Method, NeighborMethod, SearchSpace, SpaceError,
+    TunableParameter,
+};
+use autotuning_searchspaces::workloads::brute_forceable_real_world;
 
 /// A randomly generated space description: per-parameter integer domains and
 /// a pseudo-random subset of the Cartesian product to keep as "valid".
@@ -69,6 +75,35 @@ fn materialize(space: &RandomSpace) -> (Vec<TunableParameter>, Vec<Vec<Value>>) 
     (params, rows)
 }
 
+/// The reference definition of Hamming neighbors: every configuration whose
+/// code row differs from `id`'s in exactly one position, in id order.
+fn hamming_scan(space: &SearchSpace, id: ConfigId) -> Vec<ConfigId> {
+    let row = space.codes_of(id).unwrap();
+    space
+        .ids()
+        .filter(|&j| {
+            let other = space.codes_of(j).unwrap();
+            row.iter().zip(other).filter(|(a, b)| a != b).count() == 1
+        })
+        .collect()
+}
+
+#[test]
+fn hamming_probe_matches_the_scan_on_real_workloads() {
+    for workload in brute_forceable_real_world() {
+        let (space, _) = build_search_space(&workload.spec, Method::Optimized).unwrap();
+        let step = (space.len() / 8).max(1);
+        for id in space.ids().step_by(step) {
+            assert_eq!(
+                neighbors(&space, id, NeighborMethod::Hamming),
+                hamming_scan(&space, id),
+                "{} {id}",
+                workload.spec.name
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -118,6 +153,18 @@ proptest! {
         bad_rows.push(foreign);
         let err = SearchSpace::from_configs("bad", params, bad_rows).unwrap_err();
         prop_assert!(matches!(err, SpaceError::UnknownValue { .. }));
+    }
+
+    #[test]
+    fn hamming_probe_matches_the_scan(desc in random_space()) {
+        let (params, rows) = materialize(&desc);
+        let space = SearchSpace::from_configs("prop", params, rows).unwrap();
+        for id in space.ids() {
+            prop_assert_eq!(
+                neighbors(&space, id, NeighborMethod::Hamming),
+                hamming_scan(&space, id)
+            );
+        }
     }
 
     #[test]

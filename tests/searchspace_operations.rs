@@ -4,8 +4,7 @@
 
 use autotuning_searchspaces::prelude::*;
 use autotuning_searchspaces::searchspace::{
-    coverage_per_parameter, latin_hypercube_sample, neighbors, sample_indices, NeighborIndex,
-    NeighborMethod,
+    coverage_per_parameter, latin_hypercube_sample, neighbors, sample_indices, NeighborMethod,
 };
 use autotuning_searchspaces::workloads::dedispersion;
 use rand::SeedableRng;
@@ -20,10 +19,9 @@ fn dedispersion_space() -> SearchSpace {
 #[test]
 fn hamming_neighbors_are_symmetric_and_valid_on_a_sample() {
     let space = dedispersion_space();
-    let index = NeighborIndex::build(&space);
     let step = (space.len() / 50).max(1);
     for i in (0..space.len()).step_by(step).map(ConfigId::from_index) {
-        let ns = neighbors(&space, i, NeighborMethod::Hamming, Some(&index));
+        let ns = neighbors(&space, i, NeighborMethod::Hamming);
         for &j in &ns {
             assert!(j.index() < space.len());
             // exactly one parameter differs (compare the encoded rows)
@@ -32,7 +30,7 @@ fn hamming_neighbors_are_symmetric_and_valid_on_a_sample() {
             let differing = a.iter().zip(b.iter()).filter(|(x, y)| x != y).count();
             assert_eq!(differing, 1);
             // symmetry
-            let back = neighbors(&space, j, NeighborMethod::Hamming, Some(&index));
+            let back = neighbors(&space, j, NeighborMethod::Hamming);
             assert!(back.contains(&i));
         }
     }
@@ -41,11 +39,10 @@ fn hamming_neighbors_are_symmetric_and_valid_on_a_sample() {
 #[test]
 fn strictly_adjacent_neighbors_are_a_subset_of_hamming_neighbors() {
     let space = dedispersion_space();
-    let index = NeighborIndex::build(&space);
     let step = (space.len() / 20).max(1);
     for i in (0..space.len()).step_by(step).map(ConfigId::from_index) {
-        let hamming = neighbors(&space, i, NeighborMethod::Hamming, Some(&index));
-        let strict = neighbors(&space, i, NeighborMethod::StrictlyAdjacent, None);
+        let hamming = neighbors(&space, i, NeighborMethod::Hamming);
+        let strict = neighbors(&space, i, NeighborMethod::StrictlyAdjacent);
         for j in strict {
             assert!(hamming.contains(&j));
         }

@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use autotuning_searchspaces::prelude::*;
-use autotuning_searchspaces::tuner::{GeneticAlgorithm, HillClimbing};
+use autotuning_searchspaces::tuner::{strategy_by_name, GeneticAlgorithm, HillClimbing};
 use autotuning_searchspaces::workloads::{dedispersion, gemm, performance_model_for};
 
 #[test]
@@ -208,4 +208,48 @@ fn tuning_runs_are_reproducible_per_seed() {
         a.evaluations.first().map(|e| e.config_index),
         c.evaluations.first().map(|e| e.config_index)
     );
+}
+
+#[test]
+fn neighbor_strategy_trajectories_are_pinned_on_dedispersion() {
+    // Recorded with `atss tune --workload dedispersion --strategy <s>
+    // --budget-ms 60000 --seed <n> --construction-ms 0 --json`. The four
+    // strategies draw from their RNG once per neighbor list, so any change to
+    // which neighbors a Hamming query returns, or to their order, moves
+    // these numbers. Each row: strategy, seed, evaluations, best_config_id,
+    // best_runtime_ms.
+    let pinned: [(&str, u64, usize, usize, f64); 8] = [
+        ("genetic", 7, 339, 2231, 9.111919477318853),
+        ("genetic", 8, 323, 2427, 9.295828049225149),
+        ("simulated-annealing", 7, 188, 2215, 9.694710782108674),
+        ("simulated-annealing", 8, 151, 2427, 9.295828049225149),
+        ("hill-climbing", 7, 456, 2326, 9.311066579960983),
+        ("hill-climbing", 8, 448, 2427, 9.295828049225149),
+        ("iterated-local-search", 7, 458, 2231, 9.111919477318853),
+        ("iterated-local-search", 8, 459, 2427, 9.295828049225149),
+    ];
+    let workload = dedispersion();
+    let (space, _) = build_search_space(&workload.spec, Method::Optimized).unwrap();
+    for (name, seed, evaluations, best_id, best_ms) in pinned {
+        let model = performance_model_for(&workload.spec.name, &space, seed);
+        let strategy = strategy_by_name(name).unwrap();
+        let run = tune(
+            &space,
+            &model,
+            strategy.as_ref(),
+            Duration::from_millis(60_000),
+            Duration::ZERO,
+            seed,
+        );
+        let best = run.best_evaluation().expect("evaluated something");
+        assert_eq!(
+            (
+                run.num_evaluations(),
+                best.config_index.index(),
+                best.runtime_ms
+            ),
+            (evaluations, best_id, best_ms),
+            "{name} seed {seed}"
+        );
+    }
 }
