@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify fmt clippy lint-unsafe build test doctest smoke streaming store check-specs tune-smoke obs-smoke daemon-smoke examples doc fuzz-smoke fuzz bench bench-construction bench-store bench-tuner bench-daemon fix
+.PHONY: verify fmt clippy lint-unsafe build test doctest smoke streaming store check-specs tune-smoke obs-smoke daemon-smoke examples doc fuzz-smoke fuzz bench bench-construction bench-store bench-tuner bench-daemon bench-check perfbench-test fix
 
 verify: fmt clippy lint-unsafe build test smoke streaming store check-specs tune-smoke obs-smoke daemon-smoke examples doc fuzz-smoke
 	@echo "---- all checks passed ----"
@@ -174,6 +174,17 @@ bench-tuner:
 # cold construction (the acceptance ratio is printed up front).
 bench-daemon:
 	$(CARGO) bench -p at_bench --bench daemon
+
+# Static-analyzer benchmarks: `check_spec` on microhh, prl-8x8, gemm and
+# hotspot (reference-interpreter calls and decided pairs printed up front).
+bench-check:
+	$(CARGO) bench -p at_bench --bench check
+
+# The repository benchmark's own tests (perfbench is a workspace of its own,
+# so `cargo test --workspace` never builds it): among them the stopped-daemon
+# and wrong-`valid` failure checks.
+perfbench-test:
+	$(CARGO) test --release --offline --manifest-path perfbench/Cargo.toml
 
 # Apply rustfmt and machine-applicable clippy suggestions.
 fix:

@@ -5,14 +5,15 @@ use at_csp::{CmpOp, Value};
 use at_expr::ast::apply_builtin;
 use at_expr::{parse_spanned, BinOp, Expr, ExprError, Span, SpanNode};
 use at_searchspace::{Restriction, SearchSpaceSpec};
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashMap;
 
 use crate::absdom::{binop, cmp_link, neg, Abs, AbsVal, PAIR_CAP, SET_CAP};
 use crate::diag::{closest, Code, Diagnostic, Severity};
 
 /// Maximum number of assignments the exact enumeration refinement will
-/// ground out. Below this, verdicts and per-value support come from the
-/// reference interpreter itself and are exact, not abstract.
+/// ground out. Within it, the reference interpreter fills a restriction's
+/// truth table, and its verdict and per-value support are exact, not
+/// abstract. AT0008 checks a pair only when its joint scope is within it.
 pub const EXACT_CAP: u128 = 4096;
 
 /// What the analyzer concluded about one restriction.
@@ -121,17 +122,15 @@ impl CheckReport {
 
 /// Run the full analysis over a spec.
 pub fn check_spec(spec: &SearchSpaceSpec) -> CheckReport {
-    let _span = at_obs::span("check", "analyze")
+    let span = at_obs::span("check", "analyze")
         .arg("restrictions", spec.restrictions.len() as u64)
         .arg("params", spec.params.len() as u64);
     let param_names: Vec<String> = spec.params.iter().map(|p| p.name().to_string()).collect();
     let mut diagnostics = Vec::new();
     let mut verdicts: Vec<Option<Verdict>> = vec![None; spec.restrictions.len()];
-    // Per-restriction exact satisfying-support, for pruning and pairwise
-    // checks: (vars, per-var allowed value indices) — only for exactly
-    // enumerated restrictions.
-    let mut exact_info: Vec<Option<ExactInfo>> =
-        (0..spec.restrictions.len()).map(|_| None).collect();
+    // One truth table per exactly enumerated restriction; the verdicts,
+    // the pairwise checks and the pruning evidence are all read from them.
+    let mut tables: Vec<Option<TruthTable>> = (0..spec.restrictions.len()).map(|_| None).collect();
 
     for (index, restriction) in spec.restrictions.iter().enumerate() {
         match restriction {
@@ -143,7 +142,7 @@ pub fn check_spec(spec: &SearchSpaceSpec) -> CheckReport {
                     source,
                     &mut diagnostics,
                     &mut verdicts,
-                    &mut exact_info,
+                    &mut tables,
                 );
             }
             other => {
@@ -154,14 +153,20 @@ pub fn check_spec(spec: &SearchSpaceSpec) -> CheckReport {
                     other,
                     &mut diagnostics,
                     &mut verdicts,
-                    &mut exact_info,
+                    &mut tables,
                 );
             }
         }
     }
 
-    pairwise_contradictions(spec, &verdicts, &exact_info, &mut diagnostics);
-    let prunable = collect_prunable(spec, &verdicts, &exact_info);
+    let pairs = pairwise_contradictions(spec, &verdicts, &tables, &mut diagnostics);
+    let prunable = collect_prunable(spec, &verdicts, &tables);
+    drop(
+        span.arg_with("assignments", || {
+            tables.iter().flatten().map(|t| t.len as u64).sum()
+        })
+        .arg("pairs", pairs),
+    );
 
     CheckReport {
         spec_name: spec.name.clone(),
@@ -171,17 +176,93 @@ pub fn check_spec(spec: &SearchSpaceSpec) -> CheckReport {
     }
 }
 
-/// Exact enumeration result for one restriction.
-struct ExactInfo {
+/// The exact enumeration of one restriction: a bitset truth table over
+/// every assignment of its scope.
+struct TruthTable {
     /// Parameter indices in the restriction's scope.
     scope: Vec<usize>,
-    /// For each scope entry, the set of domain-value indices that appear
-    /// in at least one satisfying assignment.
-    support: Vec<FxHashSet<usize>>,
-    /// Number of satisfying assignments.
-    n_sat: u128,
-    /// Total number of assignments.
-    n_total: u128,
+    /// Bit `i` is set when assignment `i` satisfies the restriction.
+    /// Assignments are numbered in odometer order, last scope entry
+    /// fastest, so entry `k` has the stride [`strides`] gives it.
+    bits: Vec<u64>,
+    /// Number of assignments: the product of the scope's domain sizes.
+    len: usize,
+}
+
+impl TruthTable {
+    fn get(&self, i: usize) -> bool {
+        self.bits[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    fn verdict(&self) -> Verdict {
+        let n_sat: usize = self.bits.iter().map(|w| w.count_ones() as usize).sum();
+        if n_sat == self.len {
+            Verdict::Tautology
+        } else if n_sat == 0 {
+            Verdict::Contradiction
+        } else {
+            Verdict::Contingent
+        }
+    }
+
+    /// For each scope entry, which of its domain values some satisfying
+    /// assignment uses: one pass over the set bits.
+    fn support(&self, spec: &SearchSpaceSpec) -> Vec<Vec<bool>> {
+        let strides = strides(spec, &self.scope);
+        let mut support: Vec<Vec<bool>> = self
+            .scope
+            .iter()
+            .map(|&p| vec![false; spec.params[p].len()])
+            .collect();
+        for (w, mut word) in self.bits.iter().copied().enumerate() {
+            while word != 0 {
+                let i = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                for (used, &stride) in support.iter_mut().zip(&strides) {
+                    let len = used.len();
+                    used[i / stride % len] = true;
+                }
+            }
+        }
+        support
+    }
+
+    /// Strides that project an assignment of `joint` (a superset of this
+    /// table's scope) onto this table: the projected index is
+    /// `Σ counter[pos] * projection[pos]`. Every scope entry maps to the
+    /// last joint position holding its parameter: writing a joint
+    /// assignment into an env keyed by name leaves that position's value.
+    fn projection(&self, spec: &SearchSpaceSpec, joint: &[usize]) -> Vec<usize> {
+        let mut projection = vec![0; joint.len()];
+        for (&p, stride) in self.scope.iter().zip(strides(spec, &self.scope)) {
+            let pos = joint
+                .iter()
+                .rposition(|&q| q == p)
+                .expect("the joint scope covers the table's scope");
+            projection[pos] += stride;
+        }
+        projection
+    }
+}
+
+/// Odometer strides of `scope`: entry `k` advances by the product of
+/// the domain sizes after it.
+fn strides(spec: &SearchSpaceSpec, scope: &[usize]) -> Vec<usize> {
+    let mut strides = vec![1; scope.len()];
+    for k in (1..scope.len()).rev() {
+        strides[k - 1] = strides[k] * spec.params[scope[k]].len();
+    }
+    strides
+}
+
+/// The number of assignments of `scope`, when it is non-zero and within
+/// [`EXACT_CAP`].
+fn exact_len(spec: &SearchSpaceSpec, scope: &[usize]) -> Option<usize> {
+    let mut total: u128 = 1;
+    for &p in scope {
+        total = total.saturating_mul(spec.params[p].len() as u128);
+    }
+    (total != 0 && total <= EXACT_CAP).then_some(total as usize)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -192,7 +273,7 @@ fn analyze_expression(
     source: &str,
     diagnostics: &mut Vec<Diagnostic>,
     verdicts: &mut [Option<Verdict>],
-    exact_info: &mut [Option<ExactInfo>],
+    tables: &mut [Option<TruthTable>],
 ) {
     let (expr, spans) = match parse_spanned(source) {
         Ok(pair) => pair,
@@ -265,20 +346,20 @@ fn analyze_expression(
     diagnostics.extend(diags);
 
     // Exact refinement: when the scope grounds out below EXACT_CAP, the
-    // reference interpreter gives the precise verdict and the per-value
-    // support sets.
+    // reference interpreter fills the restriction's truth table, which
+    // gives the precise verdict.
     let scope: Vec<usize> = vars
         .iter()
         .map(|name| spec.param_index(name).expect("known variable"))
         .collect();
-    let verdict = match enumerate_exact(
+    let verdict = match truth_table(
         spec,
         &scope,
         |env| matches!(expr.evaluate(env), Ok(v) if v.truthy()),
     ) {
-        Some(info) => {
-            let verdict = verdict_of(&info);
-            exact_info[index] = Some(info);
+        Some(table) => {
+            let verdict = table.verdict();
+            tables[index] = Some(table);
             verdict
         }
         None => {
@@ -320,7 +401,7 @@ fn analyze_opaque(
     restriction: &Restriction,
     diagnostics: &mut Vec<Diagnostic>,
     verdicts: &mut [Option<Verdict>],
-    exact_info: &mut [Option<ExactInfo>],
+    tables: &mut [Option<TruthTable>],
 ) {
     let Some((constraint, scope_names)) = restriction.as_function_constraint() else {
         return;
@@ -354,29 +435,19 @@ fn analyze_opaque(
         .map(|name| spec.param_index(name).expect("known variable"))
         .collect();
     let mut values = Vec::with_capacity(scope.len());
-    if let Some(info) = enumerate_exact(spec, &scope, |env| {
+    if let Some(table) = truth_table(spec, &scope, |env| {
         values.clear();
         for name in &scope_names {
             values.push(env.get(name).expect("scope variable").clone());
         }
         constraint.evaluate(&values)
     }) {
-        let verdict = verdict_of(&info);
-        exact_info[index] = Some(info);
+        let verdict = table.verdict();
+        tables[index] = Some(table);
         verdicts[index] = Some(verdict);
         if verdict != Verdict::Contingent {
             emit_opaque_verdict(verdict, index, restriction, diagnostics);
         }
-    }
-}
-
-fn verdict_of(info: &ExactInfo) -> Verdict {
-    if info.n_sat == info.n_total {
-        Verdict::Tautology
-    } else if info.n_sat == 0 {
-        Verdict::Contradiction
-    } else {
-        Verdict::Contingent
     }
 }
 
@@ -438,189 +509,163 @@ fn emit_opaque_verdict(
     });
 }
 
-/// Enumerate all assignments of `scope` (by parameter index) when the
+/// Fill the truth table of `scope` (by parameter index) when the
 /// product of domain sizes is within [`EXACT_CAP`], feeding each
-/// assignment to `satisfied` and recording the support.
-fn enumerate_exact(
+/// assignment to `satisfied`. The env holds one key per scope name,
+/// inserted once; each odometer step overwrites only the values of the
+/// entries it moved.
+fn truth_table(
     spec: &SearchSpaceSpec,
     scope: &[usize],
     mut satisfied: impl FnMut(&FxHashMap<String, Value>) -> bool,
-) -> Option<ExactInfo> {
-    let mut total: u128 = 1;
-    for &p in scope {
-        total = total.saturating_mul(spec.params[p].len() as u128);
-    }
-    if total == 0 || total > EXACT_CAP {
-        return None;
-    }
+) -> Option<TruthTable> {
+    let len = exact_len(spec, scope)?;
     let domains: Vec<&[Value]> = scope.iter().map(|&p| spec.params[p].values()).collect();
+    let dims: Vec<usize> = domains.iter().map(|d| d.len()).collect();
     let names: Vec<&str> = scope.iter().map(|&p| spec.params[p].name()).collect();
+    let mut env: FxHashMap<String, Value> = names
+        .iter()
+        .zip(&domains)
+        .map(|(name, domain)| (name.to_string(), domain[0].clone()))
+        .collect();
     let mut counters = vec![0usize; scope.len()];
-    let mut support: Vec<FxHashSet<usize>> = vec![FxHashSet::default(); scope.len()];
-    let mut env: FxHashMap<String, Value> = FxHashMap::default();
-    let mut n_sat: u128 = 0;
-    loop {
-        for (k, &i) in counters.iter().enumerate() {
-            env.insert(names[k].to_string(), domains[k][i].clone());
-        }
+    let mut bits = vec![0u64; len.div_ceil(64)];
+    for i in 0..len {
         if satisfied(&env) {
-            n_sat += 1;
-            for (k, &i) in counters.iter().enumerate() {
-                support[k].insert(i);
-            }
+            bits[i / 64] |= 1 << (i % 64);
         }
-        // Odometer step.
-        let mut k = scope.len();
-        loop {
-            if k == 0 {
-                return Some(ExactInfo {
-                    scope: scope.to_vec(),
-                    support,
-                    n_sat,
-                    n_total: total,
-                });
-            }
-            k -= 1;
-            counters[k] += 1;
-            if counters[k] < domains[k].len() {
-                break;
-            }
-            counters[k] = 0;
-        }
-        if scope.is_empty() {
-            // Single empty assignment already evaluated.
-            return Some(ExactInfo {
-                scope: Vec::new(),
-                support,
-                n_sat,
-                n_total: total,
-            });
+        let Some(moved) = odometer_step(&mut counters, &dims) else {
+            break;
+        };
+        for m in moved..scope.len() {
+            *env.get_mut(names[m]).expect("scope variable") = domains[m][counters[m]].clone();
         }
     }
+    Some(TruthTable {
+        scope: scope.to_vec(),
+        bits,
+        len,
+    })
 }
 
 /// AT0008: pairs of individually satisfiable restrictions that are
 /// jointly unsatisfiable. Only exactly-enumerated restrictions with
 /// overlapping scopes participate (disjoint scopes are independent, so
-/// individual satisfiability implies joint satisfiability).
+/// individual satisfiability implies joint satisfiability), and only
+/// when the joint scope is within [`EXACT_CAP`]. Returns the number of
+/// pairs decided.
 fn pairwise_contradictions(
     spec: &SearchSpaceSpec,
     verdicts: &[Option<Verdict>],
-    exact_info: &[Option<ExactInfo>],
+    tables: &[Option<TruthTable>],
     diagnostics: &mut Vec<Diagnostic>,
-) {
-    let candidates: Vec<usize> = (0..spec.restrictions.len())
-        .filter(|&i| verdicts[i] == Some(Verdict::Contingent) && exact_info[i].is_some())
+) -> u64 {
+    let candidates: Vec<(usize, &TruthTable)> = (0..spec.restrictions.len())
+        .filter(|&i| verdicts[i] == Some(Verdict::Contingent))
+        .filter_map(|i| Some((i, tables[i].as_ref()?)))
         .collect();
-    for (a_pos, &i) in candidates.iter().enumerate() {
-        for &j in &candidates[a_pos + 1..] {
-            let (si, sj) = (
-                &exact_info[i].as_ref().expect("candidate").scope,
-                &exact_info[j].as_ref().expect("candidate").scope,
-            );
-            if !si.iter().any(|p| sj.contains(p)) {
+    let mut decided = 0;
+    for (a_pos, &(i, ti)) in candidates.iter().enumerate() {
+        for &(j, tj) in &candidates[a_pos + 1..] {
+            if !ti.scope.iter().any(|p| tj.scope.contains(p)) {
                 continue;
             }
-            let joint: Vec<usize> = {
-                let mut s = si.clone();
-                for &p in sj {
-                    if !s.contains(&p) {
-                        s.push(p);
-                    }
+            let mut joint = ti.scope.clone();
+            for &p in &tj.scope {
+                if !joint.contains(&p) {
+                    joint.push(p);
                 }
-                s
-            };
-            let (sat_i, sat_j) = match (
-                restriction_predicate(&spec.restrictions[i]),
-                restriction_predicate(&spec.restrictions[j]),
-            ) {
-                (Some(a), Some(b)) => (a, b),
-                _ => continue,
-            };
-            let jointly_satisfiable = enumerate_exact(spec, &joint, |env| sat_i(env) && sat_j(env));
-            if let Some(info) = jointly_satisfiable {
-                if info.n_sat == 0 {
-                    diagnostics.push(Diagnostic {
-                        code: Code::PairwiseContradiction,
-                        message: format!(
-                            "restrictions {i} and {j} can never hold at the same time: \
-                             `{}` and `{}`",
-                            spec.restrictions[i].describe(),
-                            spec.restrictions[j].describe()
-                        ),
-                        restriction: Some(j),
-                        source: None,
-                        span: None,
-                        help: Some("the search space is provably empty".into()),
-                    });
-                }
+            }
+            if exact_len(spec, &joint).is_none() {
+                continue;
+            }
+            decided += 1;
+            if !jointly_satisfiable(spec, &joint, ti, tj) {
+                diagnostics.push(Diagnostic {
+                    code: Code::PairwiseContradiction,
+                    message: format!(
+                        "restrictions {i} and {j} can never hold at the same time: \
+                         `{}` and `{}`",
+                        spec.restrictions[i].describe(),
+                        spec.restrictions[j].describe()
+                    ),
+                    restriction: Some(j),
+                    source: None,
+                    span: None,
+                    help: Some("the search space is provably empty".into()),
+                });
             }
         }
     }
+    decided
 }
 
-/// A closure evaluating one restriction under an assignment env.
-/// `None` when the restriction cannot be evaluated this way.
-#[allow(clippy::type_complexity)]
-fn restriction_predicate(
-    restriction: &Restriction,
-) -> Option<Box<dyn Fn(&FxHashMap<String, Value>) -> bool + '_>> {
-    match restriction {
-        Restriction::Expression(source) => {
-            let expr = at_expr::parse(source).ok()?;
-            Some(Box::new(
-                move |env| matches!(expr.evaluate(env), Ok(v) if v.truthy()),
-            ))
+/// Walk the odometer of `joint`, reading each assignment's bit in both
+/// tables through their projections, and stop at the first assignment
+/// both satisfy.
+fn jointly_satisfiable(
+    spec: &SearchSpaceSpec,
+    joint: &[usize],
+    a: &TruthTable,
+    b: &TruthTable,
+) -> bool {
+    let dims: Vec<usize> = joint.iter().map(|&p| spec.params[p].len()).collect();
+    let (proj_a, proj_b) = (a.projection(spec, joint), b.projection(spec, joint));
+    let index = |counters: &[usize], proj: &[usize]| -> usize {
+        counters.iter().zip(proj).map(|(c, s)| c * s).sum()
+    };
+    let mut counters = vec![0usize; joint.len()];
+    loop {
+        if a.get(index(&counters, &proj_a)) && b.get(index(&counters, &proj_b)) {
+            return true;
         }
-        other => {
-            let (constraint, scope) = other.as_function_constraint()?;
-            Some(Box::new(move |env| {
-                let values: Vec<Value> = scope
-                    .iter()
-                    .map(|name| env.get(name).expect("scope variable").clone())
-                    .collect();
-                constraint.evaluate(&values)
-            }))
+        if odometer_step(&mut counters, &dims).is_none() {
+            return false;
         }
     }
 }
 
-/// Fold exact supports into per-parameter prunable value lists. A value
-/// is prunable when **some** restriction's satisfying assignments never
-/// use it — the conjunction then cannot either. Contradictory specs are
-/// skipped (the space is empty; pruning is moot).
+/// Advance `counters` to the next assignment over domains of sizes
+/// `dims`, last entry fastest. Returns the first entry that moved (every
+/// entry after it reset to 0), or `None` past the last assignment.
+fn odometer_step(counters: &mut [usize], dims: &[usize]) -> Option<usize> {
+    let k = (0..counters.len())
+        .rev()
+        .find(|&k| counters[k] + 1 < dims[k])?;
+    counters[k] += 1;
+    counters[k + 1..].fill(0);
+    Some(k)
+}
+
+/// Fold the tables' supports into per-parameter prunable value lists. A
+/// value is prunable when **some** restriction's satisfying assignments
+/// never use it — the conjunction then cannot either. Contradictory
+/// specs are skipped (the space is empty; pruning is moot).
 fn collect_prunable(
     spec: &SearchSpaceSpec,
     verdicts: &[Option<Verdict>],
-    exact_info: &[Option<ExactInfo>],
+    tables: &[Option<TruthTable>],
 ) -> Vec<PrunableParam> {
     if verdicts.contains(&Some(Verdict::Contradiction)) {
         return Vec::new();
     }
-    let mut removable: FxHashMap<usize, FxHashSet<usize>> = FxHashMap::default();
-    for info in exact_info.iter().flatten() {
-        for (k, &p) in info.scope.iter().enumerate() {
-            let domain_len = spec.params[p].len();
-            for value_index in 0..domain_len {
-                if !info.support[k].contains(&value_index) {
-                    removable.entry(p).or_default().insert(value_index);
-                }
-            }
+    let mut removable: Vec<Vec<usize>> = vec![Vec::new(); spec.params.len()];
+    for table in tables.iter().flatten() {
+        for (&p, used) in table.scope.iter().zip(table.support(spec)) {
+            removable[p].extend((0..used.len()).filter(|&v| !used[v]));
         }
     }
     let mut out: Vec<PrunableParam> = removable
         .into_iter()
-        .filter(|(_, values)| !values.is_empty())
-        .map(|(p, values)| {
-            let param = &spec.params[p];
-            let mut indices: Vec<usize> = values.into_iter().collect();
+        .enumerate()
+        .filter(|(_, indices)| !indices.is_empty())
+        .map(|(p, mut indices)| {
             indices.sort_unstable();
+            indices.dedup();
+            let param = &spec.params[p];
             PrunableParam {
                 param: param.name().to_string(),
-                values: indices
-                    .into_iter()
-                    .map(|i| param.values()[i].clone())
-                    .collect(),
+                values: indices.iter().map(|&i| param.values()[i].clone()).collect(),
             }
         })
         .collect();
@@ -1220,6 +1265,96 @@ mod tests {
         );
         let report = check_spec(&s);
         assert!(!codes(&report).contains(&Code::PairwiseContradiction));
+    }
+
+    #[test]
+    fn opposite_first_use_orders_are_projected_into_both_tables() {
+        // `y < x` is tabled over (y, x) and `x < y` over (x, y). The
+        // domain sizes differ, so reading either table with the other's
+        // strides reads the wrong bits.
+        let domains = [("x", vec![1, 2, 3]), ("y", vec![1, 2, 4, 5])];
+        let report = check_spec(&spec(&domains, &["y < x", "x < y"]));
+        assert_eq!(report.verdicts, vec![Some(Verdict::Contingent); 2]);
+        assert_eq!(codes(&report), vec![Code::PairwiseContradiction]);
+        // x == y ∈ {1, 2} satisfies both of these.
+        let report = check_spec(&spec(&domains, &["y <= x", "x <= y"]));
+        assert!(report.is_clean(), "{}", report.render());
+    }
+
+    #[test]
+    fn expression_and_closure_scopes_in_different_orders() {
+        // The expression is tabled over (a, c, b), the closure over (b, a).
+        let pair = |holds: fn(i64, i64) -> bool| {
+            let mut s = spec(
+                &[
+                    ("a", vec![1, 2, 3]),
+                    ("b", vec![1, 2]),
+                    ("c", vec![0, 1, 2, 3, 4]),
+                ],
+                &["a + c <= b"],
+            );
+            s.add_restriction(Restriction::func(&["b", "a"], "b vs a", move |v| {
+                holds(v[0].as_i64().unwrap(), v[1].as_i64().unwrap())
+            }));
+            check_spec(&s)
+        };
+        // `a + c <= b` forces a <= b, so b < a never holds alongside it.
+        let report = pair(|b, a| b < a);
+        assert_eq!(report.verdicts, vec![Some(Verdict::Contingent); 2]);
+        assert_eq!(codes(&report), vec![Code::PairwiseContradiction]);
+        // b <= a holds alongside it at c = 0, a = b.
+        let report = pair(|b, a| b <= a);
+        assert!(report.is_clean(), "{}", report.render());
+    }
+
+    #[test]
+    fn pairs_past_the_exact_cap_are_not_decided() {
+        // Each restriction grounds out at 20 × 20 = 400 assignments, but
+        // their joint scope (a, b, c) has 8000 > EXACT_CAP. The pair is
+        // jointly unsatisfiable (b = 1 against b >= 19) and unreported.
+        let domain: Vec<i64> = (1..=20).collect();
+        let s = spec(
+            &[("a", domain.clone()), ("b", domain.clone()), ("c", domain)],
+            &["a + b <= 2", "b + c >= 39"],
+        );
+        let report = check_spec(&s);
+        assert_eq!(report.verdicts, vec![Some(Verdict::Contingent); 2]);
+        assert!(
+            !codes(&report).contains(&Code::PairwiseContradiction),
+            "{}",
+            report.render()
+        );
+    }
+
+    #[test]
+    fn analyze_span_counts_assignments_and_pairs() {
+        // Five parameters keep this span apart from the spans of tests
+        // running alongside while the recorder is on.
+        let s = spec(
+            &[
+                ("x", vec![1, 2, 3]),
+                ("y", vec![1, 2, 4, 5]),
+                ("z", vec![1]),
+                ("u", vec![1]),
+                ("v", vec![1]),
+            ],
+            &["y < x", "x < y", "z == 1"],
+        );
+        at_obs::enable();
+        let report = check_spec(&s);
+        at_obs::disable();
+        let span = at_obs::drain()
+            .into_iter()
+            .find(|r| r.name == "check" && r.arg("params") == Some(5))
+            .expect("the analyze span");
+        assert_eq!(
+            codes(&report),
+            vec![Code::Tautology, Code::PairwiseContradiction]
+        );
+        // 12 + 12 + 1 interpreter calls; the tautology `z == 1` takes no
+        // part in the one decided pair.
+        assert_eq!(span.arg("assignments"), Some(25));
+        assert_eq!(span.arg("pairs"), Some(1));
     }
 
     #[test]

@@ -39,8 +39,14 @@
 //! - everything else stays **contingent**; the analyzer never guesses.
 //!
 //! When the restriction scope grounds out below [`analyze::EXACT_CAP`]
-//! assignments, verdicts come from exhaustive evaluation with the
-//! reference interpreter and are exact rather than abstract. `and`/`or`
+//! assignments, the reference interpreter evaluates the restriction
+//! once per assignment into a bitset truth table, and the verdict is
+//! exact rather than abstract. AT0008 and the pre-pruning evidence are
+//! read from the same tables: a pair is decided by projecting each
+//! assignment of the joint scope into both tables, never by evaluating
+//! either restriction again. AT0008 is still bounded by
+//! [`analyze::EXACT_CAP`] on the joint scope; larger pairs are not
+//! checked. `and`/`or`
 //! chains are analyzed path-sensitively — each operand under the
 //! refinement implied by the short-circuit path that reaches it — so the
 //! pervasive guard idiom `luf == 0 or tile % luf == 0` analyzes without

@@ -7,14 +7,15 @@
 //!    yields a byte-identical arena to constructing without it (or both
 //!    fail identically), for **all six** construction methods.
 //! 2. **Differential soundness**: every claim `check_spec` makes —
-//!    per-restriction tautology/contradiction verdicts and prunable
-//!    domain values — is checked against exhaustive enumeration with the
-//!    reference interpreter under the error→reject convention.
+//!    per-restriction tautology/contradiction verdicts, prunable domain
+//!    values and AT0008 pairwise contradictions — is checked against
+//!    exhaustive enumeration with the reference interpreter under the
+//!    error→reject convention.
 
 use proptest::prelude::*;
 use rustc_hash::FxHashMap;
 
-use autotuning_searchspaces::check::{check_spec, Verdict};
+use autotuning_searchspaces::check::{check_spec, Code, Verdict};
 use autotuning_searchspaces::csp::value::Value;
 use autotuning_searchspaces::expr;
 use autotuning_searchspaces::searchspace::builder::{
@@ -33,11 +34,15 @@ enum RandomRestriction {
     ModGuard(usize, usize),
     /// `pA <= pB`.
     Compare(usize, usize),
+    /// `pA < pB` — jointly unsatisfiable with `pB <= pA`.
+    Less(usize, usize),
     /// `pA in [..constants..]`.
     Membership(usize, Vec<i64>),
     /// `pA >= K` — tautological, contradictory, or contingent depending
     /// on how `K` relates to the generated domain.
     Threshold(usize, i64),
+    /// `pA < K` — jointly unsatisfiable with `pA >= K'` when `K <= K'`.
+    Below(usize, i64),
 }
 
 impl RandomRestriction {
@@ -47,11 +52,13 @@ impl RandomRestriction {
             RandomRestriction::MinSum(a, b, k) => format!("p{a} + p{b} >= {k}"),
             RandomRestriction::ModGuard(a, b) => format!("p{a} % p{b} == 0 or p{b} == 0"),
             RandomRestriction::Compare(a, b) => format!("p{a} <= p{b}"),
+            RandomRestriction::Less(a, b) => format!("p{a} < p{b}"),
             RandomRestriction::Membership(a, set) => {
                 let items: Vec<String> = set.iter().map(|v| v.to_string()).collect();
                 format!("p{a} in [{}]", items.join(", "))
             }
             RandomRestriction::Threshold(a, k) => format!("p{a} >= {k}"),
+            RandomRestriction::Below(a, k) => format!("p{a} < {k}"),
         }
     }
 }
@@ -68,9 +75,11 @@ fn random_restriction(n: usize) -> impl Strategy<Value = RandomRestriction> {
         (0..n, 0..n, 1i64..20).prop_map(|(a, b, k)| RandomRestriction::MinSum(a, b, k)),
         (0..n, 0..n).prop_map(|(a, b)| RandomRestriction::ModGuard(a, b)),
         (0..n, 0..n).prop_map(|(a, b)| RandomRestriction::Compare(a, b)),
+        (0..n, 0..n).prop_map(|(a, b)| RandomRestriction::Less(a, b)),
         (0..n, proptest::collection::vec(0i64..10, 1..4))
             .prop_map(|(a, set)| RandomRestriction::Membership(a, set)),
         (0..n, -3i64..12).prop_map(|(a, k)| RandomRestriction::Threshold(a, k)),
+        (0..n, -3i64..12).prop_map(|(a, k)| RandomRestriction::Below(a, k)),
     ]
 }
 
@@ -79,7 +88,7 @@ fn random_spec() -> impl Strategy<Value = RandomSpec> {
     let domains = proptest::collection::vec(domain, 2..5);
     domains.prop_flat_map(|domains| {
         let n = domains.len();
-        let restrictions = proptest::collection::vec(random_restriction(n), 1..4);
+        let restrictions = proptest::collection::vec(random_restriction(n), 1..6);
         (Just(domains), restrictions).prop_map(|(domains, restrictions)| RandomSpec {
             domains,
             restrictions,
@@ -106,11 +115,12 @@ fn build_spec(rs: &RandomSpec) -> SearchSpaceSpec {
     spec
 }
 
-/// Exhaustively evaluate `expr` over the full cartesian product of the
-/// spec's parameter domains, under the error→reject convention. Returns
-/// `(n_sat, n_total, support)` where `support[i][j]` records whether
-/// domain value `j` of parameter `i` appears in a satisfying assignment.
-fn brute_force(expr: &expr::Expr, spec: &SearchSpaceSpec) -> (u64, u64, Vec<Vec<bool>>) {
+/// Exhaustively evaluate the conjunction of `exprs` over the full
+/// cartesian product of the spec's parameter domains, under the
+/// error→reject convention. Returns `(n_sat, n_total, support)` where
+/// `support[i][j]` records whether domain value `j` of parameter `i`
+/// appears in a satisfying assignment.
+fn brute_force(exprs: &[&expr::Expr], spec: &SearchSpaceSpec) -> (u64, u64, Vec<Vec<bool>>) {
     let domains: Vec<(&str, &[Value])> =
         spec.params.iter().map(|p| (p.name(), p.values())).collect();
     let mut support: Vec<Vec<bool>> = domains.iter().map(|(_, v)| vec![false; v.len()]).collect();
@@ -123,7 +133,9 @@ fn brute_force(expr: &expr::Expr, spec: &SearchSpaceSpec) -> (u64, u64, Vec<Vec<
             .map(|((name, values), &i)| (name.to_string(), values[i].clone()))
             .collect();
         n_total += 1;
-        let sat = matches!(expr.evaluate(&env), Ok(v) if v.truthy());
+        let sat = exprs
+            .iter()
+            .all(|expr| matches!(expr.evaluate(&env), Ok(v) if v.truthy()));
         if sat {
             n_sat += 1;
             for (row, &i) in support.iter_mut().zip(&indices) {
@@ -180,6 +192,12 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    // More cases than above: about one generated spec in seven has an
+    // AT0008 finding.
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Every claim the analyzer makes must agree with exhaustive
     /// enumeration by the reference interpreter.
@@ -190,11 +208,17 @@ proptest! {
         prop_assert_eq!(report.verdicts.len(), rs.restrictions.len());
 
         // Per-restriction verdict soundness.
+        let exprs: Vec<expr::Expr> = rs
+            .restrictions
+            .iter()
+            .map(|r| expr::parse(&r.source()).expect("generated restrictions parse"))
+            .collect();
+        let mut contingent = vec![false; exprs.len()];
         let mut conjunction_support: Option<Vec<Vec<bool>>> = None;
         for (i, r) in rs.restrictions.iter().enumerate() {
             let source = r.source();
-            let expr = expr::parse(&source).expect("generated restrictions parse");
-            let (n_sat, n_total, support) = brute_force(&expr, &spec);
+            let (n_sat, n_total, support) = brute_force(&[&exprs[i]], &spec);
+            contingent[i] = 0 < n_sat && n_sat < n_total;
             match report.verdicts[i] {
                 Some(Verdict::Contradiction) => {
                     prop_assert_eq!(
@@ -249,6 +273,46 @@ proptest! {
                     .collect(),
             });
         }
+
+        // AT0008 against brute force: for every pair of contingent
+        // restrictions with overlapping scopes, the analyzer names the
+        // pair exactly when no assignment satisfies both. Joint scopes
+        // here stay under EXACT_CAP (at most 4 parameters of at most 5
+        // values), so the analyzer decides every such pair.
+        let named: Vec<(usize, usize)> = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == Code::PairwiseContradiction)
+            .map(|d| {
+                let words: Vec<&str> = d.message.split_whitespace().collect();
+                let pair: (usize, usize) = (
+                    words[1].parse().expect("first restriction index"),
+                    words[3].parse().expect("second restriction index"),
+                );
+                assert_eq!(d.restriction, Some(pair.1), "{}", d.message);
+                pair
+            })
+            .collect();
+        let mut expected = Vec::new();
+        for i in 0..exprs.len() {
+            for j in i + 1..exprs.len() {
+                let (vars_i, vars_j) = (exprs[i].variables(), exprs[j].variables());
+                let overlap = vars_i.iter().any(|v| vars_j.contains(v));
+                if contingent[i]
+                    && contingent[j]
+                    && overlap
+                    && brute_force(&[&exprs[i], &exprs[j]], &spec).0 == 0
+                {
+                    expected.push((i, j));
+                }
+            }
+        }
+        prop_assert_eq!(
+            &named,
+            &expected,
+            "AT0008 pairs differ from brute force for {:?}",
+            rs.restrictions.iter().map(|r| r.source()).collect::<Vec<_>>()
+        );
 
         // Prunable soundness: a value the analyzer prunes is excluded by
         // at least one restriction, hence by their conjunction. (The
