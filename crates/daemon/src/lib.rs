@@ -58,10 +58,12 @@
 //! [`server::Daemon::bind`] claims the socket path (refusing when a live
 //! daemon answers on it, taking over a stale socket left by a crash),
 //! writes a pidfile, and installs SIGTERM/SIGINT handlers ([`signal`])
-//! that flip an atomic flag. [`server::Daemon::run`] polls that flag in
-//! its accept loop; on shutdown it stops accepting, **drains** — every
-//! connection finishes its request, every in-flight build completes and
-//! notifies its waiters — and only then removes the socket and pidfile.
+//! that flip an atomic flag. [`server::Daemon::run`] accepts connections
+//! as they arrive and checks that flag between accepts; its `accept`
+//! times out every 150 ms, so an idle daemon notices shutdown within that.
+//! On shutdown it stops accepting, **drains** — every connection finishes
+//! its request, every in-flight build completes and notifies its waiters
+//! — and only then removes the socket and pidfile.
 //!
 //! ```no_run
 //! use at_daemon::{Daemon, DaemonClient, DaemonConfig};

@@ -18,14 +18,20 @@
 //! the between-builds GC sweep ([`DaemonConfig::gc`]) can never delete a
 //! file a client was just promised.
 //!
+//! Connections are accepted as they arrive: the listener blocks in
+//! `accept`, with a receive timeout of `READ_POLL` so that an idle loop
+//! still wakes that often.
+//!
 //! Shutdown: SIGTERM/SIGINT (via [`crate::signal`]), a `Shutdown` frame,
 //! or [`DaemonHandle::request_shutdown`] all flip flags the accept loop
-//! polls (the listener is non-blocking). The loop then stops accepting,
-//! joins every connection and build worker — draining in-flight builds —
-//! and removes its socket and pidfile.
+//! checks between accepts, so an idle daemon notices within `READ_POLL`.
+//! The loop then stops accepting, joins every connection and build
+//! worker — draining in-flight builds — and removes its socket and
+//! pidfile.
 
 use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
+use std::os::fd::OwnedFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -44,10 +50,8 @@ use crate::error::DaemonError;
 use crate::proto::{read_frame, write_frame, Frame, ServeKind, WireError, PROTOCOL_VERSION};
 use crate::signal;
 
-/// How long the non-blocking accept loop sleeps between polls.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
-/// Read timeout on connection streams, so idle connections observe
-/// shutdown promptly.
+/// Receive timeout on the listener and on connection streams, so an idle
+/// accept loop and idle connections observe shutdown promptly.
 const READ_POLL: Duration = Duration::from_millis(150);
 /// Cadence of `Building` progress frames streamed to waiting clients.
 const PROGRESS_TICK: Duration = Duration::from_millis(100);
@@ -225,10 +229,8 @@ impl Daemon {
             }
         }
         let store = SpaceStore::new(&config.cache_dir)?;
-        let listener =
-            UnixListener::bind(&config.socket).map_err(|e| DaemonError::io(&config.socket, e))?;
-        listener
-            .set_nonblocking(true)
+        let listener = UnixListener::bind(&config.socket)
+            .and_then(|l| with_accept_timeout(l, READ_POLL))
             .map_err(|e| DaemonError::io(&config.socket, e))?;
         let pidfile = config.pidfile_path();
         let mut f = std::fs::File::create(&pidfile).map_err(|e| DaemonError::io(&pidfile, e))?;
@@ -284,12 +286,12 @@ impl Daemon {
                     let state = Arc::clone(&state);
                     conn_threads.push(std::thread::spawn(move || handle_conn(state, stream)));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                    conn_threads.retain(|h| !h.is_finished());
-                }
-                Err(_) => std::thread::sleep(ACCEPT_POLL),
+                // The receive timeout expired with no client waiting.
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                // A hard error such as EMFILE: pause so the loop cannot spin.
+                Err(_) => std::thread::sleep(READ_POLL),
             }
+            conn_threads.retain(|h| !h.is_finished());
         }
         // Drain: stop accepting, finish every connection and in-flight
         // build, only then remove the socket and pidfile.
@@ -313,6 +315,20 @@ impl Daemon {
             proto_errors: state.proto_errors.load(Ordering::Relaxed),
         })
     }
+}
+
+/// Give `listener` a receive timeout, which Linux `accept(2)` honours
+/// (socket(7), `SO_RCVTIMEO`): `accept` then fails with `WouldBlock` once
+/// `timeout` passes with no client. A blocking `accept` without one would
+/// never return on SIGTERM, since the handler is installed with
+/// `SA_RESTART` and std retries `accept` on `EINTR`. std sets the option
+/// only on streams, so the fd makes an `OwnedFd` round trip through a
+/// `UnixStream` (both are plain socket fds): a raw `setsockopt` would need
+/// `unsafe`.
+fn with_accept_timeout(listener: UnixListener, timeout: Duration) -> std::io::Result<UnixListener> {
+    let stream = UnixStream::from(OwnedFd::from(listener));
+    stream.set_read_timeout(Some(timeout))?;
+    Ok(UnixListener::from(OwnedFd::from(stream)))
 }
 
 /// What a dispatched frame tells the connection loop to do next.

@@ -1,5 +1,7 @@
 //! SIGTERM/SIGINT handling for the daemon: a signal flips one global
-//! `AtomicBool` the accept loop polls, nothing more.
+//! `AtomicBool`, nothing more. The accept loop checks it after every
+//! accept and every time its receive timeout expires, so an idle daemon
+//! notices a signal within 150 ms (the server's `READ_POLL`).
 //!
 //! This is the crate's only unsafe code (registering a handler with
 //! `signal(2)` is FFI against the already-linked C library, the same
@@ -9,24 +11,17 @@
 //!
 //! The flag is process-global (signals are), so it is a *request* every
 //! running [`Daemon`](crate::server::Daemon) observes, alongside its own
-//! per-daemon shutdown flag. [`request_shutdown`] sets the same flag from
-//! ordinary code; [`clear`] resets it (a freshly bound daemon starts with
-//! a clean slate so a flag left over from a previous run in the same
-//! process cannot stop it instantly).
+//! per-daemon shutdown flag. [`clear`] resets it (a freshly bound daemon
+//! starts with a clean slate so a flag left over from a previous run in
+//! the same process cannot stop it instantly).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
-/// Whether a termination signal (or [`request_shutdown`]) has been seen
-/// since the last [`clear`].
+/// Whether a termination signal has been seen since the last [`clear`].
 pub fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::Acquire)
-}
-
-/// Set the shutdown flag from ordinary (non-signal) code.
-pub fn request_shutdown() {
-    SHUTDOWN.store(true, Ordering::Release);
 }
 
 /// Reset the shutdown flag.

@@ -13,8 +13,9 @@
 #      atss.daemon-status.v1 envelope, exactly one build recorded);
 #   5. `--daemon` on an unreachable socket must fall back to local
 #      construction, not fail;
-#   6. SIGTERM: the daemon drains, exits 0, and removes both the socket
-#      and the pidfile.
+#   6. SIGTERM: the daemon drains and exits 0 within 10 s (else it is
+#      killed and the gate fails), and removes both the socket and the
+#      pidfile.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -71,9 +72,19 @@ grep -F '"builds":1' "$BASE/status.json"
 grep -F 'unavailable' "$BASE/fallback.err"
 grep -F 'valid configurations:' "$BASE/fallback.txt"
 
-# SIGTERM drain: exit 0, socket and pidfile removed.
+# SIGTERM drain: exit 0 within 10 s, socket and pidfile removed. A daemon
+# that misses the signal is killed rather than left to hang the gate.
 kill -TERM "$DPID"
 trap - EXIT
+for _ in $(seq 1 100); do
+  kill -0 "$DPID" 2>/dev/null || break
+  sleep 0.1
+done
+if kill -0 "$DPID" 2>/dev/null; then
+  kill -KILL "$DPID" 2>/dev/null || true
+  echo "daemon-smoke: daemon still running 10 s after SIGTERM" >&2
+  exit 1
+fi
 wait "$DPID" || { echo "daemon-smoke: daemon exited non-zero after SIGTERM" >&2; exit 1; }
 [ ! -e "$SOCK" ] || { echo "daemon-smoke: socket not removed on shutdown" >&2; exit 1; }
 [ ! -e "$SOCK.pid" ] || { echo "daemon-smoke: pidfile not removed on shutdown" >&2; exit 1; }

@@ -10,8 +10,10 @@
 //!   daemonless construction of the same spec.
 //! * **Lifecycle** — stale sockets are taken over, live sockets are
 //!   refused, garbage bytes get a clean protocol error without killing
-//!   the daemon, shutdown drains clients that are mid-request, and
-//!   entries stay pinned (GC-proof) while replies reference them.
+//!   the daemon, shutdown drains clients that are mid-request, an idle
+//!   daemon still notices shutdown, and entries stay pinned (GC-proof)
+//!   while replies reference them.
+//! * **Latency** — a fresh connection is accepted as soon as it arrives.
 
 #![cfg(unix)]
 
@@ -19,8 +21,9 @@ use std::collections::HashSet;
 use std::io::Write as _;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
+use std::sync::mpsc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use at_daemon::{Daemon, DaemonClient, DaemonConfig, ServeKind};
 use at_searchspace::{build_search_space, Method, SearchSpaceSpec, TunableParameter};
@@ -349,4 +352,54 @@ fn stale_sockets_are_taken_over_and_live_ones_refused() {
     handle.request_shutdown();
     join.join().unwrap();
     assert!(!pidfile.exists(), "pidfile removed on shutdown");
+}
+
+#[test]
+fn fresh_connections_are_accepted_without_waiting_for_a_poll() {
+    let base = temp_base("fresh-conns");
+    let (handle, join, socket) = start_daemon(&base);
+    DaemonClient::connect(&socket).unwrap().ping().unwrap();
+
+    // Each round is a new connection, as from a fresh `construct --daemon`
+    // process. The daemon must pick each one up as it arrives: a loop
+    // that sleeps between accept polls costs one poll period per round.
+    const ROUNDS: u32 = 40;
+    let started = Instant::now();
+    for _ in 0..ROUNDS {
+        DaemonClient::connect(&socket).unwrap().ping().unwrap();
+    }
+    let took = started.elapsed();
+
+    handle.request_shutdown();
+    join.join().unwrap();
+    assert!(
+        took < Duration::from_millis(250),
+        "{ROUNDS} fresh connect + ping round trips took {took:?}"
+    );
+}
+
+#[test]
+fn an_idle_daemon_shuts_down_instead_of_hanging() {
+    let base = temp_base("idle-shutdown");
+    let socket = base.join("atssd.sock");
+    let daemon = Daemon::bind(DaemonConfig::new(&socket, base.join("cache"))).unwrap();
+    let handle = daemon.handle();
+    // `run` reports through a channel so that a daemon stuck in `accept`
+    // fails the test instead of hanging it.
+    let (tx, rx) = mpsc::channel();
+    let join = thread::spawn(move || {
+        let _ = tx.send(daemon.run());
+    });
+
+    // Idle for longer than the accept loop's 150 ms receive timeout, so no
+    // client ever wakes the loop.
+    thread::sleep(Duration::from_millis(400));
+    handle.request_shutdown();
+    let summary = rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("an idle daemon must stop within 2 s of a shutdown request")
+        .unwrap();
+    join.join().unwrap();
+    assert_eq!(summary.connections, 0);
+    assert!(!socket.exists(), "socket removed on shutdown");
 }
