@@ -182,9 +182,10 @@ bench-check:
 
 # The repository benchmark's own tests (perfbench is a workspace of its own,
 # so `cargo test --workspace` never builds it): among them the stopped-daemon
-# and wrong-`valid` failure checks.
+# and wrong-`valid` failure checks. `--locked` fails when a crate dependency
+# change would rewrite the checked-in perfbench/Cargo.lock.
 perfbench-test:
-	$(CARGO) test --release --offline --manifest-path perfbench/Cargo.toml
+	$(CARGO) test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 # Apply rustfmt and machine-applicable clippy suggestions.
 fix:

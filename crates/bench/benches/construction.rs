@@ -4,14 +4,11 @@
 //! Complements `realworld.rs` (which tracks the paper's Figure 5 series) by
 //! measuring what the streaming construction pipeline is specifically
 //! responsible for: the *peak transient allocation* between the start of
-//! `build_search_space` and the finished `SearchSpace`. A custom counting
-//! global allocator reports the high-water mark of live heap bytes during
-//! one instrumented construction per method; with the encoding sink this is
-//! dominated by the `u32` arena itself rather than a decoded
-//! `Vec<Vec<Value>>` copy of every solution.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! `build_search_space` and the finished `SearchSpace`. The counting
+//! global allocator (`at_obs::alloc`) reports the high-water mark of live
+//! heap bytes during one instrumented construction per method; with the
+//! encoding sink this is dominated by the `u32` arena itself rather than a
+//! decoded `Vec<Vec<Value>>` copy of every solution.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -19,49 +16,8 @@ use at_searchspace::builder::{build_search_space_with, BuildOptions};
 use at_searchspace::{build_search_space, Method, SearchSpaceSpec, TunableParameter};
 use at_workloads::{atf_prl, dedispersion, expdist};
 
-/// Live/peak heap byte counters, updated by the global allocator.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-/// A [`System`]-backed allocator that tracks the high-water mark of live
-/// heap bytes, so one instrumented run can report the peak transient
-/// footprint of a construction.
-struct CountingAllocator;
-
-// SAFETY: delegates every allocation verbatim to `System`; the counters are
-// monotonic atomics with no other side effects.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK.fetch_max(live, Ordering::Relaxed);
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let new_ptr = unsafe { System.realloc(ptr, layout, new_size) };
-        if !new_ptr.is_null() {
-            if new_size >= layout.size() {
-                let grown = new_size - layout.size();
-                let live = LIVE.fetch_add(grown, Ordering::Relaxed) + grown;
-                PEAK.fetch_max(live, Ordering::Relaxed);
-            } else {
-                LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-            }
-        }
-        new_ptr
-    }
-}
-
 #[global_allocator]
-static ALLOC: CountingAllocator = CountingAllocator;
+static ALLOC: at_obs::alloc::CountingAllocator = at_obs::alloc::CountingAllocator;
 
 fn workloads() -> Vec<SearchSpaceSpec> {
     vec![dedispersion().spec, atf_prl(2).spec]
@@ -85,10 +41,9 @@ fn report_peak_allocation() {
     println!("construction peak transient allocation (one instrumented run each):");
     for spec in workloads() {
         for method in METHODS {
-            let baseline = LIVE.load(Ordering::Relaxed);
-            PEAK.store(baseline, Ordering::Relaxed);
+            let baseline = at_obs::alloc::reset_peak();
             let (space, report) = build_search_space(&spec, method).expect("construction");
-            let peak = PEAK.load(Ordering::Relaxed).saturating_sub(baseline);
+            let peak = at_obs::alloc::peak_since(baseline);
             let arena_bytes = space.len() * space.num_params() * std::mem::size_of::<u32>();
             println!(
                 "  {:<14} {:<20} peak {:>12} B   arena {:>10} B   {} configs in {:.3?}",

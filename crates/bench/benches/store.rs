@@ -1,23 +1,19 @@
 //! Persistence-path benchmarks: cold construction vs. warm `ATSS` loads.
 //!
-//! The `at_store` promise is "solve once, serve forever", and since the
-//! zero-copy redesign the serving cost itself is tiered. A one-shot
-//! comparison (min-of-5, printed up front, with an identity check)
-//! demonstrates the acceptance targets on `dedispersion` and `microhh`:
-//! the copying warm load must stay an order of magnitude faster than
-//! construction, and the mmap + trusted-index load must be **≥ 5× faster
-//! than the copying warm load** (PR 4's 9.4 ms microhh baseline).
-//! Criterion groups then track the individual costs:
+//! The `at_store` promise is "solve once, serve forever", and the serving
+//! cost itself comes in two policies. A one-shot comparison (min-of-5,
+//! printed up front, with an identity check) reports, on `dedispersion`
+//! and `microhh`, how much faster the verified copy is than construction
+//! and how much faster again the trusted zero-copy mmap is. Criterion
+//! groups then track the individual costs:
 //!
 //! * `store/cold_construct` — optimized-solver construction from scratch,
-//! * `store/warm_load` — full copying `ATSS` read with an index rebuild
-//!   (checksums, dictionary decode, arena copy, membership-table build —
-//!   the PR-4 baseline shape),
-//! * `store/warm_load_verified` — copying read adopting the persisted
-//!   index with sampled verification (the default `SpaceStore` hit path),
-//! * `store/warm_load_mmap` — zero-copy mmap + trusted persisted index:
-//!   O(header) work, proving the paper's "serve from the representation"
-//!   argument end-to-end,
+//! * `store/warm_load_verified` — the verified copy: every checksum, the
+//!   code-range pass, and the persisted index adopted after sampled
+//!   lookups (the default `SpaceStore` hit path),
+//! * `store/warm_load_mmap` — the trusted zero-copy mmap: O(header) work,
+//!   proving the paper's "serve from the representation" argument
+//!   end-to-end,
 //! * `store/write` — persisting an already-resolved space.
 
 use std::time::{Duration, Instant};
@@ -25,10 +21,7 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use at_searchspace::{build_search_space, Method, SearchSpace};
-use at_store::{
-    load_space_from_path, read_space_from_path, write_space_to_path, IndexPolicy, LoadMode,
-    LoadOptions,
-};
+use at_store::{load_space_from_path, read_space_from_path, write_space_to_path, LoadOptions};
 use at_workloads::{dedispersion, microhh};
 
 fn bench_dir() -> std::path::PathBuf {
@@ -36,12 +29,6 @@ fn bench_dir() -> std::path::PathBuf {
     std::fs::create_dir_all(&dir).expect("create bench dir");
     dir
 }
-
-/// The copying-load shape PR 4 measured: full validation, index rebuilt.
-const COPY_REBUILD: LoadOptions = LoadOptions {
-    mode: LoadMode::Copy,
-    index: IndexPolicy::Rebuild,
-};
 
 fn min_of<T>(runs: usize, mut f: impl FnMut() -> T) -> (Duration, T) {
     let mut best: Option<(Duration, T)> = None;
@@ -64,10 +51,10 @@ fn assert_identical(cold: &SearchSpace, warm: &SearchSpace) {
     }
 }
 
-/// The acceptance comparison: construct cold, load warm (copying, then
-/// zero-copy), report both ratios.
+/// The acceptance comparison: construct cold, load warm (verified copy,
+/// then trusted zero-copy mmap), report both ratios.
 fn report_cold_vs_warm() {
-    println!("cold construction vs. copying warm load vs. mmap+trusted-index load (min of 5):");
+    println!("cold construction vs. verified-copy warm load vs. trusted mmap load (min of 5):");
     for workload in [dedispersion(), microhh()] {
         let spec = workload.spec;
         let path = bench_dir().join(format!("{}.atss", spec.name));
@@ -76,7 +63,7 @@ fn report_cold_vs_warm() {
         });
         write_space_to_path(&cold, &path).expect("persist");
         let (copy_time, loaded) = min_of(5, || {
-            load_space_from_path(&path, COPY_REBUILD).expect("copying load")
+            load_space_from_path(&path, LoadOptions::default()).expect("copying load")
         });
         assert_identical(&cold, &loaded.space);
         let (mmap_time, loaded) = min_of(5, || {
@@ -129,20 +116,6 @@ fn bench_store(c: &mut Criterion) {
             spec,
             |b, spec| b.iter(|| build_search_space(spec, Method::Optimized).unwrap().0.len()),
         );
-    }
-    group.finish();
-
-    let mut group = c.benchmark_group("store/warm_load");
-    group.sample_size(20);
-    for (name, path, _) in &workloads {
-        group.bench_with_input(BenchmarkId::new("atss", name), path, |b, path| {
-            b.iter(|| {
-                load_space_from_path(path, COPY_REBUILD)
-                    .unwrap()
-                    .space
-                    .len()
-            })
-        });
     }
     group.finish();
 

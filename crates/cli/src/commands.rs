@@ -3,7 +3,8 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use at_obs::json::Json;
+use at_obs::json::{quote, Json};
+use at_searchspace::output::json_value;
 use at_searchspace::{
     build_search_space, build_search_space_with, spec_from_json, to_csv, to_json_cache,
     BuildOptions, BuildReport, Method, SearchSpace, SearchSpaceSpec, SpaceCharacteristics,
@@ -626,14 +627,14 @@ fn check_json_line(d: &at_check::Diagnostic) -> String {
         None => "null".to_string(),
     };
     let opt_str = |o: &Option<String>| match o {
-        Some(s) => format!("\"{}\"", json_escape(s)),
+        Some(s) => quote(s),
         None => "null".to_string(),
     };
     format!(
-        "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\",\"restriction\":{},\"source\":{},\"span\":{},\"help\":{}}}",
+        "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":{},\"restriction\":{},\"source\":{},\"span\":{},\"help\":{}}}",
         d.code,
         d.severity().label(),
-        json_escape(&d.message),
+        quote(&d.message),
         restriction,
         opt_str(&d.source),
         span,
@@ -669,8 +670,8 @@ pub fn check(args: &ParsedArgs) -> Result<String, CliError> {
         }
         writeln!(
             out,
-            "{{\"schema\":\"atss.check.v1\",\"summary\":true,\"spec\":\"{}\",\"restrictions\":{},\"errors\":{},\"warnings\":{},\"prunable_values\":{}}}",
-            json_escape(&report.spec_name),
+            "{{\"schema\":\"atss.check.v1\",\"summary\":true,\"spec\":{},\"restrictions\":{},\"errors\":{},\"warnings\":{},\"prunable_values\":{}}}",
+            quote(&report.spec_name),
             report.verdicts.len(),
             report.num_errors(),
             report.num_warnings(),
@@ -933,18 +934,6 @@ pub fn tune(args: &ParsedArgs) -> Result<String, CliError> {
     Ok(append_metrics(out, envelope))
 }
 
-/// Render a parameter [`Value`](at_searchspace::prelude::Value) as JSON.
-fn value_to_json(v: &at_searchspace::prelude::Value) -> String {
-    use at_searchspace::prelude::Value;
-    match v {
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) if f.is_finite() => f.to_string(),
-        Value::Float(_) => "null".to_string(),
-        Value::Bool(b) => b.to_string(),
-        Value::Str(s) => format!("\"{}\"", json_escape(s)),
-    }
-}
-
 /// The `tune --json` DTO: one JSON object on one line, schema `atss.tune.v1`.
 /// Everything a robot consumer needs is in-band; for a fixed seed and
 /// construction charge the object is identical across `--eval-threads`
@@ -973,9 +962,7 @@ fn tune_json_line(
                         .to_vec()
                         .iter()
                         .zip(space.params())
-                        .map(|(value, p)| {
-                            format!("\"{}\":{}", json_escape(p.name()), value_to_json(value))
-                        })
+                        .map(|(value, p)| format!("{}:{}", quote(p.name()), json_value(value)))
                         .collect();
                     format!("{{{}}}", fields.join(","))
                 })
@@ -989,7 +976,7 @@ fn tune_json_line(
         None => ("null".into(), "null".into(), "null".into()),
     };
     let line = format!(
-        "{{\"schema\":\"atss.tune.v1\",\"workload\":\"{}\",\"strategy\":\"{}\",\
+        "{{\"schema\":\"atss.tune.v1\",\"workload\":{},\"strategy\":{},\
          \"method\":\"{}\",\"seed\":{seed},\"budget_ms\":{budget_ms},\
          \"construction_ms\":{},\"total_ms\":{},\"evaluations\":{},\
          \"best_runtime_ms\":{best_runtime},\"best_config_id\":{best_id},\
@@ -999,8 +986,8 @@ fn tune_json_line(
          \"largest_batch\":{},\"threads\":{},\"fanout_batches\":{},\
          \"fanout_thread_slots\":{},\"cache_hit_ratio\":{},\"dedup_ratio\":{},\
          \"fanout_utilization\":{}}}}}\n",
-        json_escape(workload),
-        json_escape(&run.strategy),
+        quote(workload),
+        quote(&run.strategy),
         method.label(),
         run.construction_ms,
         run.total_ms,
@@ -1029,13 +1016,7 @@ fn tune_json_line(
 /// which commands speak `--json` without parsing help text.
 pub fn capabilities(args: &ParsedArgs) -> Result<String, CliError> {
     args.ensure_known_flags(&[])?;
-    let quote_list = |items: &[&str]| {
-        items
-            .iter()
-            .map(|s| format!("\"{}\"", json_escape(s)))
-            .collect::<Vec<_>>()
-            .join(",")
-    };
+    let quote_list = |items: &[&str]| items.iter().map(|s| quote(s)).collect::<Vec<_>>().join(",");
     let methods: Vec<&str> = Method::all().iter().map(|m| m.label()).collect();
     let diagnostics = at_check::Code::ALL
         .iter()
@@ -1300,27 +1281,6 @@ fn cache_info(args: &ParsedArgs) -> Result<(String, SpaceStore), CliError> {
     Ok((out, store))
 }
 
-/// Escape a string for inclusion in a JSON string literal. The `--json`
-/// output only ever quotes hex fingerprints, file paths, and error
-/// messages, but paths and messages can contain anything.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// One JSONL line for `cache verify --json`.
 fn verify_json_line(entry: &StoreEntry, error: Option<&StoreError>) -> String {
     let rows = match &entry.info {
@@ -1328,13 +1288,13 @@ fn verify_json_line(entry: &StoreEntry, error: Option<&StoreError>) -> String {
         None => "null".to_string(),
     };
     let error_field = match error {
-        Some(e) => format!("\"{}\"", json_escape(&e.to_string())),
+        Some(e) => quote(&e.to_string()),
         None => "null".to_string(),
     };
     format!(
-        "{{\"fingerprint\":\"{}\",\"path\":\"{}\",\"bytes\":{},\"rows\":{},\"status\":\"{}\",\"error\":{}}}",
-        json_escape(&entry.fingerprint.to_hex()),
-        json_escape(&entry.path.display().to_string()),
+        "{{\"fingerprint\":{},\"path\":{},\"bytes\":{},\"rows\":{},\"status\":\"{}\",\"error\":{}}}",
+        quote(&entry.fingerprint.to_hex()),
+        quote(&entry.path.display().to_string()),
         entry.bytes,
         rows,
         if error.is_none() { "ok" } else { "damaged" },

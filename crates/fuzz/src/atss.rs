@@ -2,7 +2,7 @@
 //!
 //! See the crate docs for the full oracle statements. Both targets treat
 //! the input bytes as a (possibly damaged) store file; the differential
-//! target additionally drives the whole `LoadOptions` matrix and
+//! target additionally loads under both `LoadOptions` policies and
 //! cross-checks every successful load against every other.
 
 use rand::{Rng, SeedableRng};
@@ -11,7 +11,7 @@ use rand_chacha::ChaCha8Rng;
 use at_csp::Value;
 use at_searchspace::{ConfigId, SearchSpace, TunableParameter};
 use at_store::{
-    peek_info, read_space_from_bytes, write_space, IndexPolicy, LoadMode, LoadOptions, StoreError,
+    peek_info, read_space_from_bytes, write_space, IndexOutcome, LoadOptions, StoreError,
     StoreReader,
 };
 
@@ -134,14 +134,16 @@ pub fn reader_target(input: &[u8]) -> Result<(), String> {
     Ok(())
 }
 
-/// One successful load, labelled with the options that produced it.
+/// One successful load, labelled with the policy that produced it.
 struct Loaded {
-    label: String,
+    label: &'static str,
     space: SearchSpace,
+    /// Whether the served index was rebuilt from the arena.
+    index_rebuilt: bool,
 }
 
-/// Target 2: bytes (mutated valid files) through every `LoadOptions`
-/// combination. See the crate docs for the oracle.
+/// Target 2: bytes (mutated valid files) through both `LoadOptions`
+/// policies. See the crate docs for the oracle.
 pub fn load_differential_target(input: &[u8]) -> Result<(), String> {
     let strict = read_space_from_bytes(input).ok();
 
@@ -161,28 +163,25 @@ pub fn load_differential_target(input: &[u8]) -> Result<(), String> {
     };
 
     let mut successes: Vec<Loaded> = Vec::new();
-    for mode in [LoadMode::Copy, LoadMode::Mmap] {
-        for index in [
-            IndexPolicy::Rebuild,
-            IndexPolicy::TrustPersisted,
-            IndexPolicy::VerifySampled,
-        ] {
-            let label = format!("{mode:?}/{index:?}");
-            match reader.load(LoadOptions { mode, index }) {
-                Ok(loaded) => successes.push(Loaded {
-                    label,
-                    space: loaded.space,
-                }),
-                Err(e) => {
-                    check_clean_error(&e, &label)?;
-                    if strict.is_some() {
-                        // The strict path checks strictly more than any
-                        // load combination; what it accepts, all must
-                        // serve (possibly via a reported fallback).
-                        return Err(format!(
-                            "{label} failed ({e}) on bytes the strict reader accepts"
-                        ));
-                    }
+    for (label, options) in [
+        ("verified copy", LoadOptions::default()),
+        ("trusted mmap", LoadOptions::mmap_trusted()),
+    ] {
+        match reader.load(options) {
+            Ok(loaded) => successes.push(Loaded {
+                label,
+                index_rebuilt: !matches!(loaded.report.index, IndexOutcome::Adopted { .. }),
+                space: loaded.space,
+            }),
+            Err(e) => {
+                check_clean_error(&e, label)?;
+                if strict.is_some() {
+                    // The strict path checks strictly more than either
+                    // policy; what it accepts, both must serve (possibly
+                    // via a reported fallback).
+                    return Err(format!(
+                        "{label} failed ({e}) on bytes the strict reader accepts"
+                    ));
                 }
             }
         }
@@ -193,7 +192,7 @@ pub fn load_differential_target(input: &[u8]) -> Result<(), String> {
     let reference: Option<(&str, &SearchSpace)> = strict
         .as_ref()
         .map(|(space, _)| ("strict", space))
-        .or_else(|| successes.first().map(|l| (l.label.as_str(), &l.space)));
+        .or_else(|| successes.first().map(|l| (l.label, &l.space)));
     if let Some((ref_label, ref_space)) = reference {
         for loaded in &successes {
             let space = &loaded.space;
@@ -213,12 +212,12 @@ pub fn load_differential_target(input: &[u8]) -> Result<(), String> {
     // Membership consistency: any id returned for a probe must point back
     // at exactly the probed codes — a damaged or stale index may *miss*,
     // never misattribute. Misses of present rows are only violations when
-    // the index is known-good: a rebuilt index, or a trusted/sampled one
-    // from a file the strict reader fully validated.
+    // the index is known-good: rebuilt from the arena (as the load report
+    // says), or adopted from a file the strict reader fully validated.
     let mut rng = ChaCha8Rng::seed_from_u64(fnv1a(input) ^ 0x4c4f_4144);
     for loaded in &successes {
         let space = &loaded.space;
-        let index_known_good = strict.is_some() || loaded.label.contains("Rebuild");
+        let index_known_good = strict.is_some() || loaded.index_rebuilt;
         if !space.is_empty() {
             for _ in 0..8 {
                 let id = ConfigId::from_index(rng.gen_range(0..space.len()));

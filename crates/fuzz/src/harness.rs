@@ -43,7 +43,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 pub enum Target {
     /// Arbitrary bytes through the strict store reader + peek differential.
     AtssReader,
-    /// Mutated valid store files through the full `LoadOptions` matrix.
+    /// Mutated valid store files through both `LoadOptions` policies.
     AtssLoadDifferential,
     /// Arbitrary strings through lexer → parser → fold → compile → VM.
     ExprPipeline,
@@ -245,7 +245,7 @@ fn next_input(target: Target, rng: &mut ChaCha8Rng, seeds: &[Vec<u8>]) -> Vec<u8
                 data
             }
         },
-        // The load matrix wants *almost*-valid files: light damage only.
+        // The load policies want *almost*-valid files: light damage only.
         Target::AtssLoadDifferential => {
             let mut data = pick(rng);
             for _ in 0..rng.gen_range(1usize..4) {

@@ -42,21 +42,21 @@
 //!   rejects (it skips dictionary contents and content checksums), but
 //!   the same truncation or framing damage must classify the same way.
 //!
-//! ## Target `atss_load_differential` — mutated valid files, load matrix
+//! ## Target `atss_load_differential` — mutated valid files, both load policies
 //!
 //! Writes a lightly mutated *valid* file to disk and loads it through
-//! [`at_store::StoreReader::load`] under every
-//! `LoadOptions { mode × index }` combination (copy/mmap ×
-//! rebuild/trust/verify). Oracle:
+//! [`at_store::StoreReader::load`] under both policies: the verified copy
+//! (`LoadOptions::default()`) and the trusted zero-copy mmap
+//! (`LoadOptions::mmap_trusted()`). Oracle:
 //!
 //! * All successful loads are **code-for-code identical** (same name,
 //!   params, row count, arena bytes) to each other and — when the strict
 //!   reader accepts the file — to the strict read.
 //! * Every successful load answers membership queries **consistently**:
 //!   any id `index_of_codes` returns points back at exactly the queried
-//!   codes, and when the index is known good (policy `Rebuild`, or any
-//!   policy on a file the strict reader fully validated) every present
-//!   row is found. A damaged persisted index may surface as a *reported*
+//!   codes, and when the index is known good (the load report says it was
+//!   rebuilt from the arena, or the strict reader fully validated the
+//!   file) every present row is found. A damaged persisted index may surface as a *reported*
 //!   fallback ([`at_store::LoadReport::index_fallback`]), a clean error,
 //!   or a miss — never a misattribution.
 //!

@@ -92,8 +92,16 @@ impl std::fmt::Display for Json {
     }
 }
 
-/// Write `s` as a JSON string literal (quotes, backslashes, and control
-/// characters escaped).
+/// `s` as a JSON string literal (quotes, backslashes, and control
+/// characters escaped) — the one escaper every JSON writer in the
+/// workspace goes through.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_escaped(s, &mut out);
+    out
+}
+
+/// Append `s` to `out` as a JSON string literal (see [`quote`]).
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
@@ -140,6 +148,7 @@ mod tests {
     #[test]
     fn control_characters_are_escaped() {
         assert_eq!(Json::Str("\u{1}".to_string()).to_string(), "\"\\u0001\"");
+        assert_eq!(quote("a\"b\\c\nd\te"), "\"a\\\"b\\\\c\\nd\\te\"");
     }
 
     #[test]

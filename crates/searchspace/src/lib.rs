@@ -99,10 +99,7 @@ pub use param::TunableParameter;
 pub use restriction::Restriction;
 pub use sampling::{coverage_per_parameter, latin_hypercube_sample, sample_indices};
 pub use sink::EncodingSink;
-pub use space::{
-    CodeValidation, ConfigId, ConfigView, IndexVerification, SearchSpace, SpaceError,
-    INDEX_HASH_VERSION,
-};
+pub use space::{Adoption, ConfigId, ConfigView, SearchSpace, SpaceError, INDEX_HASH_VERSION};
 pub use spec::{RestrictionLowering, SearchSpaceSpec};
 pub use stats::SpaceCharacteristics;
 
@@ -117,9 +114,7 @@ pub mod prelude {
     pub use crate::restriction::Restriction;
     pub use crate::sampling::{latin_hypercube_sample, sample_indices};
     pub use crate::sink::EncodingSink;
-    pub use crate::space::{
-        CodeValidation, ConfigId, ConfigView, IndexVerification, SearchSpace, SpaceError,
-    };
+    pub use crate::space::{Adoption, ConfigId, ConfigView, SearchSpace, SpaceError};
     pub use crate::spec::{RestrictionLowering, SearchSpaceSpec};
     pub use crate::stats::SpaceCharacteristics;
     pub use at_csp::Value;

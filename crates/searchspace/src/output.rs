@@ -21,6 +21,7 @@ use std::io::{self, Write};
 use rustc_hash::FxHashMap;
 
 use at_csp::Value;
+use at_obs::json::quote;
 
 use crate::space::SearchSpace;
 
@@ -129,20 +130,20 @@ pub fn to_json_cache(space: &SearchSpace) -> String {
 /// at a time — memory use is O(row), not O(space).
 pub fn write_json_cache<W: Write>(space: &SearchSpace, out: &mut W) -> io::Result<()> {
     out.write_all(b"{\n")?;
-    writeln!(out, "  \"space\": {},", json_string(space.name()))?;
+    writeln!(out, "  \"space\": {},", quote(space.name()))?;
     out.write_all(b"  \"tune_params_keys\": [")?;
     for (d, p) in space.params().iter().enumerate() {
         if d > 0 {
             out.write_all(b", ")?;
         }
-        out.write_all(json_string(p.name()).as_bytes())?;
+        out.write_all(quote(p.name()).as_bytes())?;
     }
     out.write_all(b"],\n  \"tune_params\": {\n")?;
     for (d, p) in space.params().iter().enumerate() {
         if d > 0 {
             out.write_all(b",\n")?;
         }
-        write!(out, "    {}: [", json_string(p.name()))?;
+        write!(out, "    {}: [", quote(p.name()))?;
         for (i, v) in p.values().iter().enumerate() {
             if i > 0 {
                 out.write_all(b", ")?;
@@ -168,31 +169,15 @@ pub fn write_json_cache<W: Write>(space: &SearchSpace, out: &mut W) -> io::Resul
     out.write_all(b"\n  ]\n}\n")
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_value(v: &Value) -> String {
+/// One parameter value as JSON text: numbers and booleans bare, strings
+/// quoted, non-finite floats as `null`.
+pub fn json_value(v: &Value) -> String {
     match v {
         Value::Int(i) => i.to_string(),
         Value::Float(f) if f.is_finite() => f.to_string(),
         Value::Float(_) => "null".to_string(),
         Value::Bool(b) => b.to_string(),
-        Value::Str(s) => json_string(s),
+        Value::Str(s) => quote(s),
     }
 }
 
@@ -311,8 +296,8 @@ mod tests {
     }
 
     #[test]
-    fn json_string_escaping() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+    fn json_value_rendering() {
+        assert_eq!(json_value(&Value::str("a\"b")), "\"a\\\"b\"");
         assert_eq!(json_value(&Value::Float(f64::NAN)), "null");
         assert_eq!(json_value(&Value::Bool(true)), "true");
     }

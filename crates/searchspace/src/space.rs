@@ -272,44 +272,33 @@ impl CodeLookup {
     }
 }
 
-/// Whether arena adoption bounds-checks every code against its parameter
-/// dictionary.
+/// How much of a persisted membership table, and of the arena it indexes,
+/// is checked before the table is adopted.
 ///
-/// The check is about *eagerness of error reporting*, not memory safety:
-/// every later decode indexes its dictionary through a bounds-checked
-/// slice access, so an out-of-dictionary code can only ever panic cleanly
-/// — never decode to a wrong value and never touch invalid memory. A
-/// corrupt-but-in-range code is undetectable by any validation pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CodeValidation {
-    /// One branch-free per-column maxima pass over the whole arena
-    /// (O(arena)); any out-of-dictionary code is reported up front as
-    /// [`SpaceError::CodeOutOfRange`].
-    Checked,
-    /// Skip the pass (O(1)) — the trusted zero-copy load path, where an
-    /// O(arena) walk would defeat the O(header) goal and the file carries
-    /// checksums for explicit verification instead.
-    Trusted,
-}
-
-/// How far a persisted membership table is trusted before being adopted.
-///
-/// Adoption is *structurally* safe at every level: the lookup algorithm
+/// Adoption is *structurally* safe either way: the lookup algorithm
 /// compares the candidate arena row against the queried codes before
 /// returning an id, so a wrong table can only ever produce a **missed** row
 /// (a false `None`), never a misattributed one — and the structural checks
-/// run unconditionally (power-of-two slot count, every occupant in range,
-/// at least one empty slot so probing terminates). The policy only decides
-/// how hard to look for missed rows.
+/// run unconditionally (the arena holds exactly `num_rows` whole rows, the
+/// slot count is a power of two, every occupant is in range, and at least
+/// one slot is empty so probing terminates). Code checking is about
+/// *eagerness of error reporting*, not memory safety: every later decode
+/// indexes its dictionary through a bounds-checked slice access, so an
+/// out-of-dictionary code can only ever panic cleanly — never decode to a
+/// wrong value and never touch invalid memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexVerification {
-    /// Adopt after the structural checks alone — the O(header) trusted
-    /// path for files this process (or a trusted producer) wrote.
+pub enum Adoption {
+    /// Bounds-check every code in one branch-free per-column maxima pass
+    /// (O(arena); an out-of-dictionary code is reported up front as
+    /// [`SpaceError::CodeOutOfRange`]), and look up evenly spaced arena
+    /// rows, requiring each to be found — a cheap screen against a table
+    /// that was persisted for a different arena.
+    Verified,
+    /// The structural checks alone (O(header + index)) — the trusted
+    /// zero-copy load path, where an O(arena) walk would defeat the
+    /// O(header) goal and the file carries checksums for explicit
+    /// verification instead.
     Trusted,
-    /// Additionally look up this many evenly spaced arena rows and require
-    /// each to be found (a cheap probabilistic screen against a table that
-    /// was persisted for a different arena).
-    Sampled(usize),
 }
 
 /// Open-addressing (linear probing) hash table mapping encoded rows to
@@ -357,16 +346,18 @@ impl RowTable {
         }
     }
 
+    /// How many evenly spaced rows [`Adoption::Verified`] looks up.
+    const VERIFY_SAMPLES: usize = 64;
+
     /// Adopt persisted slots instead of rebuilding. The structural checks
     /// (slot count, occupant range, a free slot for probe termination) are
-    /// unconditional; `verification` decides whether sampled rows are also
-    /// looked up. See [`IndexVerification`].
+    /// unconditional; [`Adoption::Verified`] also looks up sampled rows.
     fn adopt(
         slots: ArenaStorage,
         num_configs: usize,
         stride: usize,
         arena: &[u32],
-        verification: IndexVerification,
+        adoption: Adoption,
     ) -> Result<RowTable, SpaceError> {
         let invalid = |detail: String| SpaceError::IndexInvalid { detail };
         let n = slots.len();
@@ -389,8 +380,8 @@ impl RowTable {
             return Err(invalid("no empty slot; probing would not terminate".into()));
         }
         let table = RowTable { slots, mask: n - 1 };
-        if let IndexVerification::Sampled(samples) = verification {
-            let step = (num_configs / samples.max(1)).max(1);
+        if adoption == Adoption::Verified {
+            let step = (num_configs / Self::VERIFY_SAMPLES).max(1);
             for id in (0..num_configs).step_by(step) {
                 let codes = &arena[id * stride..(id + 1) * stride];
                 if table.lookup(codes, stride, arena).is_none() {
@@ -558,29 +549,26 @@ impl SearchSpace {
     }
 
     /// [`SearchSpace::from_code_storage`], additionally adopting a
-    /// persisted membership table instead of rebuilding it — the trusted
-    /// warm-load fast path. `slots` is the open-addressing slot array
-    /// exactly as a previous build exposed it via
-    /// [`SearchSpace::index_slots`] (and as `at_store` persists it in the
-    /// `IDX` section); `verification` decides how hard to double-check it
-    /// (see [`IndexVerification`] — structural safety checks always run),
-    /// and `validation` whether the arena codes get the O(arena) bounds
-    /// pass or only lazy bounds-checked decoding (see [`CodeValidation`]).
-    /// An unusable table is [`SpaceError::IndexInvalid`]; callers are
-    /// expected to fall back to the rebuilding path *and report it*.
+    /// persisted membership table instead of rebuilding it — the warm-load
+    /// fast path. `slots` is the open-addressing slot array exactly as a
+    /// previous build exposed it via [`SearchSpace::index_slots`] (and as
+    /// `at_store` persists it in the `IDX` section); `adoption` decides how
+    /// much of the table and the arena is checked first (see [`Adoption`]
+    /// — structural safety checks always run). An unusable table is
+    /// [`SpaceError::IndexInvalid`]; callers are expected to fall back to
+    /// the rebuilding path *and report it*.
     pub fn from_code_storage_with_index(
         name: impl Into<String>,
         params: Vec<TunableParameter>,
         num_rows: usize,
         codes: ArenaStorage,
         slots: ArenaStorage,
-        verification: IndexVerification,
-        validation: CodeValidation,
+        adoption: Adoption,
     ) -> Result<Self, SpaceError> {
         let value_codes = reverse_dictionaries(&params)?;
-        match validation {
-            CodeValidation::Checked => validate_code_arena(&params, num_rows, codes.as_slice())?,
-            CodeValidation::Trusted => {
+        match adoption {
+            Adoption::Verified => validate_code_arena(&params, num_rows, codes.as_slice())?,
+            Adoption::Trusted => {
                 // Only the O(1) shape check: the arena must still hold
                 // exactly `num_rows` whole rows.
                 let expected = num_rows.checked_mul(params.len());
@@ -598,13 +586,7 @@ impl SearchSpace {
                 count: num_rows,
             });
         }
-        let table = RowTable::adopt(
-            slots,
-            num_rows,
-            params.len(),
-            codes.as_slice(),
-            verification,
-        )?;
+        let table = RowTable::adopt(slots, num_rows, params.len(), codes.as_slice(), adoption)?;
         Ok(SearchSpace {
             name: name.into(),
             params,
@@ -962,7 +944,7 @@ impl SearchSpace {
 /// actually exceeds its dictionary. The pass is about *eager, well-typed*
 /// error reporting, not memory safety: decoding always goes through
 /// bounds-checked slice indexing, so an out-of-dictionary code that skips
-/// this pass ([`CodeValidation::Trusted`]) surfaces as a clean panic at
+/// this pass ([`Adoption::Trusted`]) surfaces as a clean panic at
 /// first decode rather than as an eager [`SpaceError::CodeOutOfRange`].
 fn validate_code_arena(
     params: &[TunableParameter],
@@ -1346,15 +1328,14 @@ mod tests {
         let s = space();
         let slots = s.index_slots().to_vec();
         assert!(slots.len().is_power_of_two());
-        for verification in [IndexVerification::Trusted, IndexVerification::Sampled(16)] {
+        for adoption in [Adoption::Trusted, Adoption::Verified] {
             let adopted = SearchSpace::from_code_storage_with_index(
                 "demo",
                 s.params().to_vec(),
                 s.len(),
                 ArenaStorage::from(s.arena().to_vec()),
                 ArenaStorage::from(slots.clone()),
-                verification,
-                CodeValidation::Checked,
+                adoption,
             )
             .unwrap();
             for view in s.iter() {
@@ -1369,32 +1350,31 @@ mod tests {
     fn broken_index_slots_are_rejected_not_adopted() {
         let s = space();
         let arena = ArenaStorage::from(s.arena().to_vec());
-        let adopt = |slots: Vec<u32>, verification| {
+        let adopt = |slots: Vec<u32>, adoption| {
             SearchSpace::from_code_storage_with_index(
                 "demo",
                 s.params().to_vec(),
                 s.len(),
                 arena.clone(),
                 ArenaStorage::from(slots),
-                verification,
-                CodeValidation::Checked,
+                adoption,
             )
         };
         // Not a power of two.
-        let err = adopt(vec![EMPTY_SLOT; 9], IndexVerification::Trusted).unwrap_err();
+        let err = adopt(vec![EMPTY_SLOT; 9], Adoption::Trusted).unwrap_err();
         assert!(matches!(err, SpaceError::IndexInvalid { .. }), "{err}");
         // Occupant out of range.
         let mut slots = s.index_slots().to_vec();
         let occupied = slots.iter().position(|&o| o != EMPTY_SLOT).unwrap();
         slots[occupied] = 99;
-        assert!(adopt(slots, IndexVerification::Trusted).is_err());
+        assert!(adopt(slots, Adoption::Trusted).is_err());
         // A full table would make probing non-terminating.
-        assert!(adopt(vec![0u32; 8], IndexVerification::Trusted).is_err());
+        assert!(adopt(vec![0u32; 8], Adoption::Trusted).is_err());
         // An empty table passes the structural checks but cannot answer for
-        // any row: only the sampled policy catches it.
+        // any row: only the verified adoption's sampled lookups catch it.
         let empty = vec![EMPTY_SLOT; 8];
-        assert!(adopt(empty.clone(), IndexVerification::Trusted).is_ok());
-        let err = adopt(empty, IndexVerification::Sampled(4)).unwrap_err();
+        assert!(adopt(empty.clone(), Adoption::Trusted).is_ok());
+        let err = adopt(empty, Adoption::Verified).unwrap_err();
         assert!(matches!(err, SpaceError::IndexInvalid { .. }), "{err}");
     }
 
@@ -1404,29 +1384,28 @@ mod tests {
         let slots = ArenaStorage::from(s.index_slots().to_vec());
         let mut arena = s.arena().to_vec();
         arena[0] = 99; // out of every dictionary's range
-        let build = |arena: Vec<u32>, rows: usize, validation| {
+        let build = |arena: Vec<u32>, rows: usize, adoption| {
             SearchSpace::from_code_storage_with_index(
                 "demo",
                 s.params().to_vec(),
                 rows,
                 ArenaStorage::from(arena),
                 slots.clone(),
-                IndexVerification::Trusted,
-                validation,
+                adoption,
             )
         };
-        // Checked: the bad code is reported eagerly.
+        // Verified: the bad code is reported eagerly.
         assert!(matches!(
-            build(arena.clone(), s.len(), CodeValidation::Checked),
+            build(arena.clone(), s.len(), Adoption::Verified),
             Err(SpaceError::CodeOutOfRange { .. })
         ));
         // Trusted: adoption succeeds (decoding stays bounds-checked and
         // would panic on the bad cell, never decode wrongly)...
-        assert!(build(arena.clone(), s.len(), CodeValidation::Trusted).is_ok());
+        assert!(build(arena.clone(), s.len(), Adoption::Trusted).is_ok());
         // ...but a ragged arena is still rejected even when trusted.
         arena.pop();
         assert!(matches!(
-            build(arena, s.len(), CodeValidation::Trusted),
+            build(arena, s.len(), Adoption::Trusted),
             Err(SpaceError::RaggedArena { .. })
         ));
     }

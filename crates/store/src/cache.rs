@@ -5,15 +5,15 @@
 //! [`SpaceStore::get_or_build`]:
 //!
 //! * **hit** — the file exists, passes validation per the caller's
-//!   [`LoadOptions`] (the default copying load verifies magic, version,
-//!   every checksum and arena/trailer agreement; the zero-copy mmap load
-//!   trades the arena checksum for O(header) serving — see
-//!   [`crate::format::LoadMode`]) and becomes a `SearchSpace` with zero
-//!   re-solving; its mtime is touched so LRU eviction sees the use. A hit
-//!   whose persisted `IDX` section is unusable still hits (the index is
-//!   rebuilt from the arena), but the condition is **reported** — in the
-//!   outcome's [`LoadReport`], in the `index_fallbacks` metric — and the
-//!   entry is repaired in place.
+//!   [`LoadOptions`] (the default verified copy checks magic, version,
+//!   every checksum and arena/trailer agreement; the trusted zero-copy
+//!   mmap trades the arena checksum for O(header) serving) and becomes a
+//!   `SearchSpace` with zero re-solving; its mtime is touched so LRU
+//!   eviction sees the use. A hit whose persisted `IDX` section is
+//!   unusable still hits (the index is rebuilt from the arena), but the
+//!   condition is **reported** — in the outcome's [`LoadReport`], in the
+//!   `index_fallbacks` metric — and the entry is repaired in place, always
+//!   from checksum-verified bytes.
 //! * **miss** — the space is constructed with the requested method while
 //!   being streamed to a temporary file through [`StoreWriter`], which is
 //!   atomically renamed into place only after the index section and
@@ -54,8 +54,8 @@ use at_searchspace::{
 use crate::error::StoreError;
 use crate::fingerprint::SpecFingerprint;
 use crate::format::{
-    peek_info, read_space_from_path, write_space, IndexPolicy, LoadMode, LoadOptions, LoadReport,
-    StoreInfo, StoreReader, StoreWriter,
+    peek_info, read_space_from_path, write_space, LoadOptions, LoadReport, StoreInfo, StoreReader,
+    StoreWriter,
 };
 
 /// How `get_or_build` satisfied a request.
@@ -359,8 +359,7 @@ impl SpaceStore {
     }
 
     /// Construct or load the space for `spec`, with explicit build options
-    /// and the default [`LoadOptions`] (copying load, sampled index
-    /// verification).
+    /// and the default [`LoadOptions`] (the verified copy).
     ///
     /// The cache key covers the spec content and the *effective* restriction
     /// lowering (explicit in `options`, or the method's default), so the
@@ -376,13 +375,15 @@ impl SpaceStore {
 
     /// Construct or load the space for `spec`, with explicit build *and*
     /// load options — the full-control entry point: `load` picks the warm
-    /// path (copying vs. zero-copy mmap, index rebuild vs. trust vs.
-    /// sampled verification; see [`LoadOptions`]).
+    /// path (the verified copy or the trusted zero-copy mmap; see
+    /// [`LoadOptions`]).
     ///
     /// A warm load whose persisted index section is unusable still hits —
     /// the index is rebuilt from the arena — but the condition is reported
     /// (outcome's [`LoadReport`], the `index_fallbacks` metric) and the
-    /// entry is repaired in place with a freshly written file.
+    /// entry is repaired in place with a freshly written file. After a
+    /// zero-copy hit the repair writes what the verified copy serves, so a
+    /// damaged arena is never stamped with a fresh checksum.
     pub fn get_or_build_with_options(
         &self,
         spec: &SearchSpaceSpec,
@@ -435,12 +436,8 @@ impl SpaceStore {
                         // over a possibly-rotted arena, laundering the
                         // corruption past every future validation.
                         if loaded.report.is_zero_copy() {
-                            let reverified = StoreReader::open(&path).and_then(|r| {
-                                r.load(LoadOptions {
-                                    mode: LoadMode::Copy,
-                                    index: IndexPolicy::Rebuild,
-                                })
-                            });
+                            let reverified = StoreReader::open(&path)
+                                .and_then(|r| r.load(LoadOptions::default()));
                             if let Ok(verified) = reverified {
                                 let _ = self.rewrite_entry(&verified.space, &path);
                             }
@@ -1140,6 +1137,48 @@ mod tests {
         let (_, out) = store.get_or_build(&spec, Method::Optimized).unwrap();
         assert_eq!(out.status, CacheStatus::Miss);
         assert!(read_space_from_path(&path).is_ok());
+    }
+
+    #[test]
+    fn zero_copy_index_fallback_is_repaired_from_verified_bytes() {
+        let store = fresh_store("mmap-repair");
+        let spec = spec("remapped", 16);
+        let (original, out) = store.get_or_build(&spec, Method::Optimized).unwrap();
+        let path = out.path.unwrap();
+
+        // Damage one byte of the IDX slot array: the arena stays sound, so
+        // the repair may rewrite the entry from the verified copy.
+        let mut bytes = fs::read(&path).unwrap();
+        let len = bytes.len();
+        bytes[len - 16 - 4 - 1] ^= 0x04;
+        fs::write(&path, &bytes).unwrap();
+
+        let get_mapped = || {
+            store
+                .get_or_build_with_options(
+                    &spec,
+                    Method::Optimized,
+                    BuildOptions::default(),
+                    LoadOptions::mmap_trusted(),
+                )
+                .unwrap()
+        };
+        let (served, out) = get_mapped();
+        assert!(out.status.is_hit());
+        let report = out.load.unwrap();
+        assert!(report.index_fallback().unwrap().contains("checksum"));
+        spaces_identical(&original, &served);
+        read_space_from_path(&path).expect("the repaired entry passes the strict reader");
+
+        // The next mapped load adopts the rewritten index.
+        let (served, out) = get_mapped();
+        assert!(out.status.is_hit());
+        let report = out.load.unwrap();
+        assert!(report.index_fallback().is_none(), "{report:?}");
+        if cfg!(target_os = "linux") {
+            assert!(report.is_zero_copy(), "{report:?}");
+        }
+        spaces_identical(&original, &served);
     }
 
     #[test]

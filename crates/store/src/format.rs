@@ -16,12 +16,12 @@
 //!    trailer, and the index section is written at finish time).
 //! 3. **Self-validating**: magic + version up front, a CRC-32 per metadata
 //!    section (including `IDX`), and a CRC-32 of the arena in the trailer.
-//!    On the copying path any flipped byte or truncation is detected before
-//!    content is adopted; the zero-copy path checks everything except the
-//!    arena checksum (documented per [`LoadMode`]), and a damaged `IDX`
-//!    section always falls back to an index rebuild — reported in the
-//!    [`LoadReport`], and never a wrong lookup (the lookup algorithm
-//!    re-compares arena rows, so a bad table can only miss, not
+//!    On the verified copy any flipped byte or truncation is detected before
+//!    content is adopted; the trusted zero-copy mmap checks everything
+//!    except the arena checksum and code ranges (see [`LoadOptions`]), and
+//!    a damaged `IDX` section always falls back to an index rebuild —
+//!    reported in the [`LoadReport`], and never a wrong lookup (the lookup
+//!    algorithm re-compares arena rows, so a bad table can only miss, not
 //!    misattribute).
 
 use std::fs::File;
@@ -32,8 +32,8 @@ use std::sync::Arc;
 use at_csp::sink::{RowSink, SolutionSink};
 use at_csp::{CspError, CspResult, Value};
 use at_searchspace::{
-    ArenaStorage, CodeValidation, EncodingSink, IndexVerification, SearchSpace, SpaceError,
-    TunableParameter, INDEX_HASH_VERSION,
+    Adoption, ArenaStorage, EncodingSink, SearchSpace, SpaceError, TunableParameter,
+    INDEX_HASH_VERSION,
 };
 
 use crate::checksum::{crc32, Crc32};
@@ -69,9 +69,6 @@ const TRAILER_LEN: usize = 16;
 /// Flush the pending arena codes to the writer once this many accumulate
 /// (64 KiB of file bytes), so streaming writes stay amortised.
 const FLUSH_CODES: usize = 16 * 1024;
-
-/// How many evenly spaced rows [`IndexPolicy::VerifySampled`] looks up.
-const VERIFY_SAMPLES: usize = 64;
 
 // ---------------------------------------------------------------------------
 // byte-level encoding helpers
@@ -471,61 +468,32 @@ impl<W: Write + Send + Sync + 'static> SolutionSink for StoreWriter<W> {
 // load options and reports
 // ---------------------------------------------------------------------------
 
-/// How the arena bytes are brought into memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LoadMode {
-    /// Read the whole file and copy the arena into owned memory. Every
-    /// checksum is verified — this is the fully validating path, and the
-    /// only one for v1 files and big-endian targets.
-    #[default]
-    Copy,
-    /// `mmap(2)` the file and serve the arena (and persisted index slots)
-    /// as borrowed views — zero copy. The arena checksum is **not**
-    /// verified (it would touch every page and defeat the point); the
-    /// `IDX` checksum is still checked before any table is adopted, and
-    /// `cache verify` remains the full-validation tool. Combined with
-    /// [`IndexPolicy::TrustPersisted`] the load is O(header + index
-    /// checksum): even the code-range pass is skipped (decoding stays
-    /// bounds-checked lazily). [`IndexPolicy::Rebuild`] and
-    /// [`IndexPolicy::VerifySampled`] keep the O(arena) code-range pass.
-    /// Falls back to [`LoadMode::Copy`] — recorded in the [`LoadReport`] —
-    /// on non-Linux targets, big-endian targets, unaligned (v1) arenas, or
-    /// mmap failure.
-    Mmap,
-}
-
-/// What to do with the persisted membership table (`IDX` section).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IndexPolicy {
-    /// Ignore any persisted table and rebuild from the arena (the v1
-    /// behavior; always available).
-    Rebuild,
-    /// Adopt the persisted table after its CRC, hash version and
-    /// structural invariants check out — the O(header) trusted path.
-    TrustPersisted,
-    /// Like [`IndexPolicy::TrustPersisted`], plus look up a sample of
-    /// evenly spaced arena rows and require each to be found — a cheap
-    /// screen against a table persisted for a different arena.
-    #[default]
-    VerifySampled,
-}
-
-/// A validated load request.
+/// How a store file is loaded — one policy per real use, each with its
+/// own constructor.
+///
+/// * [`LoadOptions::default`] — the **verified copy**: read the whole
+///   file, verify every checksum (arena included), bounds-check every code
+///   and adopt the persisted index only after sampled row lookups. The only
+///   path for v1 files and big-endian targets.
+/// * [`LoadOptions::mmap_trusted`] — the **trusted zero-copy mmap**: serve
+///   the arena and the persisted index slots as borrowed views into the
+///   `mmap(2)`ed file, O(header + index checksum). The arena checksum is
+///   **not** verified (it would touch every page and defeat the point) and
+///   the code-range pass is skipped (decoding stays bounds-checked lazily);
+///   the `IDX` checksum, hash version and table structure are still
+///   checked before the table is adopted, and `cache verify` remains the
+///   full-validation tool. Falls back to the verified copy — recorded in
+///   the [`LoadReport`] — on non-Linux targets, big-endian targets,
+///   unaligned (v1) arenas, or mmap failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LoadOptions {
-    /// How the arena is materialized.
-    pub mode: LoadMode,
-    /// How the persisted membership table is treated.
-    pub index: IndexPolicy,
+    mmap: bool,
 }
 
 impl LoadOptions {
     /// The zero-copy fast path: mmap the arena, trust the persisted index.
     pub fn mmap_trusted() -> LoadOptions {
-        LoadOptions {
-            mode: LoadMode::Mmap,
-            index: IndexPolicy::TrustPersisted,
-        }
+        LoadOptions { mmap: true }
     }
 }
 
@@ -536,7 +504,8 @@ pub enum ArenaOutcome {
     Copied,
     /// Served zero-copy from the memory-mapped file.
     MmapZeroCopy,
-    /// Mmap was requested but unavailable; copied instead.
+    /// Mmap was requested but unavailable; served by the verified copy
+    /// instead.
     MmapFellBack {
         /// Why the mapping could not be served (platform, alignment, v1
         /// file, syscall failure).
@@ -547,14 +516,10 @@ pub enum ArenaOutcome {
 /// Where the served membership table actually came from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IndexOutcome {
-    /// Rebuilt from the arena. `persisted_present` records whether the
-    /// file carried an (ignored) `IDX` section.
-    Rebuilt {
-        /// True when the file had an `IDX` section the policy ignored.
-        persisted_present: bool,
-    },
-    /// The persisted table was adopted. `verified` is true under
-    /// [`IndexPolicy::VerifySampled`].
+    /// Rebuilt from the arena: the file carries no `IDX` section.
+    Rebuilt,
+    /// The persisted table was adopted. `verified` is true on the verified
+    /// copy.
     Adopted {
         /// Whether sampled row lookups were verified on top of the
         /// structural checks.
@@ -603,12 +568,7 @@ impl LoadReport {
             ArenaOutcome::MmapFellBack { reason } => format!("copied (mmap fell back: {reason})"),
         };
         let index = match &self.index {
-            IndexOutcome::Rebuilt {
-                persisted_present: false,
-            } => "index rebuilt".to_string(),
-            IndexOutcome::Rebuilt {
-                persisted_present: true,
-            } => "index rebuilt (persisted one ignored)".to_string(),
+            IndexOutcome::Rebuilt => "index rebuilt".to_string(),
             IndexOutcome::Adopted { verified: true } => "persisted index verified".to_string(),
             IndexOutcome::Adopted { verified: false } => "persisted index trusted".to_string(),
             IndexOutcome::RebuiltAfterFallback { reason } => {
@@ -721,11 +681,14 @@ pub(crate) fn parse_structure(bytes: &[u8]) -> Result<ParsedFile<'_>, StoreError
 
     let params_bytes = read_section(bytes, &mut pos, TAG_PARAMS, "params")?;
     let mut cur = Cursor::new(params_bytes, "params");
-    let mut params = Vec::with_capacity(num_params);
+    // Counts read from the file only size allocations up to the bytes
+    // that could back them: a forged count fails below, not in the
+    // allocator.
+    let mut params = Vec::with_capacity(num_params.min(params_bytes.len()));
     for _ in 0..num_params {
         let pname = cur.str()?;
         let count = cur.u32()? as usize;
-        let mut values = Vec::with_capacity(count);
+        let mut values = Vec::with_capacity(count.min(params_bytes.len()));
         for _ in 0..count {
             values.push(cur.value()?);
         }
@@ -935,80 +898,62 @@ fn read_section<'a>(
     Ok(payload)
 }
 
-/// Build a space from parsed content, adopting the (already CRC-checked)
-/// persisted index slots when provided, rebuilding otherwise — with a
-/// reported in-place fallback to a rebuild when adoption fails.
+/// Build a space from parsed content: adopt the persisted index `slots`
+/// (already accepted by [`usable_index`]) under `adoption`, or rebuild the
+/// index from the arena when the file has none (`Ok(None)`) or the table
+/// was rejected (`Err`, or a failed adoption) — the latter reported as a
+/// fallback.
 ///
 /// `arena` is consumed by the first construction attempt; the rare
-/// fallback path obtains a fresh storage from `remake_arena` (an Arc bump
-/// for mapped views, a re-decode for owned copies), so the hot adopting
-/// path never deep-clones a multi-million-code arena.
+/// fallback after a failed adoption obtains a fresh storage from
+/// `remake_arena` (an Arc bump for mapped views, a re-decode for owned
+/// copies), so the hot adopting path never deep-clones a multi-million-code
+/// arena.
 fn assemble(
     info: &StoreInfo,
     params: Vec<TunableParameter>,
     arena: ArenaStorage,
-    idx: Option<(ArenaStorage, bool)>,
-    persisted_present: bool,
+    slots: Result<Option<ArenaStorage>, String>,
+    adoption: Adoption,
     remake_arena: impl FnOnce() -> ArenaStorage,
 ) -> Result<(SearchSpace, IndexOutcome), StoreError> {
-    match idx {
-        Some((slots, verified)) => {
-            // The verifying policy pays the O(arena) code-bounds pass and
-            // sampled lookups; the trusted one is O(header + index): lazy
-            // bounds-checked decoding covers out-of-range codes.
-            let (verification, validation) = if verified {
-                (
-                    IndexVerification::Sampled(VERIFY_SAMPLES),
-                    CodeValidation::Checked,
-                )
-            } else {
-                (IndexVerification::Trusted, CodeValidation::Trusted)
-            };
-            match SearchSpace::from_code_storage_with_index(
-                info.name.clone(),
-                params.clone(),
-                info.num_rows,
-                arena,
-                slots,
-                verification,
-                validation,
-            ) {
-                Ok(space) => Ok((space, IndexOutcome::Adopted { verified })),
-                Err(SpaceError::IndexInvalid { detail }) => {
-                    let space = SearchSpace::from_code_storage(
-                        info.name.clone(),
-                        params,
-                        info.num_rows,
-                        remake_arena(),
-                    )?;
-                    Ok((space, IndexOutcome::RebuiltAfterFallback { reason: detail }))
-                }
-                Err(e) => Err(e.into()),
+    let (arena, outcome) = match slots {
+        Ok(Some(slots)) => match SearchSpace::from_code_storage_with_index(
+            info.name.clone(),
+            params.clone(),
+            info.num_rows,
+            arena,
+            slots,
+            adoption,
+        ) {
+            Ok(space) => {
+                let verified = adoption == Adoption::Verified;
+                return Ok((space, IndexOutcome::Adopted { verified }));
             }
-        }
-        None => {
-            let space =
-                SearchSpace::from_code_storage(info.name.clone(), params, info.num_rows, arena)?;
-            Ok((space, IndexOutcome::Rebuilt { persisted_present }))
-        }
-    }
+            Err(SpaceError::IndexInvalid { detail }) => (
+                remake_arena(),
+                IndexOutcome::RebuiltAfterFallback { reason: detail },
+            ),
+            Err(e) => return Err(e.into()),
+        },
+        Ok(None) => (arena, IndexOutcome::Rebuilt),
+        Err(reason) => (arena, IndexOutcome::RebuiltAfterFallback { reason }),
+    };
+    let space = SearchSpace::from_code_storage(info.name.clone(), params, info.num_rows, arena)?;
+    Ok((space, outcome))
 }
 
-/// Check the persisted index against the policy, returning the slots to
-/// adopt (owned copy decoded from the payload) or the fallback reason.
+/// Check the persisted index's checksum and row-hash version, returning
+/// the section to adopt (`None` when the file has none) or why it is
+/// rejected.
 fn usable_index<'a, 'b>(
     idx: &'a Option<ParsedIndex<'b>>,
-    policy: IndexPolicy,
 ) -> Result<Option<&'a ParsedIndex<'b>>, String> {
     let Some(idx) = idx else {
         return Ok(None);
     };
-    if policy == IndexPolicy::Rebuild {
-        return Ok(None);
-    }
     // CRC first: corruption that happens to land in the hash-version field
-    // must read as "checksum mismatch", not as a version skew (and must
-    // classify identically to the strict reader).
+    // must read as "checksum mismatch", not as a version skew.
     if !idx.crc_ok() {
         return Err("checksum mismatch".to_string());
     }
@@ -1064,34 +1009,22 @@ impl StoreReader {
         peek_info(&self.path)
     }
 
-    /// Load the space according to `options`. See [`LoadMode`] and
-    /// [`IndexPolicy`] for the exact validation each combination performs,
-    /// and [`LoadReport`] for what actually happened (requested paths fall
-    /// back rather than fail whenever the file itself is sound).
+    /// Load the space under `options` (see [`LoadOptions`] for the exact
+    /// validation each policy performs), and report in [`LoadReport`] what
+    /// actually happened: a requested path falls back rather than fails
+    /// whenever the file itself is sound.
     pub fn load(&self, options: LoadOptions) -> Result<LoadedSpace, StoreError> {
-        let span = at_obs::span("store-load", "store")
-            .arg("mmap_requested", u64::from(options.mode == LoadMode::Mmap));
-        let loaded = match options.mode {
-            LoadMode::Copy => self.load_copy(options.index, ArenaOutcome::Copied),
-            LoadMode::Mmap => {
-                if cfg!(target_endian = "big") {
-                    self.load_copy(
-                        options.index,
-                        ArenaOutcome::MmapFellBack {
-                            reason: "big-endian target".to_string(),
-                        },
-                    )
-                } else {
-                    match MappedFile::map(&self.file) {
-                        Ok(map) => self.load_mapped(Arc::new(map), options.index),
-                        Err(e) => self.load_copy(
-                            options.index,
-                            ArenaOutcome::MmapFellBack {
-                                reason: e.to_string(),
-                            },
-                        ),
-                    }
-                }
+        let span =
+            at_obs::span("store-load", "store").arg("mmap_requested", u64::from(options.mmap));
+        let fell_back = |reason: String| ArenaOutcome::MmapFellBack { reason };
+        let loaded = if !options.mmap {
+            self.load_copy(ArenaOutcome::Copied)
+        } else if cfg!(target_endian = "big") {
+            self.load_copy(fell_back("big-endian target".to_string()))
+        } else {
+            match MappedFile::map(&self.file) {
+                Ok(map) => self.load_mapped(Arc::new(map)),
+                Err(e) => self.load_copy(fell_back(e.to_string())),
             }
         }?;
         drop(
@@ -1105,71 +1038,47 @@ impl StoreReader {
         Ok(loaded)
     }
 
-    /// The copying load: full read, every checksum verified.
-    fn load_copy(
-        &self,
-        policy: IndexPolicy,
-        arena_outcome: ArenaOutcome,
-    ) -> Result<LoadedSpace, StoreError> {
+    /// The verified copy: full read, every checksum verified.
+    fn load_copy(&self, arena_outcome: ArenaOutcome) -> Result<LoadedSpace, StoreError> {
         let bytes = std::fs::read(&self.path).map_err(|e| StoreError::io(&self.path, e))?;
-        Self::load_copy_from_bytes(&bytes, policy, arena_outcome)
+        Self::load_copy_from_bytes(&bytes, arena_outcome)
     }
 
-    /// The copying load over bytes already in memory (a fresh read, or a
+    /// The verified copy over bytes already in memory (a fresh read, or a
     /// mapping that cannot be served zero-copy — sparing a second disk
     /// read on the v1/unaligned fallback).
     fn load_copy_from_bytes(
         bytes: &[u8],
-        policy: IndexPolicy,
         arena_outcome: ArenaOutcome,
     ) -> Result<LoadedSpace, StoreError> {
         let parsed = parse_structure(bytes)?;
         if crc32(parsed.arena) != parsed.arena_crc {
             return Err(StoreError::corrupt("arena", "checksum mismatch"));
         }
-        let persisted_present = parsed.idx.is_some();
-        let (idx, fallback) = match usable_index(&parsed.idx, policy) {
-            Ok(Some(idx)) => (
-                Some((
-                    ArenaStorage::from(decode_codes(idx.slots)),
-                    policy == IndexPolicy::VerifySampled,
-                )),
-                None,
-            ),
-            Ok(None) => (None, None),
-            Err(reason) => (None, Some(reason)),
-        };
-        let arena = ArenaStorage::from(decode_codes(parsed.arena));
-        let (space, index_outcome) = assemble(
+        let slots = usable_index(&parsed.idx)
+            .map(|idx| idx.map(|idx| ArenaStorage::from(decode_codes(idx.slots))));
+        let (space, index) = assemble(
             &parsed.info,
             parsed.params,
-            arena,
-            idx,
-            persisted_present,
+            ArenaStorage::from(decode_codes(parsed.arena)),
+            slots,
+            Adoption::Verified,
             || ArenaStorage::from(decode_codes(parsed.arena)),
         )?;
-        let index_outcome = match fallback {
-            Some(reason) => IndexOutcome::RebuiltAfterFallback { reason },
-            None => index_outcome,
-        };
         Ok(LoadedSpace {
             space,
             info: parsed.info,
             report: LoadReport {
                 arena: arena_outcome,
-                index: index_outcome,
+                index,
             },
         })
     }
 
-    /// The zero-copy load: parse the mapped bytes, serve the arena (and,
-    /// policy permitting, the index slots) as borrowed views. The arena
-    /// checksum is intentionally not verified here (see [`LoadMode::Mmap`]).
-    fn load_mapped(
-        &self,
-        map: Arc<MappedFile>,
-        policy: IndexPolicy,
-    ) -> Result<LoadedSpace, StoreError> {
+    /// The trusted zero-copy load: parse the mapped bytes, serve the arena
+    /// and the index slots as borrowed views. The arena checksum is
+    /// intentionally not verified here (see [`LoadOptions`]).
+    fn load_mapped(&self, map: Arc<MappedFile>) -> Result<LoadedSpace, StoreError> {
         let parsed = parse_structure(map.bytes())?;
         if parsed.info.version < 2 || !parsed.arena_offset.is_multiple_of(4) {
             let reason = if parsed.info.version < 2 {
@@ -1180,55 +1089,38 @@ impl StoreReader {
             drop(parsed);
             // The bytes are already mapped: copy out of the mapping
             // instead of reading the file a second time.
-            return Self::load_copy_from_bytes(
-                map.bytes(),
-                policy,
-                ArenaOutcome::MmapFellBack { reason },
-            );
+            return Self::load_copy_from_bytes(map.bytes(), ArenaOutcome::MmapFellBack { reason });
         }
-        let persisted_present = parsed.idx.is_some();
-        let (idx, fallback) = match usable_index(&parsed.idx, policy) {
-            Ok(Some(idx)) => {
-                match MappedCodes::new(Arc::clone(&map), idx.slots_offset, idx.slots.len()) {
-                    Ok(view) => (
-                        Some((
-                            ArenaStorage::Shared(Arc::new(view)),
-                            policy == IndexPolicy::VerifySampled,
-                        )),
-                        None,
-                    ),
-                    Err(MapError::BadRange { .. }) => {
-                        (None, Some("index slots are not 4-byte aligned".to_string()))
-                    }
-                    Err(e) => (None, Some(e.to_string())),
-                }
-            }
-            Ok(None) => (None, None),
-            Err(reason) => (None, Some(reason)),
-        };
+        let slots = usable_index(&parsed.idx).and_then(|idx| {
+            idx.map(|idx| {
+                MappedCodes::new(Arc::clone(&map), idx.slots_offset, idx.slots.len())
+                    .map(|view| ArenaStorage::Shared(Arc::new(view)))
+                    .map_err(|e| match e {
+                        MapError::BadRange { .. } => {
+                            "index slots are not 4-byte aligned".to_string()
+                        }
+                        e => e.to_string(),
+                    })
+            })
+            .transpose()
+        });
         let arena_view =
             MappedCodes::new(Arc::clone(&map), parsed.arena_offset, parsed.arena.len())
                 .map_err(|e| StoreError::corrupt("arena", e.to_string()))?;
-        let arena = ArenaStorage::Shared(Arc::new(arena_view.clone()));
-        let (space, index_outcome) = assemble(
+        let (space, index) = assemble(
             &parsed.info,
             parsed.params,
-            arena,
-            idx,
-            persisted_present,
+            ArenaStorage::Shared(Arc::new(arena_view.clone())),
+            slots,
+            Adoption::Trusted,
             || ArenaStorage::Shared(Arc::new(arena_view)),
         )?;
-        let index_outcome = match fallback {
-            Some(reason) => IndexOutcome::RebuiltAfterFallback { reason },
-            None => index_outcome,
-        };
-        let info = parsed.info;
         Ok(LoadedSpace {
             space,
-            info,
+            info: parsed.info,
             report: LoadReport {
                 arena: ArenaOutcome::MmapZeroCopy,
-                index: index_outcome,
+                index,
             },
         })
     }
@@ -1242,93 +1134,40 @@ pub fn load_space_from_path(
     StoreReader::open(path)?.load(options)
 }
 
-/// Arenas at least this large verify their checksum on a helper thread,
-/// overlapped with the index build (below it, the thread spawn would cost
-/// more than the overlap saves).
-const PARALLEL_CRC_BYTES: usize = 2 << 20;
-
 /// Validate and rebuild a space from an in-memory store file in one call.
 ///
 /// This is the **strict** entry point: every checksum in the file must
 /// verify — arena, metadata sections, and the `IDX` section when present
-/// (whose table must also pass adoption with sampled verification). Any
-/// mismatch is an error, never a silent fallback; the cache layer maps
-/// such errors to a rebuild. For policy-driven loading (zero-copy, index
-/// trust levels, reported fallbacks) use [`StoreReader::load`].
-///
-/// When no index section is present and the arena is large, the arena
-/// checksum is verified on a scoped helper thread *while* the main thread
-/// decodes the codes and builds the membership table — the two dominate
-/// that load shape and are independent. The space is only returned when
-/// both succeed, so a corrupt file is never served; it merely wastes the
-/// (discarded) speculative index build.
+/// (whose table must also pass [`Adoption::Verified`]). Any mismatch is an
+/// error, never a silent fallback; the cache layer maps such errors to a
+/// rebuild. For policy-driven loading (zero-copy, reported fallbacks) use
+/// [`StoreReader::load`].
 pub fn read_space_from_bytes(bytes: &[u8]) -> Result<(SearchSpace, StoreInfo), StoreError> {
     let parsed = parse_structure(bytes)?;
-
     // A present index must be fully sound in the strict reader.
-    if let Some(idx) = &parsed.idx {
-        if !idx.crc_ok() {
-            return Err(StoreError::corrupt("index", "checksum mismatch"));
-        }
-        if idx.hash_version != INDEX_HASH_VERSION {
-            return Err(StoreError::corrupt(
-                "index",
-                format!(
-                    "row-hash version {} (this build uses {INDEX_HASH_VERSION})",
-                    idx.hash_version
-                ),
-            ));
-        }
-        if crc32(parsed.arena) != parsed.arena_crc {
-            return Err(StoreError::corrupt("arena", "checksum mismatch"));
-        }
-        let space = SearchSpace::from_code_storage_with_index(
-            parsed.info.name.clone(),
+    let idx = usable_index(&parsed.idx).map_err(|reason| StoreError::corrupt("index", reason))?;
+    if crc32(parsed.arena) != parsed.arena_crc {
+        return Err(StoreError::corrupt("arena", "checksum mismatch"));
+    }
+    let name = parsed.info.name.clone();
+    let rows = parsed.info.num_rows;
+    let codes = ArenaStorage::from(decode_codes(parsed.arena));
+    let space = match idx {
+        Some(idx) => SearchSpace::from_code_storage_with_index(
+            name,
             parsed.params,
-            parsed.info.num_rows,
-            ArenaStorage::from(decode_codes(parsed.arena)),
+            rows,
+            codes,
             ArenaStorage::from(decode_codes(idx.slots)),
-            IndexVerification::Sampled(VERIFY_SAMPLES),
-            CodeValidation::Checked,
+            Adoption::Verified,
         )
         .map_err(|e| match e {
             SpaceError::IndexInvalid { detail } => StoreError::corrupt("index", detail),
             other => other.into(),
-        })?;
-        return Ok((space, parsed.info));
-    }
-
-    let multicore = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
-    if !multicore || parsed.arena.len() < PARALLEL_CRC_BYTES {
-        if crc32(parsed.arena) != parsed.arena_crc {
-            return Err(StoreError::corrupt("arena", "checksum mismatch"));
-        }
-        let codes = decode_codes(parsed.arena);
-        let space = SearchSpace::from_code_rows(
-            parsed.info.name.clone(),
-            parsed.params,
-            parsed.info.num_rows,
-            codes,
-        )?;
-        return Ok((space, parsed.info));
-    }
-    let ParsedFile {
-        info,
-        params,
-        arena,
-        arena_crc,
-        ..
-    } = parsed;
-    let (crc_ok, space) = std::thread::scope(|scope| {
-        let checker = scope.spawn(move || crc32(arena) == arena_crc);
-        let codes = decode_codes(arena);
-        let space = SearchSpace::from_code_rows(info.name.clone(), params, info.num_rows, codes);
-        (checker.join().expect("checksum thread"), space)
-    });
-    if !crc_ok {
-        return Err(StoreError::corrupt("arena", "checksum mismatch"));
-    }
-    Ok((space?, info))
+        })?,
+        None => SearchSpace::from_code_storage(name, parsed.params, rows, codes)?,
+    };
+    Ok((space, parsed.info))
 }
 
 /// Read, validate and rebuild a space from a store file in one call (the
@@ -1869,43 +1708,30 @@ mod tests {
     }
 
     #[test]
-    fn load_options_cover_the_matrix() {
-        let path = temp_path("matrix.atss");
+    fn both_load_policies_serve_the_same_space() {
+        let path = temp_path("policies.atss");
         let space = small_space();
         write_space_to_path(&space, &path).unwrap();
         let reader = StoreReader::open(&path).unwrap();
-        for mode in [LoadMode::Copy, LoadMode::Mmap] {
-            for index in [
-                IndexPolicy::Rebuild,
-                IndexPolicy::TrustPersisted,
-                IndexPolicy::VerifySampled,
-            ] {
-                let loaded = reader.load(LoadOptions { mode, index }).unwrap();
-                spaces_identical(&space, &loaded.space);
-                match index {
-                    IndexPolicy::Rebuild => assert_eq!(
-                        loaded.report.index,
-                        IndexOutcome::Rebuilt {
-                            persisted_present: true
-                        }
-                    ),
-                    IndexPolicy::TrustPersisted => assert_eq!(
-                        loaded.report.index,
-                        IndexOutcome::Adopted { verified: false }
-                    ),
-                    IndexPolicy::VerifySampled => assert_eq!(
-                        loaded.report.index,
-                        IndexOutcome::Adopted { verified: true }
-                    ),
-                }
-                if mode == LoadMode::Mmap && cfg!(target_os = "linux") {
-                    assert!(loaded.report.is_zero_copy(), "{:?}", loaded.report);
-                    assert!(loaded.space.is_zero_copy());
-                } else if mode == LoadMode::Copy {
-                    assert_eq!(loaded.report.arena, ArenaOutcome::Copied);
-                    assert!(!loaded.space.is_zero_copy());
-                }
-            }
+
+        let copied = reader.load(LoadOptions::default()).unwrap();
+        spaces_identical(&space, &copied.space);
+        assert_eq!(copied.report.arena, ArenaOutcome::Copied);
+        assert_eq!(
+            copied.report.index,
+            IndexOutcome::Adopted { verified: true }
+        );
+        assert!(!copied.space.is_zero_copy());
+
+        let mapped = reader.load(LoadOptions::mmap_trusted()).unwrap();
+        spaces_identical(&space, &mapped.space);
+        assert_eq!(
+            mapped.report.index,
+            IndexOutcome::Adopted { verified: false }
+        );
+        if cfg!(target_os = "linux") {
+            assert!(mapped.report.is_zero_copy(), "{:?}", mapped.report);
+            assert!(mapped.space.is_zero_copy());
         }
     }
 
@@ -1924,21 +1750,68 @@ mod tests {
         // Strict reader: hard error.
         assert!(read_space_from_bytes(&bytes).is_err());
 
-        // Policy reader: clean fallback, reported — and identical answers.
-        for mode in [LoadMode::Copy, LoadMode::Mmap] {
-            let loaded = StoreReader::open(&path)
-                .unwrap()
-                .load(LoadOptions {
-                    mode,
-                    index: IndexPolicy::VerifySampled,
-                })
-                .unwrap();
+        // Both policies: clean fallback, reported — and identical answers.
+        for options in [LoadOptions::default(), LoadOptions::mmap_trusted()] {
+            let loaded = load_space_from_path(&path, options).unwrap();
             let reason = loaded
                 .report
                 .index_fallback()
                 .expect("fallback must be reported");
             assert!(reason.contains("checksum"), "{reason}");
             spaces_identical(&space, &loaded.space);
+        }
+    }
+
+    /// Patch the payload of the framed section starting at byte `at` and
+    /// recompute its CRC, so only the patched field is wrong.
+    fn patch_section(bytes: &mut [u8], at: usize, patch: impl FnOnce(&mut [u8])) {
+        let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
+        let payload = at + 12..at + 12 + len;
+        patch(&mut bytes[payload.clone()]);
+        let crc = crc32(&bytes[payload.clone()]);
+        bytes[payload.end..payload.end + 4].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    #[test]
+    fn forged_counts_are_clean_corruption_not_an_allocation() {
+        // A count read from the file must not size an allocation on its
+        // own: uncapped, these files ask for ~100 GB and ~200 GB up front,
+        // and the allocation failure aborts the process.
+        let space = small_space();
+        let mut bytes = Vec::new();
+        write_space(&space, &mut bytes).unwrap();
+        let header_at = 8;
+        let header_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
+        let params_at = header_at + 12 + header_len + 4;
+
+        let mut values = bytes.clone();
+        patch_section(&mut values, params_at, |payload| {
+            let name_len = u32::from_le_bytes(payload[0..4].try_into().unwrap()) as usize;
+            let count = 4 + name_len..8 + name_len;
+            payload[count].copy_from_slice(&0xFF00_0000u32.to_le_bytes());
+        });
+        let mut params = bytes;
+        patch_section(&mut params, header_at, |payload| {
+            let n = payload.len();
+            payload[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
+        });
+
+        for (tag, forged) in [("values", values), ("params", params)] {
+            let strict = read_space_from_bytes(&forged);
+            assert!(
+                matches!(strict, Err(StoreError::Corrupt { .. })),
+                "{tag}: {strict:?}"
+            );
+            let path = temp_path(&format!("forged-{tag}.atss"));
+            std::fs::write(&path, &forged).unwrap();
+            for options in [LoadOptions::default(), LoadOptions::mmap_trusted()] {
+                let loaded = load_space_from_path(&path, options);
+                assert!(
+                    matches!(loaded, Err(StoreError::Corrupt { .. })),
+                    "{tag} {options:?}: {:?}",
+                    loaded.map(|l| l.report)
+                );
+            }
         }
     }
 

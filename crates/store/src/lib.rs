@@ -7,20 +7,21 @@
 //! [`SearchSpace`](at_searchspace::SearchSpace) is persisted as its
 //! columnar `u32` code arena **verbatim** plus its membership table (the
 //! `ATSS` format, v2), so a space is solved *once* and every later process
-//! serves it with no re-solving and no re-encoding. The copying load
-//! rebuilds nothing but the in-memory buffers; the `mmap(2)` load with a
-//! trusted persisted index borrows both the arena and the table straight
-//! out of the page cache — O(header) work, one resident copy shared by
-//! every process that maps the same entry.
+//! serves it with no re-solving and no re-encoding. The verified copy
+//! rebuilds nothing but the in-memory buffers; the trusted `mmap(2)` load
+//! borrows both the arena and the table straight out of the page cache —
+//! O(header) work, one resident copy shared by every process that maps the
+//! same entry.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * [`StoreWriter`] / [`StoreReader`] / [`write_space`] — the `ATSS` file
 //!   format. `StoreWriter` implements the solver sink interface
 //!   ([`at_csp::sink::SolutionSink`]), so a space is persisted *while* it
-//!   is constructed; [`StoreReader::load`] takes [`LoadOptions`]
-//!   (copying vs. zero-copy mmap × index rebuild / trust / sampled
-//!   verification) and returns a [`LoadReport`] of what actually happened.
+//!   is constructed; [`StoreReader::load`] takes one of two
+//!   [`LoadOptions`] policies (the verified copy, or the trusted
+//!   zero-copy mmap) and returns a [`LoadReport`] of what actually
+//!   happened.
 //! * [`mmap`] — the hand-rolled `mmap(2)` wrapper behind the zero-copy
 //!   path (Linux FFI against the already-linked C library; owned-copy
 //!   fallback elsewhere).
@@ -133,17 +134,18 @@
 //!
 //! # Trust policy of the zero-copy path
 //!
-//! [`StoreReader::load`] takes [`LoadOptions`]: `mode` picks copying
-//! (every checksum verified) or mmap (zero copy; the arena checksum is
-//! *not* read — it would fault in every page), and `index` picks how the
-//! persisted table is treated ([`IndexPolicy::Rebuild`] /
-//! [`IndexPolicy::TrustPersisted`] / [`IndexPolicy::VerifySampled`]).
-//! Whatever the policy, the `IDX` checksum, hash version and structural
-//! invariants are verified before a single lookup goes through a persisted
-//! table, and an unusable table falls back to a rebuild that is **reported**
-//! in the returned [`LoadReport`] (and counted by `SpaceStore` metrics) —
-//! while the lookup algorithm itself re-compares arena rows, so even a
-//! semantically wrong table can only miss a row, never misattribute one.
+//! [`StoreReader::load`] takes one of two [`LoadOptions`] policies, one per
+//! real use. [`LoadOptions::default`] is the verified copy: every checksum,
+//! every code range, and sampled lookups through the persisted table.
+//! [`LoadOptions::mmap_trusted`] is the zero-copy path: the arena checksum
+//! is *not* read (it would fault in every page), and it falls back to the
+//! verified copy wherever a mapping cannot be served. Under either policy
+//! the `IDX` checksum, hash version and structural invariants are verified
+//! before a single lookup goes through a persisted table, and an unusable
+//! table falls back to a rebuild that is **reported** in the returned
+//! [`LoadReport`] (and counted by `SpaceStore` metrics) — while the lookup
+//! algorithm itself re-compares arena rows, so even a semantically wrong
+//! table can only miss a row, never misattribute one.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -163,8 +165,8 @@ pub use error::StoreError;
 pub use fingerprint::SpecFingerprint;
 pub use format::{
     load_space_from_path, peek_info, read_space_from_bytes, read_space_from_path, write_space,
-    write_space_to_path, ArenaOutcome, IndexInfo, IndexOutcome, IndexPolicy, LoadMode, LoadOptions,
-    LoadReport, LoadedSpace, StoreInfo, StoreReader, StoreSummary, StoreWriter, FORMAT_VERSION,
-    MAGIC, MIN_READ_VERSION,
+    write_space_to_path, ArenaOutcome, IndexInfo, IndexOutcome, LoadOptions, LoadReport,
+    LoadedSpace, StoreInfo, StoreReader, StoreSummary, StoreWriter, FORMAT_VERSION, MAGIC,
+    MIN_READ_VERSION,
 };
 pub use mmap::{MapError, MappedCodes, MappedFile};

@@ -19,8 +19,8 @@ use autotuning_searchspaces::searchspace::{
     build_search_space, Method, SearchSpace, TunableParameter,
 };
 use autotuning_searchspaces::store::{
-    load_space_from_path, read_space_from_path, write_space, write_space_to_path, IndexPolicy,
-    LoadMode, LoadOptions, StoreReader, FORMAT_VERSION, MIN_READ_VERSION,
+    load_space_from_path, read_space_from_path, write_space, write_space_to_path, LoadOptions,
+    StoreReader, FORMAT_VERSION, MIN_READ_VERSION,
 };
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -46,27 +46,21 @@ fn assert_spaces_identical(original: &SearchSpace, loaded: &SearchSpace) {
     }
 }
 
-/// Every load-option combination must serve the same space.
+/// Both load policies must serve the same space.
 fn assert_all_load_paths_identical(reference: &SearchSpace, path: &std::path::Path) {
     let reader = StoreReader::open(path).unwrap();
-    for mode in [LoadMode::Copy, LoadMode::Mmap] {
-        for index in [
-            IndexPolicy::Rebuild,
-            IndexPolicy::TrustPersisted,
-            IndexPolicy::VerifySampled,
-        ] {
-            let loaded = reader.load(LoadOptions { mode, index }).unwrap();
-            assert!(
-                loaded.report.index_fallback().is_none(),
-                "pristine file must not fall back: {:?}",
-                loaded.report
-            );
-            if mode == LoadMode::Mmap && cfg!(target_os = "linux") {
-                assert!(loaded.report.is_zero_copy());
-                assert!(loaded.space.is_zero_copy());
-            }
-            assert_spaces_identical(reference, &loaded.space);
+    for options in [LoadOptions::default(), LoadOptions::mmap_trusted()] {
+        let loaded = reader.load(options).unwrap();
+        assert!(
+            loaded.report.index_fallback().is_none(),
+            "pristine file must not fall back: {:?}",
+            loaded.report
+        );
+        if options == LoadOptions::mmap_trusted() && cfg!(target_os = "linux") {
+            assert!(loaded.report.is_zero_copy());
+            assert!(loaded.space.is_zero_copy());
         }
+        assert_spaces_identical(reference, &loaded.space);
     }
 }
 
@@ -173,11 +167,7 @@ proptest! {
 
         let path = temp_dir("prop-dmg").join("damaged.atss");
         std::fs::write(&path, &bytes).unwrap();
-        for options in [
-            LoadOptions::default(),
-            LoadOptions::mmap_trusted(),
-            LoadOptions { mode: LoadMode::Mmap, index: IndexPolicy::VerifySampled },
-        ] {
+        for options in [LoadOptions::default(), LoadOptions::mmap_trusted()] {
             match load_space_from_path(&path, options) {
                 Ok(loaded) => {
                     // Damage to the index itself must have been detected
