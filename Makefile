@@ -68,7 +68,8 @@ store:
 # paper-verbatim GEMM and PRL restriction sets carry known benign findings
 # (int/int true division is always Float → AT0003; tautological guards →
 # AT0006; divisor values no configuration uses → prunable), asserted here as
-# EXPECTED — a change in either direction fails the gate.
+# EXPECTED — a change in either direction fails the gate. A hostile spec
+# (1 MB of `[`) must be a clean parse error (exit 1), not a stack overflow.
 check-specs:
 	$(CARGO) run --release -p at_cli --bin atss -- check --workload dedispersion | grep -F "0 error(s), 0 warning(s)"
 	$(CARGO) run --release -p at_cli --bin atss -- check --workload expdist | grep -F "0 error(s), 0 warning(s)"
@@ -81,6 +82,9 @@ check-specs:
 	$(CARGO) run --release -p at_cli --bin atss -- check --workload prl-8x8 --json | grep -F '"prunable_values":8'
 	$(CARGO) run --release -p at_cli --bin atss -- spec-template > target/spec-template.json
 	$(CARGO) run --release -p at_cli --bin atss -- check --spec target/spec-template.json | grep -F "0 error(s), 0 warning(s)"
+	head -c 1048576 /dev/zero | tr '\0' '[' > target/hostile-nested.json
+	$(CARGO) run --release -p at_cli --bin atss -- check --spec target/hostile-nested.json > target/hostile-nested.out 2>&1; test $$? -eq 1
+	grep -F "recursion limit exceeded" target/hostile-nested.out
 
 # The batched-evaluation gate: `atss capabilities` must emit its schema,
 # and tuning must be thread-count-deterministic end to end — tune two

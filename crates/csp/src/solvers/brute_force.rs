@@ -2,58 +2,43 @@
 //!
 //! Iterates the full Cartesian product of all domains and filters out
 //! combinations that violate a constraint — the baseline every auto-tuning
-//! framework falls back to in the absence of something smarter. A rayon-based
-//! parallel mode splits the leading dimensions across worker threads.
+//! framework falls back to in the absence of something smarter.
 
-use rayon::prelude::*;
-
-use super::split::{split_prefixes, split_target};
 use super::{SolveStats, Solver};
 use crate::error::CspResult;
 use crate::problem::Problem;
-use crate::sink::{RowSink, SolutionSink};
+use crate::sink::SolutionSink;
 use crate::value::Value;
 
 /// Exhaustive enumeration of the Cartesian product with post-hoc filtering.
 #[derive(Debug, Clone, Default)]
-pub struct BruteForceSolver {
-    parallel: bool,
-}
+pub struct BruteForceSolver;
 
 impl BruteForceSolver {
     /// Sequential brute force (the paper's `brute-force` series).
     pub fn new() -> Self {
-        BruteForceSolver { parallel: false }
+        BruteForceSolver
+    }
+}
+
+impl Solver for BruteForceSolver {
+    fn name(&self) -> &'static str {
+        "brute-force"
     }
 
-    /// Parallel brute force: the leading parameters are split across rayon
-    /// worker threads — as many leading domains as it takes to produce
-    /// enough subproblems to fill all cores.
-    pub fn parallel() -> Self {
-        BruteForceSolver { parallel: true }
-    }
-
-    fn enumerate_suffix(
-        problem: &Problem,
-        prefix: &[Value],
-        sink: &mut dyn RowSink,
-        stats: &mut SolveStats,
-    ) -> CspResult<()> {
-        // Odometer enumeration over the variables after the prefix.
+    fn solve_into(&self, problem: &Problem, sink: &mut dyn SolutionSink) -> CspResult<SolveStats> {
+        // Odometer enumeration over every variable.
+        let mut stats = SolveStats::default();
         let num_vars = problem.num_variables();
-        let start = prefix.len();
-        let domains: Vec<&[Value]> = (start..num_vars)
-            .map(|v| problem.domain(v).values())
-            .collect();
-        if domains.iter().any(|d| d.is_empty()) {
-            return Ok(());
+        let domains: Vec<&[Value]> = (0..num_vars).map(|v| problem.domain(v).values()).collect();
+        if num_vars == 0 || domains.iter().any(|d| d.is_empty()) {
+            return Ok(stats);
         }
-        let mut indices = vec![0usize; num_vars - start];
+        let mut indices = vec![0usize; num_vars];
         let mut values: Vec<Value> = Vec::with_capacity(num_vars);
         let mut scope_buf: Vec<Value> = Vec::new();
         loop {
             values.clear();
-            values.extend_from_slice(prefix);
             for (i, &idx) in indices.iter().enumerate() {
                 values.push(domains[i][idx].clone());
             }
@@ -76,7 +61,7 @@ impl BruteForceSolver {
             let mut pos = indices.len();
             loop {
                 if pos == 0 {
-                    return Ok(());
+                    return Ok(stats);
                 }
                 pos -= 1;
                 indices[pos] += 1;
@@ -89,66 +74,10 @@ impl BruteForceSolver {
     }
 }
 
-impl Solver for BruteForceSolver {
-    fn name(&self) -> &'static str {
-        if self.parallel {
-            "brute-force-parallel"
-        } else {
-            "brute-force"
-        }
-    }
-
-    fn solve_into(&self, problem: &Problem, sink: &mut dyn SolutionSink) -> CspResult<SolveStats> {
-        let mut stats = SolveStats::default();
-        if problem.num_variables() == 0 {
-            return Ok(stats);
-        }
-        if !self.parallel {
-            Self::enumerate_suffix(problem, &[], sink, &mut stats)?;
-            return Ok(stats);
-        }
-        // Parallel: one task per Cartesian prefix of the leading variables.
-        let order: Vec<usize> = (0..problem.num_variables()).collect();
-        let prefixes = split_prefixes(&order, |v| problem.domain(v).len(), split_target());
-        if prefixes.is_empty() {
-            // Some domain is empty: there are no configurations at all.
-            return Ok(stats);
-        }
-        let sink_ref: &dyn SolutionSink = sink;
-        let partials: Vec<CspResult<(Box<dyn RowSink>, SolveStats)>> = prefixes
-            .par_iter()
-            .enumerate()
-            .map(|(chunk_index, prefix)| {
-                let span = at_obs::span("solve-chunk", "solve").arg("chunk", chunk_index as u64);
-                let values: Vec<Value> = prefix
-                    .iter()
-                    .enumerate()
-                    .map(|(var, &idx)| problem.domain(var).values()[idx].clone())
-                    .collect();
-                let mut chunk = sink_ref.new_chunk();
-                let mut local_stats = SolveStats::default();
-                Self::enumerate_suffix(problem, &values, chunk.as_mut(), &mut local_stats)?;
-                drop(
-                    span.arg("nodes", local_stats.nodes)
-                        .arg("solutions", local_stats.solutions),
-                );
-                Ok((chunk, local_stats))
-            })
-            .collect();
-        for partial in partials {
-            let (chunk, local_stats) = partial?;
-            sink.merge_chunk(chunk)?;
-            stats.merge(&local_stats);
-        }
-        Ok(stats)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::test_support::*;
     use super::*;
-    use crate::sink::CountingSink;
 
     #[test]
     fn block_size_count_matches_reference() {
@@ -171,26 +100,6 @@ mod tests {
         let p = unsatisfiable_problem();
         let r = BruteForceSolver::new().solve(&p).unwrap();
         assert!(r.solutions.is_empty());
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let p = block_size_problem();
-        let seq = BruteForceSolver::new().solve(&p).unwrap();
-        let par = BruteForceSolver::parallel().solve(&p).unwrap();
-        assert!(seq.solutions.same_solutions(&par.solutions));
-        assert_eq!(seq.stats.nodes, par.stats.nodes);
-    }
-
-    #[test]
-    fn parallel_streams_through_chunks() {
-        let p = block_size_problem();
-        let mut count = CountingSink::default();
-        let stats = BruteForceSolver::parallel()
-            .solve_into(&p, &mut count)
-            .unwrap();
-        assert_eq!(count.rows() as usize, expected_block_size_solutions());
-        assert_eq!(stats.solutions, count.rows());
     }
 
     #[test]

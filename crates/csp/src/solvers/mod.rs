@@ -44,11 +44,8 @@ pub struct SolveResult {
 
 /// An all-solutions constraint solver.
 ///
-/// `solve` and `solve_into` have default implementations in terms of each
-/// other: implement **at least one** of them (the built-in solvers implement
-/// the streaming `solve_into` and get the collecting `solve` for free;
-/// pre-existing external solvers that only implement `solve` keep working
-/// and stream through a compatibility replay).
+/// Implementations provide the streaming `solve_into`; the collecting
+/// `solve` is derived from it.
 pub trait Solver: Send + Sync {
     /// Short name used in reports (e.g. `"optimized"`).
     fn name(&self) -> &'static str;
@@ -65,17 +62,7 @@ pub trait Solver: Send + Sync {
     /// into `sink` the moment it is found (rows are in variable declaration
     /// order). This is the streaming path: no intermediate `Vec<Vec<Value>>`
     /// of all solutions is ever materialized by the built-in solvers.
-    ///
-    /// The default implementation falls back to [`Solver::solve`] and
-    /// replays the collected rows, for solver implementations that predate
-    /// the sink API.
-    fn solve_into(&self, problem: &Problem, sink: &mut dyn SolutionSink) -> CspResult<SolveStats> {
-        let result = self.solve(problem)?;
-        for row in result.solutions.iter() {
-            sink.push_row(row)?;
-        }
-        Ok(result.stats)
-    }
+    fn solve_into(&self, problem: &Problem, sink: &mut dyn SolutionSink) -> CspResult<SolveStats>;
 }
 
 /// Construct one of the built-in solvers by paper series name.

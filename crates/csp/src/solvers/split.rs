@@ -1,9 +1,9 @@
-//! Multi-level domain splitting for the data-parallel solvers.
+//! Multi-level domain splitting for the data-parallel solver.
 //!
 //! Splitting the search tree on the first variable alone load-balances
 //! badly when its domain is small (two values on an eight-core machine
-//! leave six cores idle). Instead the parallel solvers split on as many
-//! leading variables of the search order as it takes to produce at least
+//! leave six cores idle). Instead [`super::ParallelSolver`] splits on as
+//! many leading variables of the search order as it takes to produce at least
 //! [`split_target`] independent subproblems, each identified by a *prefix*
 //! of per-variable value indices.
 

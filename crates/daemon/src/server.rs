@@ -578,23 +578,30 @@ fn resolve(
         }
     }
     // Single-flight: first request for a fingerprint spawns the worker,
-    // the rest subscribe to its slot.
-    let (slot, creator) = {
+    // the rest subscribe to its slot. A worker marks its entry validated
+    // before it retires its slot, so finding neither under the lock means
+    // no build of this entry is running or has finished.
+    let (slot, creator) = loop {
         let mut inflight = state.inflight.lock().expect("inflight table");
-        match inflight.get(&fp) {
-            Some(slot) => (Arc::clone(slot), false),
-            None => {
-                let slot = Arc::new(BuildSlot {
-                    fingerprint: fp,
-                    started: Instant::now(),
-                    waiters: AtomicU32::new(0),
-                    state: Mutex::new(SlotState::Running),
-                    done: Condvar::new(),
-                });
-                inflight.insert(fp, Arc::clone(&slot));
-                spawn_build_worker(state, Arc::clone(&slot), spec.clone(), method, prune);
-                (slot, true)
-            }
+        if let Some(slot) = inflight.get(&fp) {
+            break (Arc::clone(slot), false);
+        }
+        if !state.is_validated(&fp) {
+            let slot = Arc::new(BuildSlot {
+                fingerprint: fp,
+                started: Instant::now(),
+                waiters: AtomicU32::new(0),
+                state: Mutex::new(SlotState::Running),
+                done: Condvar::new(),
+            });
+            inflight.insert(fp, Arc::clone(&slot));
+            spawn_build_worker(state, Arc::clone(&slot), spec.clone(), method, prune);
+            break (slot, true);
+        }
+        // A build finished after the fast path looked: serve its entry.
+        drop(inflight);
+        if let Some(served) = serve_existing(state, &fp) {
+            return Ok(served);
         }
     };
     match wait_streaming(stream, &slot)? {

@@ -59,7 +59,7 @@ pub enum SpanKind {
 /// One recorded span or event.
 #[derive(Debug, Clone, Copy)]
 pub struct SpanRecord {
-    /// Static site name (e.g. `"solve"`, `"store-flush"`).
+    /// Static site name (e.g. `"solve"`, `"store-write"`).
     pub name: &'static str,
     /// Static category, grouping sites by pipeline stage (e.g.
     /// `"construct"`, `"store"`, `"tune"`).

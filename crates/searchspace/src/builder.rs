@@ -109,24 +109,13 @@ pub struct BuildReport {
     pub method: Method,
     /// Wall-clock construction time (lowering + solving + indexing).
     pub duration: Duration,
-    /// Solver counters (zeroed for chain-of-trees, which reports
-    /// `constraint_checks` only).
+    /// Solver counters (chain-of-trees reports `constraint_checks` and
+    /// `solutions` only).
     pub stats: SolveStats,
     /// Number of valid configurations.
     pub num_valid: usize,
     /// Cartesian size of the unconstrained space.
     pub cartesian_size: u128,
-    /// Number of constraints after lowering.
-    pub num_constraints: usize,
-}
-
-/// Outcome of driving one construction method into a caller-provided sink
-/// (see [`solve_spec_into`]).
-#[derive(Debug, Clone)]
-pub struct SinkSolveReport {
-    /// Solver counters. For [`Method::ChainOfTrees`] the `solutions` field
-    /// is left at zero — the enumerator does not count rows, the sink does.
-    pub stats: SolveStats,
     /// Number of constraints after lowering.
     pub num_constraints: usize,
 }
@@ -139,25 +128,25 @@ pub fn build_search_space(
     build_search_space_with(spec, method, BuildOptions::default())
 }
 
-/// Lower `spec` and drive the chosen method's solver (or the chain-of-trees
-/// enumerator) into an arbitrary [`SolutionSink`].
+/// Construct the search space with explicit options (ablation studies).
 ///
-/// This is the streaming core of [`build_search_space_with`], factored out
-/// so other sinks can sit at the end of the pipeline — most importantly
-/// `at_store`'s `StoreWriter`, which persists the space to disk *while* it
-/// is constructed. Every row reaches the sink exactly once, the moment it
-/// is found; parallel solvers fill per-thread chunks obtained from the sink.
-///
-/// The sink is the authority on the row count: for
-/// [`Method::ChainOfTrees`] the returned `stats.solutions` is zero (the
-/// enumerator reports `constraint_checks` only) and callers should consult
-/// their sink.
-pub fn solve_spec_into(
+/// This is the one construction pipeline: the CLI, the daemon and
+/// `at_store`'s cache all build through it, and the cache persists the
+/// finished space afterwards. Construction streams: the chosen solver (or
+/// the chain-of-trees enumerator) pushes each solution row into an
+/// [`EncodingSink`] the moment it is found, where it is immediately
+/// encoded to `u32` value codes in the space's arena; parallel solvers
+/// fill per-thread chunks obtained from the sink. No decoded
+/// `Vec<Vec<Value>>` of the solutions is ever materialized — the peak
+/// decoded footprint is one row per active worker thread.
+pub fn build_search_space_with(
     spec: &SearchSpaceSpec,
     method: Method,
     options: BuildOptions,
-    sink: &mut dyn SolutionSink,
-) -> CspResult<SinkSolveReport> {
+) -> CspResult<(SearchSpace, BuildReport)> {
+    let start = Instant::now();
+    let mut sink = EncodingSink::new(spec.name.clone(), spec.params.clone())
+        .map_err(|e| CspError::Solver(format!("building the encoding sink failed: {e}")))?;
     let lowering = options
         .lowering
         .unwrap_or_else(|| method.default_lowering());
@@ -170,7 +159,7 @@ pub fn solve_spec_into(
             .arg("constraints", num_constraints as u64),
     );
     // Solvers emit rows in variable declaration order, which is the spec's
-    // parameter order — exactly what encoding sinks encode against.
+    // parameter order — exactly what the encoding sink encodes against.
     debug_assert!(problem
         .variable_names()
         .iter()
@@ -179,29 +168,31 @@ pub fn solve_spec_into(
 
     let solve_span = at_obs::span("solve", "construct");
     let stats: SolveStats = match method {
-        Method::BruteForce => run_into(&BruteForceSolver::new(), &problem, sink)?,
-        Method::Original => run_into(&OriginalBacktrackingSolver::new(), &problem, sink)?,
+        Method::BruteForce => run_into(&BruteForceSolver::new(), &problem, &mut sink)?,
+        Method::Original => run_into(&OriginalBacktrackingSolver::new(), &problem, &mut sink)?,
         Method::Optimized => {
             let solver = match options.solver_config {
                 Some(cfg) => OptimizedSolver::with_config(cfg),
                 None => OptimizedSolver::new(),
             };
-            run_into(&solver, &problem, sink)?
+            run_into(&solver, &problem, &mut sink)?
         }
         Method::ParallelOptimized => {
             let solver = match options.solver_config {
                 Some(cfg) => ParallelSolver::with_config(cfg),
                 None => ParallelSolver::new(),
             };
-            run_into(&solver, &problem, sink)?
+            run_into(&solver, &problem, &mut sink)?
         }
-        Method::BlockingClause => run_into(&BlockingClauseSolver::new(), &problem, sink)?,
+        Method::BlockingClause => run_into(&BlockingClauseSolver::new(), &problem, &mut sink)?,
         Method::ChainOfTrees => {
             let chain = build_chain_from_problem(&problem);
-            enumerate_chain_into(&chain, sink)
+            enumerate_chain_into(&chain, &mut sink)
                 .map_err(|e| CspError::Solver(format!("chain-of-trees: {e}")))?;
+            // The enumerator counts checks only; the sink counts the rows.
             SolveStats {
                 constraint_checks: chain.constraint_checks(),
+                solutions: sink.rows() as u64,
                 ..Default::default()
             }
         }
@@ -212,33 +203,6 @@ pub fn solve_spec_into(
             .arg("checks", stats.constraint_checks)
             .arg("solutions", stats.solutions),
     );
-    Ok(SinkSolveReport {
-        stats,
-        num_constraints,
-    })
-}
-
-/// Construct the search space with explicit options (ablation studies).
-///
-/// Construction streams: the chosen solver (or the chain-of-trees
-/// enumerator) pushes each solution row into an [`EncodingSink`] the moment
-/// it is found, where it is immediately encoded to `u32` value codes in the
-/// space's arena. No decoded `Vec<Vec<Value>>` of the solutions is ever
-/// materialized — the peak decoded footprint is one row per active worker
-/// thread.
-pub fn build_search_space_with(
-    spec: &SearchSpaceSpec,
-    method: Method,
-    options: BuildOptions,
-) -> CspResult<(SearchSpace, BuildReport)> {
-    let start = Instant::now();
-    let mut sink = EncodingSink::new(spec.name.clone(), spec.params.clone())
-        .map_err(|e| CspError::Solver(format!("building the encoding sink failed: {e}")))?;
-    let solved = solve_spec_into(spec, method, options, &mut sink)?;
-    let mut stats = solved.stats;
-    if method == Method::ChainOfTrees {
-        stats.solutions = sink.rows() as u64;
-    }
 
     let num_valid = sink.rows();
     let space = sink
@@ -250,7 +214,7 @@ pub fn build_search_space_with(
         stats,
         num_valid,
         cartesian_size: spec.cartesian_size(),
-        num_constraints: solved.num_constraints,
+        num_constraints,
     };
     Ok((space, report))
 }

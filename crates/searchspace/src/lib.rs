@@ -88,10 +88,7 @@ pub mod spec;
 pub mod stats;
 
 pub use arena::{ArenaStorage, CodeBacking};
-pub use builder::{
-    build_search_space, build_search_space_with, solve_spec_into, BuildOptions, BuildReport,
-    Method, SinkSolveReport,
-};
+pub use builder::{build_search_space, build_search_space_with, BuildOptions, BuildReport, Method};
 pub use format::{spec_from_json, spec_to_json, FormatError, SpecFile};
 pub use neighbors::{neighbors, NeighborIndex, NeighborMethod};
 pub use output::{to_columnar, to_csv, to_json_cache, to_named_maps, write_csv, write_json_cache};

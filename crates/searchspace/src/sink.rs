@@ -6,7 +6,10 @@
 //! per-parameter `u32` value codes and appended to the arena, so
 //! construction never materializes a decoded `Vec<Vec<Value>>` of the space
 //! — the peak decoded footprint is one row (plus one chunk per worker
-//! thread for the parallel solvers).
+//! thread for the parallel solvers). Every space built from a spec passes
+//! through one sink inside
+//! [`build_search_space_with`](crate::build_search_space_with); `at_store`
+//! persists the finished space afterwards.
 //!
 //! Parallel solvers request per-thread chunks ([`at_csp::sink::SolutionSink::new_chunk`]);
 //! each chunk encodes on its own worker using the shared reverse
@@ -111,26 +114,6 @@ impl EncodingSink {
     /// Number of rows encoded so far (across all merged chunks).
     pub fn rows(&self) -> usize {
         self.rows
-    }
-
-    /// The code arena accumulated so far: `rows() × params().len()` value
-    /// codes in row-major order — exactly the layout
-    /// [`SearchSpace::from_code_rows`] adopts. Persistence sinks
-    /// (`at_store`'s `StoreWriter`) stream `codes()[k..]` suffixes to disk
-    /// as rows arrive, so a space is written while it is constructed.
-    pub fn codes(&self) -> &[u32] {
-        &self.codes
-    }
-
-    /// The parameters this sink encodes against (each one owns the value
-    /// dictionary its codes index into).
-    pub fn params(&self) -> &[TunableParameter] {
-        &self.encoder.params
-    }
-
-    /// The name the finished [`SearchSpace`] will carry.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Build the [`SearchSpace`] from the accumulated arena. The membership

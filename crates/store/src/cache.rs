@@ -14,8 +14,9 @@
 //!   condition is **reported** — in the outcome's [`LoadReport`], in the
 //!   `index_fallbacks` metric — and the entry is repaired in place, always
 //!   from checksum-verified bytes.
-//! * **miss** — the space is constructed with the requested method while
-//!   being streamed to a temporary file through [`StoreWriter`], which is
+//! * **miss** — the space is constructed with the requested method by
+//!   [`build_search_space_with`], then written once by
+//!   [`write_space`](crate::write_space) to a temporary file, which is
 //!   atomically renamed into place only after the index section and
 //!   trailer are written. Concurrent builders of the same spec race
 //!   benignly: each writes its own temp file and the last rename wins with
@@ -40,22 +41,20 @@
 
 use std::collections::HashMap;
 use std::fs::{self, File};
-use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
 use at_searchspace::{
-    build_search_space_with, solve_spec_into, BuildOptions, BuildReport, Method, SearchSpace,
-    SearchSpaceSpec,
+    build_search_space_with, BuildOptions, BuildReport, Method, SearchSpace, SearchSpaceSpec,
 };
 
 use crate::error::StoreError;
 use crate::fingerprint::SpecFingerprint;
 use crate::format::{
-    peek_info, read_space_from_path, write_space, LoadOptions, LoadReport, StoreInfo, StoreReader,
-    StoreWriter,
+    peek_info, read_space_from_path, write_space_to_path, LoadOptions, LoadReport, StoreInfo,
+    StoreReader, StoreSummary,
 };
 
 /// How `get_or_build` satisfied a request.
@@ -63,7 +62,7 @@ use crate::format::{
 pub enum CacheStatus {
     /// Served from a validated cache file; no solving happened.
     Hit,
-    /// Constructed (and persisted, streamed during construction).
+    /// Constructed, then persisted.
     Miss,
     /// Constructed but not persisted: the spec cannot be content-addressed
     /// (the string explains why).
@@ -394,39 +393,22 @@ impl SpaceStore {
         let lowering = options
             .lowering
             .unwrap_or_else(|| method.default_lowering());
-        let fingerprint = match SpecFingerprint::compute(spec, lowering) {
-            Ok(fp) => fp,
-            Err(StoreError::Unfingerprintable(reason)) => {
-                let start = Instant::now();
-                let (space, report) = build_search_space_with(spec, method, options)
-                    .map_err(|e| StoreError::Build(e.to_string()))?;
-                self.metrics.uncacheable.fetch_add(1, Ordering::Relaxed);
-                at_obs::event("cache-uncacheable", "store", &[]);
-                return Ok((
-                    space,
-                    StoreOutcome {
-                        status: CacheStatus::Uncacheable(reason),
-                        fingerprint: None,
-                        path: None,
-                        file_bytes: 0,
-                        duration: start.elapsed(),
-                        report: Some(report),
-                        load: None,
-                    },
-                ));
-            }
+        // `Err(reason)`: the spec cannot be content-addressed, so it is
+        // built but never persisted.
+        let key = match SpecFingerprint::compute(spec, lowering) {
+            Ok(fingerprint) => Ok((fingerprint, self.path_for(&fingerprint))),
+            Err(StoreError::Unfingerprintable(reason)) => Err(reason),
             Err(e) => return Err(e),
         };
-        let path = self.path_for(&fingerprint);
 
         // Warm path: serve the validated entry, or fall through to rebuild
         // on *any* content problem.
-        if path.exists() {
+        if let Some((fingerprint, path)) = key.as_ref().ok().filter(|(_, path)| path.exists()) {
             let start = Instant::now();
-            match StoreReader::open(&path).and_then(|r| r.load(load)) {
+            match StoreReader::open(path).and_then(|r| r.load(load)) {
                 Ok(loaded) => {
                     let duration = start.elapsed();
-                    touch(&path);
+                    touch(path);
                     if loaded.report.index_fallback().is_some() {
                         self.metrics.index_fallbacks.fetch_add(1, Ordering::Relaxed);
                         // Repair the stale index in place — best-effort,
@@ -436,17 +418,17 @@ impl SpaceStore {
                         // over a possibly-rotted arena, laundering the
                         // corruption past every future validation.
                         if loaded.report.is_zero_copy() {
-                            let reverified = StoreReader::open(&path)
+                            let reverified = StoreReader::open(path)
                                 .and_then(|r| r.load(LoadOptions::default()));
                             if let Ok(verified) = reverified {
-                                let _ = self.rewrite_entry(&verified.space, &path);
+                                let _ = persist(&verified.space, path);
                             }
                             // A content error here means the arena itself
                             // is damaged: leave the entry for `verify`/the
                             // next copying load to catch; the space we
                             // serve carries the documented mmap trust.
                         } else {
-                            let _ = self.rewrite_entry(&loaded.space, &path);
+                            let _ = persist(&loaded.space, path);
                         }
                     }
                     self.metrics.hits.fetch_add(1, Ordering::Relaxed);
@@ -465,8 +447,8 @@ impl SpaceStore {
                         loaded.space,
                         StoreOutcome {
                             status: CacheStatus::Hit,
-                            fingerprint: Some(fingerprint),
-                            path: Some(path),
+                            fingerprint: Some(*fingerprint),
+                            path: Some(path.clone()),
                             file_bytes: loaded.info.file_bytes,
                             duration,
                             report: None,
@@ -483,95 +465,49 @@ impl SpaceStore {
             }
         }
 
-        // Cold path: construct while streaming to a temp file, then rename.
-        // The temp name carries pid + a process-wide counter so concurrent
-        // builders of the same spec — other processes *or* other threads
-        // sharing this store — each stream into their own file; the last
-        // rename wins with identical content.
-        static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        // Cold path: build, then persist a cacheable spec. On a miss the
+        // duration and the report cover build plus persist.
         let start = Instant::now();
-        let tmp = self.dir.join(format!(
-            "{}.tmp-{}-{}",
-            fingerprint.to_hex(),
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-        ));
-        let built = (|| {
-            let file = File::create(&tmp).map_err(|e| StoreError::io(&tmp, e))?;
-            let mut writer =
-                StoreWriter::new(BufWriter::new(file), spec.name.clone(), spec.params.clone())?;
-            let solved = solve_spec_into(spec, method, options, &mut writer)
-                .map_err(|e| StoreError::Build(e.to_string()))?;
-            let (space, summary) = writer.finish()?;
-            Ok((space, summary, solved))
-        })();
-        let (space, summary, solved) = match built {
-            Ok(parts) => parts,
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                return Err(e);
+        let (space, mut report) = build_search_space_with(spec, method, options)
+            .map_err(|e| StoreError::Build(e.to_string()))?;
+        let (status, fingerprint, path, file_bytes) = match key {
+            Err(reason) => {
+                self.metrics.uncacheable.fetch_add(1, Ordering::Relaxed);
+                at_obs::event("cache-uncacheable", "store", &[]);
+                (CacheStatus::Uncacheable(reason), None, None, 0)
+            }
+            Ok((fingerprint, path)) => {
+                let summary = persist(&space, &path)?;
+                report.duration = start.elapsed();
+                self.metrics.misses.fetch_add(1, Ordering::Relaxed);
+                at_obs::event(
+                    "cache-miss",
+                    "store",
+                    &[
+                        ("build_us", report.duration.as_micros() as u64),
+                        ("rows", space.len() as u64),
+                    ],
+                );
+                (
+                    CacheStatus::Miss,
+                    Some(fingerprint),
+                    Some(path),
+                    summary.bytes_written,
+                )
             }
         };
-        if let Err(e) = fs::rename(&tmp, &path) {
-            let _ = fs::remove_file(&tmp);
-            return Err(StoreError::io(&path, e));
-        }
-
-        let mut stats = solved.stats;
-        if method == Method::ChainOfTrees {
-            stats.solutions = summary.rows;
-        }
-        let duration = start.elapsed();
-        let report = BuildReport {
-            method,
-            duration,
-            stats,
-            num_valid: space.len(),
-            cartesian_size: spec.cartesian_size(),
-            num_constraints: solved.num_constraints,
-        };
-        self.metrics.misses.fetch_add(1, Ordering::Relaxed);
-        at_obs::event(
-            "cache-miss",
-            "store",
-            &[
-                ("build_us", duration.as_micros() as u64),
-                ("rows", space.len() as u64),
-            ],
-        );
         Ok((
             space,
             StoreOutcome {
-                status: CacheStatus::Miss,
-                fingerprint: Some(fingerprint),
-                path: Some(path),
-                file_bytes: summary.bytes_written,
-                duration,
+                status,
+                fingerprint,
+                path,
+                file_bytes,
+                duration: report.duration,
                 report: Some(report),
                 load: None,
             },
         ))
-    }
-
-    /// Atomically replace an entry with a freshly written file for `space`
-    /// (used to repair entries whose index section went stale).
-    fn rewrite_entry(&self, space: &SearchSpace, path: &Path) -> Result<(), StoreError> {
-        static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let tmp = self.dir.join(format!(
-            "repair.tmp-{}-{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed),
-        ));
-        let result = (|| {
-            let file = File::create(&tmp).map_err(|e| StoreError::io(&tmp, e))?;
-            let mut out = BufWriter::new(file);
-            write_space(space, &mut out)?;
-            fs::rename(&tmp, path).map_err(|e| StoreError::io(path, e))
-        })();
-        if result.is_err() {
-            let _ = fs::remove_file(&tmp);
-        }
-        result
     }
 
     /// List the cache entries, most recently used first.
@@ -711,6 +647,33 @@ pub fn build_search_space_cached(
     store: &SpaceStore,
 ) -> Result<(SearchSpace, StoreOutcome), StoreError> {
     store.get_or_build_with(spec, method, options)
+}
+
+/// Persist `space` at `path` atomically: [`write_space_to_path`] into a
+/// temp file beside it, then rename it over the entry. The temp name
+/// carries pid + a process-wide counter, so concurrent writers of the same
+/// entry — other processes *or* other threads sharing a store — each write
+/// their own file; the last rename wins with identical content. A failed
+/// write removes its temp file.
+fn persist(space: &SearchSpace, path: &Path) -> Result<StoreSummary, StoreError> {
+    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+    let span = at_obs::span("store-write", "store").arg("rows", space.len() as u64);
+    let tmp = path.with_extension(format!(
+        "tmp-{}-{}",
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed),
+    ));
+    let result = write_space_to_path(space, &tmp).and_then(|summary| {
+        fs::rename(&tmp, path).map_err(|e| StoreError::io(path, e))?;
+        Ok(summary)
+    });
+    match &result {
+        Ok(summary) => drop(span.arg("bytes", summary.bytes_written)),
+        Err(_) => {
+            let _ = fs::remove_file(&tmp);
+        }
+    }
+    result
 }
 
 /// Best-effort LRU bookkeeping: bump the entry's mtime to now.

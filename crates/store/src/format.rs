@@ -10,10 +10,10 @@
 //!    alongside it (`IDX` section), so a trusted warm load can *borrow*
 //!    both straight out of a memory-mapped file: no copy, no table rebuild,
 //!    O(header) work.
-//! 2. **Streamable**: [`StoreWriter`] implements the solver sink interface,
-//!    so the file is written *while* the space is constructed; nothing in
-//!    the layout requires knowing the row count up front (it lives in the
-//!    trailer, and the index section is written at finish time).
+//! 2. **Written once, from the finished space**: [`write_space`] persists
+//!    a constructed space's arena and membership table verbatim; the row
+//!    count lives in the trailer, written last, so a half-written file is
+//!    never mistaken for a complete one.
 //! 3. **Self-validating**: magic + version up front, a CRC-32 per metadata
 //!    section (including `IDX`), and a CRC-32 of the arena in the trailer.
 //!    On the verified copy any flipped byte or truncation is detected before
@@ -29,11 +29,9 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use at_csp::sink::{RowSink, SolutionSink};
-use at_csp::{CspError, CspResult, Value};
+use at_csp::Value;
 use at_searchspace::{
-    Adoption, ArenaStorage, EncodingSink, SearchSpace, SpaceError, TunableParameter,
-    INDEX_HASH_VERSION,
+    Adoption, ArenaStorage, SearchSpace, SpaceError, TunableParameter, INDEX_HASH_VERSION,
 };
 
 use crate::checksum::{crc32, Crc32};
@@ -66,8 +64,8 @@ const VAL_STR: u8 = 4;
 /// Size of the fixed trailer: tag (4) + row count (8) + arena CRC-32 (4).
 const TRAILER_LEN: usize = 16;
 
-/// Flush the pending arena codes to the writer once this many accumulate
-/// (64 KiB of file bytes), so streaming writes stay amortised.
+/// Arena codes [`write_space`] converts and writes per batch (64 KiB of
+/// file bytes).
 const FLUSH_CODES: usize = 16 * 1024;
 
 // ---------------------------------------------------------------------------
@@ -284,8 +282,6 @@ pub struct StoreSummary {
 ///
 /// The arena is taken from [`SearchSpace::arena`] verbatim and the
 /// membership table from [`SearchSpace::index_slots`]; nothing is decoded.
-/// For persisting a space *while* it is constructed, use [`StoreWriter`]
-/// instead.
 pub fn write_space<W: Write>(space: &SearchSpace, out: &mut W) -> Result<StoreSummary, StoreError> {
     let io_err = |source| StoreError::Io { path: None, source };
     let mut bytes = write_preamble(out, space.name(), space.params()).map_err(io_err)?;
@@ -322,146 +318,6 @@ pub fn write_space_to_path(
         StoreError::Io { path: None, source } => StoreError::io(path, source),
         other => other,
     })
-}
-
-// ---------------------------------------------------------------------------
-// streaming writer (the solver sink)
-// ---------------------------------------------------------------------------
-
-/// A solver sink that persists the space to a writer *while* it is
-/// constructed, and still hands back the in-memory [`SearchSpace`] at the
-/// end.
-///
-/// `StoreWriter` wraps an [`EncodingSink`]: every row a solver pushes is
-/// encoded to `u32` value codes exactly once, appended to the in-memory
-/// arena, and the arena suffix not yet on disk is flushed to the writer in
-/// 64 KiB batches. Parallel solvers get per-thread encoding chunks exactly
-/// as with a plain `EncodingSink`; merged chunks are flushed the same way.
-/// No row is ever encoded twice, and the peak decoded footprint stays one
-/// row per active worker thread.
-///
-/// Call [`StoreWriter::finish`] to persist the membership table (`IDX`
-/// section, built once by the sink) and the trailer, and obtain the
-/// resolved space plus a [`StoreSummary`]. Dropping the writer without
-/// finishing leaves a file without a trailer, which readers reject — a
-/// crashed construction can never be mistaken for a complete store file.
-#[derive(Debug)]
-pub struct StoreWriter<W: Write> {
-    sink: EncodingSink,
-    out: W,
-    /// Number of arena codes already written to `out`.
-    flushed: usize,
-    crc: Crc32,
-    bytes_written: u64,
-    /// Reusable code→byte conversion buffer.
-    byte_buf: Vec<u8>,
-}
-
-impl<W: Write> StoreWriter<W> {
-    /// Start a store file: writes magic, version, header and parameter
-    /// dictionaries immediately, leaving the writer positioned at the
-    /// arena. Rows pushed later must be in parameter declaration order.
-    pub fn new(
-        mut out: W,
-        name: impl Into<String>,
-        params: Vec<TunableParameter>,
-    ) -> Result<Self, StoreError> {
-        let name = name.into();
-        let bytes_written = write_preamble(&mut out, &name, &params)
-            .map_err(|source| StoreError::Io { path: None, source })?;
-        let sink = EncodingSink::new(name, params)?;
-        Ok(StoreWriter {
-            sink,
-            out,
-            flushed: 0,
-            crc: Crc32::new(),
-            bytes_written,
-            byte_buf: Vec::new(),
-        })
-    }
-
-    /// Number of rows received so far.
-    pub fn rows(&self) -> usize {
-        self.sink.rows()
-    }
-
-    /// Write the arena suffix that is not yet on disk. `force` flushes any
-    /// pending amount; otherwise flushing waits for a 64 KiB batch.
-    fn flush_pending(&mut self, force: bool) -> io::Result<()> {
-        let codes = self.sink.codes();
-        let pending = codes.len() - self.flushed;
-        if pending == 0 || (!force && pending < FLUSH_CODES) {
-            return Ok(());
-        }
-        let span = at_obs::span("store-flush", "store");
-        self.byte_buf.clear();
-        self.byte_buf.reserve(pending * 4);
-        for &code in &codes[self.flushed..] {
-            self.byte_buf.extend_from_slice(&code.to_le_bytes());
-        }
-        self.crc.update(&self.byte_buf);
-        self.out.write_all(&self.byte_buf)?;
-        self.bytes_written += self.byte_buf.len() as u64;
-        self.flushed = codes.len();
-        drop(span.arg("bytes", self.byte_buf.len() as u64));
-        Ok(())
-    }
-
-    /// Flush the remaining arena, persist the membership table (`IDX`
-    /// section) and the trailer, and return the resolved in-memory space
-    /// together with a write summary.
-    pub fn finish(mut self) -> Result<(SearchSpace, StoreSummary), StoreError> {
-        let io_err = |source| StoreError::Io { path: None, source };
-        self.flush_pending(true).map_err(io_err)?;
-        let rows = self.sink.rows() as u64;
-        let span = at_obs::span("store-write-finish", "store").arg("rows", rows);
-        // The sink builds the membership table exactly once here; the IDX
-        // section persists it verbatim so warm loads can skip the rebuild.
-        let space = self.sink.finish()?;
-        self.bytes_written +=
-            write_index_section(&mut self.out, space.index_slots()).map_err(io_err)?;
-        self.bytes_written +=
-            write_trailer(&mut self.out, rows, self.crc.finish()).map_err(io_err)?;
-        self.out.flush().map_err(io_err)?;
-        drop(span.arg("bytes", self.bytes_written));
-        Ok((
-            space,
-            StoreSummary {
-                rows,
-                bytes_written: self.bytes_written,
-            },
-        ))
-    }
-}
-
-/// Carry an I/O failure across the solver boundary (solvers speak
-/// [`CspError`]).
-fn io_to_csp(e: io::Error) -> CspError {
-    CspError::Solver(format!("store writer: {e}"))
-}
-
-impl<W: Write + Send + Sync + 'static> RowSink for StoreWriter<W> {
-    fn push_row(&mut self, row: &[Value]) -> CspResult<()> {
-        self.sink.push_row(row)?;
-        self.flush_pending(false).map_err(io_to_csp)
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
-}
-
-impl<W: Write + Send + Sync + 'static> SolutionSink for StoreWriter<W> {
-    fn new_chunk(&self) -> Box<dyn RowSink> {
-        // Worker threads encode into plain EncodingSink chunks; the file is
-        // only touched on merge, which happens on the solver's own thread.
-        self.sink.new_chunk()
-    }
-
-    fn merge_chunk(&mut self, chunk: Box<dyn RowSink>) -> CspResult<()> {
-        self.sink.merge_chunk(chunk)?;
-        self.flush_pending(false).map_err(io_to_csp)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1136,38 +992,19 @@ pub fn load_space_from_path(
 
 /// Validate and rebuild a space from an in-memory store file in one call.
 ///
-/// This is the **strict** entry point: every checksum in the file must
-/// verify — arena, metadata sections, and the `IDX` section when present
-/// (whose table must also pass [`Adoption::Verified`]). Any mismatch is an
-/// error, never a silent fallback; the cache layer maps such errors to a
-/// rebuild. For policy-driven loading (zero-copy, reported fallbacks) use
-/// [`StoreReader::load`].
+/// This is the **strict** entry point: the verified copy
+/// ([`LoadOptions::default`]), except that a persisted `IDX` section the
+/// verified copy would reject and rebuild is an error here, never a
+/// fallback — so every checksum in the file must verify and a present
+/// table must pass [`Adoption::Verified`]. The cache layer maps such
+/// errors to a rebuild. For policy-driven loading (zero-copy, reported
+/// fallbacks) use [`StoreReader::load`].
 pub fn read_space_from_bytes(bytes: &[u8]) -> Result<(SearchSpace, StoreInfo), StoreError> {
-    let parsed = parse_structure(bytes)?;
-    // A present index must be fully sound in the strict reader.
-    let idx = usable_index(&parsed.idx).map_err(|reason| StoreError::corrupt("index", reason))?;
-    if crc32(parsed.arena) != parsed.arena_crc {
-        return Err(StoreError::corrupt("arena", "checksum mismatch"));
+    let loaded = StoreReader::load_copy_from_bytes(bytes, ArenaOutcome::Copied)?;
+    if let Some(reason) = loaded.report.index_fallback() {
+        return Err(StoreError::corrupt("index", reason));
     }
-    let name = parsed.info.name.clone();
-    let rows = parsed.info.num_rows;
-    let codes = ArenaStorage::from(decode_codes(parsed.arena));
-    let space = match idx {
-        Some(idx) => SearchSpace::from_code_storage_with_index(
-            name,
-            parsed.params,
-            rows,
-            codes,
-            ArenaStorage::from(decode_codes(idx.slots)),
-            Adoption::Verified,
-        )
-        .map_err(|e| match e {
-            SpaceError::IndexInvalid { detail } => StoreError::corrupt("index", detail),
-            other => other.into(),
-        })?,
-        None => SearchSpace::from_code_storage(name, parsed.params, rows, codes)?,
-    };
-    Ok((space, parsed.info))
+    Ok((loaded.space, loaded.info))
 }
 
 /// Read, validate and rebuild a space from a store file in one call (the
@@ -1451,76 +1288,6 @@ mod tests {
             let idx = parsed.idx.as_ref().expect("index present");
             assert_eq!(idx.slots_offset % 4, 0, "slots misaligned for {name:?}");
         }
-    }
-
-    /// An owned, clonable byte sink: the `RowSink` impl requires
-    /// `W: 'static`, so tests cannot hand a `&mut Vec<u8>` to the writer.
-    #[derive(Clone, Default)]
-    struct SharedBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
-
-    impl SharedBuf {
-        fn bytes(&self) -> Vec<u8> {
-            self.0.lock().unwrap().clone()
-        }
-    }
-
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn streaming_writer_matches_write_space() {
-        let space = small_space();
-        let mut via_space = Vec::new();
-        write_space(&space, &mut via_space).unwrap();
-
-        let buf = SharedBuf::default();
-        let mut writer = StoreWriter::new(buf.clone(), "small", space.params().to_vec()).unwrap();
-        for view in space.iter() {
-            writer.push_row(&view.to_vec()).unwrap();
-        }
-        let (streamed, summary) = writer.finish().unwrap();
-        assert_eq!(summary.rows, 4);
-        spaces_identical(&space, &streamed);
-        assert_eq!(
-            buf.bytes(),
-            via_space,
-            "streamed and one-shot files are identical"
-        );
-    }
-
-    #[test]
-    fn streaming_writer_supports_chunks() {
-        let space = small_space();
-        let buf = SharedBuf::default();
-        let mut writer = StoreWriter::new(buf.clone(), "small", space.params().to_vec()).unwrap();
-        let mut chunk = writer.new_chunk();
-        for view in space.iter() {
-            chunk.push_row(&view.to_vec()).unwrap();
-        }
-        writer.merge_chunk(chunk).unwrap();
-        let (streamed, _) = writer.finish().unwrap();
-        spaces_identical(&space, &streamed);
-        let (loaded, _) = read_space_from_bytes(&buf.bytes()).unwrap();
-        spaces_identical(&space, &loaded);
-    }
-
-    #[test]
-    fn unfinished_writer_leaves_an_unreadable_file() {
-        let space = small_space();
-        let buf = SharedBuf::default();
-        let mut writer = StoreWriter::new(buf.clone(), "small", space.params().to_vec()).unwrap();
-        writer.push_row(&int_values([1, 1])).unwrap();
-        drop(writer);
-        // No trailer was written: the reader must refuse the file.
-        assert!(read_space_from_bytes(&buf.bytes()).is_err());
     }
 
     #[test]

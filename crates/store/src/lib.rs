@@ -15,13 +15,11 @@
 //!
 //! Four layers:
 //!
-//! * [`StoreWriter`] / [`StoreReader`] / [`write_space`] — the `ATSS` file
-//!   format. `StoreWriter` implements the solver sink interface
-//!   ([`at_csp::sink::SolutionSink`]), so a space is persisted *while* it
-//!   is constructed; [`StoreReader::load`] takes one of two
-//!   [`LoadOptions`] policies (the verified copy, or the trusted
-//!   zero-copy mmap) and returns a [`LoadReport`] of what actually
-//!   happened.
+//! * [`write_space`] / [`StoreReader`] — the `ATSS` file format.
+//!   `write_space` persists a constructed space verbatim, once;
+//!   [`StoreReader::load`] takes one of two [`LoadOptions`] policies (the
+//!   verified copy, or the trusted zero-copy mmap) and returns a
+//!   [`LoadReport`] of what actually happened.
 //! * [`mmap`] — the hand-rolled `mmap(2)` wrapper behind the zero-copy
 //!   path (Linux FFI against the already-linked C library; owned-copy
 //!   fallback elsewhere).
@@ -30,7 +28,8 @@
 //!   [`RestrictionLowering`](at_searchspace::RestrictionLowering) pair
 //!   (see [`fingerprint`] for the exact coverage and stability guarantees).
 //! * [`SpaceStore`] — the cache: [`SpaceStore::get_or_build_with_options`]
-//!   with atomic temp-file + rename writes, validation with fallback to
+//!   builds a miss with `at_searchspace::build_search_space_with`, then
+//!   persists it with atomic temp-file + rename writes, validation with fallback to
 //!   rebuild (a corrupt or stale entry is never served; a stale index is
 //!   repaired and reported), hit/miss/rebuild/latency
 //!   [`SpaceStore::metrics`], and LRU [`SpaceStore::gc_with`] bounded by
@@ -120,8 +119,8 @@
 //!
 //! --- TRAILER (always the last 16 bytes) -----------------------------------
 //! end-16   4     trailer tag "END\0"
-//! end-12   8     row count N, u64      (written last: streaming writers
-//!                                       do not know N up front)
+//! end-12   8     row count N, u64      (written last, so a half-written
+//!                                       file has no trailer)
 //! end-4    4     CRC-32 of the N*S*4 arena bytes
 //! ```
 //!
@@ -166,7 +165,6 @@ pub use fingerprint::SpecFingerprint;
 pub use format::{
     load_space_from_path, peek_info, read_space_from_bytes, read_space_from_path, write_space,
     write_space_to_path, ArenaOutcome, IndexInfo, IndexOutcome, LoadOptions, LoadReport,
-    LoadedSpace, StoreInfo, StoreReader, StoreSummary, StoreWriter, FORMAT_VERSION, MAGIC,
-    MIN_READ_VERSION,
+    LoadedSpace, StoreInfo, StoreReader, StoreSummary, FORMAT_VERSION, MAGIC, MIN_READ_VERSION,
 };
 pub use mmap::{MapError, MappedCodes, MappedFile};

@@ -9,10 +9,10 @@
 //!   the daemon-resolved space is code-for-code identical to a local
 //!   daemonless construction of the same spec.
 //! * **Lifecycle** — stale sockets are taken over, live sockets are
-//!   refused, garbage bytes get a clean protocol error without killing
-//!   the daemon, shutdown drains clients that are mid-request, an idle
-//!   daemon still notices shutdown, and entries stay pinned (GC-proof)
-//!   while replies reference them.
+//!   refused, garbage bytes and hostile spec JSON get a clean error
+//!   without killing the daemon, shutdown drains clients that are
+//!   mid-request, an idle daemon still notices shutdown, and entries stay
+//!   pinned (GC-proof) while replies reference them.
 //! * **Latency** — a fresh connection is accepted as soon as it arrives.
 
 #![cfg(unix)]
@@ -268,6 +268,40 @@ fn garbage_bytes_get_a_clean_error_and_the_daemon_survives() {
     assert_eq!(u64::from(std::process::id()), pong.pid);
     let status = client.status_json().unwrap();
     assert!(status.contains("\"proto_errors\":1"), "{status}");
+
+    handle.request_shutdown();
+    join.join().unwrap();
+}
+
+#[test]
+fn deeply_nested_spec_json_gets_a_clean_error_and_the_daemon_survives() {
+    let base = temp_base("nested");
+    let (handle, join, socket) = start_daemon(&base);
+
+    // One ~100 KB frame whose spec is 100,000 unclosed `[`: a JSON parser
+    // without a nesting limit recurses once per bracket and overflows the
+    // connection thread's stack, which aborts the whole daemon.
+    let mut raw = UnixStream::connect(&socket).unwrap();
+    let frame = at_daemon::Frame::Resolve {
+        spec_json: "[".repeat(100_000),
+        method: Method::Optimized.label().to_string(),
+        prune: false,
+    };
+    raw.write_all(&frame.encode()).unwrap();
+    raw.flush().unwrap();
+    match at_daemon::proto::read_frame(&mut raw).unwrap() {
+        Some(at_daemon::Frame::ErrorReply { code, message }) => {
+            assert_eq!(code, 400);
+            assert!(message.contains("recursion limit exceeded"), "{message}");
+        }
+        other => panic!("expected ErrorReply, got {other:?}"),
+    }
+    drop(raw);
+
+    // The daemon is still alive and serving.
+    let mut client = DaemonClient::connect(&socket).unwrap();
+    let pong = client.ping().unwrap();
+    assert_eq!(u64::from(std::process::id()), pong.pid);
 
     handle.request_shutdown();
     join.join().unwrap();

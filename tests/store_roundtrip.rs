@@ -13,7 +13,7 @@ use autotuning_searchspaces::searchspace::{
 };
 use autotuning_searchspaces::store::{
     read_space_from_bytes, read_space_from_path, write_space, write_space_to_path, CacheStatus,
-    SpaceStore, StoreError, StoreWriter, FORMAT_VERSION,
+    SpaceStore, StoreError, FORMAT_VERSION,
 };
 
 /// A randomly generated space description: per-parameter domains (integers,
@@ -185,44 +185,49 @@ fn constructed_and_loaded_spaces_are_identical_for_every_method() {
 }
 
 #[test]
-fn streaming_store_writer_persists_while_constructing() {
-    use autotuning_searchspaces::searchspace::{solve_spec_into, BuildOptions};
-
-    let spec = small_spec("streamed");
-    let dir = std::env::temp_dir().join("at-store-roundtrip-streamed");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("streamed.atss");
-
-    let file = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
-    let mut writer = StoreWriter::new(file, spec.name.clone(), spec.params.clone()).unwrap();
-    solve_spec_into(
-        &spec,
+fn cache_miss_entries_are_write_space_bytes_on_every_sink_path() {
+    // A miss builds the space, then persists it with `write_space`: the
+    // entry holds exactly those bytes and loads back identical. Optimized
+    // and parallel-optimized share a cache key, so each method gets its
+    // own store.
+    let spec = small_spec("persisted");
+    for method in [
         Method::Optimized,
-        BuildOptions::default(),
-        &mut writer,
-    )
-    .unwrap();
-    let (built, summary) = writer.finish().unwrap();
-    assert_eq!(summary.rows as usize, built.len());
-
-    let (loaded, info) = read_space_from_path(&path).unwrap();
-    assert_eq!(info.file_bytes, summary.bytes_written);
-    assert_spaces_identical(&built, &loaded);
-
-    // The parallel solver goes through the chunked sink path.
-    let path = dir.join("streamed-parallel.atss");
-    let file = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
-    let mut writer = StoreWriter::new(file, spec.name.clone(), spec.params.clone()).unwrap();
-    solve_spec_into(
-        &spec,
         Method::ParallelOptimized,
-        BuildOptions::default(),
-        &mut writer,
-    )
-    .unwrap();
-    let (built, _) = writer.finish().unwrap();
-    let (loaded, _) = read_space_from_path(&path).unwrap();
-    assert_spaces_identical(&built, &loaded);
+        Method::ChainOfTrees,
+    ] {
+        let store = fresh_store(&format!("miss-bytes-{}", method.label()));
+        let (built, outcome) = store.get_or_build(&spec, method).unwrap();
+        assert_eq!(outcome.status, CacheStatus::Miss, "{method:?}");
+        let report = outcome.report.expect("a miss reports its build");
+        assert_eq!(report.stats.solutions as usize, built.len(), "{method:?}");
+        let path = outcome.path.unwrap();
+        let entry = std::fs::read(&path).unwrap();
+        let mut expected = Vec::new();
+        write_space(&built, &mut expected).unwrap();
+        assert!(
+            entry == expected,
+            "{method:?}: entry differs from write_space"
+        );
+        assert_eq!(outcome.file_bytes, entry.len() as u64, "{method:?}");
+        let (loaded, _) = read_space_from_path(&path).unwrap();
+        assert_spaces_identical(&built, &loaded);
+    }
+}
+
+#[test]
+fn a_failed_build_leaves_no_entry_and_no_temp_file() {
+    let store = fresh_store("failed-build");
+    let spec = small_spec("broken").with_expr("no_such_parameter <= 4");
+    for method in [Method::Optimized, Method::ChainOfTrees] {
+        let err = store.get_or_build(&spec, method).unwrap_err();
+        assert!(matches!(err, StoreError::Build(_)), "{method:?}: {err}");
+    }
+    let left: Vec<_> = std::fs::read_dir(store.dir())
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name())
+        .collect();
+    assert!(left.is_empty(), "the cache directory holds {left:?}");
 }
 
 #[test]
