@@ -5,7 +5,7 @@ CARGO ?= cargo
 
 .PHONY: verify fmt clippy lint-unsafe build test doctest smoke streaming store check-specs tune-smoke obs-smoke daemon-smoke examples doc fuzz-smoke fuzz bench bench-construction bench-store bench-tuner bench-daemon bench-check perfbench-test fix
 
-verify: fmt clippy lint-unsafe build test smoke streaming store check-specs tune-smoke obs-smoke daemon-smoke examples doc fuzz-smoke
+verify: fmt clippy lint-unsafe build test smoke streaming store check-specs tune-smoke obs-smoke daemon-smoke examples doc fuzz-smoke perfbench-test
 	@echo "---- all checks passed ----"
 
 fmt:

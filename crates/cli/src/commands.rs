@@ -1073,7 +1073,9 @@ pub fn capabilities(args: &ParsedArgs) -> Result<String, CliError> {
         quote_list(real_world_names()),
         quote_list(&["hamming", "adjacent", "strictly-adjacent"]),
         at_store::FORMAT_VERSION,
-        at_store::MIN_READ_VERSION,
+        // The store reads exactly the version it writes; the key stays so
+        // the schema does not change.
+        at_store::FORMAT_VERSION,
         quote_list(&[
             "content-addressed-cache",
             "mmap-zero-copy",
@@ -1779,6 +1781,52 @@ mod tests {
         std::fs::write(&entry, &bytes).unwrap();
         let err = cache(&parsed(&["cache", "verify", "--cache-dir", &dir])).unwrap_err();
         assert!(err.to_string().contains("DAMAGED"), "{err}");
+    }
+
+    /// This build reads only the store format version it writes: a cache
+    /// entry in an older version is listed as unreadable, verified as
+    /// damaged, and evicted like any other entry.
+    #[test]
+    fn a_v1_entry_is_unreadable_damaged_and_evictable() {
+        let dir = fresh_cache_dir("v1-entry");
+        std::fs::create_dir_all(&dir).unwrap();
+        let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/fixtures/v1-small.atss");
+        let entry = std::path::Path::new(&dir).join("0123456789abcdef0123456789abcdef.atss");
+        std::fs::copy(fixture, &entry).unwrap();
+
+        let ls = cache(&parsed(&["cache", "ls", "--cache-dir", &dir])).unwrap();
+        assert!(ls.contains("<unreadable>"), "{ls}");
+        assert!(ls.contains("1 entries"), "{ls}");
+
+        let verify = cache(&parsed(&["cache", "verify", "--cache-dir", &dir, "--json"])).unwrap();
+        let line: serde_json::Value = serde_json::from_str(verify.lines().next().unwrap()).unwrap();
+        assert_eq!(line.get("status").unwrap().as_str(), Some("damaged"));
+        let error = line.get("error").unwrap().as_str().unwrap();
+        assert!(
+            error.contains("unsupported ATSS format version 1"),
+            "{error}"
+        );
+
+        let gc = cache(&parsed(&[
+            "cache",
+            "gc",
+            "--cache-dir",
+            &dir,
+            "--max-entries",
+            "0",
+        ]))
+        .unwrap();
+        assert!(gc.contains("evicted 1"), "{gc}");
+        assert!(!entry.exists());
+
+        let out = capabilities(&parsed(&["capabilities"])).unwrap();
+        let doc: serde_json::Value = serde_json::from_str(out.trim()).unwrap();
+        let store = doc.get("store").unwrap();
+        assert_eq!(
+            store.get("min_read_version").unwrap().as_i64(),
+            store.get("format_version").unwrap().as_i64()
+        );
     }
 
     #[test]

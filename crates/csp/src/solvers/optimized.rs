@@ -53,6 +53,10 @@ impl Default for OptimizedSolverConfig {
     }
 }
 
+/// What [`OptimizedSolver::prepare`] hands to the search: the pruned
+/// domains, the search order and the constraints of each variable.
+pub(crate) type Prepared = (DomainStore, Vec<usize>, Vec<Vec<usize>>);
+
 /// The optimized iterative backtracking solver.
 #[derive(Debug, Clone, Default)]
 pub struct OptimizedSolver {
@@ -82,12 +86,39 @@ impl OptimizedSolver {
         self.config
     }
 
+    /// The setup both optimized solvers run before searching:
+    /// preprocessing, then AC-3, then the search order and the constraints
+    /// of each variable. `None` when there is nothing to search: the
+    /// problem has no variables, or a pass emptied a domain.
+    pub(crate) fn prepare(
+        config: &OptimizedSolverConfig,
+        problem: &Problem,
+        stats: &mut SolveStats,
+    ) -> CspResult<Option<Prepared>> {
+        if problem.num_variables() == 0 {
+            return Ok(None);
+        }
+        let mut domains = problem.domain_store();
+        if config.preprocess && !Self::preprocess(problem, &mut domains, stats)? {
+            return Ok(None);
+        }
+        if config.arc_consistency {
+            let report = crate::consistency::arc_consistency(problem, &mut domains)?;
+            stats.preprocess_removed += report.removed as u64;
+            if !report.consistent {
+                return Ok(None);
+            }
+        }
+        let order = Self::variable_order(problem, config.variable_ordering);
+        Ok(Some((domains, order, problem.constraints_per_variable())))
+    }
+
     /// Compute the search order: variables participating in more constraints
     /// first, smaller domains first among ties (Section 4.3.1). Ties use
     /// the *declared* domain size, so analyzer-driven pre-pruning (which
     /// shrinks domains without changing the solution set) cannot perturb
     /// the order — the constructed space stays byte-identical.
-    pub(crate) fn variable_order(problem: &Problem, enabled: bool) -> Vec<usize> {
+    fn variable_order(problem: &Problem, enabled: bool) -> Vec<usize> {
         let mut order: Vec<usize> = (0..problem.num_variables()).collect();
         if !enabled {
             return order;
@@ -105,7 +136,7 @@ impl OptimizedSolver {
 
     /// Run preprocessing on a domain copy. Returns `false` if some domain was
     /// emptied (the problem has no solutions).
-    pub(crate) fn preprocess(
+    fn preprocess(
         problem: &Problem,
         domains: &mut DomainStore,
         stats: &mut SolveStats,
@@ -238,22 +269,11 @@ impl Solver for OptimizedSolver {
 
     fn solve_into(&self, problem: &Problem, sink: &mut dyn SolutionSink) -> CspResult<SolveStats> {
         let mut stats = SolveStats::default();
-        if problem.num_variables() == 0 {
+        let Some((mut domains, order, constraints_per_var)) =
+            Self::prepare(&self.config, problem, &mut stats)?
+        else {
             return Ok(stats);
-        }
-        let mut domains = problem.domain_store();
-        if self.config.preprocess && !Self::preprocess(problem, &mut domains, &mut stats)? {
-            return Ok(stats);
-        }
-        if self.config.arc_consistency {
-            let report = crate::consistency::arc_consistency(problem, &mut domains)?;
-            stats.preprocess_removed += report.removed as u64;
-            if !report.consistent {
-                return Ok(stats);
-            }
-        }
-        let order = Self::variable_order(problem, self.config.variable_ordering);
-        let constraints_per_var = problem.constraints_per_variable();
+        };
         Self::search(
             problem,
             &mut domains,

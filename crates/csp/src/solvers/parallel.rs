@@ -46,17 +46,11 @@ impl Solver for ParallelSolver {
 
     fn solve_into(&self, problem: &Problem, sink: &mut dyn SolutionSink) -> CspResult<SolveStats> {
         let mut stats = SolveStats::default();
-        if problem.num_variables() == 0 {
+        let Some((domains, order, constraints_per_var)) =
+            OptimizedSolver::prepare(&self.config, problem, &mut stats)?
+        else {
             return Ok(stats);
-        }
-        let mut domains = problem.domain_store();
-        if self.config.preprocess
-            && !OptimizedSolver::preprocess(problem, &mut domains, &mut stats)?
-        {
-            return Ok(stats);
-        }
-        let order = OptimizedSolver::variable_order(problem, self.config.variable_ordering);
-        let constraints_per_var = problem.constraints_per_variable();
+        };
         let forward_check = self.config.forward_check;
         let prefixes = split_prefixes(&order, |v| domains.domain(v).len(), split_target());
         if prefixes.is_empty() {
@@ -173,6 +167,29 @@ mod tests {
         let par = ParallelSolver::new().solve(&p).unwrap();
         assert_eq!(seq.solutions.len(), 16);
         assert_eq!(par.solutions.len(), seq.solutions.len());
+    }
+
+    #[test]
+    fn arc_consistency_runs_before_the_split() {
+        // AC-3 removes 1, 5, 7 and 8 from both domains of x * y == 12.
+        use crate::value::int_values;
+        let mut p = Problem::new();
+        p.add_variable("x", int_values(1..=8)).unwrap();
+        p.add_variable("y", int_values(1..=8)).unwrap();
+        p.add_function_constraint(&["x", "y"], |v| {
+            v[0].as_i64().unwrap() * v[1].as_i64().unwrap() == 12
+        })
+        .unwrap();
+        let cfg = OptimizedSolverConfig {
+            arc_consistency: true,
+            ..Default::default()
+        };
+        let seq = OptimizedSolver::with_config(cfg).solve(&p).unwrap();
+        let par = ParallelSolver::with_config(cfg).solve(&p).unwrap();
+        assert_eq!(seq.stats.preprocess_removed, 8);
+        assert_eq!(par.stats.preprocess_removed, 8);
+        assert_eq!(seq.solutions.len(), 4);
+        assert!(seq.solutions.same_solutions(&par.solutions));
     }
 
     #[test]

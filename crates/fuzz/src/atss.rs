@@ -110,8 +110,9 @@ pub fn reader_target(input: &[u8]) -> Result<(), String> {
         check_clean_error(e, "read_space_from_bytes")?;
     }
 
-    // Differential: the cheap metadata peek must classify the same bytes
-    // the same way, modulo the checks it deliberately skips.
+    // Differential: the same parser reading the file at offsets must
+    // classify the same bytes the same way, modulo the content checks peek
+    // skips.
     let path = scratch_path("reader");
     std::fs::write(&path, input).map_err(|e| format!("scratch write failed: {e}"))?;
     match (peek_info(&path), &strict) {
@@ -129,7 +130,7 @@ pub fn reader_target(input: &[u8]) -> Result<(), String> {
             ));
         }
         (Err(e), Err(_)) => check_clean_error(&e, "peek_info")?,
-        (Ok(_), Err(_)) => {} // peek skips content checksums; laxer is fine
+        (Ok(_), Err(_)) => {} // peek skips content checks; laxer is fine
     }
     Ok(())
 }

@@ -35,12 +35,16 @@
 //! * **No panic, no hang** — every outcome is a clean `Ok` or a typed
 //!   [`at_store::StoreError`]; a slow iteration beyond the harness bound
 //!   counts as a failure.
-//! * **Peek differential** — [`at_store::peek_info`] (the cheap O(1)-seek
-//!   metadata path used by `cache verify` listings) must never *reject* a
+//! * **Peek differential** — [`at_store::peek_info`] (the metadata path
+//!   behind `cache ls` and the daemon's warm resolve) runs the strict
+//!   reader's parser over the file, read at offsets, where the strict
+//!   reader runs it over the bytes in memory. So the differential compares
+//!   the file source with the in-memory one: peek must never *reject* a
 //!   file the strict reader accepts, and when both accept they must agree
 //!   on every metadata field. Peek may accept damage the strict reader
-//!   rejects (it skips dictionary contents and content checksums), but
-//!   the same truncation or framing damage must classify the same way.
+//!   rejects (it skips the arena and index checksums and the code checks),
+//!   but the same truncation or framing damage must classify the same
+//!   way.
 //!
 //! ## Target `atss_load_differential` — mutated valid files, both load policies
 //!

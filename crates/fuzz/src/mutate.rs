@@ -129,7 +129,7 @@ pub struct Section {
     pub range: std::ops::Range<usize>,
 }
 
-/// Map the section layout of a well-formed v2 `ATSS` file, mirroring the
+/// Map the section layout of a well-formed `ATSS` file, mirroring the
 /// documented format: magic+version, CRC-framed `HDR\0` and `PAR\0`
 /// sections, `ARN\0` tag + alignment pad, the verbatim arena, an optional
 /// CRC-framed `IDX\0` section, and the 16-byte trailer. Returns `None` for
@@ -168,18 +168,13 @@ pub fn map_sections(bytes: &[u8]) -> Option<Vec<Section>> {
         pos = end;
     }
 
-    // Arena tag + pad (v2), then the arena itself up to either the IDX tag
-    // or the trailer.
-    let version = u32::from_le_bytes(bytes[4..8].try_into().ok()?);
-    let arena_at = if version >= 2 {
-        let pad = u32::from_le_bytes(bytes.get(pos + 4..pos + 8)?.try_into().ok()?) as usize;
-        if pad > 3 {
-            return None;
-        }
-        pos.checked_add(8 + pad)?
-    } else {
-        pos.checked_add(4)?
-    };
+    // Arena tag + pad, then the arena itself up to either the IDX tag or
+    // the trailer.
+    let pad = u32::from_le_bytes(bytes.get(pos + 4..pos + 8)?.try_into().ok()?) as usize;
+    if pad > 3 {
+        return None;
+    }
+    let arena_at = pos.checked_add(8 + pad)?;
     if arena_at > trailer_at {
         return None;
     }

@@ -46,34 +46,46 @@ use at_csp::{CspError, CspResult, Value};
 use crate::param::TunableParameter;
 use crate::space::{reverse_dictionaries, CodeLookup, SearchSpace, SpaceError};
 
-/// Immutable encoding state shared between the sink and its worker chunks.
+/// The one Value → code row encoder: the parameters and their reverse
+/// dictionaries. Shared between the sink and its worker chunks, and used
+/// by [`SearchSpace::from_configs`] and [`SearchSpace::from_solutions`].
 #[derive(Debug)]
-struct Encoder {
-    params: Vec<TunableParameter>,
-    lookups: Vec<CodeLookup>,
+pub(crate) struct Encoder {
+    pub(crate) params: Vec<TunableParameter>,
+    pub(crate) lookups: Vec<CodeLookup>,
 }
 
 impl Encoder {
+    pub(crate) fn new(params: Vec<TunableParameter>) -> Result<Encoder, SpaceError> {
+        let lookups = reverse_dictionaries(&params)?;
+        Ok(Encoder { params, lookups })
+    }
+
     /// Encode one decoded row onto the end of `codes`. `row_index` is only
     /// used for error reporting (chunk-local on worker threads).
-    fn encode_row(&self, row: &[Value], row_index: usize, codes: &mut Vec<u32>) -> CspResult<()> {
+    pub(crate) fn encode_row(
+        &self,
+        row: &[Value],
+        row_index: usize,
+        codes: &mut Vec<u32>,
+    ) -> Result<(), SpaceError> {
         if row.len() != self.lookups.len() {
-            return Err(space_err(SpaceError::RowLength {
+            return Err(SpaceError::RowLength {
                 row: row_index,
                 expected: self.lookups.len(),
                 found: row.len(),
-            }));
+            });
         }
         for (value, (param, lookup)) in row.iter().zip(self.params.iter().zip(self.lookups.iter()))
         {
             match lookup.code_of(value) {
                 Some(code) => codes.push(code),
                 None => {
-                    return Err(space_err(SpaceError::UnknownValue {
+                    return Err(SpaceError::UnknownValue {
                         param: param.name().to_string(),
                         value: value.clone(),
                         row: row_index,
-                    }))
+                    })
                 }
             }
         }
@@ -102,10 +114,9 @@ impl EncodingSink {
     /// the per-parameter dictionaries). Rows pushed later must be in
     /// parameter declaration order.
     pub fn new(name: impl Into<String>, params: Vec<TunableParameter>) -> Result<Self, SpaceError> {
-        let lookups = reverse_dictionaries(&params)?;
         Ok(EncodingSink {
             name: name.into(),
-            encoder: Arc::new(Encoder { params, lookups }),
+            encoder: Arc::new(Encoder::new(params)?),
             codes: Vec::new(),
             rows: 0,
         })
@@ -144,7 +155,9 @@ impl EncodingSink {
 
 impl RowSink for EncodingSink {
     fn push_row(&mut self, row: &[Value]) -> CspResult<()> {
-        self.encoder.encode_row(row, self.rows, &mut self.codes)?;
+        self.encoder
+            .encode_row(row, self.rows, &mut self.codes)
+            .map_err(space_err)?;
         self.rows += 1;
         Ok(())
     }
@@ -187,7 +200,9 @@ struct EncodedChunk {
 
 impl RowSink for EncodedChunk {
     fn push_row(&mut self, row: &[Value]) -> CspResult<()> {
-        self.encoder.encode_row(row, self.rows, &mut self.codes)?;
+        self.encoder
+            .encode_row(row, self.rows, &mut self.codes)
+            .map_err(space_err)?;
         self.rows += 1;
         Ok(())
     }

@@ -26,6 +26,7 @@ use rustc_hash::FxHashMap;
 
 use crate::arena::ArenaStorage;
 use crate::param::TunableParameter;
+use crate::sink::Encoder;
 
 /// Identifier of a configuration within one [`SearchSpace`].
 ///
@@ -474,36 +475,18 @@ impl SearchSpace {
                 count: num_configs,
             });
         }
-        let value_codes = reverse_dictionaries(&params)?;
-        let stride = params.len();
-        let mut codes: Vec<u32> = Vec::with_capacity(num_configs * stride);
+        let encoder = Encoder::new(params)?;
+        let mut codes: Vec<u32> = Vec::with_capacity(num_configs * encoder.params.len());
         for (row_index, row) in rows.enumerate() {
-            if row.len() != stride {
-                return Err(SpaceError::RowLength {
-                    row: row_index,
-                    expected: stride,
-                    found: row.len(),
-                });
-            }
-            for (value, (param, lookup)) in row.iter().zip(params.iter().zip(value_codes.iter())) {
-                match lookup.code_of(value) {
-                    Some(code) => codes.push(code),
-                    None => {
-                        return Err(SpaceError::UnknownValue {
-                            param: param.name().to_string(),
-                            value: value.clone(),
-                            row: row_index,
-                        })
-                    }
-                }
-            }
+            encoder.encode_row(row, row_index, &mut codes)?;
         }
+        let Encoder { params, lookups } = encoder;
         Ok(Self::from_parts(
             name.into(),
             params,
             num_configs,
             codes.into(),
-            value_codes,
+            lookups,
         ))
     }
 

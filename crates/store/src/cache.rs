@@ -636,19 +636,6 @@ impl SpaceStore {
     }
 }
 
-/// Content-addressed counterpart of
-/// [`at_searchspace::build_search_space_with`]: construct through `store`,
-/// serving a cached space when one exists and persisting the construction
-/// when one does not.
-pub fn build_search_space_cached(
-    spec: &SearchSpaceSpec,
-    method: Method,
-    options: BuildOptions,
-    store: &SpaceStore,
-) -> Result<(SearchSpace, StoreOutcome), StoreError> {
-    store.get_or_build_with(spec, method, options)
-}
-
 /// Persist `space` at `path` atomically: [`write_space_to_path`] into a
 /// temp file beside it, then rename it over the entry. The temp name
 /// carries pid + a process-wide counter, so concurrent writers of the same
@@ -751,9 +738,10 @@ mod tests {
         // the arena belong to the IDX section, whose damage is repaired on
         // load rather than treated as a stale entry).
         let mut bytes = fs::read(&path).unwrap();
-        let parsed = crate::format::parse_structure(&bytes).unwrap();
-        let mid = parsed.arena_offset + parsed.arena.len() / 2;
-        drop(parsed);
+        let arena = crate::format::parse_structure(bytes.as_slice())
+            .unwrap()
+            .arena;
+        let mid = arena.start + arena.len() / 2;
         bytes[mid] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
 
@@ -1057,10 +1045,10 @@ mod tests {
         // rewrite the entry from unverified bytes (that would stamp a
         // fresh valid CRC over the rot).
         let mut bytes = fs::read(&path).unwrap();
-        let parsed = crate::format::parse_structure(&bytes).unwrap();
-        let arena_at = parsed.arena_offset;
-        let arena_len = parsed.arena.len();
-        drop(parsed);
+        let arena = crate::format::parse_structure(bytes.as_slice())
+            .unwrap()
+            .arena;
+        let (arena_at, arena_len) = (arena.start, arena.len());
         let stride_bytes = 2 * 4; // two params
         let (a, b) = (0..arena_len / stride_bytes - 1)
             .map(|row| {
@@ -1205,9 +1193,9 @@ mod tests {
     fn cached_entry_point_matches_builder() {
         let store = fresh_store("entry-point");
         let spec = spec("entry", 16);
-        let (via_cache, _) =
-            build_search_space_cached(&spec, Method::Optimized, BuildOptions::default(), &store)
-                .unwrap();
+        let (via_cache, _) = store
+            .get_or_build_with(&spec, Method::Optimized, BuildOptions::default())
+            .unwrap();
         let (via_builder, _) =
             at_searchspace::build_search_space(&spec, Method::Optimized).unwrap();
         spaces_identical(&via_builder, &via_cache);

@@ -1,12 +1,15 @@
 //! The `ATSS` binary format: reading and writing resolved search spaces.
 //!
-//! See the [crate documentation](crate) for the byte-by-byte layout of both
-//! supported versions. The design constraints, in order:
+//! See the [crate documentation](crate) for the byte-by-byte layout. This
+//! build reads exactly the version it writes, [`FORMAT_VERSION`], and one
+//! parser walks the framing for every reader: [`peek_info`], both
+//! [`LoadOptions`] policies and [`read_space_from_bytes`]. The design
+//! constraints, in order:
 //!
 //! 1. **Close to the internal representation** (paper Section 4.3.4): the
 //!    configuration arena is written verbatim as little-endian `u32` value
-//!    codes — loading performs no decoding and no re-encoding. Since v2 the
-//!    arena section is 4-byte aligned and the membership table is persisted
+//!    codes — loading performs no decoding and no re-encoding. The arena
+//!    section is 4-byte aligned and the membership table is persisted
 //!    alongside it (`IDX` section), so a trusted warm load can *borrow*
 //!    both straight out of a memory-mapped file: no copy, no table rebuild,
 //!    O(header) work.
@@ -24,10 +27,12 @@
 //!    algorithm re-compares arena rows, so a bad table can only miss, not
 //!    misattribute).
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use at_csp::Value;
 use at_searchspace::{
@@ -36,17 +41,13 @@ use at_searchspace::{
 
 use crate::checksum::{crc32, Crc32};
 use crate::error::StoreError;
-use crate::mmap::{MapError, MappedCodes, MappedFile};
+use crate::mmap::{MappedCodes, MappedFile};
 
 /// The four magic bytes every store file starts with.
 pub const MAGIC: [u8; 4] = *b"ATSS";
 
-/// The format version this build writes.
+/// The format version this build writes, and the only one it reads.
 pub const FORMAT_VERSION: u32 = 2;
-
-/// The oldest format version this build still reads (via the copying
-/// path; v1 files have no alignment rule and no index section).
-pub const MIN_READ_VERSION: u32 = 1;
 
 /// Section tags (4 bytes each).
 const TAG_HEADER: [u8; 4] = *b"HDR\0";
@@ -220,7 +221,7 @@ fn params_payload(params: &[TunableParameter]) -> Vec<u8> {
 }
 
 /// Write the file preamble (magic, version, header section, params section,
-/// arena tag + v2 alignment padding). Returns the number of bytes written —
+/// arena tag + alignment padding). Returns the number of bytes written —
 /// which is also the arena's byte offset, guaranteed `% 4 == 0`.
 fn write_preamble<W: Write>(
     out: &mut W,
@@ -234,7 +235,7 @@ fn write_preamble<W: Write>(
     bytes += write_section(out, TAG_PARAMS, &params_payload(params))?;
     out.write_all(&TAG_ARENA)?;
     bytes += 4;
-    // v2 alignment rule: a u32 pad length followed by that many zero bytes,
+    // Alignment rule: a u32 pad length followed by that many zero bytes,
     // chosen so the first arena byte lands on a 4-byte file offset (mmap
     // memory is page-aligned, so file-offset alignment is view alignment).
     let pad = ((4 - ((bytes + 4) % 4)) % 4) as u32;
@@ -330,7 +331,7 @@ pub fn write_space_to_path(
 /// * [`LoadOptions::default`] — the **verified copy**: read the whole
 ///   file, verify every checksum (arena included), bounds-check every code
 ///   and adopt the persisted index only after sampled row lookups. The only
-///   path for v1 files and big-endian targets.
+///   path on big-endian targets.
 /// * [`LoadOptions::mmap_trusted`] — the **trusted zero-copy mmap**: serve
 ///   the arena and the persisted index slots as borrowed views into the
 ///   `mmap(2)`ed file, O(header + index checksum). The arena checksum is
@@ -339,8 +340,11 @@ pub fn write_space_to_path(
 ///   the `IDX` checksum, hash version and table structure are still
 ///   checked before the table is adopted, and `cache verify` remains the
 ///   full-validation tool. Falls back to the verified copy — recorded in
-///   the [`LoadReport`] — on non-Linux targets, big-endian targets,
-///   unaligned (v1) arenas, or mmap failure.
+///   the [`LoadReport`] — on non-Linux targets, big-endian targets, or
+///   mmap failure.
+///
+/// Both policies parse the file with the same parser and reject every
+/// version but [`FORMAT_VERSION`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LoadOptions {
     mmap: bool,
@@ -363,8 +367,8 @@ pub enum ArenaOutcome {
     /// Mmap was requested but unavailable; served by the verified copy
     /// instead.
     MmapFellBack {
-        /// Why the mapping could not be served (platform, alignment, v1
-        /// file, syscall failure).
+        /// Why the mapping could not be served (platform, byte order,
+        /// syscall failure).
         reason: String,
     },
 }
@@ -461,64 +465,168 @@ pub struct StoreInfo {
     pub num_rows: usize,
     /// Total file size in bytes.
     pub file_bytes: u64,
-    /// The persisted membership table, if the file carries one (v2 files
-    /// written by this build always do; v1 files never do).
+    /// The persisted membership table, if the file carries one (this build
+    /// writes one unless its slot count overflows the `u32` count field).
     pub index: Option<IndexInfo>,
 }
 
-/// The structurally validated parts of a store file: every metadata section
-/// parsed and CRC-checked, the arena and optional index located and
-/// length-checked — but the arena CRC and the index payload CRC not yet
-/// verified (the caller decides per [`LoadOptions`]).
-pub(crate) struct ParsedFile<'a> {
+/// Where [`parse_structure`] reads a store file from: bytes already in
+/// memory (`[u8]`, borrowed, never copied) or an open file read at offsets
+/// ([`FileSource`]).
+pub(crate) trait Source {
+    /// The file's length in bytes.
+    fn len(&self) -> usize;
+
+    /// The `n` bytes at offset `at`, or a [`StoreError::Corrupt`] for
+    /// `section` when the file ends before them.
+    fn read(&self, at: usize, n: usize, section: &'static str)
+        -> Result<Cow<'_, [u8]>, StoreError>;
+}
+
+/// The range `at..at + n` when it lies within `len` bytes, else a
+/// [`StoreError::Corrupt`] for `section`. Every length a store file
+/// declares passes through here before anything is read or allocated for
+/// it.
+fn in_bounds(
+    len: usize,
+    at: usize,
+    n: usize,
+    section: &'static str,
+) -> Result<Range<usize>, StoreError> {
+    match at.checked_add(n) {
+        Some(end) if end <= len => Ok(at..end),
+        _ => Err(StoreError::corrupt(
+            section,
+            format!(
+                "needed {n} bytes at offset {at}, only {} available",
+                len.saturating_sub(at)
+            ),
+        )),
+    }
+}
+
+impl Source for [u8] {
+    fn len(&self) -> usize {
+        <[u8]>::len(self)
+    }
+
+    fn read(
+        &self,
+        at: usize,
+        n: usize,
+        section: &'static str,
+    ) -> Result<Cow<'_, [u8]>, StoreError> {
+        Ok(Cow::Borrowed(&self[in_bounds(self.len(), at, n, section)?]))
+    }
+}
+
+/// An open store file, read at offsets: only the requested ranges are
+/// read, each into a buffer allocated after its range is checked against
+/// the file length.
+pub(crate) struct FileSource<'f> {
+    file: &'f File,
+    path: &'f Path,
+    len: usize,
+}
+
+impl<'f> FileSource<'f> {
+    pub(crate) fn new(file: &'f File, path: &'f Path) -> Result<Self, StoreError> {
+        let len = file.metadata().map_err(|e| StoreError::io(path, e))?.len();
+        let len = usize::try_from(len).map_err(|_| {
+            StoreError::io(path, io::Error::other("file larger than the address space"))
+        })?;
+        Ok(FileSource { file, path, len })
+    }
+}
+
+impl Source for FileSource<'_> {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn read(
+        &self,
+        at: usize,
+        n: usize,
+        section: &'static str,
+    ) -> Result<Cow<'_, [u8]>, StoreError> {
+        in_bounds(self.len, at, n, section)?;
+        let mut buf = vec![0u8; n];
+        read_exact_at(self.file, &mut buf, at as u64).map_err(|e| match e.kind() {
+            // The file shrank since its length was taken.
+            io::ErrorKind::UnexpectedEof => StoreError::corrupt(
+                section,
+                format!("file ends inside the {n} bytes at offset {at}"),
+            ),
+            _ => StoreError::io(self.path, e),
+        })?;
+        Ok(Cow::Owned(buf))
+    }
+}
+
+#[cfg(unix)]
+fn read_exact_at(file: &File, buf: &mut [u8], at: u64) -> io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, at)
+}
+
+/// Portable fallback: seeks the shared file cursor, then reads.
+#[cfg(not(unix))]
+fn read_exact_at(mut file: &File, buf: &mut [u8], at: u64) -> io::Result<()> {
+    file.seek(SeekFrom::Start(at))?;
+    file.read_exact(buf)
+}
+
+/// The structurally validated parts of a store file: both metadata
+/// sections CRC-checked and the header parsed, the param dictionaries, the
+/// arena and the optional index located and length-checked — but the
+/// dictionaries not decoded ([`decode_params`]) and the arena CRC and the
+/// index payload CRC not verified (the caller decides per [`LoadOptions`]).
+/// Sections are byte ranges of the file, so parsing reads no arena or slot
+/// byte.
+pub(crate) struct ParsedFile {
     info: StoreInfo,
-    params: Vec<TunableParameter>,
-    /// Byte offset of the first arena byte in the file.
-    pub(crate) arena_offset: usize,
-    pub(crate) arena: &'a [u8],
+    /// The params payload (its CRC verified).
+    params: Range<usize>,
+    /// The arena's bytes; the range starts on a 4-byte offset.
+    pub(crate) arena: Range<usize>,
     arena_crc: u32,
-    idx: Option<ParsedIndex<'a>>,
+    idx: Option<ParsedIndex>,
 }
 
 /// The located (framing-validated) `IDX` section.
-struct ParsedIndex<'a> {
+struct ParsedIndex {
     hash_version: u32,
-    /// Byte offset of the first slot byte in the file (4-byte aligned for
-    /// files written by this build).
-    slots_offset: usize,
-    /// The raw little-endian slot bytes.
-    slots: &'a [u8],
-    /// The whole section payload (hash version + slot count + slots), for
-    /// CRC verification.
-    payload: &'a [u8],
-    crc: u32,
+    /// The raw little-endian slot bytes. The range starts on a 4-byte
+    /// offset: the arena does, its length is a multiple of 4, and 20 frame
+    /// bytes precede the slots.
+    slots: Range<usize>,
+    /// The whole section payload (hash version + slot count + slots),
+    /// followed in the file by its CRC.
+    payload: Range<usize>,
 }
 
-impl ParsedIndex<'_> {
-    fn crc_ok(&self) -> bool {
-        crc32(self.payload) == self.crc
-    }
-}
-
-/// Parse and validate everything except the arena and index checksums.
-pub(crate) fn parse_structure(bytes: &[u8]) -> Result<ParsedFile<'_>, StoreError> {
+/// Parse and validate the framing. Reads the magic, the header and params
+/// sections, the arena frame, the `IDX` frame and the trailer — no arena
+/// or slot byte.
+pub(crate) fn parse_structure<S: Source + ?Sized>(src: &S) -> Result<ParsedFile, StoreError> {
     // Magic + version.
-    if bytes.len() < 8 + TRAILER_LEN {
+    let file_len = src.len();
+    if file_len < 8 + TRAILER_LEN {
         return Err(StoreError::corrupt(
             "header",
-            format!(
-                "file holds {} bytes, too short for any store file",
-                bytes.len()
-            ),
+            format!("file holds {file_len} bytes, too short for any store file"),
         ));
     }
-    if bytes[0..4] != MAGIC {
+    let head = src.read(0, 8, "header")?;
+    let mut cur = Cursor::new(&head, "header");
+    let magic = cur.take(4)?;
+    if magic != MAGIC {
         return Err(StoreError::BadMagic {
-            found: bytes[0..4].try_into().expect("4 bytes"),
+            found: magic.try_into().expect("4 bytes"),
         });
     }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if !(MIN_READ_VERSION..=FORMAT_VERSION).contains(&version) {
+    let version = cur.u32()?;
+    if version != FORMAT_VERSION {
         return Err(StoreError::UnsupportedVersion {
             found: version,
             supported: FORMAT_VERSION,
@@ -527,84 +635,51 @@ pub(crate) fn parse_structure(bytes: &[u8]) -> Result<ParsedFile<'_>, StoreError
 
     // Framed metadata sections.
     let mut pos = 8usize;
-    let header = read_section(bytes, &mut pos, TAG_HEADER, "header")?;
-    let mut cur = Cursor::new(header, "header");
+    let header = read_section(src, &mut pos, TAG_HEADER, "header")?;
+    let mut cur = Cursor::new(&header, "header");
     let name = cur.str()?;
     let num_params = cur.u32()? as usize;
     if !cur.done() {
         return Err(StoreError::corrupt("header", "trailing bytes after header"));
     }
 
-    let params_bytes = read_section(bytes, &mut pos, TAG_PARAMS, "params")?;
-    let mut cur = Cursor::new(params_bytes, "params");
-    // Counts read from the file only size allocations up to the bytes
-    // that could back them: a forged count fails below, not in the
-    // allocator.
-    let mut params = Vec::with_capacity(num_params.min(params_bytes.len()));
-    for _ in 0..num_params {
-        let pname = cur.str()?;
-        let count = cur.u32()? as usize;
-        let mut values = Vec::with_capacity(count.min(params_bytes.len()));
-        for _ in 0..count {
-            values.push(cur.value()?);
-        }
-        let param = TunableParameter::new(pname, values);
-        if param.len() != count {
-            // `TunableParameter::new` deduplicates; a shrink means the
-            // file declared duplicate dictionary values, which our
-            // writer never does — codes would silently shift.
-            return Err(StoreError::corrupt(
-                "params",
-                format!("parameter `{}` has duplicate values", param.name()),
-            ));
-        }
-        params.push(param);
+    let params_at = pos + 12;
+    let params = params_at..params_at + read_section(src, &mut pos, TAG_PARAMS, "params")?.len();
+
+    // Arena tag + alignment padding.
+    if file_len < pos + 4 + TRAILER_LEN {
+        return Err(StoreError::corrupt("arena", "file ends before the arena"));
     }
-    if !cur.done() {
+    let frame = src.read(pos, 8, "arena")?;
+    let mut cur = Cursor::new(&frame, "arena");
+    if cur.take(4)? != TAG_ARENA {
+        return Err(StoreError::corrupt("arena", "missing arena tag"));
+    }
+    let pad = cur.u32()? as usize;
+    if pad > 3 {
         return Err(StoreError::corrupt(
-            "params",
-            "trailing bytes after the last parameter",
+            "arena",
+            format!("implausible alignment padding {pad}"),
+        ));
+    }
+    pos += 8 + pad;
+    if !pos.is_multiple_of(4) {
+        return Err(StoreError::corrupt(
+            "arena",
+            "alignment padding does not land the arena on a 4-byte offset",
         ));
     }
 
-    // Arena tag (+ v2 alignment padding).
-    if bytes.len() < pos + 4 + TRAILER_LEN {
-        return Err(StoreError::corrupt("arena", "file ends before the arena"));
-    }
-    if bytes[pos..pos + 4] != TAG_ARENA {
-        return Err(StoreError::corrupt("arena", "missing arena tag"));
-    }
-    pos += 4;
-    if version >= 2 {
-        let mut cur = Cursor::new(&bytes[pos..], "arena");
-        let pad = cur.u32()? as usize;
-        if pad > 3 {
-            return Err(StoreError::corrupt(
-                "arena",
-                format!("implausible alignment padding {pad}"),
-            ));
-        }
-        cur.take(pad)?;
-        pos += cur.pos;
-        if !pos.is_multiple_of(4) {
-            return Err(StoreError::corrupt(
-                "arena",
-                "alignment padding does not land the arena on a 4-byte offset",
-            ));
-        }
-    }
-    let arena_offset = pos;
-
-    // Trailer (always the last 16 bytes), then slice the arena by the row
+    // Trailer (always the last 16 bytes), then locate the arena by the row
     // count it declares; anything between arena end and trailer must be a
-    // well-formed IDX section (v2 only).
-    let trailer_at = bytes.len() - TRAILER_LEN;
+    // well-formed IDX section.
+    let trailer_at = file_len - TRAILER_LEN;
     if trailer_at < pos {
         return Err(StoreError::corrupt("trailer", "overlaps the arena"));
     }
-    let mut cur = Cursor::new(&bytes[trailer_at..], "trailer");
-    let end_tag = cur.take(4)?;
-    if end_tag != TAG_END {
+    let trailer = src.read(trailer_at, TRAILER_LEN, "trailer")?;
+    let mut cur = Cursor::new(&trailer, "trailer");
+    if cur.take(4)? != TAG_END {
         return Err(StoreError::corrupt(
             "trailer",
             "missing end tag (file truncated or construction crashed mid-write)",
@@ -626,59 +701,11 @@ pub(crate) fn parse_structure(bytes: &[u8]) -> Result<ParsedFile<'_>, StoreError
                 ),
             )
         })?;
-    let arena = &bytes[pos..pos + arena_len];
-    pos += arena_len;
-
-    // Between arena end and trailer: nothing (v1, or v2 without an index)
-    // or exactly one IDX section.
-    let idx = if pos == trailer_at {
+    let arena = pos..pos + arena_len;
+    let idx = if arena.end == trailer_at {
         None
-    } else if version < 2 {
-        return Err(StoreError::corrupt(
-            "arena",
-            format!(
-                "arena holds {} bytes where {num_rows} rows x {num_params} params need {arena_len}",
-                trailer_at - arena_offset,
-            ),
-        ));
     } else {
-        let section_bytes = &bytes[..trailer_at];
-        let mut cur = Cursor::new(&section_bytes[pos..], "index");
-        let tag = cur.take(4)?;
-        if tag != TAG_INDEX {
-            return Err(StoreError::corrupt("index", "unexpected section tag"));
-        }
-        let payload_len = cur.u64()? as usize;
-        let payload_at = pos + cur.pos;
-        let payload = cur.take(payload_len)?;
-        let crc = cur.u32()?;
-        if pos + cur.pos != trailer_at {
-            return Err(StoreError::corrupt(
-                "index",
-                "trailing bytes between the index section and the trailer",
-            ));
-        }
-        let mut pcur = Cursor::new(payload, "index");
-        let hash_version = pcur.u32()?;
-        let num_slots = pcur.u32()? as usize;
-        let slots = pcur.take(
-            num_slots
-                .checked_mul(4)
-                .ok_or_else(|| StoreError::corrupt("index", "slot count overflows"))?,
-        )?;
-        if !pcur.done() {
-            return Err(StoreError::corrupt(
-                "index",
-                "trailing bytes after the slot array",
-            ));
-        }
-        Some(ParsedIndex {
-            hash_version,
-            slots_offset: payload_at + 8,
-            slots,
-            payload,
-            crc,
-        })
+        Some(read_index(src, arena.end, trailer_at)?)
     };
 
     Ok(ParsedFile {
@@ -687,18 +714,124 @@ pub(crate) fn parse_structure(bytes: &[u8]) -> Result<ParsedFile<'_>, StoreError
             name,
             num_params,
             num_rows,
-            file_bytes: bytes.len() as u64,
+            file_bytes: file_len as u64,
             index: idx.as_ref().map(|i| IndexInfo {
                 hash_version: i.hash_version,
                 num_slots: i.slots.len() / 4,
             }),
         },
         params,
-        arena_offset,
         arena,
         arena_crc,
         idx,
     })
+}
+
+/// Read the framed metadata section at `*pos`, verify its tag and CRC, and
+/// advance `*pos` past it.
+fn read_section<'s, S: Source + ?Sized>(
+    src: &'s S,
+    pos: &mut usize,
+    tag: [u8; 4],
+    section: &'static str,
+) -> Result<Cow<'s, [u8]>, StoreError> {
+    let frame = src.read(*pos, 12, section)?;
+    let mut cur = Cursor::new(&frame, section);
+    if cur.take(4)? != tag {
+        return Err(StoreError::corrupt(section, "unexpected section tag"));
+    }
+    let len = cur.u64()? as usize;
+    // Payload and CRC in one read; a forged length fails the range check.
+    let body = src.read(*pos + 12, len.saturating_add(4), section)?;
+    let (payload, stored_crc) = body.split_at(len);
+    if crc32(payload) != u32::from_le_bytes(stored_crc.try_into().expect("4 bytes")) {
+        return Err(StoreError::corrupt(section, "checksum mismatch"));
+    }
+    *pos += 12 + len + 4;
+    Ok(match body {
+        Cow::Borrowed(bytes) => Cow::Borrowed(&bytes[..len]),
+        Cow::Owned(mut bytes) => {
+            bytes.truncate(len);
+            Cow::Owned(bytes)
+        }
+    })
+}
+
+/// Locate the `IDX` section that must fill `at..end` exactly, reading only
+/// its 20-byte frame (tag, payload length, hash version, slot count).
+fn read_index<S: Source + ?Sized>(
+    src: &S,
+    at: usize,
+    end: usize,
+) -> Result<ParsedIndex, StoreError> {
+    const FRAME: usize = 4 + 8 + 4 + 4;
+    if end - at < FRAME + 4 {
+        return Err(StoreError::corrupt(
+            "index",
+            format!("{} bytes cannot hold an index section", end - at),
+        ));
+    }
+    let frame = src.read(at, FRAME, "index")?;
+    let mut cur = Cursor::new(&frame, "index");
+    if cur.take(4)? != TAG_INDEX {
+        return Err(StoreError::corrupt("index", "unexpected section tag"));
+    }
+    let payload = at + 12..end - 4;
+    if cur.u64()? != payload.len() as u64 {
+        return Err(StoreError::corrupt(
+            "index",
+            "section does not end at the trailer",
+        ));
+    }
+    let hash_version = cur.u32()?;
+    let num_slots = cur.u32()?;
+    if payload.len() as u64 != 8 + u64::from(num_slots) * 4 {
+        return Err(StoreError::corrupt(
+            "index",
+            "payload length does not match the slot count",
+        ));
+    }
+    Ok(ParsedIndex {
+        hash_version,
+        slots: payload.start + 8..payload.end,
+        payload,
+    })
+}
+
+/// Decode the param dictionaries from the params payload `bytes`, which
+/// [`parse_structure`] located and checksummed.
+fn decode_params(bytes: &[u8], num_params: usize) -> Result<Vec<TunableParameter>, StoreError> {
+    let mut cur = Cursor::new(bytes, "params");
+    // Counts read from the file only size allocations up to the bytes
+    // that could back them: a forged count fails below, not in the
+    // allocator.
+    let mut params = Vec::with_capacity(num_params.min(bytes.len()));
+    for _ in 0..num_params {
+        let pname = cur.str()?;
+        let count = cur.u32()? as usize;
+        let mut values = Vec::with_capacity(count.min(bytes.len()));
+        for _ in 0..count {
+            values.push(cur.value()?);
+        }
+        let param = TunableParameter::new(pname, values);
+        if param.len() != count {
+            // `TunableParameter::new` deduplicates; a shrink means the
+            // file declared duplicate dictionary values, which our
+            // writer never does — codes would silently shift.
+            return Err(StoreError::corrupt(
+                "params",
+                format!("parameter `{}` has duplicate values", param.name()),
+            ));
+        }
+        params.push(param);
+    }
+    if !cur.done() {
+        return Err(StoreError::corrupt(
+            "params",
+            "trailing bytes after the last parameter",
+        ));
+    }
+    Ok(params)
 }
 
 /// Decode raw little-endian `u32` bytes into codes. On little-endian
@@ -729,29 +862,6 @@ fn decode_codes(bytes: &[u8]) -> Vec<u32> {
             .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
             .collect()
     }
-}
-
-/// Read one framed metadata section starting at `*pos`, verify its tag and
-/// CRC, and advance `*pos` past it.
-fn read_section<'a>(
-    bytes: &'a [u8],
-    pos: &mut usize,
-    tag: [u8; 4],
-    section: &'static str,
-) -> Result<&'a [u8], StoreError> {
-    let mut cur = Cursor::new(&bytes[*pos..], section);
-    let found = cur.take(4)?;
-    if found != tag {
-        return Err(StoreError::corrupt(section, "unexpected section tag"));
-    }
-    let len = cur.u64()? as usize;
-    let payload = cur.take(len)?;
-    let stored_crc = cur.u32()?;
-    if crc32(payload) != stored_crc {
-        return Err(StoreError::corrupt(section, "checksum mismatch"));
-    }
-    *pos += cur.pos;
-    Ok(payload)
 }
 
 /// Build a space from parsed content: adopt the persisted index `slots`
@@ -799,18 +909,20 @@ fn assemble(
     Ok((space, outcome))
 }
 
-/// Check the persisted index's checksum and row-hash version, returning
-/// the section to adopt (`None` when the file has none) or why it is
-/// rejected.
-fn usable_index<'a, 'b>(
-    idx: &'a Option<ParsedIndex<'b>>,
-) -> Result<Option<&'a ParsedIndex<'b>>, String> {
+/// Check the persisted index's checksum over `bytes` (the whole file) and
+/// its row-hash version, returning the section to adopt (`None` when the
+/// file has none) or why it is rejected.
+fn usable_index<'p>(
+    idx: &'p Option<ParsedIndex>,
+    bytes: &[u8],
+) -> Result<Option<&'p ParsedIndex>, String> {
     let Some(idx) = idx else {
         return Ok(None);
     };
     // CRC first: corruption that happens to land in the hash-version field
     // must read as "checksum mismatch", not as a version skew.
-    if !idx.crc_ok() {
+    let crc = &bytes[idx.payload.end..idx.payload.end + 4];
+    if crc32(&bytes[idx.payload.clone()]) != u32::from_le_bytes(crc.try_into().expect("4 bytes")) {
         return Err("checksum mismatch".to_string());
     }
     if idx.hash_version != INDEX_HASH_VERSION {
@@ -836,6 +948,9 @@ fn usable_index<'a, 'b>(
 pub struct StoreReader {
     path: std::path::PathBuf,
     file: File,
+    /// Held while the verified copy seeks and reads the handle, which moves
+    /// its cursor.
+    cursor: Mutex<()>,
 }
 
 /// The result of one [`StoreReader::load`]: the space, the file metadata,
@@ -856,13 +971,18 @@ impl StoreReader {
     pub fn open(path: impl AsRef<Path>) -> Result<StoreReader, StoreError> {
         let path = path.as_ref().to_path_buf();
         let file = File::open(&path).map_err(|e| StoreError::io(&path, e))?;
-        Ok(StoreReader { path, file })
+        Ok(StoreReader {
+            path,
+            file,
+            cursor: Mutex::new(()),
+        })
     }
 
-    /// The file's metadata (header + trailer + index frame only; the arena
-    /// is not read).
+    /// The file's metadata: the structural parse over the open file, which
+    /// reads the metadata sections, the frames and the trailer but no arena
+    /// or slot byte, so the arena and index checksums are not verified.
     pub fn info(&self) -> Result<StoreInfo, StoreError> {
-        peek_info(&self.path)
+        Ok(parse_structure(&FileSource::new(&self.file, &self.path)?)?.info)
     }
 
     /// Load the space under `options` (see [`LoadOptions`] for the exact
@@ -879,7 +999,7 @@ impl StoreReader {
             self.load_copy(fell_back("big-endian target".to_string()))
         } else {
             match MappedFile::map(&self.file) {
-                Ok(map) => self.load_mapped(Arc::new(map)),
+                Ok(map) => Self::load_mapped(Arc::new(map)),
                 Err(e) => self.load_copy(fell_back(e.to_string())),
             }
         }?;
@@ -894,32 +1014,41 @@ impl StoreReader {
         Ok(loaded)
     }
 
-    /// The verified copy: full read, every checksum verified.
+    /// The verified copy: read the whole file through the open handle,
+    /// verify every checksum. `read_to_end` on the handle fills the buffer
+    /// without zeroing it first, which a read at an offset cannot.
     fn load_copy(&self, arena_outcome: ArenaOutcome) -> Result<LoadedSpace, StoreError> {
-        let bytes = std::fs::read(&self.path).map_err(|e| StoreError::io(&self.path, e))?;
+        let mut bytes = Vec::new();
+        {
+            let _cursor = self.cursor.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut file = &self.file;
+            file.seek(SeekFrom::Start(0))
+                .and_then(|_| file.read_to_end(&mut bytes))
+                .map_err(|e| StoreError::io(&self.path, e))?;
+        }
         Self::load_copy_from_bytes(&bytes, arena_outcome)
     }
 
-    /// The verified copy over bytes already in memory (a fresh read, or a
-    /// mapping that cannot be served zero-copy — sparing a second disk
-    /// read on the v1/unaligned fallback).
+    /// The verified copy over bytes already in memory.
     fn load_copy_from_bytes(
         bytes: &[u8],
         arena_outcome: ArenaOutcome,
     ) -> Result<LoadedSpace, StoreError> {
         let parsed = parse_structure(bytes)?;
-        if crc32(parsed.arena) != parsed.arena_crc {
+        let params = decode_params(&bytes[parsed.params.clone()], parsed.info.num_params)?;
+        let arena = &bytes[parsed.arena.clone()];
+        if crc32(arena) != parsed.arena_crc {
             return Err(StoreError::corrupt("arena", "checksum mismatch"));
         }
-        let slots = usable_index(&parsed.idx)
-            .map(|idx| idx.map(|idx| ArenaStorage::from(decode_codes(idx.slots))));
+        let slots = usable_index(&parsed.idx, bytes)
+            .map(|idx| idx.map(|idx| ArenaStorage::from(decode_codes(&bytes[idx.slots.clone()]))));
         let (space, index) = assemble(
             &parsed.info,
-            parsed.params,
-            ArenaStorage::from(decode_codes(parsed.arena)),
+            params,
+            ArenaStorage::from(decode_codes(arena)),
             slots,
             Adoption::Verified,
-            || ArenaStorage::from(decode_codes(parsed.arena)),
+            || ArenaStorage::from(decode_codes(arena)),
         )?;
         Ok(LoadedSpace {
             space,
@@ -934,38 +1063,22 @@ impl StoreReader {
     /// The trusted zero-copy load: parse the mapped bytes, serve the arena
     /// and the index slots as borrowed views. The arena checksum is
     /// intentionally not verified here (see [`LoadOptions`]).
-    fn load_mapped(&self, map: Arc<MappedFile>) -> Result<LoadedSpace, StoreError> {
+    fn load_mapped(map: Arc<MappedFile>) -> Result<LoadedSpace, StoreError> {
         let parsed = parse_structure(map.bytes())?;
-        if parsed.info.version < 2 || !parsed.arena_offset.is_multiple_of(4) {
-            let reason = if parsed.info.version < 2 {
-                "v1 file (no alignment rule)".to_string()
-            } else {
-                "unaligned arena".to_string()
-            };
-            drop(parsed);
-            // The bytes are already mapped: copy out of the mapping
-            // instead of reading the file a second time.
-            return Self::load_copy_from_bytes(map.bytes(), ArenaOutcome::MmapFellBack { reason });
-        }
-        let slots = usable_index(&parsed.idx).and_then(|idx| {
+        let params = decode_params(&map.bytes()[parsed.params.clone()], parsed.info.num_params)?;
+        let slots = usable_index(&parsed.idx, map.bytes()).and_then(|idx| {
             idx.map(|idx| {
-                MappedCodes::new(Arc::clone(&map), idx.slots_offset, idx.slots.len())
+                MappedCodes::new(Arc::clone(&map), idx.slots.start, idx.slots.len())
                     .map(|view| ArenaStorage::Shared(Arc::new(view)))
-                    .map_err(|e| match e {
-                        MapError::BadRange { .. } => {
-                            "index slots are not 4-byte aligned".to_string()
-                        }
-                        e => e.to_string(),
-                    })
+                    .map_err(|e| e.to_string())
             })
             .transpose()
         });
-        let arena_view =
-            MappedCodes::new(Arc::clone(&map), parsed.arena_offset, parsed.arena.len())
-                .map_err(|e| StoreError::corrupt("arena", e.to_string()))?;
+        let arena_view = MappedCodes::new(Arc::clone(&map), parsed.arena.start, parsed.arena.len())
+            .map_err(|e| StoreError::corrupt("arena", e.to_string()))?;
         let (space, index) = assemble(
             &parsed.info,
-            parsed.params,
+            params,
             ArenaStorage::Shared(Arc::new(arena_view.clone())),
             slots,
             Adoption::Trusted,
@@ -1018,200 +1131,12 @@ pub fn read_space_from_path(
 }
 
 /// Read a store file's metadata without loading or validating the arena —
-/// the cheap path for listing a cache directory. The header section's CRC
-/// *is* verified, and the `IDX` section's frame (tag, version, slot count)
-/// is located via O(1) seeks; the arena and index checksums are not
-/// checked (use [`read_space_from_bytes`] for a full verification).
+/// the cheap path for listing a cache directory ([`StoreReader::info`]).
+/// The header and params sections' CRCs *are* verified and every frame is
+/// checked; the arena and index checksums are not (use
+/// [`read_space_from_bytes`] for a full verification).
 pub fn peek_info(path: impl AsRef<Path>) -> Result<StoreInfo, StoreError> {
-    let path = path.as_ref();
-    let mut file = File::open(path).map_err(|e| StoreError::io(path, e))?;
-    let file_bytes = file.metadata().map_err(|e| StoreError::io(path, e))?.len();
-
-    let mut head = [0u8; 8 + 12];
-    file.read_exact(&mut head)
-        .map_err(|_| StoreError::corrupt("header", "file too short"))?;
-    if head[0..4] != MAGIC {
-        return Err(StoreError::BadMagic {
-            found: head[0..4].try_into().expect("4 bytes"),
-        });
-    }
-    let version = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
-    if !(MIN_READ_VERSION..=FORMAT_VERSION).contains(&version) {
-        return Err(StoreError::UnsupportedVersion {
-            found: version,
-            supported: FORMAT_VERSION,
-        });
-    }
-    if head[8..12] != TAG_HEADER {
-        return Err(StoreError::corrupt("header", "missing header tag"));
-    }
-    let hdr_len = u64::from_le_bytes(head[12..20].try_into().expect("8 bytes")) as usize;
-    if hdr_len > 1 << 20 {
-        return Err(StoreError::corrupt("header", "implausible header length"));
-    }
-    let mut payload = vec![0u8; hdr_len + 4];
-    file.read_exact(&mut payload)
-        .map_err(|_| StoreError::corrupt("header", "file ends inside the header"))?;
-    let (payload, crc_bytes) = payload.split_at(hdr_len);
-    if crc32(payload) != u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes")) {
-        return Err(StoreError::corrupt("header", "checksum mismatch"));
-    }
-    let mut cur = Cursor::new(payload, "header");
-    let name = cur.str()?;
-    let num_params = cur.u32()? as usize;
-    if !cur.done() {
-        return Err(StoreError::corrupt("header", "trailing bytes after header"));
-    }
-
-    // The header read above guarantees `file_bytes >= 20 > TRAILER_LEN`.
-    let trailer_at = file_bytes - TRAILER_LEN as u64;
-    file.seek(SeekFrom::Start(trailer_at))
-        .map_err(|e| StoreError::io(path, e))?;
-    let mut trailer = [0u8; TRAILER_LEN];
-    file.read_exact(&mut trailer)
-        .map_err(|_| StoreError::corrupt("trailer", "file too short"))?;
-    if trailer[0..4] != TAG_END {
-        return Err(StoreError::corrupt(
-            "trailer",
-            "missing end tag (file truncated or construction crashed mid-write)",
-        ));
-    }
-    let num_rows = u64::from_le_bytes(trailer[4..12].try_into().expect("8 bytes")) as usize;
-
-    // Walk the remaining section frames with O(1) seeks — the same exact
-    // accounting as `parse_structure`, just without reading the payloads.
-    // Every offset is computed with checked arithmetic: all frame lengths
-    // and the trailer's row count are attacker-controlled, and an
-    // overflowing sum must become a clean corruption error, not a panic or
-    // a wrapped-around seek.
-    let too_short = |section: &'static str| {
-        StoreError::corrupt(section, format!("file ends before the {section} section"))
-    };
-    let par_at = 8 + 12 + hdr_len as u64 + 4; // hdr_len is capped above
-    file.seek(SeekFrom::Start(par_at))
-        .map_err(|e| StoreError::io(path, e))?;
-    let mut frame = [0u8; 12];
-    file.read_exact(&mut frame)
-        .map_err(|_| StoreError::corrupt("params", "file ends inside the params frame"))?;
-    if frame[0..4] != TAG_PARAMS {
-        return Err(StoreError::corrupt("params", "missing params tag"));
-    }
-    let par_len = u64::from_le_bytes(frame[4..12].try_into().expect("8 bytes"));
-    let arena_tag_at = par_at
-        .checked_add(12)
-        .and_then(|v| v.checked_add(par_len))
-        .and_then(|v| v.checked_add(4))
-        .filter(|&v| v <= trailer_at)
-        .ok_or_else(|| too_short("arena"))?;
-    file.seek(SeekFrom::Start(arena_tag_at))
-        .map_err(|e| StoreError::io(path, e))?;
-    let arena_at = if version >= 2 {
-        let mut arn = [0u8; 8];
-        file.read_exact(&mut arn)
-            .map_err(|_| StoreError::corrupt("arena", "file ends inside the arena frame"))?;
-        if arn[0..4] != TAG_ARENA {
-            return Err(StoreError::corrupt("arena", "missing arena tag"));
-        }
-        let pad = u32::from_le_bytes(arn[4..8].try_into().expect("4 bytes")) as u64;
-        if pad > 3 {
-            return Err(StoreError::corrupt(
-                "arena",
-                format!("implausible alignment padding {pad}"),
-            ));
-        }
-        let at = arena_tag_at
-            .checked_add(8 + pad)
-            .filter(|&v| v <= trailer_at)
-            .ok_or_else(|| too_short("arena"))?;
-        if !at.is_multiple_of(4) {
-            return Err(StoreError::corrupt(
-                "arena",
-                "alignment padding does not land the arena on a 4-byte offset",
-            ));
-        }
-        at
-    } else {
-        let mut arn = [0u8; 4];
-        file.read_exact(&mut arn)
-            .map_err(|_| StoreError::corrupt("arena", "file ends inside the arena frame"))?;
-        if arn != TAG_ARENA {
-            return Err(StoreError::corrupt("arena", "missing arena tag"));
-        }
-        arena_tag_at
-            .checked_add(4)
-            .filter(|&v| v <= trailer_at)
-            .ok_or_else(|| too_short("arena"))?
-    };
-    let arena_len = (num_rows as u64)
-        .checked_mul(num_params as u64)
-        .and_then(|c| c.checked_mul(4))
-        .ok_or_else(|| StoreError::corrupt("arena", "arena size overflows"))?;
-    let after_arena = arena_at
-        .checked_add(arena_len)
-        .filter(|&v| v <= trailer_at)
-        .ok_or_else(|| {
-            StoreError::corrupt(
-                "arena",
-                format!(
-                    "{} bytes before the trailer cannot hold {num_rows} rows x {num_params} params",
-                    trailer_at.saturating_sub(arena_at),
-                ),
-            )
-        })?;
-
-    // Between arena end and trailer: nothing (v1, or v2 without an index)
-    // or exactly one IDX section — the same rule `parse_structure` applies.
-    let mut index = None;
-    if after_arena < trailer_at {
-        if version < 2 {
-            return Err(StoreError::corrupt(
-                "arena",
-                format!(
-                    "arena holds {} bytes where {num_rows} rows x {num_params} params need {arena_len}",
-                    trailer_at - arena_at,
-                ),
-            ));
-        }
-        file.seek(SeekFrom::Start(after_arena))
-            .map_err(|e| StoreError::io(path, e))?;
-        let mut frame = [0u8; 4 + 8 + 8];
-        file.read_exact(&mut frame)
-            .map_err(|_| StoreError::corrupt("index", "file ends inside the index frame"))?;
-        if frame[0..4] != TAG_INDEX {
-            return Err(StoreError::corrupt("index", "unexpected section tag"));
-        }
-        let payload_len = u64::from_le_bytes(frame[4..12].try_into().expect("8 bytes"));
-        let idx_end = after_arena
-            .checked_add(4 + 8 + 4)
-            .and_then(|v| v.checked_add(payload_len));
-        if idx_end != Some(trailer_at) {
-            return Err(StoreError::corrupt(
-                "index",
-                "trailing bytes between the index section and the trailer",
-            ));
-        }
-        let hash_version = u32::from_le_bytes(frame[12..16].try_into().expect("4 bytes"));
-        let num_slots = u32::from_le_bytes(frame[16..20].try_into().expect("4 bytes")) as usize;
-        if payload_len != 8 + num_slots as u64 * 4 {
-            return Err(StoreError::corrupt(
-                "index",
-                "payload length does not match the slot count",
-            ));
-        }
-        index = Some(IndexInfo {
-            hash_version,
-            num_slots,
-        });
-    }
-
-    Ok(StoreInfo {
-        version,
-        name,
-        num_params,
-        num_rows,
-        file_bytes,
-        index,
-    })
+    StoreReader::open(path)?.info()
 }
 
 #[cfg(test)]
@@ -1279,14 +1204,14 @@ mod tests {
             let space = SearchSpace::from_configs(name, params, vec![int_values([1])]).unwrap();
             let mut bytes = Vec::new();
             write_space(&space, &mut bytes).unwrap();
-            let parsed = parse_structure(&bytes).unwrap();
+            let parsed = parse_structure(bytes.as_slice()).unwrap();
             assert_eq!(
-                parsed.arena_offset % 4,
+                parsed.arena.start % 4,
                 0,
                 "arena misaligned for name {name:?}"
             );
             let idx = parsed.idx.as_ref().expect("index present");
-            assert_eq!(idx.slots_offset % 4, 0, "slots misaligned for {name:?}");
+            assert_eq!(idx.slots.start % 4, 0, "slots misaligned for {name:?}");
         }
     }
 
@@ -1395,9 +1320,11 @@ mod tests {
     /// The `peek_info`/strict-reader differential (fuzz target 1's
     /// secondary oracle): whenever the cheap peek rejects a file, the
     /// strict reader must reject it too, and when both accept, the
-    /// metadata must be identical. Peek may accept files the strict
-    /// reader rejects (it skips the param dictionaries and all content
-    /// checksums), but never the other way around.
+    /// metadata must be identical. Both run the same parser, peek over the
+    /// file and the strict reader over the bytes in memory. Peek may
+    /// accept files the strict reader rejects (it skips the arena and
+    /// index checksums and the code checks), but never the other way
+    /// around.
     fn assert_peek_not_stricter(bytes: &[u8], tag: &str, what: &str) {
         let path = temp_path(&format!("peek-diff-{tag}.atss"));
         std::fs::write(&path, bytes).unwrap();
@@ -1459,19 +1386,111 @@ mod tests {
     }
 
     #[test]
-    fn peek_rejects_stray_bytes_between_arena_and_trailer_in_v1() {
-        let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../tests/fixtures/v1-small.atss");
-        let bytes = std::fs::read(fixture).unwrap();
-        assert_peek_not_stricter(&bytes, "v1", "pristine v1 fixture");
-        // Splice a stray byte in front of the trailer: v1 has no index
-        // section, so the gap must be rejected by both readers.
+    fn peek_rejects_stray_bytes_between_the_index_and_the_trailer() {
+        let space = small_space();
+        let mut bytes = Vec::new();
+        write_space(&space, &mut bytes).unwrap();
+        // The index section must end exactly where the trailer starts, so
+        // a stray byte in front of the trailer is rejected by both readers.
         let mut padded = bytes.clone();
         padded.insert(bytes.len() - TRAILER_LEN, 0);
-        assert_peek_not_stricter(&padded, "v1-stray", "v1 file with a stray pre-trailer byte");
-        let path = temp_path("peek-v1-stray.atss");
+        assert_peek_not_stricter(&padded, "stray", "a stray pre-trailer byte");
+        let path = temp_path("peek-stray.atss");
         std::fs::write(&path, &padded).unwrap();
-        assert!(peek_info(&path).is_err(), "stray byte accepted by peek");
+        assert!(matches!(
+            peek_info(&path),
+            Err(StoreError::Corrupt {
+                section: "index",
+                ..
+            })
+        ));
+    }
+
+    /// A [`Source`] over bytes in memory that records every range the
+    /// parser asks for.
+    struct Recording<'a> {
+        bytes: &'a [u8],
+        requests: std::cell::RefCell<Vec<Range<usize>>>,
+    }
+
+    impl Source for Recording<'_> {
+        fn len(&self) -> usize {
+            self.bytes.len()
+        }
+
+        fn read(
+            &self,
+            at: usize,
+            n: usize,
+            section: &'static str,
+        ) -> Result<Cow<'_, [u8]>, StoreError> {
+            self.requests.borrow_mut().push(at..at.saturating_add(n));
+            Source::read(self.bytes, at, n, section)
+        }
+    }
+
+    #[test]
+    fn parsing_requests_no_arena_or_slot_byte() {
+        let space = small_space();
+        let mut bytes = Vec::new();
+        write_space(&space, &mut bytes).unwrap();
+        let src = Recording {
+            bytes: &bytes,
+            requests: Default::default(),
+        };
+        let parsed = parse_structure(&src).unwrap();
+        let slots = parsed.idx.as_ref().expect("index present").slots.clone();
+        assert!(!parsed.arena.is_empty() && !slots.is_empty());
+        let requests = src.requests.borrow();
+        assert!(!requests.is_empty());
+        for request in requests.iter() {
+            for section in [&parsed.arena, &slots] {
+                assert!(
+                    request.end <= section.start || request.start >= section.end,
+                    "request {request:?} reads bytes of {section:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_section_lengths_are_corrupt_without_allocating() {
+        // Each length field claims ~2^60 bytes. Reading through the file
+        // source checks the range before allocating, so the result is a
+        // clean content error, not an abort in the allocator.
+        let space = small_space();
+        let mut bytes = Vec::new();
+        write_space(&space, &mut bytes).unwrap();
+        let header_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
+        let params_at = 8 + 12 + header_len + 4;
+        let index_at = parse_structure(bytes.as_slice()).unwrap().arena.end;
+        let hostile = (1u64 << 60).to_le_bytes();
+        for (section, at) in [("header", 8), ("params", params_at), ("index", index_at)] {
+            let mut bad = bytes.clone();
+            bad[at + 4..at + 12].copy_from_slice(&hostile);
+            let path = temp_path(&format!("hostile-{section}.atss"));
+            std::fs::write(&path, &bad).unwrap();
+            match peek_info(&path) {
+                Err(StoreError::Corrupt { section: found, .. }) => assert_eq!(found, section),
+                other => panic!("{section}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_truncation_peeks_as_corrupt() {
+        let space = small_space();
+        let mut bytes = Vec::new();
+        write_space(&space, &mut bytes).unwrap();
+        let path = temp_path("peek-trunc.atss");
+        for keep in 0..bytes.len() {
+            std::fs::write(&path, &bytes[..keep]).unwrap();
+            let peeked = peek_info(&path);
+            assert!(
+                matches!(peeked, Err(StoreError::Corrupt { .. })),
+                "truncation to {keep}: {peeked:?}"
+            );
+        }
     }
 
     #[test]
@@ -1589,10 +1608,12 @@ mod tests {
         write_space(&space, &mut bytes).unwrap();
         // The IDX payload starts with the hash version; patch it and fix
         // the section CRC so only the version mismatch remains.
-        let parsed = parse_structure(&bytes).unwrap();
-        let payload_at = parsed.idx.as_ref().unwrap().slots_offset - 8;
-        let payload_len = parsed.idx.as_ref().unwrap().payload.len();
-        drop(parsed);
+        let payload = parse_structure(bytes.as_slice())
+            .unwrap()
+            .idx
+            .unwrap()
+            .payload;
+        let (payload_at, payload_len) = (payload.start, payload.len());
         bytes[payload_at..payload_at + 4].copy_from_slice(&77u32.to_le_bytes());
         let crc = crc32(&bytes[payload_at..payload_at + payload_len]);
         let crc_at = payload_at + payload_len;

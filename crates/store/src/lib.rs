@@ -63,13 +63,14 @@
 //! its payload: `0x01` + `i64` (int), `0x02` + IEEE-754 bit pattern as
 //! `u64` (float), `0x03` + `0x00`/`0x01` (bool), `0x04` + string (str).
 //!
-//! This build writes **version 2** and reads versions 1 and 2. The v2
-//! layout (differences from v1 are marked `v2:`):
+//! This build writes **version 2** and reads only version 2: every reader
+//! rejects any other version with [`StoreError::UnsupportedVersion`]. The
+//! layout:
 //!
 //! ```text
 //! offset   size  field
 //! 0        4     magic, the ASCII bytes "ATSS"
-//! 4        4     format version, u32 (1 or 2)
+//! 4        4     format version, u32 (2)
 //!
 //! --- HEADER section -------------------------------------------------------
 //! 8        4     section tag "HDR\0"
@@ -91,18 +92,17 @@
 //!
 //! --- ARENA section --------------------------------------------------------
 //! .        4     section tag "ARN\0"
-//! .        4     v2: pad length p, u32 (0..=3)
-//! .        p     v2: p zero bytes, chosen so the next offset is a
-//!                multiple of 4 — the *alignment rule* that makes a
-//!                `&[u32]` view over the mmapped file valid (mmap memory
-//!                is page-aligned, so file-offset alignment is pointer
-//!                alignment). v1 has neither field and no alignment
-//!                guarantee, which is why v1 files always load by copy.
+//! .        4     pad length p, u32 (0..=3)
+//! .        p     p zero bytes, chosen so the next offset is a multiple
+//!                of 4 — the *alignment rule* that makes a `&[u32]` view
+//!                over the mmapped file valid (mmap memory is
+//!                page-aligned, so file-offset alignment is pointer
+//!                alignment)
 //! .        N*S*4 the configuration arena, verbatim: N rows x S params of
 //!                u32 value codes, row-major, declaration order — exactly
 //!                the in-memory layout of `SearchSpace::arena()`
 //!
-//! --- INDEX section (v2, optional — present in files this build writes) ----
+//! --- INDEX section (optional — present in files this build writes) -------
 //! .        4     section tag "IDX\0"
 //! .        8     payload length, u64 (= 8 + num_slots*4)
 //! .        4     row-hash version, u32: the version of the row-hash
@@ -157,14 +157,13 @@ pub mod format;
 pub mod mmap;
 
 pub use cache::{
-    build_search_space_cached, CacheStatus, GcOptions, GcReport, PinGuard, SpaceStore, StoreEntry,
-    StoreMetrics, StoreOutcome,
+    CacheStatus, GcOptions, GcReport, PinGuard, SpaceStore, StoreEntry, StoreMetrics, StoreOutcome,
 };
 pub use error::StoreError;
 pub use fingerprint::SpecFingerprint;
 pub use format::{
     load_space_from_path, peek_info, read_space_from_bytes, read_space_from_path, write_space,
     write_space_to_path, ArenaOutcome, IndexInfo, IndexOutcome, LoadOptions, LoadReport,
-    LoadedSpace, StoreInfo, StoreReader, StoreSummary, FORMAT_VERSION, MAGIC, MIN_READ_VERSION,
+    LoadedSpace, StoreInfo, StoreReader, StoreSummary, FORMAT_VERSION, MAGIC,
 };
 pub use mmap::{MapError, MappedCodes, MappedFile};

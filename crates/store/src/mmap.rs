@@ -11,9 +11,9 @@
 //!   below are Linux's). Elsewhere [`MappedFile::map`] returns
 //!   [`MapError::Unsupported`] and callers fall back to the copying load.
 //! * **Alignment**: `mmap` returns page-aligned memory, so a `&[u32]` view
-//!   at byte offset `o` is valid iff `o % 4 == 0`. The v2 `ATSS` layout
-//!   guarantees this for the arena and `IDX` sections; v1 files (no
-//!   alignment rule) take the copying fallback.
+//!   at byte offset `o` is valid iff `o % 4 == 0`. The `ATSS` layout
+//!   guarantees this for the arena and `IDX` sections, and the parser
+//!   rejects a file whose arena does not start on a 4-byte offset.
 //! * **Lifetime**: [`MappedCodes`] owns an `Arc` of the mapping, so a view
 //!   can never outlive the `munmap`. The mapping is `MAP_PRIVATE` and
 //!   `PROT_READ`: the file cannot be written through it, and writes *to*
@@ -35,7 +35,8 @@ pub enum MapError {
     /// The `mmap(2)` call itself failed (errno in the payload).
     Syscall(i32),
     /// A requested `u32` view is not 4-byte aligned or out of the mapped
-    /// range (v1 files, or a corrupt length field).
+    /// range. The store parser only hands out aligned, in-bounds ranges,
+    /// so for a parsed file this is a bug, not damage.
     BadRange {
         /// Byte offset of the requested view.
         offset: usize,

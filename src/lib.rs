@@ -99,7 +99,7 @@ pub use at_workloads as workloads;
 pub mod prelude {
     pub use at_csp::prelude::*;
     pub use at_searchspace::prelude::*;
-    pub use at_store::{build_search_space_cached, LoadOptions, SpaceStore, SpecFingerprint};
+    pub use at_store::{LoadOptions, SpaceStore, SpecFingerprint};
     pub use at_tuner::{
         tune, tune_with_backend, tune_with_options, EvalBackend, EvalOptions, Measurement,
         PerformanceModel, RandomSampling, Strategy, SyntheticKernel,

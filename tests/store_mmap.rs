@@ -8,9 +8,8 @@
 //! * damage to the persisted membership table (byte flips, truncation) is
 //!   never served: the load either fails cleanly or falls back to a
 //!   *reported* index rebuild, and every lookup stays correct;
-//! * v1 files (the checked-in fixture) remain readable via the copying
-//!   path, including under `LoadOptions::mmap_trusted()` (reported
-//!   fallback).
+//! * a v1 file (the checked-in fixture) is rejected by every reader with
+//!   `UnsupportedVersion`: this build reads only the version it writes.
 
 use proptest::prelude::*;
 
@@ -19,8 +18,8 @@ use autotuning_searchspaces::searchspace::{
     build_search_space, Method, SearchSpace, TunableParameter,
 };
 use autotuning_searchspaces::store::{
-    load_space_from_path, read_space_from_path, write_space, write_space_to_path, LoadOptions,
-    StoreReader, FORMAT_VERSION, MIN_READ_VERSION,
+    load_space_from_path, peek_info, read_space_from_path, write_space, write_space_to_path,
+    LoadOptions, StoreError, StoreReader, FORMAT_VERSION,
 };
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -221,76 +220,29 @@ fn real_workloads_load_identically_through_every_path() {
 }
 
 #[test]
-fn v1_fixture_still_loads_via_the_copying_path() {
-    // `tests/fixtures/v1-small.atss` was written by the PR-4 (version 1)
-    // writer and checked in; the spec below reproduces its content.
+fn v1_fixture_is_rejected_by_every_reader() {
+    // `tests/fixtures/v1-small.atss` was written by the version 1 writer
+    // and checked in. This build reads only the version it writes.
     let path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1-small.atss");
-    let (loaded, info) = read_space_from_path(&path).unwrap();
-    assert_eq!(info.version, MIN_READ_VERSION);
-    assert!(info.version < FORMAT_VERSION);
-    assert!(
-        info.index.is_none(),
-        "v1 files have no persisted membership table"
-    );
-    assert_eq!(loaded.name(), "v1-fixture");
-    assert_eq!(loaded.num_params(), 4);
-
-    // Reconstruct the fixture's space in-process and compare.
-    let params = vec![
-        TunableParameter::ints("block_size_x", [1, 2, 4, 8, 16, 32]),
-        TunableParameter::ints("block_size_y", [1, 2, 4, 8]),
-        TunableParameter::new(
-            "precision",
-            vec![
-                Value::str("half"),
-                Value::str("single"),
-                Value::str("double"),
-            ],
-        ),
-        TunableParameter::new("scale", vec![Value::Float(0.5), Value::Float(1.0)]),
-    ];
-    let mut configs = Vec::new();
-    for &x in &[1i64, 2, 4, 8, 16, 32] {
-        for &y in &[1i64, 2, 4, 8] {
-            if x * y > 32 {
-                continue;
-            }
-            for p in ["half", "single", "double"] {
-                for &s in &[0.5f64, 1.0] {
-                    configs.push(vec![
-                        Value::Int(x),
-                        Value::Int(y),
-                        Value::str(p),
-                        Value::Float(s),
-                    ]);
-                }
-            }
+    let is_v1_rejection = |what: &str, e: StoreError| match e {
+        StoreError::UnsupportedVersion {
+            found: 1,
+            supported,
+        } => {
+            assert_eq!(supported, FORMAT_VERSION, "{what}")
         }
+        other => panic!("{what}: {other}"),
+    };
+    is_v1_rejection("peek_info", peek_info(&path).unwrap_err());
+    is_v1_rejection(
+        "read_space_from_path",
+        read_space_from_path(&path).unwrap_err(),
+    );
+    for options in [LoadOptions::default(), LoadOptions::mmap_trusted()] {
+        is_v1_rejection(
+            &format!("{options:?}"),
+            load_space_from_path(&path, options).unwrap_err(),
+        );
     }
-    let reference = SearchSpace::from_configs("v1-fixture", params, configs).unwrap();
-    assert_spaces_identical(&reference, &loaded);
-
-    // Requesting mmap on a v1 file falls back to the copying path (no
-    // alignment rule in v1) — reported, not an error.
-    let loaded = load_space_from_path(&path, LoadOptions::mmap_trusted()).unwrap();
-    assert!(!loaded.report.is_zero_copy());
-    assert!(!loaded.space.is_zero_copy());
-    assert_spaces_identical(&reference, &loaded.space);
-}
-
-#[test]
-fn rewriting_the_v1_fixture_upgrades_it_to_v2() {
-    let fixture =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1-small.atss");
-    let (v1_space, _) = read_space_from_path(&fixture).unwrap();
-    let path = temp_dir("upgrade").join("upgraded.atss");
-    write_space_to_path(&v1_space, &path).unwrap();
-    let loaded = load_space_from_path(&path, LoadOptions::mmap_trusted()).unwrap();
-    assert_eq!(loaded.info.version, FORMAT_VERSION);
-    assert!(loaded.info.index.is_some());
-    if cfg!(target_os = "linux") {
-        assert!(loaded.report.is_zero_copy());
-    }
-    assert_spaces_identical(&v1_space, &loaded.space);
 }
