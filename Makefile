@@ -170,7 +170,7 @@ bench-store:
 
 # Batched-evaluation benchmarks: per-strategy eval throughput at 1 vs 4
 # eval threads (the determinism check and the speedup comparison are
-# printed up front), plus batch-engine and sharded-cache microbenchmarks.
+# printed up front), plus batch-engine microbenchmarks.
 bench-tuner:
 	$(CARGO) bench -p at_bench --bench tuner
 

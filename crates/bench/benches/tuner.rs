@@ -12,13 +12,12 @@
 //! ≥2× eval-throughput speedup for the population strategies is asserted
 //! only when the host actually has ≥4 cores (CI containers often pin 1).
 //! Criterion groups then track per-strategy serial eval throughput on the
-//! cheap model, the engine's batch overhead, and the sharded cache.
+//! cheap model and the engine's batch overhead.
 //!
 //! * `tuner/strategy_eval` — full tuning runs per strategy, 1 thread,
 //!   cheap model: the strategy + engine overhead per evaluation,
 //! * `tuner/batch_engine` — `evaluate_batch` on a pre-shuffled id stream
-//!   through a fresh context: resolve/fan-out/merge cost per slot,
-//! * `tuner/sharded_cache` — hit-path cost of the lock-striped cache.
+//!   through a fresh context: resolve/fan-out/merge cost per slot.
 
 use std::time::{Duration, Instant};
 
@@ -26,8 +25,8 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 
 use at_searchspace::{build_search_space, ConfigId, Method, SearchSpace};
 use at_tuner::{
-    strategy_by_name, tune_with_options, EvalOptions, Measurement, ModelBackend, PerformanceModel,
-    ShardedEvalCache, SyntheticKernel, TuningContext, TuningRun,
+    strategy_by_name, tune_with_options, EvalOptions, ModelBackend, PerformanceModel,
+    SyntheticKernel, TuningContext, TuningRun,
 };
 use at_workloads::microhh;
 
@@ -212,26 +211,6 @@ fn bench_tuner(c: &mut Criterion) {
             },
         );
     }
-    group.finish();
-
-    let mut group = c.benchmark_group("tuner/sharded_cache");
-    let cache = ShardedEvalCache::new();
-    for &id in &ids {
-        cache.insert(
-            id,
-            Measurement {
-                runtime_ms: 1.0,
-                cost_ms: 51.0,
-            },
-        );
-    }
-    group.bench_function("hit_scan", |b| {
-        b.iter(|| {
-            ids.iter()
-                .filter(|&&id| cache.get(black_box(id)).is_some())
-                .count()
-        })
-    });
     group.finish();
 }
 

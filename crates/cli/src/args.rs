@@ -60,7 +60,7 @@ impl std::fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 /// Flags that do not take a value.
-const SWITCHES: &[&str] = &["full", "help", "quiet", "mmap", "json", "prune", "metrics"];
+const SWITCHES: &[&str] = &["help", "mmap", "json", "prune", "metrics"];
 
 /// Parse raw arguments into a [`ParsedArgs`].
 pub fn parse(args: &[String]) -> Result<ParsedArgs, ArgError> {
@@ -122,10 +122,12 @@ impl ParsedArgs {
         }
     }
 
-    /// Reject flags outside the allowed set (catches typos early).
+    /// Reject flags outside the allowed set, switches included: a command
+    /// names every flag it reads, so a typo or a flag it would ignore is an
+    /// error rather than a silent no-op.
     pub fn ensure_known_flags(&self, allowed: &[&str]) -> Result<(), ArgError> {
         for key in self.options.keys() {
-            if !allowed.contains(&key.as_str()) && !SWITCHES.contains(&key.as_str()) {
+            if !allowed.contains(&key.as_str()) {
                 return Err(ArgError::UnknownFlag(key.clone()));
             }
         }
@@ -160,8 +162,8 @@ mod tests {
 
     #[test]
     fn switches_do_not_consume_values() {
-        let parsed = parse(&to_args(&["table2", "--full", "--method", "optimized"])).unwrap();
-        assert!(parsed.switch("full"));
+        let parsed = parse(&to_args(&["table2", "--json", "--method", "optimized"])).unwrap();
+        assert!(parsed.switch("json"));
         assert_eq!(parsed.get("method"), Some("optimized"));
     }
 

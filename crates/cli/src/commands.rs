@@ -3,7 +3,7 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use at_obs::json::{quote, Json};
+use at_obs::json::Json;
 use at_searchspace::output::json_value;
 use at_searchspace::{
     build_search_space, build_search_space_with, spec_from_json, to_csv, to_json_cache,
@@ -18,7 +18,7 @@ use at_workloads::{all_real_world, performance_model_for, real_world_by_name, re
 
 use crate::args::ParsedArgs;
 use crate::daemon_cmd::{try_daemon_obtain, DaemonServed};
-use crate::obs::{eval_section, solve_section, store_section, ObsSession};
+use crate::obs::{solve_section, ObsSession};
 use crate::CliError;
 
 /// The help text.
@@ -377,82 +377,57 @@ fn cache_source_label(
     }
 }
 
-/// Splice a pre-rendered `atss.metrics.v1` envelope into a one-line JSON
-/// object as its final `"observability"` field. Both sides are one-line
-/// house-format JSON, so the textual composition is exact.
-fn embed_observability(line: String, envelope: Option<&str>) -> String {
-    match envelope {
-        None => line,
-        Some(env) => {
-            let body = line.trim_end();
-            let body = &body[..body.len() - 1];
-            format!("{body},\"observability\":{env}}}\n")
-        }
+/// The output of a one-line `--json` command: `doc` on one line, with the
+/// `atss.metrics.v1` envelope (when `--metrics` was passed) as its last
+/// field, `observability`.
+fn json_line(mut doc: Json, envelope: Option<Json>) -> String {
+    if let Some(env) = envelope {
+        doc.push("observability", env);
     }
+    format!("{doc}\n")
 }
 
 /// Append the `atss.metrics.v1` envelope as the final output line (the
 /// `--metrics` contract for human-format and JSONL commands).
-pub(crate) fn append_metrics(mut out: String, envelope: Option<String>) -> String {
+pub(crate) fn append_metrics(mut out: String, envelope: Option<Json>) -> String {
     if let Some(env) = envelope {
         if !out.is_empty() && !out.ends_with('\n') {
             out.push('\n');
         }
-        out.push_str(&env);
-        out.push('\n');
+        writeln!(out, "{env}").expect("write to string");
     }
     out
 }
 
-/// The `construct --json` DTO: one JSON object on one line, schema
-/// `atss.construct.v1`.
-fn construct_json_line(
+/// The `construct --json` DTO, schema `atss.construct.v1`.
+fn construct_json(
     spec: &SearchSpaceSpec,
     method: Method,
     space: &SearchSpace,
     report: &Option<BuildReport>,
     outcome: &Option<(StoreOutcome, SpaceStore)>,
     daemon: &Option<DaemonServed>,
-    envelope: Option<&str>,
-) -> String {
-    let mut doc = Json::obj();
-    doc.push("schema", Json::Str("atss.construct.v1".to_string()));
-    doc.push("space", Json::Str(spec.name.clone()));
-    doc.push("method", Json::Str(method.label().to_string()));
-    doc.push(
-        "cartesian",
-        Json::U64(u64::try_from(spec.cartesian_size()).unwrap_or(u64::MAX)),
-    );
-    doc.push("valid", Json::U64(space.len() as u64));
-    doc.push(
-        "construction_ms",
-        match report {
-            Some(r) => Json::F64(r.duration.as_secs_f64() * 1_000.0),
-            None => Json::Null,
-        },
-    );
-    doc.push(
-        "constraint_checks",
-        match report {
-            Some(r) => Json::U64(r.stats.constraint_checks),
-            None => Json::Null,
-        },
-    );
-    doc.push(
-        "arena_bytes",
-        Json::U64((space.len() * space.num_params() * std::mem::size_of::<u32>()) as u64),
-    );
-    doc.push(
-        "cache_source",
-        Json::Str(cache_source_label(outcome, daemon).to_string()),
-    );
-    embed_observability(
-        format!(
-            "{doc}
-"
-        ),
-        envelope,
-    )
+) -> Json {
+    let arena_bytes = space.len() * space.num_params() * std::mem::size_of::<u32>();
+    Json::obj()
+        .with("schema", "atss.construct.v1")
+        .with("space", spec.name.as_str())
+        .with("method", method.label())
+        .with(
+            "cartesian",
+            u64::try_from(spec.cartesian_size()).unwrap_or(u64::MAX),
+        )
+        .with("valid", space.len())
+        .with(
+            "construction_ms",
+            report.as_ref().map(|r| r.duration.as_secs_f64() * 1_000.0),
+        )
+        .with(
+            "constraint_checks",
+            report.as_ref().map(|r| r.stats.constraint_checks),
+        )
+        .with("arena_bytes", arena_bytes)
+        .with("cache_source", cache_source_label(outcome, daemon))
 }
 
 /// `atss construct`
@@ -466,6 +441,10 @@ pub fn construct(args: &ParsedArgs) -> Result<String, CliError> {
         "cache-dir",
         "daemon",
         "trace",
+        "mmap",
+        "prune",
+        "json",
+        "metrics",
     ])?;
     let obs = ObsSession::begin(args);
     let spec = resolve_spec(args)?;
@@ -480,7 +459,7 @@ pub fn construct(args: &ParsedArgs) -> Result<String, CliError> {
         sections.push(("solve", solve_section(report)));
     }
     if let Some((_, store)) = &outcome {
-        sections.push(("store", store_section(store.metrics())));
+        sections.push(("store", store.metrics().to_json()));
     }
     let envelope = obs.finish("construct", sections)?;
 
@@ -499,15 +478,8 @@ pub fn construct(args: &ParsedArgs) -> Result<String, CliError> {
         .and_then(|()| std::io::Write::flush(&mut out));
         result.map_err(|e| CliError::Run(format!("cannot write `{path}`: {e}")))?;
         if args.switch("json") {
-            return Ok(construct_json_line(
-                &spec,
-                method,
-                &space,
-                &report,
-                &outcome,
-                &served,
-                envelope.as_deref(),
-            ));
+            let doc = construct_json(&spec, method, &space, &report, &outcome, &served);
+            return Ok(json_line(doc, envelope));
         }
         let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
         return Ok(append_metrics(
@@ -521,15 +493,8 @@ pub fn construct(args: &ParsedArgs) -> Result<String, CliError> {
 
     // Robot mode: the one-line envelope replaces the stdout rendering.
     if args.switch("json") {
-        return Ok(construct_json_line(
-            &spec,
-            method,
-            &space,
-            &report,
-            &outcome,
-            &served,
-            envelope.as_deref(),
-        ));
+        let doc = construct_json(&spec, method, &space, &report, &outcome, &served);
+        return Ok(json_line(doc, envelope));
     }
 
     let rendered = match format {
@@ -617,46 +582,37 @@ pub fn construct(args: &ParsedArgs) -> Result<String, CliError> {
 }
 
 /// One JSONL line for `check --json`.
-fn check_json_line(d: &at_check::Diagnostic) -> String {
-    let restriction = match d.restriction {
-        Some(i) => i.to_string(),
-        None => "null".to_string(),
-    };
-    let span = match d.span {
-        Some(s) => format!("{{\"start\":{},\"end\":{}}}", s.start, s.end),
-        None => "null".to_string(),
-    };
-    let opt_str = |o: &Option<String>| match o {
-        Some(s) => quote(s),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":{},\"restriction\":{},\"source\":{},\"span\":{},\"help\":{}}}",
-        d.code,
-        d.severity().label(),
-        quote(&d.message),
-        restriction,
-        opt_str(&d.source),
-        span,
-        opt_str(&d.help),
-    )
+fn check_json(d: &at_check::Diagnostic) -> Json {
+    Json::obj()
+        .with("code", d.code.as_str())
+        .with("severity", d.severity().label())
+        .with("message", d.message.as_str())
+        .with("restriction", d.restriction)
+        .with("source", d.source.as_deref())
+        .with(
+            "span",
+            d.span
+                .map(|s| Json::obj().with("start", s.start).with("end", s.end)),
+        )
+        .with("help", d.help.as_deref())
+}
+
+/// `doc` with the report's counts appended: the envelope's `check`
+/// section, and the tail of the `atss.check.v1` summary line.
+fn with_check_counts(doc: Json, report: &at_check::CheckReport) -> Json {
+    doc.with("restrictions", report.verdicts.len())
+        .with("errors", report.num_errors())
+        .with("warnings", report.num_warnings())
+        .with("prunable_values", report.num_prunable_values())
 }
 
 /// `atss check`
 pub fn check(args: &ParsedArgs) -> Result<String, CliError> {
-    args.ensure_known_flags(&["workload", "spec", "trace"])?;
+    args.ensure_known_flags(&["workload", "spec", "trace", "json", "metrics"])?;
     let obs = ObsSession::begin(args);
     let spec = resolve_spec(args)?;
     let report = at_check::check_spec(&spec);
-
-    let mut section = Json::obj();
-    section.push("restrictions", Json::U64(report.verdicts.len() as u64));
-    section.push("errors", Json::U64(report.num_errors() as u64));
-    section.push("warnings", Json::U64(report.num_warnings() as u64));
-    section.push(
-        "prunable_values",
-        Json::U64(report.num_prunable_values() as u64),
-    );
+    let section = with_check_counts(Json::obj(), &report);
     let envelope = obs.finish("check", vec![("check", section)])?;
 
     if args.switch("json") {
@@ -666,18 +622,13 @@ pub fn check(args: &ParsedArgs) -> Result<String, CliError> {
         // not the exit code.
         let mut out = String::new();
         for d in &report.diagnostics {
-            writeln!(out, "{}", check_json_line(d)).expect("write to string");
+            writeln!(out, "{}", check_json(d)).expect("write to string");
         }
-        writeln!(
-            out,
-            "{{\"schema\":\"atss.check.v1\",\"summary\":true,\"spec\":{},\"restrictions\":{},\"errors\":{},\"warnings\":{},\"prunable_values\":{}}}",
-            quote(&report.spec_name),
-            report.verdicts.len(),
-            report.num_errors(),
-            report.num_warnings(),
-            report.num_prunable_values(),
-        )
-        .expect("write to string");
+        let summary = Json::obj()
+            .with("schema", "atss.check.v1")
+            .with("summary", true)
+            .with("spec", report.spec_name.as_str());
+        writeln!(out, "{}", with_check_counts(summary, &report)).expect("write to string");
         return Ok(append_metrics(out, envelope));
     }
     // Human mode: error-severity findings fail the command (exit 1) so
@@ -692,7 +643,7 @@ pub fn check(args: &ParsedArgs) -> Result<String, CliError> {
 
 /// `atss compare`
 pub fn compare(args: &ParsedArgs) -> Result<String, CliError> {
-    args.ensure_known_flags(&["workload", "spec", "methods", "trace"])?;
+    args.ensure_known_flags(&["workload", "spec", "methods", "trace", "json", "metrics"])?;
     let obs = ObsSession::begin(args);
     let spec = resolve_spec(args)?;
     let methods: Vec<Method> = match args.get("methods") {
@@ -729,22 +680,16 @@ pub fn compare(args: &ParsedArgs) -> Result<String, CliError> {
     let envelope = obs.finish("compare", vec![("methods", Json::Arr(per_method.clone()))])?;
 
     if args.switch("json") {
-        let mut doc = Json::obj();
-        doc.push("schema", Json::Str("atss.compare.v1".to_string()));
-        doc.push("space", Json::Str(spec.name.clone()));
-        doc.push(
-            "cartesian",
-            Json::U64(u64::try_from(spec.cartesian_size()).unwrap_or(u64::MAX)),
-        );
-        doc.push("valid", Json::U64(reference.unwrap_or(0) as u64));
-        doc.push("methods", Json::Arr(per_method));
-        return Ok(embed_observability(
-            format!(
-                "{doc}
-"
-            ),
-            envelope.as_deref(),
-        ));
+        let doc = Json::obj()
+            .with("schema", "atss.compare.v1")
+            .with("space", spec.name.as_str())
+            .with(
+                "cartesian",
+                u64::try_from(spec.cartesian_size()).unwrap_or(u64::MAX),
+            )
+            .with("valid", reference.unwrap_or(0))
+            .with("methods", per_method);
+        return Ok(json_line(doc, envelope));
     }
 
     let mut out = String::new();
@@ -782,6 +727,10 @@ pub fn tune(args: &ParsedArgs) -> Result<String, CliError> {
         "eval-threads",
         "construction-ms",
         "trace",
+        "mmap",
+        "prune",
+        "json",
+        "metrics",
     ])?;
     let obs = ObsSession::begin(args);
     let name = args.require("workload")?;
@@ -848,13 +797,13 @@ pub fn tune(args: &ParsedArgs) -> Result<String, CliError> {
         sections.push(("solve", solve_section(report)));
     }
     if let Some((_, store)) = &outcome {
-        sections.push(("store", store_section(store.metrics())));
+        sections.push(("store", store.metrics().to_json()));
     }
-    sections.push(("eval", eval_section(&run.metrics)));
+    sections.push(("eval", run.metrics.to_json()));
     let envelope = obs.finish("tune", sections)?;
 
     if args.switch("json") {
-        return Ok(tune_json_line(
+        let doc = tune_json(
             &workload.spec.name,
             method,
             seed,
@@ -862,8 +811,8 @@ pub fn tune(args: &ParsedArgs) -> Result<String, CliError> {
             cache_source,
             &space,
             &run,
-            envelope.as_deref(),
-        ));
+        );
+        return Ok(json_line(doc, envelope));
     }
 
     let mut out = String::new();
@@ -934,15 +883,12 @@ pub fn tune(args: &ParsedArgs) -> Result<String, CliError> {
     Ok(append_metrics(out, envelope))
 }
 
-/// The `tune --json` DTO: one JSON object on one line, schema `atss.tune.v1`.
-/// Everything a robot consumer needs is in-band; for a fixed seed and
-/// construction charge the object is identical across `--eval-threads`
-/// values except for the `threads`/`fanout_*` metrics fields. When
-/// `--metrics` is also passed, the `atss.metrics.v1` envelope rides along
-/// as the final `observability` field (and only then — without it the
-/// object carries no wall-clock-dependent keys beyond `total_ms`).
-#[allow(clippy::too_many_arguments)]
-fn tune_json_line(
+/// The `tune --json` DTO, schema `atss.tune.v1`. Everything a robot
+/// consumer needs is in-band; for a fixed seed and construction charge the
+/// object is identical across `--eval-threads` values except for the
+/// `threads`/`fanout_*` metrics fields. Without `--metrics` the object
+/// carries no wall-clock-dependent keys beyond `total_ms`.
+fn tune_json(
     workload: &str,
     method: Method,
     seed: u64,
@@ -950,64 +896,36 @@ fn tune_json_line(
     cache_source: &str,
     space: &SearchSpace,
     run: &TuningRun,
-    envelope: Option<&str>,
-) -> String {
+) -> Json {
+    let best = run.best_evaluation();
+    let best_config = best.and_then(|b| space.view(b.config_index)).map(|view| {
+        view.values()
+            .zip(space.params())
+            .fold(Json::obj(), |doc, (value, p)| {
+                doc.with(p.name(), json_value(value))
+            })
+    });
     let m = &run.metrics;
-    let (best_runtime, best_id, best_config) = match run.best_evaluation() {
-        Some(best) => {
-            let config = space
-                .view(best.config_index)
-                .map(|view| {
-                    let fields: Vec<String> = view
-                        .to_vec()
-                        .iter()
-                        .zip(space.params())
-                        .map(|(value, p)| format!("{}:{}", quote(p.name()), json_value(value)))
-                        .collect();
-                    format!("{{{}}}", fields.join(","))
-                })
-                .unwrap_or_else(|| "null".to_string());
-            (
-                best.runtime_ms.to_string(),
-                best.config_index.index().to_string(),
-                config,
-            )
-        }
-        None => ("null".into(), "null".into(), "null".into()),
-    };
-    let line = format!(
-        "{{\"schema\":\"atss.tune.v1\",\"workload\":{},\"strategy\":{},\
-         \"method\":\"{}\",\"seed\":{seed},\"budget_ms\":{budget_ms},\
-         \"construction_ms\":{},\"total_ms\":{},\"evaluations\":{},\
-         \"best_runtime_ms\":{best_runtime},\"best_config_id\":{best_id},\
-         \"best_config\":{best_config},\"cache_source\":\"{cache_source}\",\
-         \"metrics\":{{\"batches\":{},\"proposed\":{},\"measured\":{},\
-         \"cache_hits\":{},\"deduped\":{},\"rejected\":{},\"out_of_budget\":{},\
-         \"largest_batch\":{},\"threads\":{},\"fanout_batches\":{},\
-         \"fanout_thread_slots\":{},\"cache_hit_ratio\":{},\"dedup_ratio\":{},\
-         \"fanout_utilization\":{}}}}}\n",
-        quote(workload),
-        quote(&run.strategy),
-        method.label(),
-        run.construction_ms,
-        run.total_ms,
-        run.num_evaluations(),
-        m.batches,
-        m.proposed,
-        m.measured,
-        m.cache_hits,
-        m.deduped,
-        m.rejected,
-        m.out_of_budget,
-        m.largest_batch,
-        m.threads,
-        m.fanout_batches,
-        m.fanout_thread_slots,
-        m.cache_hit_ratio(),
-        m.dedup_ratio(),
-        m.fanout_utilization(),
-    );
-    embed_observability(line, envelope)
+    let metrics = m
+        .to_json()
+        .with("cache_hit_ratio", m.cache_hit_ratio())
+        .with("dedup_ratio", m.dedup_ratio())
+        .with("fanout_utilization", m.fanout_utilization());
+    Json::obj()
+        .with("schema", "atss.tune.v1")
+        .with("workload", workload)
+        .with("strategy", run.strategy.as_str())
+        .with("method", method.label())
+        .with("seed", seed)
+        .with("budget_ms", budget_ms)
+        .with("construction_ms", run.construction_ms)
+        .with("total_ms", run.total_ms)
+        .with("evaluations", run.num_evaluations())
+        .with("best_runtime_ms", best.map(|b| b.runtime_ms))
+        .with("best_config_id", best.map(|b| b.config_index.index()))
+        .with("best_config", best_config)
+        .with("cache_source", cache_source)
+        .with("metrics", metrics)
 }
 
 /// `atss capabilities`: machine-readable introspection of what this build
@@ -1016,98 +934,120 @@ fn tune_json_line(
 /// which commands speak `--json` without parsing help text.
 pub fn capabilities(args: &ParsedArgs) -> Result<String, CliError> {
     args.ensure_known_flags(&[])?;
-    let quote_list = |items: &[&str]| items.iter().map(|s| quote(s)).collect::<Vec<_>>().join(",");
     let methods: Vec<&str> = Method::all().iter().map(|m| m.label()).collect();
-    let diagnostics = at_check::Code::ALL
+    let diagnostics: Json = at_check::Code::ALL
         .iter()
         .map(|c| {
-            format!(
-                "{{\"code\":\"{}\",\"severity\":\"{}\"}}",
-                c.as_str(),
-                c.severity().label()
-            )
+            Json::obj()
+                .with("code", c.as_str())
+                .with("severity", c.severity().label())
         })
-        .collect::<Vec<_>>()
-        .join(",");
-    Ok(format!(
-        "{{\"schema\":\"atss.capabilities.v1\",\"name\":\"atss\",\"version\":\"{}\",\
-         \"commands\":[{}],\"methods\":[{}],\"solvers\":[{}],\"strategies\":[{}],\
-         \"workloads\":[{}],\"neighbor_methods\":[{}],\
-         \"eval\":{{\"backends\":[\"performance-model\"],\"batched\":true,\
-         \"threads_flag\":\"--eval-threads\"}},\
-         \"store\":{{\"format_version\":{},\"min_read_version\":{},\"features\":[{}]}},\
-         \"daemon\":{{\"protocol\":\"ATSD\",\"protocol_version\":{},\
-         \"socket_flag\":\"--daemon\",\"subcommands\":[{}],\
-         \"client_subcommands\":[{}],\
-         \"status_schema\":\"atss.daemon-status.v1\"}},\
-         \"check\":{{\"diagnostics\":[{diagnostics}]}},\
-         \"observability\":{{\"trace_flag\":\"--trace\",\"metrics_flag\":\"--metrics\",\
-         \"trace_format\":\"chrome-trace-event\",\"metrics_schema\":\"atss.metrics.v1\",\
-         \"commands\":[{}]}},\
-         \"schemas\":[{}],\
-         \"json_commands\":[{}]}}\n",
-        env!("CARGO_PKG_VERSION"),
-        quote_list(&[
-            "workloads",
-            "check",
-            "construct",
-            "compare",
-            "tune",
-            "cache",
-            "trace-lint",
-            "daemon",
-            "client",
-            "capabilities",
-            "spec-template",
-            "help",
-        ]),
-        quote_list(&methods),
-        quote_list(&[
-            "brute-force",
-            "original",
-            "optimized",
-            "parallel",
-            "blocking-clause",
-        ]),
-        quote_list(all_strategy_names()),
-        quote_list(real_world_names()),
-        quote_list(&["hamming", "adjacent", "strictly-adjacent"]),
-        at_store::FORMAT_VERSION,
-        // The store reads exactly the version it writes; the key stays so
-        // the schema does not change.
-        at_store::FORMAT_VERSION,
-        quote_list(&[
-            "content-addressed-cache",
-            "mmap-zero-copy",
-            "persisted-index",
-            "crc-framing",
-            "verify",
-            "gc",
-            "entry-pinning",
-        ]),
-        at_daemon::PROTOCOL_VERSION,
-        quote_list(&["run", "status", "stop", "ping"]),
-        quote_list(&["resolve", "ping"]),
-        quote_list(&["construct", "check", "compare", "tune", "cache"]),
-        quote_list(&[
-            "atss.capabilities.v1",
-            "atss.construct.v1",
-            "atss.compare.v1",
-            "atss.check.v1",
-            "atss.tune.v1",
-            "atss.cache-verify.v1",
-            "atss.daemon-status.v1",
-            "atss.metrics.v1",
-        ]),
-        quote_list(&[
-            "check",
-            "construct",
-            "compare",
-            "cache verify",
-            "tune",
-            "capabilities",
-        ]),
-    ))
+        .collect();
+    let eval = Json::obj()
+        .with("backends", ["performance-model"])
+        .with("batched", true)
+        .with("threads_flag", "--eval-threads");
+    // The store reads exactly the version it writes; `min_read_version`
+    // stays so the schema does not change.
+    let store = Json::obj()
+        .with("format_version", at_store::FORMAT_VERSION)
+        .with("min_read_version", at_store::FORMAT_VERSION)
+        .with(
+            "features",
+            [
+                "content-addressed-cache",
+                "mmap-zero-copy",
+                "persisted-index",
+                "crc-framing",
+                "verify",
+                "gc",
+                "entry-pinning",
+            ],
+        );
+    let daemon = Json::obj()
+        .with("protocol", "ATSD")
+        .with("protocol_version", u32::from(at_daemon::PROTOCOL_VERSION))
+        .with("socket_flag", "--daemon")
+        .with("subcommands", ["run", "status", "stop", "ping"])
+        .with("client_subcommands", ["resolve", "ping"])
+        .with("status_schema", "atss.daemon-status.v1");
+    let observability = Json::obj()
+        .with("trace_flag", "--trace")
+        .with("metrics_flag", "--metrics")
+        .with("trace_format", "chrome-trace-event")
+        .with("metrics_schema", "atss.metrics.v1")
+        .with(
+            "commands",
+            ["construct", "check", "compare", "tune", "cache"],
+        );
+    let doc = Json::obj()
+        .with("schema", "atss.capabilities.v1")
+        .with("name", "atss")
+        .with("version", env!("CARGO_PKG_VERSION"))
+        .with(
+            "commands",
+            [
+                "workloads",
+                "check",
+                "construct",
+                "compare",
+                "tune",
+                "cache",
+                "trace-lint",
+                "daemon",
+                "client",
+                "capabilities",
+                "spec-template",
+                "help",
+            ],
+        )
+        .with("methods", methods)
+        .with(
+            "solvers",
+            [
+                "brute-force",
+                "original",
+                "optimized",
+                "parallel",
+                "blocking-clause",
+            ],
+        )
+        .with("strategies", all_strategy_names().to_vec())
+        .with("workloads", real_world_names().to_vec())
+        .with(
+            "neighbor_methods",
+            ["hamming", "adjacent", "strictly-adjacent"],
+        )
+        .with("eval", eval)
+        .with("store", store)
+        .with("daemon", daemon)
+        .with("check", Json::obj().with("diagnostics", diagnostics))
+        .with("observability", observability)
+        .with(
+            "schemas",
+            [
+                "atss.capabilities.v1",
+                "atss.construct.v1",
+                "atss.compare.v1",
+                "atss.check.v1",
+                "atss.tune.v1",
+                "atss.cache-verify.v1",
+                "atss.daemon-status.v1",
+                "atss.metrics.v1",
+            ],
+        )
+        .with(
+            "json_commands",
+            [
+                "check",
+                "construct",
+                "compare",
+                "cache verify",
+                "tune",
+                "capabilities",
+            ],
+        );
+    Ok(format!("{doc}\n"))
 }
 
 /// Open the store named by the required `--cache-dir` flag.
@@ -1145,12 +1085,12 @@ pub fn cache(args: &ParsedArgs) -> Result<String, CliError> {
             )))
         }
     };
-    let envelope = obs.finish(command, vec![("store", store_section(store.metrics()))])?;
+    let envelope = obs.finish(command, vec![("store", store.metrics().to_json())])?;
     Ok(append_metrics(out, envelope))
 }
 
 fn cache_ls(args: &ParsedArgs) -> Result<(String, SpaceStore), CliError> {
-    args.ensure_known_flags(&["cache-dir", "trace"])?;
+    args.ensure_known_flags(&["cache-dir", "trace", "metrics"])?;
     let store = resolve_store(args)?;
     let entries = store.entries().map_err(|e| CliError::Run(e.to_string()))?;
     let mut out = String::new();
@@ -1200,7 +1140,15 @@ fn cache_ls(args: &ParsedArgs) -> Result<(String, SpaceStore), CliError> {
 }
 
 fn cache_info(args: &ParsedArgs) -> Result<(String, SpaceStore), CliError> {
-    args.ensure_known_flags(&["cache-dir", "workload", "spec", "method", "trace"])?;
+    args.ensure_known_flags(&[
+        "cache-dir",
+        "workload",
+        "spec",
+        "method",
+        "trace",
+        "mmap",
+        "metrics",
+    ])?;
     let store = resolve_store(args)?;
     let spec = resolve_spec(args)?;
     let method = resolve_method(args)?;
@@ -1284,28 +1232,18 @@ fn cache_info(args: &ParsedArgs) -> Result<(String, SpaceStore), CliError> {
 }
 
 /// One JSONL line for `cache verify --json`.
-fn verify_json_line(entry: &StoreEntry, error: Option<&StoreError>) -> String {
-    let rows = match &entry.info {
-        Some(info) => info.num_rows.to_string(),
-        None => "null".to_string(),
-    };
-    let error_field = match error {
-        Some(e) => quote(&e.to_string()),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"fingerprint\":{},\"path\":{},\"bytes\":{},\"rows\":{},\"status\":\"{}\",\"error\":{}}}",
-        quote(&entry.fingerprint.to_hex()),
-        quote(&entry.path.display().to_string()),
-        entry.bytes,
-        rows,
-        if error.is_none() { "ok" } else { "damaged" },
-        error_field,
-    )
+fn verify_json(entry: &StoreEntry, error: Option<&StoreError>) -> Json {
+    Json::obj()
+        .with("fingerprint", entry.fingerprint.to_hex())
+        .with("path", entry.path.display().to_string())
+        .with("bytes", entry.bytes)
+        .with("rows", entry.info.as_ref().map(|info| info.num_rows))
+        .with("status", if error.is_none() { "ok" } else { "damaged" })
+        .with("error", error.map(|e| e.to_string()))
 }
 
 fn cache_verify(args: &ParsedArgs) -> Result<(String, SpaceStore), CliError> {
-    args.ensure_known_flags(&["cache-dir", "trace"])?;
+    args.ensure_known_flags(&["cache-dir", "trace", "json", "metrics"])?;
     let store = resolve_store(args)?;
     let results = store.verify().map_err(|e| CliError::Run(e.to_string()))?;
     if args.switch("json") {
@@ -1316,14 +1254,14 @@ fn cache_verify(args: &ParsedArgs) -> Result<(String, SpaceStore), CliError> {
         let mut out = String::new();
         let damaged = results.iter().filter(|(_, e)| e.is_some()).count();
         for (entry, error) in &results {
-            writeln!(out, "{}", verify_json_line(entry, error.as_ref())).expect("write to string");
+            writeln!(out, "{}", verify_json(entry, error.as_ref())).expect("write to string");
         }
-        writeln!(
-            out,
-            "{{\"schema\":\"atss.cache-verify.v1\",\"summary\":true,\"checked\":{},\"damaged\":{damaged}}}",
-            results.len()
-        )
-        .expect("write to string");
+        let summary = Json::obj()
+            .with("schema", "atss.cache-verify.v1")
+            .with("summary", true)
+            .with("checked", results.len())
+            .with("damaged", damaged);
+        writeln!(out, "{summary}").expect("write to string");
         return Ok((out, store));
     }
     let mut out = String::new();
@@ -1350,7 +1288,7 @@ fn cache_verify(args: &ParsedArgs) -> Result<(String, SpaceStore), CliError> {
 }
 
 fn cache_gc(args: &ParsedArgs) -> Result<(String, SpaceStore), CliError> {
-    args.ensure_known_flags(&["cache-dir", "max-bytes", "max-entries", "trace"])?;
+    args.ensure_known_flags(&["cache-dir", "max-bytes", "max-entries", "trace", "metrics"])?;
     let store = resolve_store(args)?;
     let max_bytes: u64 = args.number("max-bytes", u64::MAX).map_err(CliError::Args)?;
     let max_entries: usize = args
@@ -1601,6 +1539,26 @@ mod tests {
             "count"
         ]))
         .is_err());
+        // A switch the command does not read is an error, not a no-op.
+        let rejects = |result: Result<String, CliError>, flag: &str| match result {
+            Err(CliError::Args(crate::args::ArgError::UnknownFlag(f))) => assert_eq!(f, flag),
+            other => panic!("--{flag} was accepted: {other:?}"),
+        };
+        rejects(workloads(&parsed(&["workloads", "--json"])), "json");
+        rejects(
+            cache(&parsed(&[
+                "cache",
+                "ls",
+                "--cache-dir",
+                "/nonexistent",
+                "--json",
+            ])),
+            "json",
+        );
+        rejects(
+            check(&parsed(&["check", "--workload", "gemm", "--mmap"])),
+            "mmap",
+        );
     }
 
     fn fresh_cache_dir(tag: &str) -> String {

@@ -32,7 +32,7 @@ mod imp {
 
     use crate::args::ParsedArgs;
     use crate::commands::{resolve_method, resolve_spec};
-    use crate::obs::{store_section, ObsSession};
+    use crate::obs::ObsSession;
     use crate::CliError;
 
     /// How `obtain_space` got its space when `--daemon` won: the daemon's
@@ -178,6 +178,7 @@ mod imp {
             "max-bytes",
             "max-entries",
             "trace",
+            "metrics",
         ])?;
         let obs = ObsSession::begin(args);
         let socket = args.require("socket")?;
@@ -204,7 +205,7 @@ mod imp {
         let summary = daemon.run().map_err(run_err)?;
         let envelope = obs.finish(
             "daemon run",
-            vec![("store", store_section(handle.store().metrics()))],
+            vec![("store", handle.store().metrics().to_json())],
         )?;
         let mut out = String::new();
         writeln!(
@@ -254,7 +255,7 @@ mod imp {
     /// `atss client resolve`: get-or-build through the daemon, then
     /// mmap-attach and report what happened.
     fn client_resolve(args: &ParsedArgs) -> Result<String, CliError> {
-        args.ensure_known_flags(&["socket", "workload", "spec", "method"])?;
+        args.ensure_known_flags(&["socket", "workload", "spec", "method", "prune"])?;
         let socket = args.require("socket")?;
         let spec = resolve_spec(args)?;
         let method = resolve_method(args)?;

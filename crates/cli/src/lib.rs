@@ -78,7 +78,10 @@ pub fn run(raw_args: &[String]) -> Result<String, CliError> {
         "client" => daemon_cmd::client(&parsed),
         "trace-lint" => commands::trace_lint(&parsed),
         "capabilities" => commands::capabilities(&parsed),
-        "spec-template" => Ok(commands::spec_template()),
+        "spec-template" => {
+            parsed.ensure_known_flags(&[])?;
+            Ok(commands::spec_template())
+        }
         other => Err(CliError::UnknownCommand(other.to_string())),
     }
 }
@@ -146,6 +149,7 @@ mod tests {
         let out = run(&to_args(&["spec-template"])).unwrap();
         let spec = at_searchspace::spec_from_json(&out).unwrap();
         assert!(spec.num_params() >= 2);
+        assert!(run(&to_args(&["spec-template", "--json"])).is_err());
     }
 
     #[test]

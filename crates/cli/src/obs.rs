@@ -22,8 +22,6 @@
 
 use at_obs::json::Json;
 use at_searchspace::BuildReport;
-use at_store::StoreMetrics;
-use at_tuner::EvalMetrics;
 
 use crate::args::ParsedArgs;
 use crate::CliError;
@@ -65,17 +63,19 @@ impl ObsSession {
     }
 
     /// Close the session: disable the recorder, write the trace file when
-    /// `--trace` was passed, and return the one-line `atss.metrics.v1`
-    /// envelope (without a trailing newline) when `--metrics` was.
+    /// `--trace` was passed, and return the `atss.metrics.v1` envelope
+    /// when `--metrics` was. A one-line `--json` command (`construct`,
+    /// `compare`, `tune`) pushes it onto its object as the last field,
+    /// `observability`; every other command prints it as its last line.
     ///
     /// `sections` are per-command counter objects (see [`solve_section`],
-    /// [`store_section`], [`eval_section`]) appended to the envelope in
-    /// order.
+    /// `StoreMetrics::to_json`, `EvalMetrics::to_json`) appended to the
+    /// envelope in order.
     pub fn finish(
         mut self,
         command: &str,
         sections: Vec<(&'static str, Json)>,
-    ) -> Result<Option<String>, CliError> {
+    ) -> Result<Option<Json>, CliError> {
         if !self.active {
             return Ok(None);
         }
@@ -114,7 +114,7 @@ impl ObsSession {
         for (name, section) in sections {
             doc.push(name, section);
         }
-        Ok(Some(doc.to_string()))
+        Ok(Some(doc))
     }
 }
 
@@ -150,49 +150,4 @@ pub fn solve_section(report: &BuildReport) -> Json {
     );
     solve.push("valid", Json::U64(report.num_valid as u64));
     solve
-}
-
-/// The `store` section of the envelope: one [`StoreMetrics`] snapshot,
-/// including the index-fallback repairs and gc evictions the cache
-/// subcommands also surface in their human output.
-pub fn store_section(metrics: &StoreMetrics) -> Json {
-    let mut store = Json::obj();
-    store.push("hits", Json::U64(metrics.hits()));
-    store.push("misses", Json::U64(metrics.misses()));
-    store.push("rebuilds", Json::U64(metrics.rebuilds()));
-    store.push("uncacheable", Json::U64(metrics.uncacheable()));
-    store.push("index_fallbacks", Json::U64(metrics.index_fallbacks()));
-    store.push("gc_evictions", Json::U64(metrics.gc_evictions()));
-    store.push("gc_pin_skips", Json::U64(metrics.gc_pin_skips()));
-    store.push("pinned", Json::U64(metrics.pinned_now()));
-    store.push(
-        "mean_load_us",
-        match metrics.mean_load_time() {
-            Some(d) => Json::F64(d.as_secs_f64() * 1_000_000.0),
-            None => Json::Null,
-        },
-    );
-    store
-}
-
-/// The `eval` section of the envelope: the tuning pipeline's
-/// [`EvalMetrics`] counters (the same numbers `tune --json` reports under
-/// `metrics`, here in the unified envelope).
-pub fn eval_section(metrics: &EvalMetrics) -> Json {
-    let mut eval = Json::obj();
-    eval.push("batches", Json::U64(metrics.batches));
-    eval.push("proposed", Json::U64(metrics.proposed));
-    eval.push("measured", Json::U64(metrics.measured));
-    eval.push("cache_hits", Json::U64(metrics.cache_hits));
-    eval.push("deduped", Json::U64(metrics.deduped));
-    eval.push("rejected", Json::U64(metrics.rejected));
-    eval.push("out_of_budget", Json::U64(metrics.out_of_budget));
-    eval.push("largest_batch", Json::U64(metrics.largest_batch as u64));
-    eval.push("threads", Json::U64(metrics.threads as u64));
-    eval.push("fanout_batches", Json::U64(metrics.fanout_batches));
-    eval.push(
-        "fanout_thread_slots",
-        Json::U64(metrics.fanout_thread_slots),
-    );
-    eval
 }

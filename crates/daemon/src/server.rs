@@ -717,7 +717,6 @@ fn spawn_build_worker(
 
 /// Assemble the one-line `atss.daemon-status.v1` envelope.
 fn status_json(state: &ServerState) -> String {
-    let metrics = state.store.metrics();
     let mut doc = Json::obj();
     doc.push("schema", Json::Str("atss.daemon-status.v1".to_string()));
     doc.push("protocol_version", Json::U64(PROTOCOL_VERSION as u64));
@@ -774,22 +773,7 @@ fn status_json(state: &ServerState) -> String {
     }
     doc.push("inflight", Json::Arr(inflight));
 
-    let mut store = Json::obj();
-    store.push("hits", Json::U64(metrics.hits()));
-    store.push("misses", Json::U64(metrics.misses()));
-    store.push("rebuilds", Json::U64(metrics.rebuilds()));
-    store.push("uncacheable", Json::U64(metrics.uncacheable()));
-    store.push("index_fallbacks", Json::U64(metrics.index_fallbacks()));
-    store.push("gc_evictions", Json::U64(metrics.gc_evictions()));
-    store.push("gc_pin_skips", Json::U64(metrics.gc_pin_skips()));
-    store.push(
-        "mean_load_us",
-        match metrics.mean_load_time() {
-            Some(d) => Json::F64(d.as_secs_f64() * 1_000_000.0),
-            None => Json::Null,
-        },
-    );
-    doc.push("store", store);
+    doc.push("store", state.store.metrics().to_json());
 
     let (entries, entry_bytes) = match state.store.entries() {
         Ok(list) => (list.len() as u64, list.iter().map(|e| e.bytes).sum()),

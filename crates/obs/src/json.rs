@@ -1,11 +1,14 @@
-//! A tiny hand-rolled JSON value + writer, in the house style of the
-//! CLI's envelope emitters (`cache verify --json`, `tune --json`): no
-//! serde, stable key order (insertion order), one-line output.
+//! A tiny hand-rolled JSON value + writer: no serde, stable key order
+//! (insertion order), one-line output.
 //!
-//! The trace exporter and the CLI's `atss.metrics.v1` envelope are
-//! both built on this. Floats are written with enough precision to
-//! round-trip microsecond timestamps; non-finite floats become `null`
-//! (matching what strict JSON parsers accept).
+//! Every machine-readable line the workspace writes is one [`Json`]
+//! value: the CLI's `--json` lines and their summaries, the
+//! `atss.metrics.v1` envelope, the daemon status, and the Chrome trace
+//! export. The exceptions are the streaming space export, which writes
+//! its text row by row and quotes through [`quote`], and the serde-backed
+//! spec writer. Floats are written with enough precision to round-trip
+//! microsecond timestamps; non-finite floats become `null` (matching what
+//! strict JSON parsers accept).
 
 use std::fmt::Write as _;
 
@@ -35,6 +38,13 @@ impl Json {
             Json::Obj(entries) => entries.push((key.to_string(), value)),
             _ => panic!("Json::push on a non-object"),
         }
+        self
+    }
+
+    /// [`Json::push`] by value, for building an object in one expression:
+    /// `Json::obj().with("schema", "atss.check.v1").with("errors", 0u64)`.
+    pub fn with(mut self, key: &str, value: impl Into<Json>) -> Json {
+        self.push(key, value.into());
         self
     }
 
@@ -92,6 +102,74 @@ impl std::fmt::Display for Json {
     }
 }
 
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<u32> for Json {
+    fn from(n: u32) -> Json {
+        Json::U64(u64::from(n))
+    }
+}
+
+impl From<u64> for Json {
+    fn from(n: u64) -> Json {
+        Json::U64(n)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Json {
+        Json::U64(n as u64)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(f: f64) -> Json {
+        Json::F64(f)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(value: Option<T>) -> Json {
+        value.map_or(Json::Null, Into::into)
+    }
+}
+
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(items: Vec<T>) -> Json {
+        items.into_iter().collect()
+    }
+}
+
+impl<T: Into<Json>, const N: usize> From<[T; N]> for Json {
+    fn from(items: [T; N]) -> Json {
+        items.into_iter().collect()
+    }
+}
+
+/// Collects into an array.
+impl<T: Into<Json>> FromIterator<T> for Json {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Json {
+        Json::Arr(iter.into_iter().map(Into::into).collect())
+    }
+}
+
 /// `s` as a JSON string literal (quotes, backslashes, and control
 /// characters escaped) — the one escaper every JSON writer in the
 /// workspace goes through.
@@ -137,6 +215,31 @@ mod tests {
             obj.to_string(),
             r#"{"b":2,"a":[null,true,1.5],"s":"x\"y\n"}"#
         );
+    }
+
+    #[test]
+    fn builders_and_conversions_match_the_variants() {
+        let built = Json::obj()
+            .with("b", 2u64)
+            .with("a", vec![Json::Null, true.into(), 1.5.into()])
+            .with("s", "x\"y\n")
+            .with("none", None::<u64>)
+            .with("some", Some(3u64))
+            .with("list", ["p", "q"]);
+        let mut pushed = Json::obj();
+        pushed.push("b", Json::U64(2));
+        pushed.push(
+            "a",
+            Json::Arr(vec![Json::Null, Json::Bool(true), Json::F64(1.5)]),
+        );
+        pushed.push("s", Json::Str("x\"y\n".to_string()));
+        pushed.push("none", Json::Null);
+        pushed.push("some", Json::U64(3));
+        pushed.push(
+            "list",
+            Json::Arr(vec![Json::Str("p".into()), Json::Str("q".into())]),
+        );
+        assert_eq!(built, pushed);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!   array of complete (`"ph":"X"`) events, one track per recorded
 //!   thread.
 //! * [`json`] — the tiny hand-rolled JSON value/writer the exporter is
-//!   built on, reusable for other machine-facing envelopes (the CLI's
-//!   `atss.metrics.v1` DTO is assembled with it).
+//!   built on, and with it every machine-readable line the CLI and the
+//!   daemon print (the `--json` lines, the `atss.metrics.v1` envelope,
+//!   the daemon status).
 //! * [`alloc`] — the counting global allocator (promoted from
 //!   `benches/construction.rs`) so any binary that installs it can
 //!   report peak transient heap bytes alongside the timeline.

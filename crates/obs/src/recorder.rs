@@ -1,8 +1,7 @@
 //! The span/event recorder: a process-wide, mutex-striped buffer of
 //! timestamped records.
 //!
-//! Design notes (mirroring the `ShardedEvalCache` striping in
-//! `at_tuner`): records are pushed into one of 16
+//! Design notes: records are pushed into one of 16
 //! mutex-protected vectors selected by the recording thread's ordinal,
 //! so concurrent solver chunks and eval workers almost never contend on
 //! the same lock. Thread ordinals are small dense integers (0, 1, 2,
@@ -18,9 +17,9 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Number of mutex stripes the record buffer is sharded over. Matches
-/// the eval cache's shard count: enough that per-thread pushes rarely
-/// collide, small enough that draining stays trivial.
+/// Number of mutex stripes the record buffer is sharded over: enough
+/// that per-thread pushes rarely collide, small enough that draining
+/// stays trivial.
 const STRIPE_COUNT: usize = 16;
 
 /// Maximum number of `u64` key/value args carried inline by one record.

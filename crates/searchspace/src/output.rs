@@ -21,7 +21,7 @@ use std::io::{self, Write};
 use rustc_hash::FxHashMap;
 
 use at_csp::Value;
-use at_obs::json::quote;
+use at_obs::json::{quote, Json};
 
 use crate::space::SearchSpace;
 
@@ -148,7 +148,7 @@ pub fn write_json_cache<W: Write>(space: &SearchSpace, out: &mut W) -> io::Resul
             if i > 0 {
                 out.write_all(b", ")?;
             }
-            out.write_all(json_value(v).as_bytes())?;
+            write!(out, "{}", json_value(v))?;
         }
         out.write_all(b"]")?;
     }
@@ -162,22 +162,23 @@ pub fn write_json_cache<W: Write>(space: &SearchSpace, out: &mut W) -> io::Resul
             if d > 0 {
                 out.write_all(b", ")?;
             }
-            out.write_all(json_value(v).as_bytes())?;
+            write!(out, "{}", json_value(v))?;
         }
         out.write_all(b"]")?;
     }
     out.write_all(b"\n  ]\n}\n")
 }
 
-/// One parameter value as JSON text: numbers and booleans bare, strings
-/// quoted, non-finite floats as `null`.
-pub fn json_value(v: &Value) -> String {
+/// One parameter value as JSON: numbers and booleans bare, strings
+/// quoted, non-finite floats as `null` (see [`Json`]'s writer). The
+/// streaming export and `tune --json`'s `best_config` both render values
+/// through it.
+pub fn json_value(v: &Value) -> Json {
     match v {
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) if f.is_finite() => f.to_string(),
-        Value::Float(_) => "null".to_string(),
-        Value::Bool(b) => b.to_string(),
-        Value::Str(s) => quote(s),
+        Value::Int(i) => Json::I64(*i),
+        Value::Float(f) => Json::F64(*f),
+        Value::Bool(b) => Json::Bool(*b),
+        Value::Str(s) => Json::Str(s.to_string()),
     }
 }
 
@@ -297,8 +298,8 @@ mod tests {
 
     #[test]
     fn json_value_rendering() {
-        assert_eq!(json_value(&Value::str("a\"b")), "\"a\\\"b\"");
-        assert_eq!(json_value(&Value::Float(f64::NAN)), "null");
-        assert_eq!(json_value(&Value::Bool(true)), "true");
+        assert_eq!(json_value(&Value::str("a\"b")).to_string(), "\"a\\\"b\"");
+        assert_eq!(json_value(&Value::Float(f64::NAN)).to_string(), "null");
+        assert_eq!(json_value(&Value::Bool(true)).to_string(), "true");
     }
 }

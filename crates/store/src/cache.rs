@@ -46,6 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
+use at_obs::json::Json;
 use at_searchspace::{
     build_search_space_with, BuildOptions, BuildReport, Method, SearchSpace, SearchSpaceSpec,
 };
@@ -177,6 +178,24 @@ impl StoreMetrics {
     pub fn mean_load_time(&self) -> Option<Duration> {
         let hits = self.hits();
         (hits > 0).then(|| Duration::from_nanos(self.load_nanos.load(Ordering::Relaxed) / hits))
+    }
+
+    /// The counters as one JSON object: the `store` section of the
+    /// `atss.metrics.v1` envelope and of the daemon status.
+    pub fn to_json(&self) -> Json {
+        Json::obj()
+            .with("hits", self.hits())
+            .with("misses", self.misses())
+            .with("rebuilds", self.rebuilds())
+            .with("uncacheable", self.uncacheable())
+            .with("index_fallbacks", self.index_fallbacks())
+            .with("gc_evictions", self.gc_evictions())
+            .with("gc_pin_skips", self.gc_pin_skips())
+            .with("pinned", self.pinned_now())
+            .with(
+                "mean_load_us",
+                self.mean_load_time().map(|d| d.as_secs_f64() * 1_000_000.0),
+            )
     }
 
     /// One human-readable line, e.g. for `construct --format summary`.

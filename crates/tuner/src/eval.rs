@@ -1,4 +1,4 @@
-//! The batched evaluation pipeline: backend trait, sharded eval cache and
+//! The batched evaluation pipeline: backend trait, engine options and
 //! per-run metrics.
 //!
 //! Every cost the tuner ever observes flows through [`EvalBackend`], a
@@ -13,12 +13,8 @@
 //! measurements, everything about budgets, caching and ordering lives in
 //! the engine.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::RwLock;
-
-use rustc_hash::FxHashMap;
-
 use at_csp::Value;
+use at_obs::json::Json;
 use at_searchspace::{ConfigId, SearchSpace};
 
 use crate::kernel::PerformanceModel;
@@ -90,77 +86,6 @@ impl EvalBackend for ModelBackend<'_> {
                 })
             })
             .collect()
-    }
-}
-
-/// Number of lock stripes in the eval cache. A small power of two: enough
-/// that concurrent fan-out workers rarely collide on a stripe, small enough
-/// that draining the shards for metrics stays cheap.
-const CACHE_SHARDS: usize = 16;
-
-/// A sharded (lock-striped) evaluation cache keyed by [`ConfigId`].
-///
-/// Fan-out workers insert measurements concurrently as they finish (the
-/// write path a real-hardware backend with asynchronous completion needs),
-/// while the engine resolves cache hits serially before each fan-out. Reads
-/// take a shard read lock; writes a shard write lock; ids map to shards by
-/// a multiplicative hash of their index so neighboring ids spread out.
-pub struct ShardedEvalCache {
-    shards: [RwLock<FxHashMap<ConfigId, Measurement>>; CACHE_SHARDS],
-    entries: AtomicUsize,
-}
-
-impl Default for ShardedEvalCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ShardedEvalCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        ShardedEvalCache {
-            shards: std::array::from_fn(|_| RwLock::new(FxHashMap::default())),
-            entries: AtomicUsize::new(0),
-        }
-    }
-
-    fn shard(id: ConfigId) -> usize {
-        // Fibonacci hashing on the index; take the top bits so consecutive
-        // ids (a shuffled prefix, a neighbor ring) land on distinct stripes.
-        let mixed = (id.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (mixed >> (64 - CACHE_SHARDS.trailing_zeros())) as usize
-    }
-
-    /// The cached measurement for `id`, if present.
-    pub fn get(&self, id: ConfigId) -> Option<Measurement> {
-        self.shards[Self::shard(id)]
-            .read()
-            .expect("eval cache shard poisoned")
-            .get(&id)
-            .copied()
-    }
-
-    /// Insert a measurement (idempotent: re-inserting keeps the first value,
-    /// so a cache hit is always bitwise-identical to the first measurement).
-    pub fn insert(&self, id: ConfigId, measurement: Measurement) {
-        let mut shard = self.shards[Self::shard(id)]
-            .write()
-            .expect("eval cache shard poisoned");
-        if let std::collections::hash_map::Entry::Vacant(slot) = shard.entry(id) {
-            slot.insert(measurement);
-            self.entries.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Number of distinct configurations cached.
-    pub fn len(&self) -> usize {
-        self.entries.load(Ordering::Relaxed)
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -285,6 +210,24 @@ impl EvalMetrics {
         }
     }
 
+    /// The counters as one JSON object, in field order: the `eval`
+    /// section of the `atss.metrics.v1` envelope, and the start of
+    /// `tune --json`'s `metrics`.
+    pub fn to_json(&self) -> Json {
+        Json::obj()
+            .with("batches", self.batches)
+            .with("proposed", self.proposed)
+            .with("measured", self.measured)
+            .with("cache_hits", self.cache_hits)
+            .with("deduped", self.deduped)
+            .with("rejected", self.rejected)
+            .with("out_of_budget", self.out_of_budget)
+            .with("largest_batch", self.largest_batch)
+            .with("threads", self.threads)
+            .with("fanout_batches", self.fanout_batches)
+            .with("fanout_thread_slots", self.fanout_thread_slots)
+    }
+
     /// One-line human summary for reports.
     pub fn summary_line(&self) -> String {
         format!(
@@ -342,56 +285,6 @@ mod tests {
         let backend = ModelBackend::new(&k);
         let out = backend.evaluate_batch(&s, &[ConfigId::from_index(s.len())]);
         assert_eq!(out, vec![None]);
-    }
-
-    #[test]
-    fn sharded_cache_round_trips_and_counts() {
-        let cache = ShardedEvalCache::new();
-        assert!(cache.is_empty());
-        let m = Measurement {
-            runtime_ms: 1.25,
-            cost_ms: 58.75,
-        };
-        for i in 0..100 {
-            cache.insert(ConfigId::from_index(i), m);
-        }
-        assert_eq!(cache.len(), 100);
-        assert_eq!(cache.get(ConfigId::from_index(42)), Some(m));
-        assert_eq!(cache.get(ConfigId::from_index(1000)), None);
-        // Idempotent: a second insert neither bumps the count nor clobbers.
-        cache.insert(
-            ConfigId::from_index(42),
-            Measurement {
-                runtime_ms: 9.0,
-                cost_ms: 9.0,
-            },
-        );
-        assert_eq!(cache.len(), 100);
-        assert_eq!(cache.get(ConfigId::from_index(42)), Some(m));
-    }
-
-    #[test]
-    fn sharded_cache_is_safe_under_concurrent_inserts() {
-        let cache = ShardedEvalCache::new();
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let cache = &cache;
-                s.spawn(move || {
-                    for i in 0..256 {
-                        let id = ConfigId::from_index(i);
-                        cache.insert(
-                            id,
-                            Measurement {
-                                runtime_ms: i as f64,
-                                cost_ms: t as f64, // losers must not clobber
-                            },
-                        );
-                        assert_eq!(cache.get(id).unwrap().runtime_ms, i as f64);
-                    }
-                });
-            }
-        });
-        assert_eq!(cache.len(), 256);
     }
 
     #[test]

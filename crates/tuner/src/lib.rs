@@ -12,10 +12,11 @@
 //!
 //! Evaluation is batch-first: strategies submit whole generations, swarms
 //! or neighbor rings through [`TuningContext::evaluate_batch`], and the
-//! engine dedups, serves a sharded eval cache, fans the distinct misses out
-//! over scoped threads ([`EvalOptions::threads`]) against an
+//! engine dedups, serves repeats from its eval cache, fans the distinct
+//! misses out over scoped threads ([`EvalOptions::threads`]) against an
 //! [`EvalBackend`], and merges results deterministically — the run is
-//! identical for any thread count.
+//! identical for any thread count. [`EvalMetrics`] counts that work and
+//! renders it as JSON for the CLI's outputs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +28,6 @@ pub mod tuning;
 
 pub use eval::{
     out_of_budget, EvalBackend, EvalMetrics, EvalOptions, EvalOutcome, Measurement, ModelBackend,
-    ShardedEvalCache,
 };
 pub use kernel::{PerformanceModel, SyntheticKernel};
 pub use strategies::{

@@ -14,8 +14,9 @@
 //!    out-of-space rejection, the first occurrence of a distinct uncached
 //!    configuration, or an in-batch duplicate of one.
 //! 2. **Fan-out** (parallel): measure the distinct uncached configurations
-//!    on scoped worker threads via the backend, inserting results into the
-//!    sharded eval cache as they land; results are joined in chunk order.
+//!    on scoped worker threads via the backend; results are joined in chunk
+//!    order, then inserted into the eval cache serially. Nothing reads the
+//!    cache between the fan-out and the merge.
 //! 3. **Merge** (serial, proposal order): charge the virtual clock slot by
 //!    slot exactly as the old one-at-a-time path did — full measurement
 //!    cost for fresh measurements, [`CACHE_HIT_COST_MS`] for hits and
@@ -30,9 +31,7 @@ use rustc_hash::FxHashMap;
 
 use at_searchspace::{ConfigId, SearchSpace};
 
-use crate::eval::{
-    EvalBackend, EvalMetrics, EvalOptions, EvalOutcome, Measurement, ModelBackend, ShardedEvalCache,
-};
+use crate::eval::{EvalBackend, EvalMetrics, EvalOptions, EvalOutcome, Measurement, ModelBackend};
 use crate::kernel::PerformanceModel;
 
 /// One evaluated configuration.
@@ -137,7 +136,7 @@ pub struct TuningContext<'a> {
     backend: &'a dyn EvalBackend,
     threads: usize,
     rng: ChaCha8Rng,
-    cache: ShardedEvalCache,
+    cache: FxHashMap<ConfigId, Measurement>,
     clock_ms: f64,
     budget_ms: f64,
     evaluations: Vec<Evaluation>,
@@ -160,7 +159,7 @@ impl<'a> TuningContext<'a> {
             backend,
             threads,
             rng: ChaCha8Rng::seed_from_u64(seed),
-            cache: ShardedEvalCache::new(),
+            cache: FxHashMap::default(),
             clock_ms: construction.as_secs_f64() * 1000.0,
             budget_ms: budget.as_secs_f64() * 1000.0,
             evaluations: Vec::new(),
@@ -225,7 +224,7 @@ impl<'a> TuningContext<'a> {
         let mut unique: Vec<ConfigId> = Vec::new();
         let mut first_seen: FxHashMap<ConfigId, usize> = FxHashMap::default();
         for &id in ids {
-            let slot = if let Some(m) = self.cache.get(id) {
+            let slot = if let Some(&m) = self.cache.get(&id) {
                 Slot::Hit(m)
             } else if let Some(&u) = first_seen.get(&id) {
                 Slot::Dup(u)
@@ -246,6 +245,11 @@ impl<'a> TuningContext<'a> {
         let fanout_span = at_obs::span("fanout", "tune").arg("unique", unique.len() as u64);
         let measured = self.measure_unique(&unique);
         drop(fanout_span);
+        for (&id, m) in unique.iter().zip(&measured) {
+            if let Some(m) = *m {
+                self.cache.insert(id, m);
+            }
+        }
 
         // Phase 3 — merge: replay the slots in proposal order against the
         // virtual clock. `committed[u]` tracks whether unique configuration
@@ -327,21 +331,14 @@ impl<'a> TuningContext<'a> {
 
     /// Measure the distinct uncached configurations of a batch, fanning out
     /// over scoped worker threads when more than one thread is configured.
-    /// Results come back in input order regardless of scheduling; each
-    /// worker also publishes its measurements to the sharded cache.
+    /// Results come back in input order regardless of scheduling.
     fn measure_unique(&mut self, unique: &[ConfigId]) -> Vec<Option<Measurement>> {
         let workers = self.threads.min(unique.len());
         let space = self.space;
         let backend = self.backend;
-        let cache = &self.cache;
         let measure_chunk = |chunk: &[ConfigId]| {
             let results = backend.evaluate_batch(space, chunk);
             debug_assert_eq!(results.len(), chunk.len());
-            for (&id, m) in chunk.iter().zip(&results) {
-                if let Some(m) = *m {
-                    cache.insert(id, m);
-                }
-            }
             results
         };
         if workers <= 1 {

@@ -134,7 +134,7 @@ fn parallel_fanout_reproduces_the_serial_run_on_a_real_workload() {
     // The batched pipeline's core guarantee, end to end: the same workload,
     // strategy and seed produce the identical run whether evaluations fan
     // out over 1 thread or 8 — construction feeding batches feeding the
-    // virtual clock, with the sharded cache in the middle.
+    // virtual clock, with the eval cache in the middle.
     let (space, _) = build_search_space(&dedispersion().spec, Method::Optimized).unwrap();
     let model = performance_model_for("Dedispersion", &space, 7);
     let budget = Duration::from_secs(15);
