@@ -367,15 +367,28 @@ impl RowTable {
                 "slot count {n} is not a power of two >= 8"
             )));
         }
-        let mut free = 0usize;
-        for &occupant in slots.as_slice() {
-            if occupant == EMPTY_SLOT {
-                free += 1;
-            } else if occupant as usize >= num_configs {
-                return Err(invalid(format!(
-                    "occupant {occupant} out of range for {num_configs} rows"
-                )));
-            }
+        // One branch-free pass, like `validate_code_arena`: count the free
+        // slots and take the largest occupant + 1 (the wrapping add maps
+        // `EMPTY_SLOT` to 0). Only an out-of-range maximum pays for a second
+        // pass, which names the first offender in slot order.
+        let (free, max_plus_one) =
+            slots
+                .as_slice()
+                .iter()
+                .fold((0usize, 0u32), |(free, max), &occupant| {
+                    let shifted = occupant.wrapping_add(1);
+                    (free + usize::from(shifted == 0), max.max(shifted))
+                });
+        if max_plus_one as usize > num_configs {
+            let occupant = slots
+                .as_slice()
+                .iter()
+                .copied()
+                .find(|&o| o != EMPTY_SLOT && o as usize >= num_configs)
+                .expect("the maximum is out of range");
+            return Err(invalid(format!(
+                "occupant {occupant} out of range for {num_configs} rows"
+            )));
         }
         if free == 0 {
             return Err(invalid("no empty slot; probing would not terminate".into()));
@@ -1359,6 +1372,93 @@ mod tests {
         assert!(adopt(empty.clone(), Adoption::Trusted).is_ok());
         let err = adopt(empty, Adoption::Verified).unwrap_err();
         assert!(matches!(err, SpaceError::IndexInvalid { .. }), "{err}");
+    }
+
+    /// The detail text of an [`SpaceError::IndexInvalid`] adoption error.
+    fn invalid_detail(result: Result<SearchSpace, SpaceError>) -> String {
+        match result {
+            Err(SpaceError::IndexInvalid { detail }) => detail,
+            other => panic!("expected IndexInvalid, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn adoption_errors_name_the_first_offender_in_slot_order() {
+        let s = space();
+        let adopt = |slots: Vec<u32>| {
+            SearchSpace::from_code_storage_with_index(
+                "demo",
+                s.params().to_vec(),
+                s.len(),
+                ArenaStorage::from(s.arena().to_vec()),
+                ArenaStorage::from(slots),
+                Adoption::Trusted,
+            )
+        };
+        // Two out-of-range occupants: the earlier slot is named, not the
+        // larger occupant.
+        let mut slots = s.index_slots().to_vec();
+        let occupied: Vec<usize> = (0..slots.len())
+            .filter(|&i| slots[i] != EMPTY_SLOT)
+            .collect();
+        slots[occupied[0]] = 50;
+        slots[occupied[1]] = 99;
+        assert_eq!(
+            invalid_detail(adopt(slots)),
+            "occupant 50 out of range for 5 rows"
+        );
+        // The row count itself is the first id out of range.
+        let mut slots = s.index_slots().to_vec();
+        slots[occupied[2]] = 5;
+        assert_eq!(
+            invalid_detail(adopt(slots)),
+            "occupant 5 out of range for 5 rows"
+        );
+        // A full table.
+        assert_eq!(
+            invalid_detail(adopt(vec![0u32; 8])),
+            "no empty slot; probing would not terminate"
+        );
+        // A full table with an out-of-range occupant reports the occupant.
+        let mut full = vec![1u32; 8];
+        full[6] = 7;
+        assert_eq!(
+            invalid_detail(adopt(full)),
+            "occupant 7 out of range for 5 rows"
+        );
+        // The largest in-range occupant is fine.
+        let mut slots = vec![EMPTY_SLOT; 8];
+        slots[0] = 4;
+        assert!(adopt(slots).is_ok());
+    }
+
+    #[test]
+    fn adoption_checks_zero_row_spaces_and_empty_tables() {
+        let params = vec![TunableParameter::ints("x", [1, 2])];
+        let adopt = |slots: Vec<u32>, adoption| {
+            SearchSpace::from_code_storage_with_index(
+                "none",
+                params.clone(),
+                0,
+                ArenaStorage::from(Vec::new()),
+                ArenaStorage::from(slots),
+                adoption,
+            )
+        };
+        for adoption in [Adoption::Trusted, Adoption::Verified] {
+            // A stray occupant 0 names a row a zero-row space lacks.
+            let mut stray = vec![EMPTY_SLOT; 8];
+            stray[3] = 0;
+            assert_eq!(
+                invalid_detail(adopt(stray, adoption)),
+                "occupant 0 out of range for 0 rows"
+            );
+            // An all-empty table is the right table for no rows.
+            let empty = adopt(vec![EMPTY_SLOT; 16], adoption).unwrap();
+            assert!(empty.is_empty());
+            assert_eq!(empty.index_of(&int_values([1])), None);
+            assert_eq!(empty.index_slots(), &[EMPTY_SLOT; 16][..]);
+        }
     }
 
     #[test]

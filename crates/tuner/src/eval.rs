@@ -53,9 +53,10 @@ pub trait EvalBackend: Sync {
 
 /// The first [`EvalBackend`]: a [`PerformanceModel`] evaluated in-process.
 ///
-/// Decodes each configuration into a reused buffer and asks the model for
-/// its runtime and measurement cost — the exact arithmetic the pre-batch
-/// tuner performed one configuration at a time.
+/// Decodes each configuration into a reused buffer, evaluates the model's
+/// runtime once, and charges the measurement cost of that runtime — the
+/// exact arithmetic the pre-batch tuner performed one configuration at a
+/// time.
 pub struct ModelBackend<'m> {
     model: &'m dyn PerformanceModel,
 }
@@ -80,9 +81,10 @@ impl EvalBackend for ModelBackend<'_> {
             .map(|&id| {
                 let view = space.view(id)?;
                 view.decode_into(&mut config);
+                let runtime_ms = self.model.runtime_ms(&config);
                 Some(Measurement {
-                    runtime_ms: self.model.runtime_ms(&config),
-                    cost_ms: self.model.measurement_cost_ms(&config),
+                    runtime_ms,
+                    cost_ms: self.model.measurement_cost_ms(&config, runtime_ms),
                 })
             })
             .collect()
@@ -274,7 +276,7 @@ mod tests {
             let m = m.expect("valid id");
             let cfg = s.view(id).unwrap().to_vec();
             assert_eq!(m.runtime_ms, k.runtime_ms(&cfg));
-            assert_eq!(m.cost_ms, k.measurement_cost_ms(&cfg));
+            assert_eq!(m.cost_ms, k.measurement_cost_ms(&cfg, m.runtime_ms));
         }
     }
 

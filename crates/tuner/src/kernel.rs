@@ -35,9 +35,12 @@ pub trait PerformanceModel: Send + Sync {
         7
     }
 
-    /// Total simulated cost of benchmarking one configuration, in milliseconds.
-    fn measurement_cost_ms(&self, config: &[Value]) -> f64 {
-        self.overhead_ms(config) + self.runtime_ms(config) * self.iterations() as f64
+    /// Total simulated cost of benchmarking one configuration whose
+    /// [`PerformanceModel::runtime_ms`] is `runtime_ms`, in milliseconds.
+    /// The caller passes the runtime it already evaluated, so a measurement
+    /// evaluates the model once.
+    fn measurement_cost_ms(&self, config: &[Value], runtime_ms: f64) -> f64 {
+        self.overhead_ms(config) + runtime_ms * self.iterations() as f64
     }
 }
 
@@ -171,7 +174,11 @@ mod tests {
         let k = SyntheticKernel::for_space(&s, 42);
         let cfg = s.iter().next().unwrap().to_vec();
         assert_eq!(k.runtime_ms(&cfg), k.runtime_ms(&cfg));
-        assert_eq!(k.measurement_cost_ms(&cfg), k.measurement_cost_ms(&cfg));
+        let t = k.runtime_ms(&cfg);
+        assert_eq!(
+            k.measurement_cost_ms(&cfg, t),
+            k.measurement_cost_ms(&cfg, t)
+        );
     }
 
     #[test]
@@ -200,8 +207,10 @@ mod tests {
         let s = space();
         let k = SyntheticKernel::for_space(&s, 1);
         let cfg = s.iter().next().unwrap().to_vec();
-        let cost = k.measurement_cost_ms(&cfg);
-        assert!(cost > k.runtime_ms(&cfg) * k.iterations() as f64);
+        let t = k.runtime_ms(&cfg);
+        let cost = k.measurement_cost_ms(&cfg, t);
+        assert!(cost > t * k.iterations() as f64);
+        assert_eq!(cost, k.overhead_ms(&cfg) + t * k.iterations() as f64);
     }
 
     #[test]

@@ -635,8 +635,8 @@ mod tests {
         assert_eq!(run.metrics.deduped, 1);
         let cfg_a = s.view(a).unwrap().to_vec();
         let cfg_b = s.view(b).unwrap().to_vec();
-        let expected =
-            k.measurement_cost_ms(&cfg_a) + CACHE_HIT_COST_MS + k.measurement_cost_ms(&cfg_b);
+        let cost = |cfg: &[at_csp::Value]| k.measurement_cost_ms(cfg, k.runtime_ms(cfg));
+        let expected = cost(&cfg_a) + CACHE_HIT_COST_MS + cost(&cfg_b);
         assert_eq!(run.total_ms, expected);
     }
 
@@ -684,7 +684,10 @@ mod tests {
         assert!(matches!(out[1], EvalOutcome::Measured(_)));
         // A rejection charges nothing.
         let cfg = s.view(good).unwrap().to_vec();
-        assert_eq!(ctx.clock_ms, k.measurement_cost_ms(&cfg));
+        assert_eq!(
+            ctx.clock_ms,
+            k.measurement_cost_ms(&cfg, k.runtime_ms(&cfg))
+        );
         let run = ctx.finish("test", Duration::ZERO);
         assert_eq!(run.metrics.rejected, 1);
     }
