@@ -91,7 +91,11 @@ check-specs:
 # workloads with each of the four neighbor-query strategies at
 # --eval-threads 1 and 4 (construction pinned to 0 ms so the virtual clock
 # matches across process runs) and require the result fields (best
-# runtime/config, evaluation count, virtual clock) byte-identical.
+# runtime/config, evaluation count, virtual clock) byte-identical. A third
+# leg tunes microhh from a memory-mapped cache entry (the warm path the
+# tune-session benchmark runs) with the two random-neighbor strategies: each
+# run must report a zero-copy hit, and its result fields must match across
+# thread counts.
 tune-smoke:
 	$(CARGO) run --release -p at_cli --bin atss -- capabilities | grep -F '"schema":"atss.capabilities.v1"'
 	rm -rf target/tune-smoke
@@ -104,6 +108,15 @@ tune-smoke:
 	    done; \
 	    cmp target/tune-smoke/$$w-$$s-1.txt target/tune-smoke/$$w-$$s-4.txt || exit 1; \
 	  done; \
+	done
+	$(CARGO) run --release -p at_cli --bin atss -- construct --workload microhh --cache-dir target/tune-smoke/cache --format summary > /dev/null
+	for s in genetic simulated-annealing; do \
+	  for t in 1 4; do \
+	    $(CARGO) run --release -p at_cli --bin atss -- tune --workload microhh --cache-dir target/tune-smoke/cache --mmap --strategy $$s --budget-ms 5000 --seed 7 --construction-ms 0 --eval-threads $$t --json > target/tune-smoke/microhh-$$s-$$t.json || exit 1; \
+	    grep -F '"cache_source":"hit-zero-copy"' target/tune-smoke/microhh-$$s-$$t.json > /dev/null || exit 1; \
+	    grep -oE '"(best_runtime_ms|best_config_id|evaluations|total_ms)":[^,}]*' target/tune-smoke/microhh-$$s-$$t.json > target/tune-smoke/microhh-$$s-$$t.txt || exit 1; \
+	  done; \
+	  cmp target/tune-smoke/microhh-$$s-1.txt target/tune-smoke/microhh-$$s-4.txt || exit 1; \
 	done
 
 # The observability gate (see README "Observability"): traced construct

@@ -5,17 +5,38 @@
 //!
 //! A Hamming neighbor query is `Σ_p (|D_p| − 1)` encoded-row lookups, so
 //! `hamming_neighbors` reads as a multiple of `index_of_codes` in the same
-//! group: 39 lookups on dedispersion, 35 on microhh.
+//! group: 39 lookups on dedispersion, 35 on microhh. `random_neighbor`
+//! stops at the first valid candidate of a random probe order, an expected
+//! `(K + 1) / (V + 1)` lookups for `K` candidates and `V` neighbors; it
+//! cycles through a fixed set of query ids so the figure is an average over
+//! rows, not one row's luck.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Bencher, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use at_searchspace::{
-    build_search_space, latin_hypercube_sample, neighbors, sample_indices, ConfigId, Method,
-    NeighborMethod,
+    build_search_space, latin_hypercube_sample, neighbors, random_neighbor, sample_indices,
+    ConfigId, Method, NeighborMethod, SearchSpace,
 };
 use at_workloads::{dedispersion, microhh};
+
+/// 64 query ids spread evenly over the space.
+fn query_ids(space: &SearchSpace) -> Vec<ConfigId> {
+    let step = (space.len() / 64).max(1);
+    space.ids().step_by(step).take(64).collect()
+}
+
+/// Time one `random_neighbor` Hamming draw, cycling through `ids`.
+fn bench_random_neighbor(b: &mut Bencher, space: &SearchSpace) {
+    let ids = query_ids(space);
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    let mut next = 0;
+    b.iter(|| {
+        next = (next + 1) % ids.len();
+        random_neighbor(space, ids[next], NeighborMethod::Hamming, &mut rng)
+    })
+}
 
 fn bench_searchspace_ops(c: &mut Criterion) {
     let (space, _) = build_search_space(&dedispersion().spec, Method::Optimized).unwrap();
@@ -32,6 +53,7 @@ fn bench_searchspace_ops(c: &mut Criterion) {
     group.bench_function("hamming_neighbors", |b| {
         b.iter(|| neighbors(&space, mid, NeighborMethod::Hamming).len())
     });
+    group.bench_function("random_neighbor", |b| bench_random_neighbor(b, &space));
     group.bench_function("adjacent_neighbors_scan", |b| {
         b.iter(|| neighbors(&space, mid, NeighborMethod::Adjacent).len())
     });
@@ -63,6 +85,7 @@ fn bench_searchspace_ops(c: &mut Criterion) {
     group.bench_function("hamming_neighbors", |b| {
         b.iter(|| neighbors(&space, mid, NeighborMethod::Hamming).len())
     });
+    group.bench_function("random_neighbor", |b| bench_random_neighbor(b, &space));
     group.finish();
 }
 

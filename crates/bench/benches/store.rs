@@ -11,7 +11,8 @@
 //! * `store/warm_load_verified` — the verified copy: every checksum, the
 //!   code-range pass, and the persisted index adopted after sampled
 //!   lookups (the default `SpaceStore` hit path),
-//! * `store/warm_load_mmap` — the trusted zero-copy mmap: O(header) work,
+//! * `store/warm_load_mmap` — the trusted zero-copy mmap: O(header + index)
+//!   work (the `IDX` checksum and one pass over the slots),
 //!   proving the paper's "serve from the representation" argument
 //!   end-to-end,
 //! * `store/write` — persisting an already-resolved space.

@@ -2,7 +2,8 @@
 //!
 //! The client never validates arena bytes itself: it asks the daemon for
 //! a validated path and mmaps it with `LoadOptions::mmap_trusted()` —
-//! O(header) attach, no solve, no arena copy, no arena CRC walk. See the
+//! O(header + index) attach (the index checksum and one pass over its
+//! slots), no solve, no arena copy, no arena CRC walk. See the
 //! [crate documentation](crate) for why that trust is sound.
 
 use std::os::unix::net::UnixStream;
@@ -48,7 +49,7 @@ pub struct Resolved {
 impl Resolved {
     /// Attach to the resolved space: zero-copy mmap of the daemon's
     /// validated path with the persisted index trusted. This is the
-    /// O(header) step the whole protocol exists for.
+    /// O(header + index) step the whole protocol exists for.
     pub fn attach(&self) -> Result<LoadedSpace, StoreError> {
         load_space_from_path(&self.path, LoadOptions::mmap_trusted())
     }

@@ -7,7 +7,7 @@
 //! resident copy of the arena. This crate is the active half: a
 //! long-lived daemon that *owns* a [`SpaceStore`](at_store::SpaceStore),
 //! dedupes concurrent builds, and hands clients validated paths to
-//! attach to in O(header).
+//! attach to in O(header + index).
 //!
 //! ```text
 //!   tuner 1 ──┐                          ┌─ mmap ──► one resident
@@ -81,7 +81,7 @@
 //!     .with_expr("x * y <= 64");
 //! let mut client = DaemonClient::connect("/tmp/atssd.sock")?;
 //! let resolved = client.resolve_spec(&spec, Method::Optimized, false, |_| {})?;
-//! let loaded = resolved.attach()?;          // O(header): mmap, trusted index
+//! let loaded = resolved.attach()?;          // mmap, trusted index
 //! assert_eq!(loaded.space.len() as u64, resolved.rows);
 //! handle.request_shutdown();
 //! # Ok::<(), Box<dyn std::error::Error>>(())

@@ -90,7 +90,7 @@ pub mod stats;
 pub use arena::{ArenaStorage, CodeBacking};
 pub use builder::{build_search_space, build_search_space_with, BuildOptions, BuildReport, Method};
 pub use format::{spec_from_json, spec_to_json, FormatError, SpecFile};
-pub use neighbors::{neighbors, NeighborIndex, NeighborMethod};
+pub use neighbors::{neighbors, random_neighbor, NeighborIndex, NeighborMethod};
 pub use output::{to_columnar, to_csv, to_json_cache, to_named_maps, write_csv, write_json_cache};
 pub use param::TunableParameter;
 pub use restriction::Restriction;
@@ -106,7 +106,7 @@ pub mod prelude {
     pub use crate::builder::{
         build_search_space, build_search_space_with, BuildOptions, BuildReport, Method,
     };
-    pub use crate::neighbors::{neighbors, NeighborMethod};
+    pub use crate::neighbors::{neighbors, random_neighbor, NeighborMethod};
     pub use crate::param::TunableParameter;
     pub use crate::restriction::Restriction;
     pub use crate::sampling::{latin_hypercube_sample, sample_indices};

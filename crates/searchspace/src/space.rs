@@ -369,16 +369,19 @@ impl RowTable {
         }
         // One branch-free pass, like `validate_code_arena`: count the free
         // slots and take the largest occupant + 1 (the wrapping add maps
-        // `EMPTY_SLOT` to 0). Only an out-of-range maximum pays for a second
-        // pass, which names the first offender in slot order.
-        let (free, max_plus_one) =
-            slots
-                .as_slice()
-                .iter()
-                .fold((0usize, 0u32), |(free, max), &occupant| {
-                    let shifted = occupant.wrapping_add(1);
-                    (free + usize::from(shifted == 0), max.max(shifted))
-                });
+        // `EMPTY_SLOT` to 0). Counting in `u32` per 2^16-slot block keeps
+        // every lane 32 bits wide, so the loop vectorizes. Only an
+        // out-of-range maximum pays for a second pass, which names the first
+        // offender in slot order.
+        let (mut free, mut max_plus_one) = (0usize, 0u32);
+        for block in slots.as_slice().chunks(1 << 16) {
+            let (block_free, block_max) = block.iter().fold((0u32, 0u32), |(f, m), &occupant| {
+                let shifted = occupant.wrapping_add(1);
+                (f + u32::from(shifted == 0), m.max(shifted))
+            });
+            free += block_free as usize;
+            max_plus_one = max_plus_one.max(block_max);
+        }
         if max_plus_one as usize > num_configs {
             let occupant = slots
                 .as_slice()

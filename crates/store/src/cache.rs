@@ -7,9 +7,9 @@
 //! * **hit** — the file exists, passes validation per the caller's
 //!   [`LoadOptions`] (the default verified copy checks magic, version,
 //!   every checksum and arena/trailer agreement; the trusted zero-copy
-//!   mmap trades the arena checksum for O(header) serving) and becomes a
-//!   `SearchSpace` with zero re-solving; its mtime is touched so LRU
-//!   eviction sees the use. A hit whose persisted `IDX` section is
+//!   mmap trades the arena checksum for O(header + index) serving) and
+//!   becomes a `SearchSpace` with zero re-solving; its mtime is touched so
+//!   LRU eviction sees the use. A hit whose persisted `IDX` section is
 //!   unusable still hits (the index is rebuilt from the arena), but the
 //!   condition is **reported** — in the outcome's [`LoadReport`], in the
 //!   `index_fallbacks` metric — and the entry is repaired in place, always

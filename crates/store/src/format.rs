@@ -12,7 +12,8 @@
 //!    section is 4-byte aligned and the membership table is persisted
 //!    alongside it (`IDX` section), so a trusted warm load can *borrow*
 //!    both straight out of a memory-mapped file: no copy, no table rebuild,
-//!    O(header) work.
+//!    O(header + index) work (the `IDX` checksum and one branch-free pass
+//!    over the slots).
 //! 2. **Written once, from the finished space**: [`write_space`] persists
 //!    a constructed space's arena and membership table verbatim; the row
 //!    count lives in the trailer, written last, so a half-written file is
@@ -884,27 +885,34 @@ fn assemble(
     remake_arena: impl FnOnce() -> ArenaStorage,
 ) -> Result<(SearchSpace, IndexOutcome), StoreError> {
     let (arena, outcome) = match slots {
-        Ok(Some(slots)) => match SearchSpace::from_code_storage_with_index(
-            info.name.clone(),
-            params.clone(),
-            info.num_rows,
-            arena,
-            slots,
-            adoption,
-        ) {
-            Ok(space) => {
-                let verified = adoption == Adoption::Verified;
-                return Ok((space, IndexOutcome::Adopted { verified }));
+        Ok(Some(slots)) => {
+            let adopted = {
+                let _span = at_obs::span("store-adopt", "store");
+                SearchSpace::from_code_storage_with_index(
+                    info.name.clone(),
+                    params.clone(),
+                    info.num_rows,
+                    arena,
+                    slots,
+                    adoption,
+                )
+            };
+            match adopted {
+                Ok(space) => {
+                    let verified = adoption == Adoption::Verified;
+                    return Ok((space, IndexOutcome::Adopted { verified }));
+                }
+                Err(SpaceError::IndexInvalid { detail }) => (
+                    remake_arena(),
+                    IndexOutcome::RebuiltAfterFallback { reason: detail },
+                ),
+                Err(e) => return Err(e.into()),
             }
-            Err(SpaceError::IndexInvalid { detail }) => (
-                remake_arena(),
-                IndexOutcome::RebuiltAfterFallback { reason: detail },
-            ),
-            Err(e) => return Err(e.into()),
-        },
+        }
         Ok(None) => (arena, IndexOutcome::Rebuilt),
         Err(reason) => (arena, IndexOutcome::RebuiltAfterFallback { reason }),
     };
+    let _span = at_obs::span("store-rebuild-index", "store");
     let space = SearchSpace::from_code_storage(info.name.clone(), params, info.num_rows, arena)?;
     Ok((space, outcome))
 }
@@ -922,7 +930,11 @@ fn usable_index<'p>(
     // CRC first: corruption that happens to land in the hash-version field
     // must read as "checksum mismatch", not as a version skew.
     let crc = &bytes[idx.payload.end..idx.payload.end + 4];
-    if crc32(&bytes[idx.payload.clone()]) != u32::from_le_bytes(crc.try_into().expect("4 bytes")) {
+    let actual = {
+        let _span = at_obs::span("store-idx-crc", "store");
+        crc32(&bytes[idx.payload.clone()])
+    };
+    if actual != u32::from_le_bytes(crc.try_into().expect("4 bytes")) {
         return Err("checksum mismatch".to_string());
     }
     if idx.hash_version != INDEX_HASH_VERSION {
@@ -998,7 +1010,11 @@ impl StoreReader {
         } else if cfg!(target_endian = "big") {
             self.load_copy(fell_back("big-endian target".to_string()))
         } else {
-            match MappedFile::map(&self.file) {
+            let mapped = {
+                let _span = at_obs::span("store-map", "store");
+                MappedFile::map(&self.file)
+            };
+            match mapped {
                 Ok(map) => Self::load_mapped(Arc::new(map)),
                 Err(e) => self.load_copy(fell_back(e.to_string())),
             }
@@ -1020,6 +1036,7 @@ impl StoreReader {
     fn load_copy(&self, arena_outcome: ArenaOutcome) -> Result<LoadedSpace, StoreError> {
         let mut bytes = Vec::new();
         {
+            let _span = at_obs::span("store-read", "store");
             let _cursor = self.cursor.lock().unwrap_or_else(PoisonError::into_inner);
             let mut file = &self.file;
             file.seek(SeekFrom::Start(0))
@@ -1034,10 +1051,13 @@ impl StoreReader {
         bytes: &[u8],
         arena_outcome: ArenaOutcome,
     ) -> Result<LoadedSpace, StoreError> {
-        let parsed = parse_structure(bytes)?;
-        let params = decode_params(&bytes[parsed.params.clone()], parsed.info.num_params)?;
+        let (parsed, params) = parse_file(bytes)?;
         let arena = &bytes[parsed.arena.clone()];
-        if crc32(arena) != parsed.arena_crc {
+        let arena_crc = {
+            let _span = at_obs::span("store-arena-crc", "store");
+            crc32(arena)
+        };
+        if arena_crc != parsed.arena_crc {
             return Err(StoreError::corrupt("arena", "checksum mismatch"));
         }
         let slots = usable_index(&parsed.idx, bytes)
@@ -1064,8 +1084,7 @@ impl StoreReader {
     /// and the index slots as borrowed views. The arena checksum is
     /// intentionally not verified here (see [`LoadOptions`]).
     fn load_mapped(map: Arc<MappedFile>) -> Result<LoadedSpace, StoreError> {
-        let parsed = parse_structure(map.bytes())?;
-        let params = decode_params(&map.bytes()[parsed.params.clone()], parsed.info.num_params)?;
+        let (parsed, params) = parse_file(map.bytes())?;
         let slots = usable_index(&parsed.idx, map.bytes()).and_then(|idx| {
             idx.map(|idx| {
                 MappedCodes::new(Arc::clone(&map), idx.slots.start, idx.slots.len())
@@ -1093,6 +1112,15 @@ impl StoreReader {
             },
         })
     }
+}
+
+/// The structural parse and the dictionary decode of a whole file in
+/// memory, the first step of both load policies.
+fn parse_file(bytes: &[u8]) -> Result<(ParsedFile, Vec<TunableParameter>), StoreError> {
+    let _span = at_obs::span("store-parse", "store");
+    let parsed = parse_structure(bytes)?;
+    let params = decode_params(&bytes[parsed.params.clone()], parsed.info.num_params)?;
+    Ok((parsed, params))
 }
 
 /// Load a store file with explicit [`LoadOptions`] in one call.
@@ -1518,6 +1546,59 @@ mod tests {
         if cfg!(target_os = "linux") {
             assert!(mapped.report.is_zero_copy(), "{:?}", mapped.report);
             assert!(mapped.space.is_zero_copy());
+        }
+    }
+
+    #[test]
+    fn store_load_spans_show_the_parts_of_each_policy() {
+        // 29 rows: the row count tells this test's loads apart from those of
+        // tests running alongside while the recorder is on.
+        let rows = 29;
+        let params = vec![TunableParameter::ints("x", 1..=rows)];
+        let configs = (1..=rows).map(|x| int_values([x])).collect();
+        let space = SearchSpace::from_configs("spans", params, configs).unwrap();
+        let path = temp_path("spans.atss");
+        write_space_to_path(&space, &path).unwrap();
+        let reader = StoreReader::open(&path).unwrap();
+        at_obs::enable();
+        let copied = reader.load(LoadOptions::default());
+        let mapped = reader.load(LoadOptions::mmap_trusted());
+        at_obs::disable();
+        let records = at_obs::drain();
+        assert!(copied.is_ok() && mapped.is_ok());
+        // The names of the spans inside the `store-load` span of one load.
+        let parts = |mmap: u64| -> Vec<&str> {
+            let load = records
+                .iter()
+                .find(|r| {
+                    r.name == "store-load"
+                        && r.arg("rows") == Some(rows as u64)
+                        && r.arg("mmap_requested") == Some(mmap)
+                })
+                .expect("the store-load span");
+            let end = load.start_ns + load.dur_ns;
+            records
+                .iter()
+                .filter(|r| r.thread == load.thread && r.name != "store-load")
+                .filter(|r| r.start_ns >= load.start_ns && r.start_ns + r.dur_ns <= end)
+                .map(|r| r.name)
+                .collect()
+        };
+        assert_eq!(
+            parts(0),
+            [
+                "store-read",
+                "store-parse",
+                "store-arena-crc",
+                "store-idx-crc",
+                "store-adopt"
+            ]
+        );
+        if cfg!(all(target_os = "linux", target_endian = "little")) {
+            assert_eq!(
+                parts(1),
+                ["store-map", "store-parse", "store-idx-crc", "store-adopt"]
+            );
         }
     }
 

@@ -10,8 +10,9 @@
 //! serves it with no re-solving and no re-encoding. The verified copy
 //! rebuilds nothing but the in-memory buffers; the trusted `mmap(2)` load
 //! borrows both the arena and the table straight out of the page cache —
-//! O(header) work, one resident copy shared by every process that maps the
-//! same entry.
+//! O(header + index) work (the index checksum and one pass over its slots;
+//! no arena byte is read), one resident copy shared by every process that
+//! maps the same entry.
 //!
 //! Four layers:
 //!

@@ -1,19 +1,21 @@
 //! A genetic algorithm using valid-neighbor mutation.
 //!
 //! The mutation step illustrates why the resolved `SearchSpace` matters: a
-//! mutated individual is chosen among the *valid* Hamming neighbors of its
+//! mutated individual is a uniformly random *valid* Hamming neighbor of its
 //! parent (Section 4.4), so the GA never wastes evaluations on configurations
-//! that violate constraints.
+//! that violate constraints. [`random_neighbor`] draws it with an expected
+//! handful of membership probes instead of listing the whole ring.
 //!
-//! The algorithm is generational (µ+λ): each generation proposes a full
-//! batch of offspring through [`TuningContext::evaluate_batch`], so the
-//! engine can measure the whole generation in parallel, then parents and
-//! offspring compete for the next generation's population slots.
+//! The algorithm is generational (µ+λ): the first population is a uniform
+//! sample of distinct configurations ([`sample_indices`], O(population)
+//! however large the space), and each generation proposes a full batch of
+//! offspring through [`TuningContext::evaluate_batch`], so the engine can
+//! measure the whole generation in parallel, then parents and offspring
+//! compete for the next generation's population slots.
 
-use rand::seq::SliceRandom;
 use rand::Rng;
 
-use at_searchspace::{neighbors, ConfigId, NeighborMethod};
+use at_searchspace::{random_neighbor, sample_indices, ConfigId, NeighborMethod};
 
 use crate::eval::out_of_budget;
 use crate::tuning::{Strategy, TuningContext};
@@ -83,10 +85,8 @@ impl Strategy for GeneticAlgorithm {
         let pop_size = self.population_size.max(2).min(n);
 
         // initial population: one batch of distinct random configurations
-        let mut all: Vec<ConfigId> = ctx.space().ids().collect();
-        all.shuffle(ctx.rng());
-        let seeds = &all[..pop_size];
-        let outcomes = ctx.evaluate_batch(seeds);
+        let seeds = sample_indices(ctx.space(), pop_size, ctx.rng());
+        let outcomes = ctx.evaluate_batch(&seeds);
         let mut population: Vec<(ConfigId, f64)> = seeds
             .iter()
             .zip(&outcomes)
@@ -108,10 +108,8 @@ impl Strategy for GeneticAlgorithm {
 
                 // mutation: jump to a random valid Hamming neighbor
                 if ctx.rng().gen_bool(self.mutation_rate) {
-                    let neighbor_list = neighbors(ctx.space(), child, NeighborMethod::Hamming);
-                    if !neighbor_list.is_empty() {
-                        child = neighbor_list[ctx.rng().gen_range(0..neighbor_list.len())];
-                    }
+                    child = random_neighbor(ctx.space(), child, NeighborMethod::Hamming, ctx.rng())
+                        .unwrap_or(child);
                 }
                 offspring.push(child);
             }

@@ -5,12 +5,14 @@
 //! restarts the descent from there, accepting the new local optimum only if
 //! it improves on the incumbent. Kernel Tuner ships this as `greedy_ils`; it
 //! tends to outperform plain restarts on the plateau-rich landscapes of GPU
-//! tuning spaces. The descent proposes each neighbor ring as one batch, so
-//! the engine can measure the ring in parallel.
+//! tuning spaces. The descent proposes each whole neighbor ring
+//! ([`neighbors`]) as one batch, so the engine can measure the ring in
+//! parallel; each perturbation step draws one random neighbor
+//! ([`random_neighbor`]) without listing the ring.
 
 use rand::Rng;
 
-use at_searchspace::{neighbors, ConfigId, NeighborMethod};
+use at_searchspace::{neighbors, random_neighbor, ConfigId, NeighborMethod};
 
 use crate::eval::out_of_budget;
 use crate::tuning::{Strategy, TuningContext};
@@ -77,11 +79,10 @@ impl IteratedLocalSearch {
     fn perturb(&self, ctx: &mut TuningContext<'_>, from: ConfigId) -> ConfigId {
         let mut current = from;
         for _ in 0..self.perturbation_strength {
-            let options = neighbors(ctx.space(), current, self.neighbor_method);
-            if options.is_empty() {
-                break;
+            match random_neighbor(ctx.space(), current, self.neighbor_method, ctx.rng()) {
+                Some(next) => current = next,
+                None => break,
             }
-            current = options[ctx.rng().gen_range(0..options.len())];
         }
         current
     }

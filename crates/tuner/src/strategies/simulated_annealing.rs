@@ -2,14 +2,16 @@
 
 use rand::Rng;
 
-use at_searchspace::{neighbors, ConfigId, NeighborMethod};
+use at_searchspace::{random_neighbor, ConfigId, NeighborMethod};
 
 use crate::tuning::{Strategy, TuningContext};
 
 /// Simulated annealing: random neighbor moves accepted with a
-/// temperature-dependent Metropolis criterion. The Markov chain makes each
-/// proposal depend on the previous acceptance, so SA is inherently
-/// sequential: it drives the batch engine with batches of one
+/// temperature-dependent Metropolis criterion. Each proposal is one
+/// uniformly random valid neighbor ([`random_neighbor`]: for Hamming, an
+/// expected handful of membership probes rather than the whole ring). The
+/// Markov chain makes each proposal depend on the previous acceptance, so SA
+/// is inherently sequential: it drives the batch engine with batches of one
 /// ([`TuningContext::evaluate_one`]).
 #[derive(Debug, Clone, Copy)]
 pub struct SimulatedAnnealing {
@@ -45,8 +47,8 @@ impl Strategy for SimulatedAnnealing {
         };
         let mut temperature = self.initial_temperature * current_time;
         while !ctx.exhausted() {
-            let neighbor_list = neighbors(ctx.space(), current, self.neighbor_method);
-            if neighbor_list.is_empty() {
+            let Some(pick) = random_neighbor(ctx.space(), current, self.neighbor_method, ctx.rng())
+            else {
                 // isolated configuration: restart somewhere else
                 current = ConfigId::from_index(ctx.rng().gen_range(0..n));
                 current_time = match ctx.evaluate_one(current).runtime() {
@@ -54,8 +56,7 @@ impl Strategy for SimulatedAnnealing {
                     None => return,
                 };
                 continue;
-            }
-            let pick = neighbor_list[ctx.rng().gen_range(0..neighbor_list.len())];
+            };
             let candidate_time = match ctx.evaluate_one(pick).runtime() {
                 Some(t) => t,
                 None => return,

@@ -2,16 +2,19 @@
 //! arbitrary small specifications, encode/decode round-trips, `iter_decoded`,
 //! `ConfigView` and `index_of`/`index_of_codes` must all agree with the
 //! plain row semantics of the old `Vec<Vec<Value>>` representation,
-//! construction must reject rows containing out-of-domain values, and
+//! construction must reject rows containing out-of-domain values,
 //! Hamming neighbor queries (membership-table probes) must return exactly
-//! what a scan of the whole space finds.
+//! what a scan of the whole space finds, and a random neighbor must be a
+//! member of the ring, `None` exactly when the ring is empty.
 
 use proptest::prelude::*;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 use autotuning_searchspaces::csp::Value;
 use autotuning_searchspaces::searchspace::{
-    build_search_space, neighbors, ConfigId, Method, NeighborMethod, SearchSpace, SpaceError,
-    TunableParameter,
+    build_search_space, neighbors, random_neighbor, ConfigId, Method, NeighborMethod, SearchSpace,
+    SpaceError, TunableParameter,
 };
 use autotuning_searchspaces::workloads::brute_forceable_real_world;
 
@@ -164,6 +167,31 @@ proptest! {
                 neighbors(&space, id, NeighborMethod::Hamming),
                 hamming_scan(&space, id)
             );
+        }
+    }
+
+    #[test]
+    fn random_neighbors_are_ring_members_and_none_iff_the_ring_is_empty(
+        desc in random_space(),
+        seed in 0u64..u64::MAX,
+    ) {
+        let (params, rows) = materialize(&desc);
+        let space = SearchSpace::from_configs("prop", params, rows).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for method in [
+            NeighborMethod::Hamming,
+            NeighborMethod::Adjacent,
+            NeighborMethod::StrictlyAdjacent,
+        ] {
+            for id in space.ids() {
+                let ring = neighbors(&space, id, method);
+                for _ in 0..4 {
+                    match random_neighbor(&space, id, method, &mut rng) {
+                        Some(pick) => prop_assert!(ring.contains(&pick), "{method:?} {id}: {pick}"),
+                        None => prop_assert!(ring.is_empty(), "{method:?} {id}: None"),
+                    }
+                }
+            }
         }
     }
 

@@ -4,7 +4,8 @@
 
 use autotuning_searchspaces::prelude::*;
 use autotuning_searchspaces::searchspace::{
-    coverage_per_parameter, latin_hypercube_sample, neighbors, sample_indices, NeighborMethod,
+    coverage_per_parameter, latin_hypercube_sample, neighbors, random_neighbor, sample_indices,
+    NeighborMethod,
 };
 use autotuning_searchspaces::workloads::dedispersion;
 use rand::SeedableRng;
@@ -34,6 +35,62 @@ fn hamming_neighbors_are_symmetric_and_valid_on_a_sample() {
             assert!(back.contains(&i));
         }
     }
+}
+
+/// Draw `100 × |ring|` random Hamming neighbors of each queried id from one
+/// fixed-seed generator, require every draw to be in the ring, and require
+/// the pooled Pearson chi-square statistic of the per-ring counts to stay
+/// under its p = 0.001 critical value (Wilson–Hilferty approximation).
+fn assert_random_neighbors_are_uniform(space: &SearchSpace, ids: &[ConfigId], seed: u64) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let (mut statistic, mut df) = (0.0f64, 0.0f64);
+    for &id in ids {
+        let ring = neighbors(space, id, NeighborMethod::Hamming);
+        if ring.len() < 2 {
+            continue;
+        }
+        let draws = 100 * ring.len();
+        let mut counts = vec![0u64; ring.len()];
+        for _ in 0..draws {
+            let pick = random_neighbor(space, id, NeighborMethod::Hamming, &mut rng);
+            let at = pick.and_then(|p| ring.iter().position(|&n| n == p));
+            counts[at.unwrap_or_else(|| panic!("{id}: drew {pick:?} outside {ring:?}"))] += 1;
+        }
+        let expected = draws as f64 / ring.len() as f64;
+        statistic += counts
+            .iter()
+            .map(|&c| (c as f64 - expected).powi(2) / expected)
+            .sum::<f64>();
+        df += (ring.len() - 1) as f64;
+    }
+    assert!(df >= 20.0, "too few neighbors to test: df {df}");
+    let z = 3.090_232; // upper 0.001 quantile of the standard normal
+    let a = 2.0 / (9.0 * df);
+    let critical = df * (1.0 - a + z * a.sqrt()).powi(3);
+    assert!(
+        statistic < critical,
+        "chi-square {statistic:.1} >= {critical:.1} (df {df})"
+    );
+}
+
+#[test]
+fn random_neighbors_are_uniform_on_a_grid() {
+    let spec = SearchSpaceSpec::new("grid")
+        .with_param(TunableParameter::ints("x", [1, 2, 4, 8]))
+        .with_param(TunableParameter::ints("y", [1, 2, 4, 8]))
+        .with_param(TunableParameter::ints("z", [1, 2, 4, 8]))
+        .with_expr("x * y * z <= 64");
+    let (space, _) = build_search_space(&spec, Method::Optimized).unwrap();
+    let ids: Vec<ConfigId> = space.ids().collect();
+    assert_random_neighbors_are_uniform(&space, &ids, 41);
+}
+
+#[test]
+fn random_neighbors_are_uniform_on_dedispersion() {
+    let space = dedispersion_space();
+    let step = (space.len() / 40).max(1);
+    let ids: Vec<ConfigId> = space.ids().step_by(step).collect();
+    assert_random_neighbors_are_uniform(&space, &ids, 43);
 }
 
 #[test]

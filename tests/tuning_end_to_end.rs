@@ -213,20 +213,22 @@ fn tuning_runs_are_reproducible_per_seed() {
 #[test]
 fn neighbor_strategy_trajectories_are_pinned_on_dedispersion() {
     // Recorded with `atss tune --workload dedispersion --strategy <s>
-    // --budget-ms 60000 --seed <n> --construction-ms 0 --json`. The four
-    // strategies draw from their RNG once per neighbor list, so any change to
-    // which neighbors a Hamming query returns, or to their order, moves
-    // these numbers. Each row: strategy, seed, evaluations, best_config_id,
-    // best_runtime_ms.
+    // --budget-ms 60000 --seed <n> --construction-ms 0 --json`. Hill climbing
+    // and the ILS descent evaluate whole Hamming rings, so any change to
+    // which neighbors a query returns, or to their order, moves these
+    // numbers. The GA mutation, the SA proposals and the ILS perturbation
+    // draw one random neighbor each, so a change to the order in which
+    // `random_neighbor` probes candidates moves those rows too. Each row:
+    // strategy, seed, evaluations, best_config_id, best_runtime_ms.
     let pinned: [(&str, u64, usize, usize, f64); 8] = [
-        ("genetic", 7, 339, 2231, 9.111919477318853),
-        ("genetic", 8, 323, 2427, 9.295828049225149),
-        ("simulated-annealing", 7, 188, 2215, 9.694710782108674),
-        ("simulated-annealing", 8, 151, 2427, 9.295828049225149),
+        ("genetic", 7, 373, 2231, 9.111919477318853),
+        ("genetic", 8, 321, 2427, 9.295828049225149),
+        ("simulated-annealing", 7, 194, 415, 10.378824497030308),
+        ("simulated-annealing", 8, 183, 2571, 9.347102977072941),
         ("hill-climbing", 7, 456, 2326, 9.311066579960983),
         ("hill-climbing", 8, 448, 2427, 9.295828049225149),
-        ("iterated-local-search", 7, 458, 2231, 9.111919477318853),
-        ("iterated-local-search", 8, 459, 2427, 9.295828049225149),
+        ("iterated-local-search", 7, 460, 2231, 9.111919477318853),
+        ("iterated-local-search", 8, 462, 2427, 9.295828049225149),
     ];
     let workload = dedispersion();
     let (space, _) = build_search_space(&workload.spec, Method::Optimized).unwrap();
