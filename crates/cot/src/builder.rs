@@ -1,39 +1,35 @@
 //! End-to-end chain-of-trees construction from a generic space specification.
 
 use at_csp::sink::RowSink;
-use at_csp::{ConstraintRef, CspResult, Problem, SolutionSet, Value};
+use at_csp::{CspResult, Problem, SolutionSet};
 
 use crate::chain::ChainOfTrees;
 use crate::grouping::group_parameters;
 use crate::tree::{GroupConstraint, GroupTree};
 
-/// Build a chain of trees for a search space given as parameter names,
-/// per-parameter domains and constraints with name-index scopes.
-///
-/// * `names` — parameter names, declaration order
-/// * `domains` — for each parameter, its values
-/// * `constraints` — `(constraint, scope)` pairs where the scope holds
-///   parameter indices in the order the constraint expects its values
-pub fn build_chain(
-    names: &[String],
-    domains: &[Vec<Value>],
-    constraints: &[(ConstraintRef, Vec<usize>)],
-) -> ChainOfTrees {
-    assert_eq!(names.len(), domains.len());
-    let scopes: Vec<Vec<usize>> = constraints.iter().map(|(_, s)| s.clone()).collect();
-    let groups = group_parameters(names.len(), &scopes);
+/// Build a chain of trees for an [`at_csp::Problem`]: group its variables by
+/// constraint interdependence and build one tree per group over the
+/// variables' current domains. The nodes carry the domains' codes, so a
+/// pre-pruned problem still emits the codes of its declared domains.
+pub fn build_chain_from_problem(problem: &Problem) -> ChainOfTrees {
+    let scopes: Vec<Vec<usize>> = problem
+        .constraints()
+        .iter()
+        .map(|e| e.scope.clone())
+        .collect();
+    let groups = group_parameters(problem.num_variables(), &scopes);
     let mut trees = Vec::with_capacity(groups.len());
     for group in groups {
         // position of each global parameter inside the group
         let pos_of = |param: usize| group.iter().position(|&p| p == param);
-        let group_domains: Vec<Vec<Value>> = group.iter().map(|&p| domains[p].clone()).collect();
+        let group_domains: Vec<_> = group.iter().map(|&p| problem.domain(p)).collect();
         let mut group_constraints = Vec::new();
-        for (constraint, scope) in constraints {
-            let positions: Option<Vec<usize>> = scope.iter().map(|&p| pos_of(p)).collect();
+        for entry in problem.constraints() {
+            let positions: Option<Vec<usize>> = entry.scope.iter().map(|&p| pos_of(p)).collect();
             if let Some(scope_positions) = positions {
                 let ready_at = scope_positions.iter().copied().max().unwrap_or(0);
                 group_constraints.push(GroupConstraint {
-                    constraint: constraint.clone(),
+                    constraint: entry.constraint.clone(),
                     scope_positions,
                     ready_at,
                 });
@@ -45,23 +41,7 @@ pub fn build_chain(
             &group_constraints,
         ));
     }
-    ChainOfTrees::new(names.to_vec(), trees)
-}
-
-/// Build a chain of trees directly from an [`at_csp::Problem`] and enumerate
-/// it into a [`SolutionSet`] — the drop-in equivalent of running one of the
-/// CSP solvers, used by the evaluation harness and the equivalence tests.
-pub fn build_chain_from_problem(problem: &Problem) -> ChainOfTrees {
-    let names = problem.variable_names().to_vec();
-    let domains: Vec<Vec<Value>> = (0..problem.num_variables())
-        .map(|v| problem.domain(v).values().to_vec())
-        .collect();
-    let constraints: Vec<(ConstraintRef, Vec<usize>)> = problem
-        .constraints()
-        .iter()
-        .map(|e| (e.constraint.clone(), e.scope.clone()))
-        .collect();
-    build_chain(&names, &domains, &constraints)
+    ChainOfTrees::new(problem.variable_names().to_vec(), trees)
 }
 
 /// Enumerate a chain into the same dense [`SolutionSet`] format the CSP
@@ -70,12 +50,12 @@ pub fn enumerate_chain(chain: &ChainOfTrees) -> SolutionSet {
     SolutionSet::from_rows(chain.names().to_vec(), chain.enumerate())
 }
 
-/// Stream every configuration of a chain into a [`RowSink`] (rows in
-/// declaration order) — the chain-of-trees counterpart of
-/// [`at_csp::Solver::solve_into`](at_csp::Solver): no decoded intermediate
-/// of the whole space is ever allocated.
+/// Stream every configuration of a chain into a [`RowSink`] as a code row
+/// in declaration order — the chain-of-trees counterpart of
+/// [`at_csp::Solver::solve_into`](at_csp::Solver): no intermediate of the
+/// whole space is ever allocated.
 pub fn enumerate_chain_into(chain: &ChainOfTrees, sink: &mut dyn RowSink) -> CspResult<()> {
-    chain.for_each_configuration(|row| sink.push_row(row))
+    chain.for_each_code_row(|row| sink.push_codes(row))
 }
 
 #[cfg(test)]
@@ -112,14 +92,53 @@ mod tests {
     }
 
     #[test]
-    fn streaming_enumeration_matches_collected() {
+    fn streamed_codes_decode_to_the_collected_rows() {
         let p = block_size_problem();
         let chain = build_chain_from_problem(&p);
         let collected = enumerate_chain(&chain);
-        let mut streamed = SolutionSet::new(chain.names().to_vec());
-        enumerate_chain_into(&chain, &mut streamed).unwrap();
-        assert_eq!(streamed.len(), collected.len());
-        assert_eq!(streamed.rows(), collected.rows());
+        let mut codes: Vec<u32> = Vec::new();
+        enumerate_chain_into(&chain, &mut codes).unwrap();
+        assert_eq!(p.decode_rows(&codes).rows(), collected.rows());
+    }
+
+    #[test]
+    fn a_pruned_problem_streams_the_declared_codes() {
+        // b >= 2 prunes b = 1, and with it a = 5..=8 (a * b <= 8).
+        let mut p = Problem::new();
+        p.add_variable("a", int_values(1..=8)).unwrap();
+        p.add_variable("b", int_values(1..=8)).unwrap();
+        p.add_variable("c", int_values([1, 2, 3])).unwrap();
+        p.add_constraint(MaxProduct::new(8.0), &["a", "b"]).unwrap();
+        p.add_function_constraint(&["b"], |v| v[0].as_i64().unwrap() >= 2)
+            .unwrap();
+        let mut pruned = p.clone();
+        let report = at_csp::preprune_domains(&mut pruned).unwrap();
+        assert_eq!(report.removed, 5, "the fixture must prune");
+        let mut plain: Vec<u32> = Vec::new();
+        enumerate_chain_into(&build_chain_from_problem(&p), &mut plain).unwrap();
+        let mut from_pruned: Vec<u32> = Vec::new();
+        enumerate_chain_into(&build_chain_from_problem(&pruned), &mut from_pruned).unwrap();
+        assert_eq!(from_pruned, plain);
+    }
+
+    #[test]
+    fn sink_errors_stop_the_walk_at_the_failing_row() {
+        struct FailingSink {
+            seen: u64,
+        }
+        impl RowSink for FailingSink {
+            fn push_codes(&mut self, _codes: &[u32]) -> CspResult<()> {
+                self.seen += 1;
+                if self.seen > 2 {
+                    return Err(at_csp::CspError::Solver("sink full".into()));
+                }
+                Ok(())
+            }
+        }
+        let chain = build_chain_from_problem(&block_size_problem());
+        let mut sink = FailingSink { seen: 0 };
+        assert!(enumerate_chain_into(&chain, &mut sink).is_err());
+        assert_eq!(sink.seen, 3);
     }
 
     #[test]

@@ -96,92 +96,74 @@ impl ChainOfTrees {
         values.into_iter().collect()
     }
 
-    /// Visit every configuration in the space (values in declaration order)
-    /// without materializing the set: each row is assembled in a reused
-    /// buffer and passed to `visit` the moment it is complete, so the whole
-    /// walk allocates O(params), not O(size × params). Returning an error
-    /// from `visit` aborts the walk.
+    /// Visit every configuration in the space as a row of codes in
+    /// declaration order (each node's [`TreeNode::code`]) without
+    /// materializing the set: the row is one reused buffer, updated in
+    /// place as the walk moves and passed to `visit` the moment it is
+    /// complete, so the whole walk allocates O(params), not
+    /// O(size × params). Returning an error from `visit` aborts the walk.
     ///
     /// The visit order matches [`ChainOfTrees::configuration`]: the last
     /// tree varies fastest.
-    pub fn for_each_configuration<E, F>(&self, mut visit: F) -> Result<(), E>
+    pub fn for_each_code_row<E, F>(&self, mut visit: F) -> Result<(), E>
     where
-        F: FnMut(&[Value]) -> Result<(), E>,
+        F: FnMut(&[u32]) -> Result<(), E>,
     {
         if self.is_empty() {
             return Ok(());
         }
-        let mut values: Vec<Option<Value>> = vec![None; self.names.len()];
-        let mut row: Vec<Value> = Vec::with_capacity(self.names.len());
-        self.walk_tree(0, &mut values, &mut row, &mut visit)
+        let mut row = vec![0u32; self.names.len()];
+        self.walk_tree(0, &mut row, &mut visit)
     }
 
-    /// DFS helper for [`ChainOfTrees::for_each_configuration`]: place tree
-    /// `ti`'s values, then recurse into the next tree.
-    fn walk_tree<E, F>(
-        &self,
-        ti: usize,
-        values: &mut Vec<Option<Value>>,
-        row: &mut Vec<Value>,
-        visit: &mut F,
-    ) -> Result<(), E>
+    /// DFS helper for [`ChainOfTrees::for_each_code_row`]: place tree
+    /// `ti`'s codes, then recurse into the next tree.
+    fn walk_tree<E, F>(&self, ti: usize, row: &mut [u32], visit: &mut F) -> Result<(), E>
     where
-        F: FnMut(&[Value]) -> Result<(), E>,
+        F: FnMut(&[u32]) -> Result<(), E>,
     {
         if ti == self.trees.len() {
-            row.clear();
-            row.extend(
-                values
-                    .iter()
-                    .map(|v| v.clone().expect("all params covered")),
-            );
             return visit(row);
         }
         let tree = &self.trees[ti];
         if tree.depth() == 0 {
-            return self.walk_tree(ti + 1, values, row, visit);
+            return self.walk_tree(ti + 1, row, visit);
         }
-        self.walk_nodes(ti, &tree.roots, 0, values, row, visit)
+        self.walk_nodes(ti, &tree.roots, 0, row, visit)
     }
 
     /// DFS helper walking one tree's levels.
-    #[allow(clippy::too_many_arguments)]
     fn walk_nodes<E, F>(
         &self,
         ti: usize,
         nodes: &[TreeNode],
         level: usize,
-        values: &mut Vec<Option<Value>>,
-        row: &mut Vec<Value>,
+        row: &mut [u32],
         visit: &mut F,
     ) -> Result<(), E>
     where
-        F: FnMut(&[Value]) -> Result<(), E>,
+        F: FnMut(&[u32]) -> Result<(), E>,
     {
         let tree = &self.trees[ti];
         for node in nodes {
-            values[tree.params[level]] = Some(node.value.clone());
+            row[tree.params[level]] = node.code;
             if level + 1 == tree.depth() {
-                self.walk_tree(ti + 1, values, row, visit)?;
+                self.walk_tree(ti + 1, row, visit)?;
             } else {
-                self.walk_nodes(ti, &node.children, level + 1, values, row, visit)?;
+                self.walk_nodes(ti, &node.children, level + 1, row, visit)?;
             }
         }
         Ok(())
     }
 
     /// Enumerate every configuration in the space (values in declaration
-    /// order). Intended for validation and for spaces that fit in memory;
-    /// use [`ChainOfTrees::for_each_configuration`] to stream instead.
+    /// order), in [`ChainOfTrees::configuration`] order. Intended for
+    /// validation on spaces that fit in memory; use
+    /// [`ChainOfTrees::for_each_code_row`] to stream instead.
     pub fn enumerate(&self) -> Vec<Vec<Value>> {
-        let mut out = Vec::new();
-        let result: Result<(), std::convert::Infallible> = self.for_each_configuration(|row| {
-            out.push(row.to_vec());
-            Ok(())
-        });
-        match result {
-            Ok(()) => out,
-        }
+        (0..self.size())
+            .map(|index| self.configuration(index).expect("index below size"))
+            .collect()
     }
 
     /// Sample a configuration uniformly at random by index.
@@ -225,7 +207,7 @@ mod tests {
     use super::*;
     use crate::tree::{GroupConstraint, GroupTree};
     use at_csp::value::int_values;
-    use at_csp::MaxProduct;
+    use at_csp::{Domain, MaxProduct};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use std::collections::HashSet;
@@ -233,16 +215,17 @@ mod tests {
 
     /// Two groups: (x, y) with x*y <= 8, and an independent z.
     fn small_chain() -> ChainOfTrees {
+        let xy = Domain::new(int_values([1, 2, 4]));
         let t1 = GroupTree::build(
             vec![0, 1],
-            &[int_values([1, 2, 4]), int_values([1, 2, 4])],
+            &[&xy, &xy],
             &[GroupConstraint {
                 constraint: Arc::new(MaxProduct::new(8.0)),
                 scope_positions: vec![0, 1],
                 ready_at: 1,
             }],
         );
-        let t2 = GroupTree::build(vec![2], &[int_values([10, 20])], &[]);
+        let t2 = GroupTree::build(vec![2], &[&Domain::new(int_values([10, 20]))], &[]);
         ChainOfTrees::new(
             vec!["x".to_string(), "y".to_string(), "z".to_string()],
             vec![t1, t2],
@@ -317,19 +300,21 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_enumerate_in_order() {
+    fn code_rows_decode_to_the_indexed_configurations_in_order() {
         let chain = small_chain();
-        let mut streamed: Vec<Vec<Value>> = Vec::new();
+        let mut rows: Vec<Vec<u32>> = Vec::new();
         chain
-            .for_each_configuration(|row| -> Result<(), std::convert::Infallible> {
-                streamed.push(row.to_vec());
+            .for_each_code_row(|row| -> Result<(), std::convert::Infallible> {
+                rows.push(row.to_vec());
                 Ok(())
             })
             .unwrap();
-        assert_eq!(streamed, chain.enumerate());
-        // and the indexed access agrees with the streaming order
-        for (i, row) in streamed.iter().enumerate() {
-            assert_eq!(chain.configuration(i as u128).as_ref(), Some(row));
+        assert_eq!(rows.len() as u128, chain.size());
+        let (xy, z) = ([1i64, 2, 4], [10i64, 20]);
+        for (i, row) in rows.iter().enumerate() {
+            let decoded = (xy[row[0] as usize], xy[row[1] as usize], z[row[2] as usize]);
+            let indexed = chain.configuration(i as u128).unwrap();
+            assert_eq!(decoded, as_tuple(&indexed), "row {i}");
         }
     }
 
@@ -337,7 +322,7 @@ mod tests {
     fn streaming_aborts_on_error() {
         let chain = small_chain();
         let mut seen = 0usize;
-        let result = chain.for_each_configuration(|_| {
+        let result = chain.for_each_code_row(|_| {
             seen += 1;
             if seen == 3 {
                 Err("stop")
@@ -355,7 +340,7 @@ mod tests {
     fn huge_chain(num_binary: usize) -> ChainOfTrees {
         let names = (0..num_binary).map(|i| format!("p{i}")).collect();
         let trees = (0..num_binary)
-            .map(|i| GroupTree::build(vec![i], &[int_values([0, 1])], &[]))
+            .map(|i| GroupTree::build(vec![i], &[&Domain::new(int_values([0, 1]))], &[]))
             .collect();
         ChainOfTrees::new(names, trees)
     }
@@ -415,7 +400,7 @@ mod tests {
     fn empty_chain_reports_empty() {
         let t = GroupTree::build(
             vec![0],
-            &[int_values([10, 20])],
+            &[&Domain::new(int_values([10, 20]))],
             &[GroupConstraint {
                 constraint: Arc::new(MaxProduct::new(1.0)),
                 scope_positions: vec![0],

@@ -19,7 +19,7 @@ pub mod chain;
 pub mod grouping;
 pub mod tree;
 
-pub use builder::{build_chain, build_chain_from_problem, enumerate_chain, enumerate_chain_into};
+pub use builder::{build_chain_from_problem, enumerate_chain, enumerate_chain_into};
 pub use chain::ChainOfTrees;
 pub use grouping::{group_parameters, UnionFind};
 pub use tree::{GroupConstraint, GroupTree, TreeNode};

@@ -7,7 +7,7 @@
 //! level of the *last* of its parameters (in the group's order), i.e. as soon
 //! as all of its parameters are on the current path.
 
-use at_csp::{ConstraintRef, Value};
+use at_csp::{ConstraintRef, Domain, Value};
 
 /// A node of a group tree, holding one parameter value and the subtree of
 /// valid completions.
@@ -15,6 +15,8 @@ use at_csp::{ConstraintRef, Value};
 pub struct TreeNode {
     /// The value of this level's parameter on this path.
     pub value: Value,
+    /// The value's code: its index in the parameter's declared domain.
+    pub code: u32,
     /// Children at the next level (empty at the deepest level).
     pub children: Vec<TreeNode>,
     /// Number of full-depth leaves below (1 for a deepest-level node).
@@ -61,13 +63,10 @@ impl GroupTree {
     /// Build the tree for a group.
     ///
     /// * `params` — global parameter indices of the group (declaration order)
-    /// * `domains` — for each group parameter (same order), its values
+    /// * `domains` — for each group parameter (same order), its domain; the
+    ///   nodes take their values and codes from it
     /// * `constraints` — the constraints whose scope lies within this group
-    pub fn build(
-        params: Vec<usize>,
-        domains: &[Vec<Value>],
-        constraints: &[GroupConstraint],
-    ) -> Self {
+    pub fn build(params: Vec<usize>, domains: &[&Domain], constraints: &[GroupConstraint]) -> Self {
         assert_eq!(params.len(), domains.len());
         let mut checks = 0u64;
         let mut prefix: Vec<Value> = Vec::with_capacity(params.len());
@@ -84,17 +83,6 @@ impl GroupTree {
     /// Depth (number of parameters) of the tree.
     pub fn depth(&self) -> usize {
         self.params.len()
-    }
-
-    /// Enumerate all valid combinations (each of length `depth()`, in the
-    /// group's parameter order).
-    pub fn enumerate(&self) -> Vec<Vec<Value>> {
-        let mut out = Vec::with_capacity(self.leaf_count);
-        let mut path: Vec<Value> = Vec::with_capacity(self.depth());
-        for root in &self.roots {
-            collect_paths(root, self.depth(), &mut path, &mut out);
-        }
-        out
     }
 
     /// The `index`-th valid combination in deterministic (depth-first) order.
@@ -133,14 +121,15 @@ impl GroupTree {
 
 fn build_level(
     depth: usize,
-    domains: &[Vec<Value>],
+    domains: &[&Domain],
     constraints: &[GroupConstraint],
     prefix: &mut Vec<Value>,
     checks: &mut u64,
 ) -> Vec<TreeNode> {
     let last_level = depth + 1 == domains.len();
     let mut nodes = Vec::new();
-    for value in &domains[depth] {
+    let domain = domains[depth];
+    for (value, &code) in domain.values().iter().zip(domain.codes()) {
         prefix.push(value.clone());
         let mut ok = true;
         let mut scope_buf: Vec<Value> = Vec::new();
@@ -157,6 +146,7 @@ fn build_level(
             if last_level {
                 nodes.push(TreeNode {
                     value: value.clone(),
+                    code,
                     children: Vec::new(),
                     leaves: 1,
                 });
@@ -166,6 +156,7 @@ fn build_level(
                     let leaves = children.iter().map(|c| c.leaves).sum();
                     nodes.push(TreeNode {
                         value: value.clone(),
+                        code,
                         children,
                         leaves,
                     });
@@ -177,18 +168,6 @@ fn build_level(
     nodes
 }
 
-fn collect_paths(node: &TreeNode, depth: usize, path: &mut Vec<Value>, out: &mut Vec<Vec<Value>>) {
-    path.push(node.value.clone());
-    if path.len() == depth {
-        out.push(path.clone());
-    } else {
-        for child in &node.children {
-            collect_paths(child, depth, path, out);
-        }
-    }
-    path.pop();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,10 +177,8 @@ mod tests {
 
     fn product_group() -> GroupTree {
         // two parameters x in {1..32 pow2}, y in {1..32 pow2}, 32 <= x*y <= 256
-        let domains = vec![
-            int_values([1, 2, 4, 8, 16, 32]),
-            int_values([1, 2, 4, 8, 16, 32]),
-        ];
+        let x = Domain::new(int_values([1, 2, 4, 8, 16, 32]));
+        let y = Domain::new(int_values([1, 2, 4, 8, 16, 32]));
         let constraints = vec![
             GroupConstraint {
                 constraint: Arc::new(MinProduct::new(32.0)),
@@ -214,7 +191,7 @@ mod tests {
                 ready_at: 1,
             },
         ];
-        GroupTree::build(vec![0, 1], &domains, &constraints)
+        GroupTree::build(vec![0, 1], &[&x, &y], &constraints)
     }
 
     fn reference_count() -> usize {
@@ -240,45 +217,50 @@ mod tests {
     }
 
     #[test]
-    fn enumerate_yields_only_valid_combinations() {
+    fn indexed_combinations_are_valid_and_exhaustive() {
         let tree = product_group();
-        let combos = tree.enumerate();
-        assert_eq!(combos.len(), tree.leaf_count);
-        for combo in &combos {
+        let mut seen = std::collections::HashSet::new();
+        for i in 0..tree.leaf_count {
+            let combo = tree.combination(i).unwrap();
             let p = combo[0].as_i64().unwrap() * combo[1].as_i64().unwrap();
             assert!((32..=256).contains(&p));
-        }
-    }
-
-    #[test]
-    fn indexed_access_matches_enumeration() {
-        let tree = product_group();
-        let combos = tree.enumerate();
-        for (i, combo) in combos.iter().enumerate() {
-            assert_eq!(tree.combination(i).unwrap(), *combo);
+            assert!(seen.insert((combo[0].as_i64(), combo[1].as_i64())));
         }
         assert!(tree.combination(tree.leaf_count).is_none());
     }
 
     #[test]
+    fn nodes_carry_declared_codes_of_a_pruned_domain() {
+        // Pruning 1 and 2 from x leaves codes 2.. on the surviving nodes.
+        let mut x = Domain::new(int_values([1, 2, 4, 8, 16, 32]));
+        x.retain(|v| v.as_i64().unwrap() >= 4);
+        let y = Domain::new(int_values([1, 2]));
+        let tree = GroupTree::build(vec![0, 1], &[&x, &y], &[]);
+        let codes: Vec<u32> = tree.roots.iter().map(|n| n.code).collect();
+        assert_eq!(codes, vec![2, 3, 4, 5]);
+        assert_eq!(tree.roots[0].value, Value::Int(4));
+        assert_eq!(tree.roots[0].children[1].code, 1);
+    }
+
+    #[test]
     fn dead_branches_are_pruned() {
         // x in {1, 100}, y in {1, 2}: with x*y <= 4 the x=100 branch vanishes.
-        let domains = vec![int_values([1, 100]), int_values([1, 2])];
+        let x = Domain::new(int_values([1, 100]));
+        let y = Domain::new(int_values([1, 2]));
         let constraints = vec![GroupConstraint {
             constraint: Arc::new(MaxProduct::new(4.0)),
             scope_positions: vec![0, 1],
             ready_at: 1,
         }];
-        let tree = GroupTree::build(vec![0, 1], &domains, &constraints);
+        let tree = GroupTree::build(vec![0, 1], &[&x, &y], &constraints);
         assert_eq!(tree.roots.len(), 1);
         assert_eq!(tree.leaf_count, 2);
     }
 
     #[test]
     fn unconstrained_single_parameter_tree() {
-        let domains = vec![int_values([1, 2, 3])];
-        let tree = GroupTree::build(vec![5], &domains, &[]);
+        let tree = GroupTree::build(vec![5], &[&Domain::new(int_values([1, 2, 3]))], &[]);
         assert_eq!(tree.leaf_count, 3);
-        assert_eq!(tree.enumerate().len(), 3);
+        assert_eq!(tree.node_count(), 3);
     }
 }

@@ -5,11 +5,10 @@ use crate::value::Value;
 /// A partial assignment of values to variables, indexed by variable id.
 ///
 /// The solver keeps exactly one `Assignment` alive during the search and
-/// mutates it in place; completed solutions are copied out.
+/// mutates it in place; constraints read the assigned values from it.
 #[derive(Debug, Clone)]
 pub struct Assignment {
     values: Vec<Option<Value>>,
-    assigned: usize,
 }
 
 impl Assignment {
@@ -17,7 +16,6 @@ impl Assignment {
     pub fn new(n: usize) -> Self {
         Assignment {
             values: vec![None; n],
-            assigned: 0,
         }
     }
 
@@ -31,78 +29,20 @@ impl Assignment {
         self.values.is_empty()
     }
 
-    /// Number of assigned variables.
-    pub fn assigned_count(&self) -> usize {
-        self.assigned
-    }
-
-    /// True when every variable has a value.
-    pub fn is_complete(&self) -> bool {
-        self.assigned == self.values.len()
-    }
-
     /// The value of variable `var`, if assigned.
     #[inline]
     pub fn get(&self, var: usize) -> Option<&Value> {
         self.values[var].as_ref()
     }
 
-    /// Whether variable `var` is assigned.
-    #[inline]
-    pub fn is_assigned(&self, var: usize) -> bool {
-        self.values[var].is_some()
-    }
-
     /// Assign `value` to variable `var` (replacing any previous value).
     pub fn assign(&mut self, var: usize, value: Value) {
-        if self.values[var].is_none() {
-            self.assigned += 1;
-        }
         self.values[var] = Some(value);
     }
 
     /// Remove the value of variable `var`.
     pub fn unassign(&mut self, var: usize) {
-        if self.values[var].is_some() {
-            self.assigned -= 1;
-        }
         self.values[var] = None;
-    }
-
-    /// Copy the current complete assignment into a dense solution vector in
-    /// variable-id order. Panics if the assignment is not complete.
-    pub fn to_solution(&self) -> Vec<Value> {
-        self.values
-            .iter()
-            .map(|v| v.clone().expect("assignment complete"))
-            .collect()
-    }
-
-    /// Copy the current complete assignment into a caller-provided buffer
-    /// (cleared first), avoiding an allocation per solution on the streaming
-    /// path. Panics if the assignment is not complete.
-    pub fn write_solution(&self, out: &mut Vec<Value>) {
-        out.clear();
-        out.extend(
-            self.values
-                .iter()
-                .map(|v| v.clone().expect("assignment complete")),
-        );
-    }
-
-    /// Collect the values of `scope`, or `None` if any variable in the scope
-    /// is unassigned.
-    pub fn scope_values(&self, scope: &[usize]) -> Option<Vec<Value>> {
-        let mut out = Vec::with_capacity(scope.len());
-        for &v in scope {
-            out.push(self.values[v].clone()?);
-        }
-        Some(out)
-    }
-
-    /// Number of unassigned variables in `scope`.
-    pub fn unassigned_in_scope(&self, scope: &[usize]) -> usize {
-        scope.iter().filter(|&&v| self.values[v].is_none()).count()
     }
 }
 
@@ -113,39 +53,15 @@ mod tests {
     #[test]
     fn assign_unassign_cycle() {
         let mut a = Assignment::new(3);
-        assert!(!a.is_complete());
+        assert_eq!(a.len(), 3);
         a.assign(0, Value::Int(1));
         a.assign(2, Value::Int(3));
-        assert_eq!(a.assigned_count(), 2);
-        assert!(a.is_assigned(0));
-        assert!(!a.is_assigned(1));
-        a.assign(0, Value::Int(5)); // re-assignment does not double count
-        assert_eq!(a.assigned_count(), 2);
+        assert_eq!(a.get(1), None);
+        a.assign(0, Value::Int(5));
         assert_eq!(a.get(0), Some(&Value::Int(5)));
         a.unassign(0);
         a.unassign(0); // idempotent
-        assert_eq!(a.assigned_count(), 1);
-    }
-
-    #[test]
-    fn complete_and_solution() {
-        let mut a = Assignment::new(2);
-        a.assign(0, Value::Int(10));
-        a.assign(1, Value::str("x"));
-        assert!(a.is_complete());
-        assert_eq!(a.to_solution(), vec![Value::Int(10), Value::str("x")]);
-    }
-
-    #[test]
-    fn scope_values_and_unassigned() {
-        let mut a = Assignment::new(4);
-        a.assign(1, Value::Int(7));
-        a.assign(3, Value::Int(9));
-        assert_eq!(
-            a.scope_values(&[1, 3]),
-            Some(vec![Value::Int(7), Value::Int(9)])
-        );
-        assert_eq!(a.scope_values(&[0, 1]), None);
-        assert_eq!(a.unassigned_in_scope(&[0, 1, 2, 3]), 2);
+        assert_eq!(a.get(0), None);
+        assert_eq!(a.get(2), Some(&Value::Int(3)));
     }
 }

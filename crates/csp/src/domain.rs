@@ -10,46 +10,73 @@
 //! enumerate solutions in a canonical order — which is what makes
 //! analyzer-driven domain pre-pruning produce byte-identical spaces.
 
+use std::sync::Arc;
+
 use crate::value::Value;
 
 /// The domain of a single variable.
+///
+/// Every visible value carries its *code*: its index in the domain's
+/// declared value list ([`Domain::declared`]). Codes survive every
+/// permanent removal and every hide/restore unchanged, so a solver can emit
+/// a solution as the codes of its assigned values, and a pruned domain
+/// still emits the codes of the unpruned one.
 #[derive(Debug, Clone)]
 pub struct Domain {
     values: Vec<Value>,
-    /// Hidden values with the index they were removed from; restored LIFO,
-    /// which exactly inverts the removals.
-    hidden: Vec<(usize, Value)>,
+    /// `codes[i]` is the code of `values[i]`.
+    codes: Vec<u32>,
+    /// Hidden entries as (position they were removed from, code); restored
+    /// LIFO, which exactly inverts the removals. The value is
+    /// `declared[code]`.
+    hidden: Vec<(usize, u32)>,
     states: Vec<usize>,
-    /// Size at construction, before any permanent removal. Search-order
-    /// heuristics tie-break on this instead of [`Domain::len`] so that
-    /// pre-pruning (which shrinks domains without changing the solution
-    /// set) cannot perturb the enumeration order.
-    declared: usize,
+    /// The value list at construction, before any permanent removal: it
+    /// decodes a code, and search-order heuristics tie-break on its length
+    /// instead of [`Domain::len`] so that pre-pruning (which shrinks
+    /// domains without changing the solution set) cannot perturb the
+    /// enumeration order.
+    declared: Arc<[Value]>,
 }
 
 impl Domain {
-    /// Create a domain from a list of values. Duplicate values are retained
-    /// (problem construction is responsible for deduplication if desired).
+    /// Create a domain from a list of values; value `i` gets code `i`.
+    /// Duplicate values are retained (problem construction is responsible
+    /// for deduplication if desired).
     pub fn new(values: Vec<Value>) -> Self {
-        let declared = values.len();
+        let len = u32::try_from(values.len()).expect("a domain holds fewer than 2^32 values");
+        let codes = (0..len).collect();
         Domain {
+            declared: values.as_slice().into(),
             values,
+            codes,
             hidden: Vec::new(),
             states: Vec::new(),
-            declared,
         }
     }
 
     /// The domain size at construction, unaffected by permanent removals
-    /// (pre-pruning, preprocessing). See the field docs for why search
+    /// (pre-pruning, preprocessing). See [`Domain::declared`] for why search
     /// heuristics use this rather than the live [`Domain::len`].
     pub fn declared_len(&self) -> usize {
-        self.declared
+        self.declared.len()
+    }
+
+    /// The value list at construction: `declared()[code]` is the value a
+    /// code stands for.
+    pub fn declared(&self) -> &[Value] {
+        &self.declared
     }
 
     /// Currently visible values.
     pub fn values(&self) -> &[Value] {
         &self.values
+    }
+
+    /// The codes of the currently visible values, in the same order as
+    /// [`Domain::values`].
+    pub fn codes(&self) -> &[u32] {
+        &self.codes
     }
 
     /// Number of currently visible values.
@@ -67,23 +94,21 @@ impl Domain {
         self.values.iter().any(|v| v == value)
     }
 
-    /// Permanently remove a value (used by preprocessing).
-    /// Returns `true` if a value was removed.
-    pub fn remove(&mut self, value: &Value) -> bool {
-        if let Some(pos) = self.values.iter().position(|v| v == value) {
-            self.values.remove(pos);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Permanently retain only values for which the predicate holds.
-    /// Returns the number of removed values.
+    /// Permanently retain only values for which the predicate holds (called
+    /// once per value, in order). Returns the number of removed values.
     pub fn retain<F: FnMut(&Value) -> bool>(&mut self, mut pred: F) -> usize {
         let before = self.values.len();
-        self.values.retain(|v| pred(v));
-        before - self.values.len()
+        let mut kept = 0;
+        for i in 0..before {
+            if pred(&self.values[i]) {
+                self.values.swap(kept, i);
+                self.codes.swap(kept, i);
+                kept += 1;
+            }
+        }
+        self.values.truncate(kept);
+        self.codes.truncate(kept);
+        before - kept
     }
 
     /// Record a restore point for [`Domain::pop_state`].
@@ -98,8 +123,11 @@ impl Domain {
     pub fn pop_state(&mut self) {
         let mark = self.states.pop().unwrap_or(0);
         while self.hidden.len() > mark {
-            let (pos, v) = self.hidden.pop().expect("hidden not empty");
-            self.values.insert(pos.min(self.values.len()), v);
+            let (pos, code) = self.hidden.pop().expect("hidden not empty");
+            let pos = pos.min(self.values.len());
+            self.values
+                .insert(pos, self.declared[code as usize].clone());
+            self.codes.insert(pos, code);
         }
     }
 
@@ -107,8 +135,7 @@ impl Domain {
     /// Returns `true` if the value was present and is now hidden.
     pub fn hide_value(&mut self, value: &Value) -> bool {
         if let Some(pos) = self.values.iter().position(|v| v == value) {
-            let v = self.values.remove(pos);
-            self.hidden.push((pos, v));
+            self.hide_at(pos);
             true
         } else {
             false
@@ -123,19 +150,16 @@ impl Domain {
             if keep(&self.values[i]) {
                 i += 1;
             } else {
-                let v = self.values.remove(i);
-                self.hidden.push((i, v));
+                self.hide_at(i);
             }
         }
         !self.values.is_empty()
     }
 
-    /// Reset the domain, restoring every hidden value and dropping states.
-    pub fn reset(&mut self) {
-        while let Some((pos, v)) = self.hidden.pop() {
-            self.values.insert(pos.min(self.values.len()), v);
-        }
-        self.states.clear();
+    fn hide_at(&mut self, pos: usize) {
+        self.values.remove(pos);
+        let code = self.codes.remove(pos);
+        self.hidden.push((pos, code));
     }
 
     /// Minimum numeric value in the visible domain, if all values are numeric.
@@ -205,14 +229,6 @@ impl DomainStore {
         self.domains.iter().enumerate()
     }
 
-    /// Product of visible domain sizes (the Cartesian size), saturating.
-    pub fn cartesian_size(&self) -> u128 {
-        self.domains
-            .iter()
-            .map(|d| d.len() as u128)
-            .fold(1u128, |a, b| a.saturating_mul(b))
-    }
-
     /// Push a restore state on every domain.
     pub fn push_state_all(&mut self) {
         for d in &mut self.domains {
@@ -224,13 +240,6 @@ impl DomainStore {
     pub fn pop_state_all(&mut self) {
         for d in &mut self.domains {
             d.pop_state();
-        }
-    }
-
-    /// Reset every domain.
-    pub fn reset_all(&mut self) {
-        for d in &mut self.domains {
-            d.reset();
         }
     }
 }
@@ -303,37 +312,63 @@ mod tests {
     }
 
     #[test]
-    fn permanent_removal() {
+    fn permanent_removal_keeps_codes_and_declared_values() {
         let mut d = Domain::new(int_values([1, 2, 3, 4]));
-        assert!(d.remove(&Value::Int(3)));
-        assert!(!d.remove(&Value::Int(3)));
+        assert_eq!(d.retain(|v| v.as_i64().unwrap() != 3), 1);
         assert_eq!(d.retain(|v| v.as_i64().unwrap() < 4), 1);
         assert_eq!(d.values(), &int_values([1, 2])[..]);
+        assert_eq!(d.codes(), &[0, 1]);
+        let mut d = Domain::new(int_values([1, 2, 3, 4]));
+        d.retain(|v| v.as_i64().unwrap() % 2 == 0);
+        assert_eq!(d.codes(), &[1, 3]);
+        assert_eq!(d.declared_len(), 4);
+        assert_eq!(d.declared(), &int_values([1, 2, 3, 4])[..]);
     }
 
     #[test]
-    fn reset_restores_everything() {
-        let mut d = Domain::new(int_values([1, 2, 3]));
+    fn codes_survive_hiding_and_restoring_after_pruning() {
+        let mut d = Domain::new(int_values([10, 20, 30, 40, 50, 60]));
+        d.retain(|v| v.as_i64().unwrap() != 20);
         d.push_state();
-        d.hide_value(&Value::Int(1));
-        d.hide_value(&Value::Int(2));
-        d.reset();
-        assert_eq!(d.len(), 3);
+        assert!(d.hide_value(&Value::Int(40)));
+        d.push_state();
+        assert!(d.hide_where(|v| v.as_i64().unwrap() > 10));
+        assert_eq!(d.codes(), &[2, 4, 5]);
+        d.pop_state();
+        assert_eq!(d.codes(), &[0, 2, 4, 5]);
+        d.pop_state();
+        assert_eq!(d.codes(), &[0, 2, 3, 4, 5]);
+        assert_eq!(d.values(), &int_values([10, 30, 40, 50, 60])[..]);
+        for (&code, value) in d.codes().iter().zip(d.values()) {
+            assert_eq!(&d.declared()[code as usize], value);
+        }
     }
 
     #[test]
-    fn store_cartesian_size() {
+    fn python_equal_values_keep_distinct_codes() {
+        // Int(2) and Float(2.0) compare equal; pinning by position must keep
+        // the code of the entry at that position.
+        let mut d = Domain::new(vec![Value::Int(2), Value::Float(2.0), Value::Int(3)]);
+        let mut position = 0;
+        d.retain(|_| {
+            position += 1;
+            position == 2
+        });
+        assert_eq!(d.codes(), &[1]);
+        assert!(matches!(d.values()[0], Value::Float(_)));
+    }
+
+    #[test]
+    fn store_push_and_pop_all() {
         let mut s = DomainStore::new();
         s.push(Domain::new(int_values([1, 2, 3])));
         s.push(Domain::new(int_values([1, 2])));
-        s.push(Domain::new(int_values([1, 2, 3, 4])));
-        assert_eq!(s.cartesian_size(), 24);
-        assert_eq!(s.len(), 3);
+        assert_eq!(s.len(), 2);
         s.push_state_all();
         s.domain_mut(1).hide_value(&Value::Int(1));
-        assert_eq!(s.cartesian_size(), 12);
+        assert_eq!(s.domain(1).codes(), &[1]);
         s.pop_state_all();
-        assert_eq!(s.cartesian_size(), 24);
+        assert_eq!(s.domain(1).codes(), &[0, 1]);
     }
 
     #[test]

@@ -9,12 +9,14 @@
 //! baseline solvers (brute force, unoptimized backtracking, blocking-clause
 //! enumeration) used in the paper's evaluation.
 //!
-//! Solvers produce output two ways: [`Solver::solve`] collects an owned
-//! [`SolutionSet`], and [`Solver::solve_into`] *streams* each row into a
-//! [`sink::SolutionSink`] the moment it is found (Section 4.3.4: output
-//! close to the internal representation) — the path `at_searchspace` uses
-//! to encode rows straight into its columnar arena without a decoded
-//! intermediate.
+//! Solvers produce output two ways: [`Solver::solve_into`] *streams* each
+//! solution into a [`sink::RowSink`] the moment it is found, as a row of
+//! value codes — each value's index in its variable's declared domain
+//! (Section 4.3.4: output close to the internal representation) — and
+//! [`Solver::solve`] collects those rows and decodes them once into an
+//! owned [`SolutionSet`]. The streaming path is the one `at_searchspace`
+//! uses: its encoding sink appends code rows to its columnar arena, and
+//! no solver clones a value for output.
 //!
 //! ## Quick example
 //!
@@ -63,7 +65,7 @@ pub use constraints::{
 pub use domain::{Domain, DomainStore};
 pub use error::{CspError, CspResult};
 pub use problem::{ConstraintEntry, Problem, VarId};
-pub use sink::{CountingSink, RowChunk, RowSink, SolutionSink};
+pub use sink::{CountingSink, RowSink};
 pub use solution::SolutionSet;
 pub use solvers::{
     solver_by_name, BlockingClauseSolver, BruteForceSolver, OptimizedSolver, OptimizedSolverConfig,
@@ -80,7 +82,6 @@ pub mod prelude {
         MinSum, ModuloEquals, NotInSet, PairCompare, VarCompare,
     };
     pub use crate::problem::Problem;
-    pub use crate::sink::{RowSink, SolutionSink};
     pub use crate::solution::SolutionSet;
     pub use crate::solvers::{
         BlockingClauseSolver, BruteForceSolver, OptimizedSolver, OptimizedSolverConfig,

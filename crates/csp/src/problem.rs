@@ -19,6 +19,7 @@ use rustc_hash::FxHashMap;
 use crate::constraints::{Constraint, ConstraintRef, FunctionConstraint};
 use crate::domain::{Domain, DomainStore};
 use crate::error::{CspError, CspResult};
+use crate::solution::SolutionSet;
 use crate::value::Value;
 
 /// Index of a variable within a [`Problem`], in insertion order.
@@ -209,6 +210,22 @@ impl Problem {
             .iter()
             .map(|d| d.len() as u128)
             .fold(1, |a, b| a.saturating_mul(b))
+    }
+
+    /// Decode a flat arena of code rows (variable-id order, as a solver
+    /// pushes them into a [`RowSink`](crate::sink::RowSink)) through the
+    /// declared domains.
+    pub fn decode_rows(&self, codes: &[u32]) -> SolutionSet {
+        let rows = codes
+            .chunks_exact(self.domains.len().max(1))
+            .map(|row| {
+                row.iter()
+                    .zip(&self.domains)
+                    .map(|(&code, domain)| domain.declared()[code as usize].clone())
+                    .collect()
+            })
+            .collect();
+        SolutionSet::from_rows(self.names.clone(), rows)
     }
 
     /// Check a complete configuration (values in variable-id order) against

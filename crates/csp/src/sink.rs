@@ -1,26 +1,22 @@
-//! Streaming solution output: push rows into a sink as they are found.
+//! Streaming solution output: push code rows into a sink as they are found.
 //!
 //! The paper stresses that solver output formats must stay "close to the
 //! internal representation" to scale to millions of configurations
-//! (Section 4.3.4). Materializing every solution as an owned
-//! `Vec<Vec<Value>>` before handing it to the search-space indexer doubles
-//! the peak memory of construction and adds an O(n·params) copy on the hot
-//! path. The sink traits here let a solver push each solution row exactly
-//! once, the moment it is found, into whatever representation the consumer
-//! keeps — a [`SolutionSet`] for the classic API, or an encoding sink that
-//! maps rows straight to `u32` code rows (see `at_searchspace`).
+//! (Section 4.3.4). A solver already knows each assigned value by its
+//! *code* — its index in the variable's declared domain
+//! ([`Domain::declared`](crate::Domain::declared)) — so it pushes every
+//! solution as one row of codes, the moment it is found, and never clones a
+//! [`Value`](crate::Value) for output. For a problem lowered from a search
+//! space specification the codes are exactly the parameters' dictionary
+//! codes, so `at_searchspace`'s encoding sink appends rows to its arena
+//! as they come.
 //!
-//! # Trait layout
-//!
-//! * [`RowSink`] — the minimal receiver: `push_row(&[Value])`. Implemented
-//!   by per-thread chunk buffers and by [`SolutionSet`] itself.
-//! * [`SolutionSink`] — a `RowSink` that can additionally hand out
-//!   independent per-thread chunk buffers ([`SolutionSink::new_chunk`]) and
-//!   merge them back ([`SolutionSink::merge_chunk`]), which is how the
-//!   parallel solvers stream without sharing mutable state across workers.
-//!
-//! A sink may abort enumeration by returning an error from
-//! [`RowSink::push_row`]; solvers propagate it immediately.
+//! [`RowSink`] has one method, [`RowSink::push_codes`]. A sink may abort
+//! enumeration by returning an error from it; solvers propagate it
+//! immediately. A `Vec<u32>` is a sink that appends every row, which is
+//! what the parallel solver's workers fill and what
+//! [`Solver::solve`](crate::Solver::solve) decodes into a
+//! [`SolutionSet`](crate::SolutionSet).
 //!
 //! ```
 //! use at_csp::prelude::*;
@@ -35,107 +31,34 @@
 //! let mut count = CountingSink::default();
 //! let stats = OptimizedSolver::new().solve_into(&problem, &mut count).unwrap();
 //! assert_eq!(count.rows(), stats.solutions);
+//!
+//! // Or collect the code rows: (1,1) (1,2) (1,3) (1,4) (2,1) (2,2) …
+//! let mut codes: Vec<u32> = Vec::new();
+//! OriginalBacktrackingSolver::new().solve_into(&problem, &mut codes).unwrap();
+//! assert_eq!(&codes[..4], &[0, 0, 0, 1]);
 //! ```
 
-use std::any::Any;
+use crate::error::CspResult;
 
-use crate::error::{CspError, CspResult};
-use crate::solution::SolutionSet;
-use crate::value::Value;
-
-/// The minimal streaming receiver of solver output.
+/// The streaming receiver of solver output.
 ///
-/// `row` holds the values of one valid configuration in **variable
-/// declaration order** (the same column order as [`SolutionSet`]); the slice
-/// is only valid for the duration of the call — implementations must copy
-/// (or encode) what they keep.
+/// `codes` holds one valid configuration as the codes of its values, in
+/// **variable declaration order**; the code of a value is its index in the
+/// variable's declared domain. The slice is only valid for the duration of
+/// the call — implementations copy what they keep.
 pub trait RowSink: Send {
     /// Receive one solution row. Returning an error aborts the enumeration;
     /// the solver propagates it unchanged.
-    fn push_row(&mut self, row: &[Value]) -> CspResult<()>;
-
-    /// Type-erased move out of a `Box<Self>`, used by
-    /// [`SolutionSink::merge_chunk`] implementations to recover the concrete
-    /// chunk type without copying its contents.
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
+    fn push_codes(&mut self, codes: &[u32]) -> CspResult<()>;
 }
 
-/// A streaming receiver that also supports data-parallel production.
-///
-/// The parallel solvers never push into the sink from worker threads.
-/// Instead each worker calls [`SolutionSink::new_chunk`] through a shared
-/// reference, pushes its rows into the private chunk, and the solver merges
-/// the finished chunks back on its own thread — in deterministic subproblem
-/// order — with [`SolutionSink::merge_chunk`].
-///
-/// The default implementations buffer decoded rows in a [`RowChunk`]; sinks
-/// with a cheaper internal representation (such as `at_searchspace`'s
-/// encoding sink) override **both** methods so chunks carry that
-/// representation and merging is a buffer append, not a re-push of rows.
-/// Chunks are only ever merged into the sink that created them.
-pub trait SolutionSink: RowSink + Sync {
-    /// Create an empty per-thread chunk buffer. Callable concurrently from
-    /// worker threads through a shared reference.
-    fn new_chunk(&self) -> Box<dyn RowSink> {
-        Box::new(RowChunk::default())
-    }
-
-    /// Merge a chunk previously produced by [`SolutionSink::new_chunk`] on
-    /// this sink (rows keep their per-chunk order).
-    fn merge_chunk(&mut self, chunk: Box<dyn RowSink>) -> CspResult<()> {
-        let chunk = chunk
-            .into_any()
-            .downcast::<RowChunk>()
-            .map_err(|_| CspError::Solver("merge_chunk: foreign chunk type".into()))?;
-        for row in &chunk.rows {
-            self.push_row(row)?;
-        }
+/// Appends every row: the flat row-major arena of all pushed code rows.
+impl RowSink for Vec<u32> {
+    fn push_codes(&mut self, codes: &[u32]) -> CspResult<()> {
+        self.extend_from_slice(codes);
         Ok(())
     }
 }
-
-/// The default per-thread chunk buffer: owned decoded rows.
-///
-/// Used by sinks that do not override [`SolutionSink::new_chunk`]; it holds
-/// O(chunk) decoded values, not the whole space.
-#[derive(Debug, Default)]
-pub struct RowChunk {
-    rows: Vec<Vec<Value>>,
-}
-
-impl RowChunk {
-    /// The buffered rows.
-    pub fn rows(&self) -> &[Vec<Value>] {
-        &self.rows
-    }
-}
-
-impl RowSink for RowChunk {
-    fn push_row(&mut self, row: &[Value]) -> CspResult<()> {
-        self.rows.push(row.to_vec());
-        Ok(())
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
-/// Collecting into a [`SolutionSet`] is the compatibility path: the classic
-/// [`Solver::solve`](crate::solvers::Solver::solve) API is implemented as
-/// `solve_into` with the set itself as the sink.
-impl RowSink for SolutionSet {
-    fn push_row(&mut self, row: &[Value]) -> CspResult<()> {
-        self.push(row.to_vec());
-        Ok(())
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
-impl SolutionSink for SolutionSet {}
 
 /// A sink that counts rows and stores nothing — useful for cardinality
 /// queries and for tests that only care about solution counts.
@@ -152,27 +75,8 @@ impl CountingSink {
 }
 
 impl RowSink for CountingSink {
-    fn push_row(&mut self, _row: &[Value]) -> CspResult<()> {
+    fn push_codes(&mut self, _codes: &[u32]) -> CspResult<()> {
         self.rows += 1;
-        Ok(())
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
-impl SolutionSink for CountingSink {
-    fn new_chunk(&self) -> Box<dyn RowSink> {
-        Box::new(CountingSink::default())
-    }
-
-    fn merge_chunk(&mut self, chunk: Box<dyn RowSink>) -> CspResult<()> {
-        let chunk = chunk
-            .into_any()
-            .downcast::<CountingSink>()
-            .map_err(|_| CspError::Solver("merge_chunk: foreign chunk type".into()))?;
-        self.rows += chunk.rows;
         Ok(())
     }
 }
@@ -180,80 +84,78 @@ impl SolutionSink for CountingSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CspError;
+    use crate::problem::Problem;
+    use crate::solvers::{
+        BlockingClauseSolver, BruteForceSolver, OptimizedSolver, OriginalBacktrackingSolver,
+        ParallelSolver, Solver,
+    };
     use crate::value::int_values;
 
+    /// Accepts `after` rows, then fails every push.
     struct FailingSink {
         after: u64,
         seen: u64,
     }
 
     impl RowSink for FailingSink {
-        fn push_row(&mut self, _row: &[Value]) -> CspResult<()> {
+        fn push_codes(&mut self, _codes: &[u32]) -> CspResult<()> {
             self.seen += 1;
             if self.seen > self.after {
                 return Err(CspError::Solver("sink full".into()));
             }
             Ok(())
         }
+    }
 
-        fn into_any(self: Box<Self>) -> Box<dyn Any> {
-            self
+    /// A 4 × 4 × 4 problem whose every row is a solution: 64 rows, enough
+    /// for the parallel solver to split into several subproblems.
+    fn open_problem() -> Problem {
+        let mut p = Problem::new();
+        for name in ["a", "b", "c"] {
+            p.add_variable(name, int_values([1, 2, 3, 4])).unwrap();
         }
-    }
-
-    impl SolutionSink for FailingSink {}
-
-    #[test]
-    fn solution_set_collects_pushed_rows() {
-        let mut set = SolutionSet::new(vec!["x".into(), "y".into()]);
-        set.push_row(&int_values([1, 2])).unwrap();
-        set.push_row(&int_values([3, 4])).unwrap();
-        assert_eq!(set.len(), 2);
-        assert_eq!(set.row(1), &int_values([3, 4])[..]);
+        p.add_function_constraint(&["a", "b"], |_| true).unwrap();
+        p
     }
 
     #[test]
-    fn default_chunking_replays_rows_in_order() {
-        let mut set = SolutionSet::new(vec!["x".into()]);
-        let mut chunk = set.new_chunk();
-        chunk.push_row(&int_values([7])).unwrap();
-        chunk.push_row(&int_values([8])).unwrap();
-        set.merge_chunk(chunk).unwrap();
-        assert_eq!(set.len(), 2);
-        assert_eq!(set.row(0), &int_values([7])[..]);
-    }
-
-    #[test]
-    fn counting_sink_merges_counts() {
+    fn vec_sink_appends_rows_and_counting_sink_counts() {
+        let mut codes: Vec<u32> = Vec::new();
+        codes.push_codes(&[1, 2]).unwrap();
+        codes.push_codes(&[3, 0]).unwrap();
+        assert_eq!(codes, vec![1, 2, 3, 0]);
         let mut count = CountingSink::default();
-        count.push_row(&int_values([1])).unwrap();
-        let mut chunk = count.new_chunk();
-        chunk.push_row(&int_values([2])).unwrap();
-        chunk.push_row(&int_values([3])).unwrap();
-        count.merge_chunk(chunk).unwrap();
-        assert_eq!(count.rows(), 3);
-    }
-
-    #[test]
-    fn foreign_chunk_is_rejected() {
-        let mut count = CountingSink::default();
-        let foreign: Box<dyn RowSink> = Box::new(RowChunk::default());
-        assert!(count.merge_chunk(foreign).is_err());
+        count.push_codes(&[1, 2]).unwrap();
+        assert_eq!(count.rows(), 1);
     }
 
     #[test]
     fn sink_errors_propagate_from_solvers() {
-        use crate::constraints::MaxSum;
-        use crate::problem::Problem;
-        use crate::solvers::{OptimizedSolver, Solver};
-
-        let mut p = Problem::new();
-        p.add_variable("a", int_values([1, 2, 3])).unwrap();
-        p.add_variable("b", int_values([1, 2, 3])).unwrap();
-        p.add_constraint(MaxSum::new(100.0), &["a", "b"]).unwrap();
-        let mut sink = FailingSink { after: 2, seen: 0 };
-        let err = OptimizedSolver::new().solve_into(&p, &mut sink);
-        assert!(err.is_err(), "push_row errors must abort enumeration");
-        assert_eq!(sink.seen, 3, "enumeration stops at the failing row");
+        let p = open_problem();
+        let solvers: [Box<dyn Solver>; 5] = [
+            Box::new(BruteForceSolver::new()),
+            Box::new(OriginalBacktrackingSolver::new()),
+            Box::new(OptimizedSolver::new()),
+            Box::new(ParallelSolver::new()),
+            Box::new(BlockingClauseSolver::new()),
+        ];
+        for solver in &solvers {
+            let mut sink = FailingSink { after: 2, seen: 0 };
+            let err = solver.solve_into(&p, &mut sink);
+            assert!(
+                err.is_err(),
+                "{}: push_codes errors must abort enumeration",
+                solver.name()
+            );
+            // The parallel solver has found every row by then; the error
+            // comes out of its in-order replay, which stops just the same.
+            assert_eq!(
+                sink.seen,
+                3,
+                "{}: enumeration stops at the failing row",
+                solver.name()
+            );
+        }
     }
 }

@@ -14,7 +14,7 @@ use super::Solver;
 use crate::assignment::Assignment;
 use crate::error::CspResult;
 use crate::problem::Problem;
-use crate::sink::SolutionSink;
+use crate::sink::RowSink;
 use crate::stats::SolveStats;
 use crate::value::Value;
 
@@ -43,16 +43,17 @@ impl BlockingClauseSolver {
     /// Find the first solution not contained in `blocked`, restarting the
     /// search from the root (as an SMT solver re-invocation would).
     ///
-    /// Blocked solutions are identified by their *domain index path* (the
-    /// per-variable index of each assigned value), not by the values
-    /// themselves: value-based keys conflate distinct domain entries that
-    /// compare equal — rendered display strings collide for `Int(1)` vs
-    /// `Str("1")`, and Python-style value equality collides for `Int(2)` vs
-    /// `Float(2.0)` — silently dropping the later solution and returning
-    /// fewer rows than every other solver. Index paths are unambiguous.
+    /// Solutions are identified by their *code row* (the declared-domain
+    /// index of each assigned value), not by the values themselves:
+    /// value-based keys conflate distinct domain entries that compare equal
+    /// — rendered display strings collide for `Int(1)` vs `Str("1")`, and
+    /// Python-style value equality collides for `Int(2)` vs `Float(2.0)` —
+    /// silently dropping the later solution and returning fewer rows than
+    /// every other solver. Code rows are unambiguous.
     ///
-    /// On success, `path` holds the found solution's full index path (the
-    /// caller inserts it into `blocked`); on failure `path` is restored.
+    /// Returns `true` when a solution was found; `path` then holds its code
+    /// row (the caller pushes it and inserts it into `blocked`). On failure
+    /// `path` is restored.
     #[allow(clippy::too_many_arguments)]
     fn find_one(
         problem: &Problem,
@@ -62,21 +63,18 @@ impl BlockingClauseSolver {
         assignment: &mut Assignment,
         path: &mut Vec<u32>,
         stats: &mut SolveStats,
-    ) -> Option<Vec<Value>> {
+    ) -> bool {
         if depth == problem.num_variables() {
             // The blocking clauses are additional constraints in the re-solved
             // problem; count their evaluation as one check.
             stats.constraint_checks += 1;
-            if blocked.contains(path) {
-                return None;
-            }
-            return Some(assignment.to_solution());
+            return !blocked.contains(path);
         }
-        let values: Vec<Value> = problem.domain(depth).values().to_vec();
+        let domain = problem.domain(depth);
         let mut scope_buf: Vec<Value> = Vec::new();
-        for (index, value) in values.into_iter().enumerate() {
-            assignment.assign(depth, value);
-            path.push(index as u32);
+        for (value, &code) in domain.values().iter().zip(domain.codes()) {
+            assignment.assign(depth, value.clone());
+            path.push(code);
             stats.nodes += 1;
             let mut ok = true;
             for &ci in &ready_constraints[depth] {
@@ -92,7 +90,7 @@ impl BlockingClauseSolver {
                 }
             }
             if ok {
-                if let Some(found) = Self::find_one(
+                if Self::find_one(
                     problem,
                     ready_constraints,
                     blocked,
@@ -101,9 +99,9 @@ impl BlockingClauseSolver {
                     path,
                     stats,
                 ) {
-                    // Leave `path` intact: it is the found index path.
+                    // Leave `path` intact: it is the found code row.
                     assignment.unassign(depth);
-                    return Some(found);
+                    return true;
                 }
             } else {
                 stats.backtracks += 1;
@@ -111,7 +109,7 @@ impl BlockingClauseSolver {
             path.pop();
             assignment.unassign(depth);
         }
-        None
+        false
     }
 }
 
@@ -120,7 +118,7 @@ impl Solver for BlockingClauseSolver {
         "blocking-clause"
     }
 
-    fn solve_into(&self, problem: &Problem, sink: &mut dyn SolutionSink) -> CspResult<SolveStats> {
+    fn solve_into(&self, problem: &Problem, sink: &mut dyn RowSink) -> CspResult<SolveStats> {
         let mut stats = SolveStats::default();
         if problem.num_variables() == 0 {
             return Ok(stats);
@@ -140,7 +138,7 @@ impl Solver for BlockingClauseSolver {
             }
             let mut assignment = Assignment::new(problem.num_variables());
             path.clear();
-            match Self::find_one(
+            if !Self::find_one(
                 problem,
                 &ready_constraints,
                 &blocked,
@@ -149,13 +147,11 @@ impl Solver for BlockingClauseSolver {
                 &mut path,
                 &mut stats,
             ) {
-                Some(solution) => {
-                    sink.push_row(&solution)?;
-                    stats.solutions += 1;
-                    blocked.insert(path.clone());
-                }
-                None => break,
+                break;
             }
+            sink.push_codes(&path)?;
+            stats.solutions += 1;
+            blocked.insert(path.clone());
         }
         Ok(stats)
     }

@@ -7,7 +7,7 @@
 use super::{SolveStats, Solver};
 use crate::error::CspResult;
 use crate::problem::Problem;
-use crate::sink::SolutionSink;
+use crate::sink::RowSink;
 use crate::value::Value;
 
 /// Exhaustive enumeration of the Cartesian product with post-hoc filtering.
@@ -26,16 +26,18 @@ impl Solver for BruteForceSolver {
         "brute-force"
     }
 
-    fn solve_into(&self, problem: &Problem, sink: &mut dyn SolutionSink) -> CspResult<SolveStats> {
+    fn solve_into(&self, problem: &Problem, sink: &mut dyn RowSink) -> CspResult<SolveStats> {
         // Odometer enumeration over every variable.
         let mut stats = SolveStats::default();
         let num_vars = problem.num_variables();
         let domains: Vec<&[Value]> = (0..num_vars).map(|v| problem.domain(v).values()).collect();
+        let codes: Vec<&[u32]> = (0..num_vars).map(|v| problem.domain(v).codes()).collect();
         if num_vars == 0 || domains.iter().any(|d| d.is_empty()) {
             return Ok(stats);
         }
         let mut indices = vec![0usize; num_vars];
         let mut values: Vec<Value> = Vec::with_capacity(num_vars);
+        let mut row: Vec<u32> = vec![0; num_vars];
         let mut scope_buf: Vec<Value> = Vec::new();
         loop {
             values.clear();
@@ -54,7 +56,10 @@ impl Solver for BruteForceSolver {
                 }
             }
             if ok {
-                sink.push_row(&values)?;
+                for (i, &idx) in indices.iter().enumerate() {
+                    row[i] = codes[i][idx];
+                }
+                sink.push_codes(&row)?;
                 stats.solutions += 1;
             }
             // advance odometer

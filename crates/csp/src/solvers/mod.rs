@@ -16,7 +16,7 @@
 
 use crate::error::CspResult;
 use crate::problem::Problem;
-use crate::sink::SolutionSink;
+use crate::sink::RowSink;
 use crate::solution::SolutionSet;
 use crate::stats::SolveStats;
 
@@ -51,18 +51,22 @@ pub trait Solver: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Enumerate every valid configuration of `problem` into an owned
-    /// [`SolutionSet`].
+    /// [`SolutionSet`]: the code rows of [`Solver::solve_into`], decoded
+    /// once through the problem's declared domains.
     fn solve(&self, problem: &Problem) -> CspResult<SolveResult> {
-        let mut solutions = SolutionSet::new(problem.variable_names().to_vec());
-        let stats = self.solve_into(problem, &mut solutions)?;
-        Ok(SolveResult { solutions, stats })
+        let mut codes: Vec<u32> = Vec::new();
+        let stats = self.solve_into(problem, &mut codes)?;
+        Ok(SolveResult {
+            solutions: problem.decode_rows(&codes),
+            stats,
+        })
     }
 
-    /// Enumerate every valid configuration of `problem`, pushing each row
-    /// into `sink` the moment it is found (rows are in variable declaration
-    /// order). This is the streaming path: no intermediate `Vec<Vec<Value>>`
-    /// of all solutions is ever materialized by the built-in solvers.
-    fn solve_into(&self, problem: &Problem, sink: &mut dyn SolutionSink) -> CspResult<SolveStats>;
+    /// Enumerate every valid configuration of `problem`, pushing each one
+    /// into `sink` the moment it is found, as the codes of its values in
+    /// variable declaration order (see [`crate::sink`]). The built-in
+    /// solvers never materialize the solutions themselves.
+    fn solve_into(&self, problem: &Problem, sink: &mut dyn RowSink) -> CspResult<SolveStats>;
 }
 
 /// Construct one of the built-in solvers by paper series name.

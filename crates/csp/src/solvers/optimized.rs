@@ -18,10 +18,10 @@
 
 use super::Solver;
 use crate::assignment::Assignment;
-use crate::domain::DomainStore;
+use crate::domain::{Domain, DomainStore};
 use crate::error::CspResult;
 use crate::problem::Problem;
-use crate::sink::{RowSink, SolutionSink};
+use crate::sink::RowSink;
 use crate::stats::SolveStats;
 use crate::value::Value;
 
@@ -63,11 +63,36 @@ pub struct OptimizedSolver {
     config: OptimizedSolverConfig,
 }
 
+/// One depth of the search: the variable assigned there and the candidates
+/// it tries, copied from its domain when the search enters the depth. The
+/// buffers are allocated once per depth and reused on every entry.
 struct Level {
     var: usize,
-    candidates: Vec<Value>,
+    values: Vec<Value>,
+    codes: Vec<u32>,
     next: usize,
     active: bool,
+}
+
+impl Level {
+    fn new(var: usize) -> Self {
+        Level {
+            var,
+            values: Vec::new(),
+            codes: Vec::new(),
+            next: 0,
+            active: false,
+        }
+    }
+
+    fn enter(&mut self, domain: &Domain) {
+        self.values.clear();
+        self.values.extend_from_slice(domain.values());
+        self.codes.clear();
+        self.codes.extend_from_slice(domain.codes());
+        self.next = 0;
+        self.active = false;
+    }
 }
 
 impl OptimizedSolver {
@@ -163,7 +188,9 @@ impl OptimizedSolver {
     }
 
     /// Core iterative search over a prepared domain store and variable
-    /// order, streaming each solution into `sink` as it is found.
+    /// order, streaming each solution into `sink` as it is found: the
+    /// assigned codes live in one row buffer indexed by variable, which is
+    /// pushed as is.
     pub(crate) fn search(
         problem: &Problem,
         domains: &mut DomainStore,
@@ -178,17 +205,14 @@ impl OptimizedSolver {
             return Ok(());
         }
         let mut assignment = Assignment::new(problem.num_variables());
-        let mut row_buf: Vec<Value> = Vec::with_capacity(n);
-        let mut levels: Vec<Level> = Vec::with_capacity(n);
-        levels.push(Level {
-            var: order[0],
-            candidates: domains.domain(order[0]).values().to_vec(),
-            next: 0,
-            active: false,
-        });
+        let mut row: Vec<u32> = vec![0; problem.num_variables()];
+        let mut levels: Vec<Level> = order.iter().map(|&var| Level::new(var)).collect();
+        levels[0].enter(domains.domain(order[0]));
+        // Levels `0..live` are on the search path.
+        let mut live = 1;
 
-        while !levels.is_empty() {
-            let depth = levels.len() - 1;
+        while live > 0 {
+            let depth = live - 1;
             {
                 let level = &mut levels[depth];
                 if level.active {
@@ -200,14 +224,15 @@ impl OptimizedSolver {
                     assignment.unassign(level.var);
                     level.active = false;
                 }
-                if level.next >= level.candidates.len() {
-                    levels.pop();
+                if level.next >= level.values.len() {
+                    live -= 1;
                     continue;
                 }
             }
             let (var, value) = {
                 let level = &mut levels[depth];
-                let value = level.candidates[level.next].clone();
+                let value = level.values[level.next].clone();
+                row[level.var] = level.codes[level.next];
                 level.next += 1;
                 level.active = true;
                 (level.var, value)
@@ -238,9 +263,8 @@ impl OptimizedSolver {
                 levels[depth].active = false;
                 continue;
             }
-            if levels.len() == n {
-                assignment.write_solution(&mut row_buf);
-                sink.push_row(&row_buf)?;
+            if live == n {
+                sink.push_codes(&row)?;
                 stats.solutions += 1;
                 if forward_check {
                     domains.pop_state_all();
@@ -249,14 +273,8 @@ impl OptimizedSolver {
                 levels[depth].active = false;
                 continue;
             }
-            let next_var = order[levels.len()];
-            let candidates = domains.domain(next_var).values().to_vec();
-            levels.push(Level {
-                var: next_var,
-                candidates,
-                next: 0,
-                active: false,
-            });
+            levels[live].enter(domains.domain(order[live]));
+            live += 1;
         }
         Ok(())
     }
@@ -267,7 +285,7 @@ impl Solver for OptimizedSolver {
         "optimized"
     }
 
-    fn solve_into(&self, problem: &Problem, sink: &mut dyn SolutionSink) -> CspResult<SolveStats> {
+    fn solve_into(&self, problem: &Problem, sink: &mut dyn RowSink) -> CspResult<SolveStats> {
         let mut stats = SolveStats::default();
         let Some((mut domains, order, constraints_per_var)) =
             Self::prepare(&self.config, problem, &mut stats)?

@@ -12,7 +12,7 @@ use super::Solver;
 use crate::assignment::Assignment;
 use crate::error::CspResult;
 use crate::problem::Problem;
-use crate::sink::SolutionSink;
+use crate::sink::RowSink;
 use crate::stats::SolveStats;
 use crate::value::Value;
 
@@ -33,19 +33,19 @@ impl OriginalBacktrackingSolver {
         depth: usize,
         assignment: &mut Assignment,
         scope_buf: &mut Vec<Value>,
-        row_buf: &mut Vec<Value>,
-        sink: &mut dyn SolutionSink,
+        row: &mut [u32],
+        sink: &mut dyn RowSink,
         stats: &mut SolveStats,
     ) -> CspResult<()> {
         if depth == problem.num_variables() {
-            assignment.write_solution(row_buf);
-            sink.push_row(row_buf)?;
+            sink.push_codes(row)?;
             stats.solutions += 1;
             return Ok(());
         }
-        let values: Vec<Value> = problem.domain(depth).values().to_vec();
-        for value in values {
-            assignment.assign(depth, value);
+        let domain = problem.domain(depth);
+        for (value, &code) in domain.values().iter().zip(domain.codes()) {
+            assignment.assign(depth, value.clone());
+            row[depth] = code;
             stats.nodes += 1;
             let mut ok = true;
             for &ci in &ready_constraints[depth] {
@@ -67,7 +67,7 @@ impl OriginalBacktrackingSolver {
                     depth + 1,
                     assignment,
                     scope_buf,
-                    row_buf,
+                    row,
                     sink,
                     stats,
                 )?;
@@ -85,7 +85,7 @@ impl Solver for OriginalBacktrackingSolver {
         "original"
     }
 
-    fn solve_into(&self, problem: &Problem, sink: &mut dyn SolutionSink) -> CspResult<SolveStats> {
+    fn solve_into(&self, problem: &Problem, sink: &mut dyn RowSink) -> CspResult<SolveStats> {
         let mut stats = SolveStats::default();
         if problem.num_variables() == 0 {
             return Ok(stats);
@@ -99,14 +99,14 @@ impl Solver for OriginalBacktrackingSolver {
         }
         let mut assignment = Assignment::new(problem.num_variables());
         let mut scope_buf = Vec::new();
-        let mut row_buf = Vec::with_capacity(problem.num_variables());
+        let mut row = vec![0u32; problem.num_variables()];
         Self::search(
             problem,
             &ready_constraints,
             0,
             &mut assignment,
             &mut scope_buf,
-            &mut row_buf,
+            &mut row,
             sink,
             &mut stats,
         )?;

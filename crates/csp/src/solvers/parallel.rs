@@ -6,10 +6,12 @@
 //! first variable alone load-balances badly when its domain is small, so the
 //! split deepens until there are enough subproblems to keep every core busy
 //! (see [`super::split`]). Every subproblem is solved with the same iterative
-//! optimized search; each worker streams its rows into a private sink chunk
-//! and the chunks are merged in deterministic subproblem order. Because
-//! subproblems share no mutable state, the result is identical to the
-//! sequential solver (up to row order).
+//! optimized search; each worker collects its code rows in a private
+//! `Vec<u32>`, and the solver replays them into the caller's sink in
+//! subproblem order. Subproblems share no mutable state, and the split
+//! enumerates the leading variables' candidates in the order the
+//! sequential search tries them, so the caller receives exactly the
+//! sequential solver's rows, in the same order.
 
 use rayon::prelude::*;
 
@@ -18,7 +20,7 @@ use super::split::{split_prefixes, split_target};
 use super::{OptimizedSolverConfig, Solver};
 use crate::error::CspResult;
 use crate::problem::Problem;
-use crate::sink::{RowSink, SolutionSink};
+use crate::sink::RowSink;
 use crate::stats::SolveStats;
 
 /// Parallel variant of [`OptimizedSolver`] using multi-level domain splitting.
@@ -44,7 +46,7 @@ impl Solver for ParallelSolver {
         "parallel"
     }
 
-    fn solve_into(&self, problem: &Problem, sink: &mut dyn SolutionSink) -> CspResult<SolveStats> {
+    fn solve_into(&self, problem: &Problem, sink: &mut dyn RowSink) -> CspResult<SolveStats> {
         let mut stats = SolveStats::default();
         let Some((domains, order, constraints_per_var)) =
             OptimizedSolver::prepare(&self.config, problem, &mut stats)?
@@ -58,11 +60,10 @@ impl Solver for ParallelSolver {
             return Ok(stats);
         }
 
-        let sink_ref: &dyn SolutionSink = sink;
         let domains_ref = &domains;
         let order_ref = &order;
         let constraints_ref = &constraints_per_var;
-        let partials: Vec<CspResult<(Box<dyn RowSink>, SolveStats)>> = prefixes
+        let partials: Vec<CspResult<(Vec<u32>, SolveStats)>> = prefixes
             .par_iter()
             .enumerate()
             .map(|(chunk_index, prefix)| {
@@ -83,7 +84,7 @@ impl Solver for ParallelSolver {
                         keep
                     });
                 }
-                let mut chunk = sink_ref.new_chunk();
+                let mut rows: Vec<u32> = Vec::new();
                 let mut local_stats = SolveStats::default();
                 OptimizedSolver::search(
                     problem,
@@ -91,20 +92,23 @@ impl Solver for ParallelSolver {
                     order_ref,
                     constraints_ref,
                     forward_check,
-                    chunk.as_mut(),
+                    &mut rows,
                     &mut local_stats,
                 )?;
                 drop(
                     span.arg("nodes", local_stats.nodes)
                         .arg("solutions", local_stats.solutions),
                 );
-                Ok((chunk, local_stats))
+                Ok((rows, local_stats))
             })
             .collect();
 
+        let width = problem.num_variables();
         for partial in partials {
-            let (chunk, local_stats) = partial?;
-            sink.merge_chunk(chunk)?;
+            let (rows, local_stats) = partial?;
+            for row in rows.chunks_exact(width) {
+                sink.push_codes(row)?;
+            }
             stats.merge(&local_stats);
         }
         Ok(stats)
@@ -190,6 +194,28 @@ mod tests {
         assert_eq!(par.stats.preprocess_removed, 8);
         assert_eq!(seq.solutions.len(), 4);
         assert!(seq.solutions.same_solutions(&par.solutions));
+    }
+
+    #[test]
+    fn replays_the_sequential_code_rows_in_order() {
+        // Equal vectors, not equal sets: the replay must hand the caller
+        // the sequential solver's rows in the sequential order.
+        use crate::value::{int_values, Value};
+        let mut python_equal = Problem::new();
+        python_equal
+            .add_variable("x", vec![Value::Int(2), Value::Float(2.0)])
+            .unwrap();
+        python_equal.add_variable("y", int_values(1..=8)).unwrap();
+        for p in [block_size_problem(), mixed_problem(), python_equal] {
+            let mut sequential: Vec<u32> = Vec::new();
+            OptimizedSolver::new()
+                .solve_into(&p, &mut sequential)
+                .unwrap();
+            let mut parallel: Vec<u32> = Vec::new();
+            ParallelSolver::new().solve_into(&p, &mut parallel).unwrap();
+            assert!(!sequential.is_empty());
+            assert_eq!(parallel, sequential);
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::time::{Duration, Instant};
 
 use at_cot::{build_chain_from_problem, enumerate_chain_into};
-use at_csp::sink::SolutionSink;
+use at_csp::sink::RowSink;
 use at_csp::{
     BlockingClauseSolver, BruteForceSolver, CspError, CspResult, OptimizedSolver,
     OptimizedSolverConfig, OriginalBacktrackingSolver, ParallelSolver, SolveStats, Solver,
@@ -133,12 +133,12 @@ pub fn build_search_space(
 /// This is the one construction pipeline: the CLI, the daemon and
 /// `at_store`'s cache all build through it, and the cache persists the
 /// finished space afterwards. Construction streams: the chosen solver (or
-/// the chain-of-trees enumerator) pushes each solution row into an
-/// [`EncodingSink`] the moment it is found, where it is immediately
-/// encoded to `u32` value codes in the space's arena; parallel solvers
-/// fill per-thread chunks obtained from the sink. No decoded
-/// `Vec<Vec<Value>>` of the solutions is ever materialized — the peak
-/// decoded footprint is one row per active worker thread.
+/// the chain-of-trees enumerator) pushes each solution as a row of value
+/// codes into an [`EncodingSink`] the moment it is found, and the sink
+/// appends it to the space's arena. The lowered problem declares each
+/// variable with its parameter's value list, so a solver's codes are the
+/// arena's codes, even when pre-pruning shrank the domains. No decoded row
+/// of the solutions is ever materialized.
 pub fn build_search_space_with(
     spec: &SearchSpaceSpec,
     method: Method,
@@ -158,13 +158,15 @@ pub fn build_search_space_with(
             .arg("variables", problem.num_variables() as u64)
             .arg("constraints", num_constraints as u64),
     );
-    // Solvers emit rows in variable declaration order, which is the spec's
-    // parameter order — exactly what the encoding sink encodes against.
-    debug_assert!(problem
-        .variable_names()
-        .iter()
-        .zip(spec.params.iter())
-        .all(|(n, p)| n == p.name()));
+    // Solvers emit code rows in variable declaration order, each code an
+    // index into the variable's declared domain — exactly the spec's
+    // parameters and their dictionaries, which the arena's codes index.
+    debug_assert!(
+        problem.num_variables() == spec.params.len()
+            && spec.params.iter().enumerate().all(|(v, p)| {
+                problem.variable_name(v) == p.name() && problem.domain(v).declared() == p.values()
+            })
+    );
 
     let solve_span = at_obs::span("solve", "construct");
     let stats: SolveStats = match method {
@@ -222,7 +224,7 @@ pub fn build_search_space_with(
 fn run_into<S: Solver>(
     solver: &S,
     problem: &at_csp::Problem,
-    sink: &mut dyn SolutionSink,
+    sink: &mut dyn RowSink,
 ) -> CspResult<SolveStats> {
     solver
         .solve_into(problem, sink)

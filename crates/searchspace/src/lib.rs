@@ -35,41 +35,27 @@
 //! assert_eq!(space.index_of(&view.to_vec()), Some(id));
 //! ```
 //!
-//! # Removed APIs
+//! # The code contract
 //!
-//! The decoded-row shims that bridged the pre-columnar representation
-//! (`configs()`, `get(i)`, `named(i)`, `value_indices(i)`) were deprecated
-//! for two releases and are now **removed** — every consumer works in code
-//! space. Their replacements: `space.iter()` / `iter_decoded()` for
-//! `configs()`, `space.view(ConfigId::from_index(i))` for `get`/`named`
-//! (decode lazily, borrowing), and `space.codes_of(id)` for
-//! `value_indices` (`&[u32]`, zero-copy). `index_of` returns a
-//! [`ConfigId`]; callers already in code space use `index_of_codes`.
-//! Neighbor queries ([`neighbors()`]) and sampling ([`sample_indices`],
-//! [`latin_hypercube_sample`]) consume and produce [`ConfigId`]s and
-//! operate on encoded rows internally. `neighbors` no longer takes a
-//! prebuilt index: Hamming queries probe the membership table, and
-//! [`NeighborIndex`] is an empty stand-in whose `build` does nothing.
+//! A *code* is the index of a value in its parameter's value list — the
+//! parameter's dictionary. The arena stores codes, and construction
+//! produces them directly:
 //!
-//! # MIGRATION: collected construction → streaming construction
-//!
-//! Construction used to materialize the solver output twice: every solver
-//! collected a decoded `SolutionSet` (`Vec<Vec<Value>>`) which
-//! `from_solutions` then re-encoded into the arena and dropped. The
-//! construction path now streams — solvers push rows into a
-//! `SolutionSink` (`at_csp::sink`) and [`EncodingSink`] encodes each row
-//! straight into the arena; parallel solvers encode per-thread chunks that
-//! merge by `Vec<u32>` append, without re-encoding or re-hashing:
-//!
-//! | old (collected)                                   | new (streaming)                                  |
-//! |---------------------------------------------------|--------------------------------------------------|
-//! | `solver.solve(&p)?` then `from_solutions(..)`     | `solver.solve_into(&p, &mut EncodingSink)` + `finish()` |
-//! | `enumerate_chain(&chain)` then `from_solutions`   | `enumerate_chain_into(&chain, &mut sink)`        |
-//! | adopt decoded rows: `from_configs(.., rows)`      | adopt encoded rows: [`SearchSpace::from_code_rows`] |
-//!
-//! `Solver::solve`, `from_solutions` and `from_configs` all keep working
-//! (and `build_search_space` is unchanged for callers — it just streams
-//! internally); migrate when construction memory or time matters.
+//! * [`SearchSpaceSpec::to_problem`] declares variable `i` with parameter
+//!   `i`'s value list, in order, so a value's declared-domain index in the
+//!   problem is its dictionary code. Pre-pruning
+//!   ([`SearchSpaceSpec::to_problem_with`]) removes values from the live
+//!   domains but not from the declared ones, so codes do not change.
+//! * Every solver, and the chain-of-trees walk, pushes each solution into an
+//!   [`at_csp::sink::RowSink`] as those codes, in declaration order; an
+//!   [`EncodingSink`] appends them to the arena, and
+//!   [`EncodingSink::finish`] adopts the arena through
+//!   [`SearchSpace::from_code_rows`], which rejects a code outside its
+//!   dictionary as [`SpaceError::CodeOutOfRange`].
+//! * Values appear only at the edges: [`SearchSpace::from_configs`] and
+//!   [`SearchSpace::from_solutions`] encode decoded rows through the
+//!   reverse dictionaries, as `index_of` does, and [`ConfigView`] and the
+//!   exports decode.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -26,7 +26,6 @@ use rustc_hash::FxHashMap;
 
 use crate::arena::ArenaStorage;
 use crate::param::TunableParameter;
-use crate::sink::Encoder;
 
 /// Identifier of a configuration within one [`SearchSpace`].
 ///
@@ -491,12 +490,27 @@ impl SearchSpace {
                 count: num_configs,
             });
         }
-        let encoder = Encoder::new(params)?;
-        let mut codes: Vec<u32> = Vec::with_capacity(num_configs * encoder.params.len());
+        let lookups = reverse_dictionaries(&params)?;
+        let mut codes: Vec<u32> = Vec::with_capacity(num_configs * params.len());
         for (row_index, row) in rows.enumerate() {
-            encoder.encode_row(row, row_index, &mut codes)?;
+            if row.len() != params.len() {
+                return Err(SpaceError::RowLength {
+                    row: row_index,
+                    expected: params.len(),
+                    found: row.len(),
+                });
+            }
+            for (value, (param, lookup)) in row.iter().zip(params.iter().zip(&lookups)) {
+                let code = lookup
+                    .code_of(value)
+                    .ok_or_else(|| SpaceError::UnknownValue {
+                        param: param.name().to_string(),
+                        value: value.clone(),
+                        row: row_index,
+                    })?;
+                codes.push(code);
+            }
         }
-        let Encoder { params, lookups } = encoder;
         Ok(Self::from_parts(
             name.into(),
             params,
@@ -513,10 +527,10 @@ impl SearchSpace {
     /// the one membership-table build every constructor needs.
     ///
     /// This is the adoption point for streaming construction: an encoding
-    /// sink (see [`crate::EncodingSink`]) produces per-thread chunks of this
-    /// layout, concatenates them, and hands the arena over here. The codes
-    /// are bounds-checked against the parameter dictionaries in one cheap
-    /// pass ([`SpaceError::CodeOutOfRange`] otherwise); a ragged arena
+    /// sink (see [`crate::EncodingSink`]) appends the solver's code rows in
+    /// this layout and hands the arena over here. The codes are
+    /// bounds-checked against the parameter dictionaries in one cheap pass
+    /// ([`SpaceError::CodeOutOfRange`] otherwise); a ragged arena
     /// (`codes.len() != num_rows × params.len()`) is rejected as
     /// [`SpaceError::RaggedArena`].
     ///
@@ -544,7 +558,19 @@ impl SearchSpace {
     ) -> Result<Self, SpaceError> {
         let value_codes = reverse_dictionaries(&params)?;
         validate_code_arena(&params, num_rows, codes.as_slice())?;
-        Self::from_encoded_parts(name.into(), params, num_rows, codes, value_codes)
+        if num_rows > EMPTY_SLOT as usize {
+            return Err(SpaceError::TooLarge {
+                what: "number of configurations",
+                count: num_rows,
+            });
+        }
+        Ok(Self::from_parts(
+            name.into(),
+            params,
+            num_rows,
+            codes,
+            value_codes,
+        ))
     }
 
     /// [`SearchSpace::from_code_storage`], additionally adopting a
@@ -594,31 +620,6 @@ impl SearchSpace {
             value_codes,
             table,
         })
-    }
-
-    /// Build from an already-validated arena and pre-built reverse
-    /// dictionaries (the encoding sink's adoption path: every code came out
-    /// of `lookups` itself, so no re-validation pass is needed).
-    pub(crate) fn from_encoded_parts(
-        name: String,
-        params: Vec<TunableParameter>,
-        num_configs: usize,
-        codes: ArenaStorage,
-        value_codes: Vec<CodeLookup>,
-    ) -> Result<Self, SpaceError> {
-        if num_configs > EMPTY_SLOT as usize {
-            return Err(SpaceError::TooLarge {
-                what: "number of configurations",
-                count: num_configs,
-            });
-        }
-        Ok(Self::from_parts(
-            name,
-            params,
-            num_configs,
-            codes,
-            value_codes,
-        ))
     }
 
     /// Build directly from encoded rows (used by [`SearchSpace::filter`]).

@@ -89,6 +89,17 @@ proptest! {
     }
 
     #[test]
+    fn parallel_solver_replays_the_sequential_code_rows_in_order(rp in random_problem()) {
+        // Equal vectors, not equal sets: same rows, same order.
+        let problem = build(&rp);
+        let mut sequential: Vec<u32> = Vec::new();
+        OptimizedSolver::new().solve_into(&problem, &mut sequential).unwrap();
+        let mut parallel: Vec<u32> = Vec::new();
+        ParallelSolver::new().solve_into(&problem, &mut parallel).unwrap();
+        prop_assert_eq!(parallel, sequential);
+    }
+
+    #[test]
     fn chain_of_trees_matches_brute_force(rp in random_problem()) {
         let problem = build(&rp);
         let brute = BruteForceSolver::new().solve(&problem).unwrap();

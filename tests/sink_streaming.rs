@@ -2,7 +2,9 @@
 //! sink path (solver → `EncodingSink` → arena) must produce a `SearchSpace`
 //! identical — row for row, code for code — to the classic collect-then-
 //! index path (`solve` → `SolutionSet` → `from_solutions`), and the solver
-//! statistics must agree with the number of rows streamed.
+//! statistics must agree with the number of rows streamed. Solvers push
+//! declared-domain codes, so the parallel solver's arena equals the
+//! sequential one's byte for byte, and so does a pre-pruned build's.
 
 use autotuning_searchspaces::cot::{
     build_chain_from_problem, enumerate_chain, enumerate_chain_into,
@@ -10,7 +12,8 @@ use autotuning_searchspaces::cot::{
 use autotuning_searchspaces::csp::sink::CountingSink;
 use autotuning_searchspaces::csp::solver_by_name;
 use autotuning_searchspaces::searchspace::{
-    build_search_space, EncodingSink, Method, SearchSpace, SearchSpaceSpec,
+    build_search_space, build_search_space_with, BuildOptions, EncodingSink, Method,
+    RestrictionLowering, SearchSpace, SearchSpaceSpec,
 };
 use autotuning_searchspaces::workloads::{atf_prl, dedispersion};
 
@@ -192,4 +195,65 @@ fn from_code_rows_adopts_prebuilt_chunks() {
     // out-of-range codes and ragged arenas are rejected
     assert!(SearchSpace::from_code_rows("bad", params.clone(), 1, vec![3, 0]).is_err());
     assert!(SearchSpace::from_code_rows("bad", params, 2, vec![0, 0, 1]).is_err());
+}
+
+#[test]
+fn optimized_and_parallel_arenas_are_byte_identical() {
+    // The parallel solver replays its workers' code rows in subproblem
+    // order, which is the sequential search order: same arena, same bytes.
+    for spec in [dedispersion().spec, atf_prl(4).spec] {
+        let (sequential, _) = build_search_space(&spec, Method::Optimized).unwrap();
+        let (parallel, _) = build_search_space(&spec, Method::ParallelOptimized).unwrap();
+        assert!(!sequential.is_empty(), "{}", spec.name);
+        assert!(
+            parallel.arena() == sequential.arena(),
+            "{}: the parallel arena differs",
+            spec.name
+        );
+    }
+}
+
+#[test]
+fn pruned_construction_is_code_for_code_identical_on_a_workload_that_prunes() {
+    // Solvers emit declared-domain codes, not positions in the pruned
+    // domains: on a spec where pre-pruning removes values, a position taken
+    // for a code would shift every later column.
+    let spec = atf_prl(4).spec;
+    for lowering in [RestrictionLowering::Optimized, RestrictionLowering::Generic] {
+        let plain = spec.to_problem_with(lowering, false).unwrap();
+        let pruned = spec.to_problem_with(lowering, true).unwrap();
+        let removed: usize = (0..plain.num_variables())
+            .map(|v| plain.domain(v).len() - pruned.domain(v).len())
+            .sum();
+        assert!(removed >= 1, "{lowering:?}: pre-pruning removed nothing");
+    }
+    let pruned_problem = spec
+        .to_problem_with(RestrictionLowering::Generic, true)
+        .unwrap();
+    for method in [
+        Method::Optimized,
+        Method::ParallelOptimized,
+        Method::ChainOfTrees,
+        Method::Original,
+    ] {
+        let (plain, _) = build_search_space(&spec, method).unwrap();
+        let prune = BuildOptions {
+            prune: true,
+            ..Default::default()
+        };
+        let (pruned, _) = build_search_space_with(&spec, method, prune).unwrap();
+        assert!(!plain.is_empty(), "{}", method.label());
+        assert!(
+            pruned.arena() == plain.arena(),
+            "{}: the pruned arena differs",
+            method.label()
+        );
+        for config in pruned.iter_decoded() {
+            assert!(
+                pruned_problem.is_valid_configuration(&config),
+                "{}: {config:?} is not a solution",
+                method.label()
+            );
+        }
+    }
 }
