@@ -39,14 +39,12 @@ smoke:
 # through the release CLI on prl-4x4, which pre-pruning shrinks: each
 # method's CSV export must be byte-identical with and without --prune, and
 # the parallel solver's must equal the sequential one's.
-STREAMING_METHODS = optimized parallel-optimized chain-of-trees original brute-force
-
 streaming:
 	$(CARGO) test -q --test sink_streaming --test proptest_solvers
 	$(CARGO) build -p at_bench --bench construction
 	rm -rf target/streaming-smoke
 	mkdir -p target/streaming-smoke
-	for m in $(STREAMING_METHODS); do \
+	for m in optimized parallel-optimized chain-of-trees original brute-force; do \
 		$(CARGO) run --release -q -p at_cli --bin atss -- construct --workload prl-4x4 --method $$m --format csv --out target/streaming-smoke/$$m.csv && \
 		$(CARGO) run --release -q -p at_cli --bin atss -- construct --workload prl-4x4 --method $$m --prune --format csv --out target/streaming-smoke/$$m-pruned.csv && \
 		cmp target/streaming-smoke/$$m.csv target/streaming-smoke/$$m-pruned.csv || exit 1; \

@@ -194,7 +194,7 @@ impl ChainOfTrees {
             let mut nodes = &tree.roots;
             for level in 0..tree.depth() {
                 let node = &nodes[rng.gen_range(0..nodes.len())];
-                values[tree.params[level]] = Some(node.value.clone());
+                values[tree.params[level]] = Some(tree.declared[level][node.code as usize].clone());
                 nodes = &node.children;
             }
         }

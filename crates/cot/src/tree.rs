@@ -7,15 +7,16 @@
 //! level of the *last* of its parameters (in the group's order), i.e. as soon
 //! as all of its parameters are on the current path.
 
+use std::sync::Arc;
+
 use at_csp::{ConstraintRef, Domain, Value};
 
-/// A node of a group tree, holding one parameter value and the subtree of
-/// valid completions.
+/// A node of a group tree, holding one parameter value as its code and the
+/// subtree of valid completions.
 #[derive(Debug, Clone)]
 pub struct TreeNode {
-    /// The value of this level's parameter on this path.
-    pub value: Value,
-    /// The value's code: its index in the parameter's declared domain.
+    /// The code of this level's parameter value on this path: its index in
+    /// the parameter's declared domain ([`GroupTree::declared`]).
     pub code: u32,
     /// Children at the next level (empty at the deepest level).
     pub children: Vec<TreeNode>,
@@ -51,6 +52,9 @@ impl std::fmt::Debug for GroupConstraint {
 pub struct GroupTree {
     /// Global parameter indices of this group, in declaration order.
     pub params: Vec<usize>,
+    /// For each group parameter (same order), its declared value list:
+    /// `declared[level][node.code]` is the value of a node at `level`.
+    pub declared: Vec<Arc<[Value]>>,
     /// The first-level nodes.
     pub roots: Vec<TreeNode>,
     /// Total number of valid combinations (full-depth leaves).
@@ -64,7 +68,7 @@ impl GroupTree {
     ///
     /// * `params` — global parameter indices of the group (declaration order)
     /// * `domains` — for each group parameter (same order), its domain; the
-    ///   nodes take their values and codes from it
+    ///   nodes take their codes from it, and the tree shares its declared list
     /// * `constraints` — the constraints whose scope lies within this group
     pub fn build(params: Vec<usize>, domains: &[&Domain], constraints: &[GroupConstraint]) -> Self {
         assert_eq!(params.len(), domains.len());
@@ -74,6 +78,7 @@ impl GroupTree {
         let leaf_count = roots.iter().map(|n| n.leaves).sum();
         GroupTree {
             params,
+            declared: domains.iter().map(|d| Arc::clone(d.declared())).collect(),
             roots,
             leaf_count,
             constraint_checks: checks,
@@ -102,7 +107,7 @@ impl GroupTree {
                 index -= node.leaves;
             }
             let node = chosen?;
-            path.push(node.value.clone());
+            path.push(self.declared[path.len()][node.code as usize].clone());
             if path.len() == self.depth() {
                 return Some(path);
             }
@@ -145,7 +150,6 @@ fn build_level(
         if ok {
             if last_level {
                 nodes.push(TreeNode {
-                    value: value.clone(),
                     code,
                     children: Vec::new(),
                     leaves: 1,
@@ -155,7 +159,6 @@ fn build_level(
                 if !children.is_empty() {
                     let leaves = children.iter().map(|c| c.leaves).sum();
                     nodes.push(TreeNode {
-                        value: value.clone(),
                         code,
                         children,
                         leaves,
@@ -173,7 +176,6 @@ mod tests {
     use super::*;
     use at_csp::value::int_values;
     use at_csp::{MaxProduct, MinProduct};
-    use std::sync::Arc;
 
     fn product_group() -> GroupTree {
         // two parameters x in {1..32 pow2}, y in {1..32 pow2}, 32 <= x*y <= 256
@@ -238,7 +240,7 @@ mod tests {
         let tree = GroupTree::build(vec![0, 1], &[&x, &y], &[]);
         let codes: Vec<u32> = tree.roots.iter().map(|n| n.code).collect();
         assert_eq!(codes, vec![2, 3, 4, 5]);
-        assert_eq!(tree.roots[0].value, Value::Int(4));
+        assert_eq!(tree.combination(0).unwrap(), int_values([4, 1]));
         assert_eq!(tree.roots[0].children[1].code, 1);
     }
 

@@ -63,8 +63,8 @@ impl Domain {
     }
 
     /// The value list at construction: `declared()[code]` is the value a
-    /// code stands for.
-    pub fn declared(&self) -> &[Value] {
+    /// code stands for. Clones of the domain share it.
+    pub fn declared(&self) -> &Arc<[Value]> {
         &self.declared
     }
 
@@ -322,7 +322,7 @@ mod tests {
         d.retain(|v| v.as_i64().unwrap() % 2 == 0);
         assert_eq!(d.codes(), &[1, 3]);
         assert_eq!(d.declared_len(), 4);
-        assert_eq!(d.declared(), &int_values([1, 2, 3, 4])[..]);
+        assert_eq!(&d.declared()[..], &int_values([1, 2, 3, 4])[..]);
     }
 
     #[test]

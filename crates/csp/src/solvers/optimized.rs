@@ -23,7 +23,6 @@ use crate::error::CspResult;
 use crate::problem::Problem;
 use crate::sink::RowSink;
 use crate::stats::SolveStats;
-use crate::value::Value;
 
 /// Feature toggles for [`OptimizedSolver`], used by the ablation study.
 #[derive(Debug, Clone, Copy)]
@@ -63,12 +62,12 @@ pub struct OptimizedSolver {
     config: OptimizedSolverConfig,
 }
 
-/// One depth of the search: the variable assigned there and the candidates
-/// it tries, copied from its domain when the search enters the depth. The
-/// buffers are allocated once per depth and reused on every entry.
+/// One depth of the search: the variable assigned there and the codes of
+/// the candidates it tries, copied from its domain when the search enters
+/// the depth. The buffer is allocated once per depth and reused on every
+/// entry.
 struct Level {
     var: usize,
-    values: Vec<Value>,
     codes: Vec<u32>,
     next: usize,
     active: bool,
@@ -78,7 +77,6 @@ impl Level {
     fn new(var: usize) -> Self {
         Level {
             var,
-            values: Vec::new(),
             codes: Vec::new(),
             next: 0,
             active: false,
@@ -86,8 +84,6 @@ impl Level {
     }
 
     fn enter(&mut self, domain: &Domain) {
-        self.values.clear();
-        self.values.extend_from_slice(domain.values());
         self.codes.clear();
         self.codes.extend_from_slice(domain.codes());
         self.next = 0;
@@ -224,20 +220,20 @@ impl OptimizedSolver {
                     assignment.unassign(level.var);
                     level.active = false;
                 }
-                if level.next >= level.values.len() {
+                if level.next >= level.codes.len() {
                     live -= 1;
                     continue;
                 }
             }
-            let (var, value) = {
+            let (var, code) = {
                 let level = &mut levels[depth];
-                let value = level.values[level.next].clone();
-                row[level.var] = level.codes[level.next];
+                let code = level.codes[level.next];
                 level.next += 1;
                 level.active = true;
-                (level.var, value)
+                (level.var, code)
             };
-            assignment.assign(var, value);
+            row[var] = code;
+            assignment.assign(var, domains.domain(var).declared()[code as usize].clone());
             stats.nodes += 1;
             if forward_check {
                 domains.push_state_all();

@@ -164,7 +164,8 @@ pub fn build_search_space_with(
     debug_assert!(
         problem.num_variables() == spec.params.len()
             && spec.params.iter().enumerate().all(|(v, p)| {
-                problem.variable_name(v) == p.name() && problem.domain(v).declared() == p.values()
+                problem.variable_name(v) == p.name()
+                    && problem.domain(v).declared()[..] == *p.values()
             })
     );
 
