@@ -1,5 +1,6 @@
 //! Ablation study: how much each individual optimization of Section 4.3
-//! contributes, measured on the GEMM search space.
+//! contributes, measured on GEMM and on the two spaces the repository
+//! benchmark builds cold, MicroHH and ATF PRL 8x8.
 //!
 //! * variable ordering (Algorithm 1's `SortVariables`)
 //! * domain preprocessing by specific constraints
@@ -11,14 +12,33 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use at_csp::OptimizedSolverConfig;
 use at_searchspace::{build_search_space_with, BuildOptions, Method, RestrictionLowering};
-use at_workloads::gemm;
+use at_workloads::{atf_prl, gemm, microhh};
 
 fn bench_ablation(c: &mut Criterion) {
-    let spec = gemm().spec;
-    let mut group = c.benchmark_group("ablation/gemm");
-    group.sample_size(10);
+    for (label, spec) in [
+        ("gemm", gemm().spec),
+        ("microhh", microhh().spec),
+        ("prl-8x8", atf_prl(8).spec),
+    ] {
+        let mut group = c.benchmark_group(format!("ablation/{label}"));
+        group.sample_size(10);
+        for (name, options) in configs() {
+            group.bench_function(name, |b| {
+                b.iter(|| {
+                    build_search_space_with(&spec, Method::Optimized, options)
+                        .unwrap()
+                        .0
+                        .len()
+                })
+            });
+        }
+        group.finish();
+    }
+}
 
-    let configs: Vec<(&str, BuildOptions)> = vec![
+/// The full solver, then each optimization switched off (or AC-3 on).
+fn configs() -> Vec<(&'static str, BuildOptions)> {
+    vec![
         ("full", BuildOptions::default()),
         (
             "no-variable-ordering",
@@ -67,19 +87,7 @@ fn bench_ablation(c: &mut Criterion) {
                 ..Default::default()
             },
         ),
-    ];
-
-    for (name, options) in configs {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                build_search_space_with(&spec, Method::Optimized, options)
-                    .unwrap()
-                    .0
-                    .len()
-            })
-        });
-    }
-    group.finish();
+    ]
 }
 
 criterion_group!(benches, bench_ablation);

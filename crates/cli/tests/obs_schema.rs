@@ -83,6 +83,14 @@ fn trace_export_satisfies_the_event_schema() {
                     assert!(ts >= *prev, "tid {tid}: {ts} after {prev}");
                 }
                 last_ts.insert(tid, ts);
+                if name == "solve-prepare" {
+                    // The optimized solver's set-up reports how many
+                    // constraints became bit tables.
+                    let args = event.get("args").unwrap();
+                    for key in ["tables", "value_constraints"] {
+                        assert!(args.get(key).unwrap().as_i64().is_some(), "{key}");
+                    }
+                }
                 span_names.push(name.to_string());
             }
             "i" => {
@@ -98,6 +106,7 @@ fn trace_export_satisfies_the_event_schema() {
     for expected in [
         "lower",
         "solve",
+        "solve-prepare",
         "resolve",
         "fanout",
         "eval-worker",

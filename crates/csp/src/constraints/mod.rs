@@ -44,6 +44,12 @@ pub trait Constraint: Send + Sync + Debug {
 
     /// Evaluate the constraint against a complete tuple of values, given in
     /// scope order.
+    ///
+    /// Brute force calls this on every tuple of the variables' domains, and
+    /// the optimized solver's table build on every tuple of their declared
+    /// values over a small scope, including tuples that preprocessing
+    /// would have removed. So it must be defined for all of them: return
+    /// `false` for a tuple it cannot judge, never panic.
     fn evaluate(&self, values: &[Value]) -> bool;
 
     /// Check the constraint under a (possibly partial) assignment.
@@ -86,6 +92,9 @@ pub type ConstraintRef = Arc<dyn Constraint>;
 /// * exactly one unassigned and `forward_check` → hide the values of that
 ///   variable that would violate the constraint, fail if none remain;
 /// * otherwise → the constraint cannot be decided yet, return `true`.
+///
+/// The open scope positions are counted first, so an undecidable call
+/// returns before it copies a value.
 pub fn generic_check<C: Constraint + ?Sized>(
     constraint: &C,
     scope: &[usize],
@@ -93,31 +102,26 @@ pub fn generic_check<C: Constraint + ?Sized>(
     domains: &mut DomainStore,
     forward_check: bool,
 ) -> bool {
-    let mut values: Vec<Value> = Vec::with_capacity(scope.len());
     let mut missing: Option<(usize, usize)> = None;
-    let mut missing_count = 0usize;
     for (pos, &var) in scope.iter().enumerate() {
-        match assignment.get(var) {
-            Some(v) => values.push(v.clone()),
-            None => {
-                values.push(Value::Int(0));
-                missing = Some((pos, var));
-                missing_count += 1;
+        if assignment.get(var).is_none() {
+            if missing.is_some() || !forward_check {
+                return true;
             }
+            missing = Some((pos, var));
         }
     }
-    if missing_count == 0 {
-        return constraint.evaluate(&values);
-    }
-    if forward_check && missing_count == 1 {
-        let (pos, var) = missing.expect("one missing variable");
-        let domain = domains.domain_mut(var);
-        return domain.hide_where(|candidate| {
+    let mut values: Vec<Value> = scope
+        .iter()
+        .map(|&var| assignment.get(var).cloned().unwrap_or(Value::Int(0)))
+        .collect();
+    match missing {
+        None => constraint.evaluate(&values),
+        Some((pos, var)) => domains.hide_where(var, |candidate| {
             values[pos] = candidate.clone();
             constraint.evaluate(&values)
-        });
+        }),
     }
-    true
 }
 
 /// Sum of the numeric interpretations of `values`; `None` if any is non-numeric.
@@ -191,11 +195,10 @@ mod tests {
         let mut doms = store(vec![vec![1, 2], vec![1, 2, 3, 4]]);
         let mut a = Assignment::new(2);
         a.assign(0, Value::Int(1));
-        doms.push_state_all();
         assert!(c.check(&[0, 1], &a, &mut doms, true));
         // only odd values remain compatible with x=1
         assert_eq!(doms.domain(1).values(), &int_values([1, 3])[..]);
-        doms.pop_state_all();
+        doms.undo_to(0);
         assert_eq!(doms.domain(1).len(), 4);
     }
 

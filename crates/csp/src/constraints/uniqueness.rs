@@ -53,7 +53,7 @@ impl Constraint for AllDifferent {
         }
         if forward_check {
             for var in unassigned {
-                let ok = domains.domain_mut(var).hide_where(|v| !seen.contains(v));
+                let ok = domains.hide_where(var, |v| !seen.contains(v));
                 if !ok {
                     return false;
                 }
@@ -112,7 +112,7 @@ impl Constraint for AllEqual {
             if let Some(f) = first {
                 let f = f.clone();
                 for var in unassigned {
-                    let ok = domains.domain_mut(var).hide_where(|v| *v == f);
+                    let ok = domains.hide_where(var, |v| *v == f);
                     if !ok {
                         return false;
                     }

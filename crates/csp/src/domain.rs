@@ -3,12 +3,17 @@
 //! A [`Domain`] is an ordered list of candidate [`Value`]s for one variable.
 //! During search, forward checking temporarily *hides* values that are
 //! incompatible with the current partial assignment; on backtrack the hidden
-//! values are restored. This mirrors the `Domain` class of python-constraint
-//! (`pushState` / `popState` / `hideValue`), with one deliberate difference:
-//! restoration puts every value back at the position it was hidden from, so
-//! the visible order never depends on search history. Solvers therefore
-//! enumerate solutions in a canonical order — which is what makes
-//! analyzer-driven domain pre-pruning produce byte-identical spaces.
+//! values are restored. python-constraint gives every `Domain` its own
+//! `pushState` / `popState` stack, so a search node saves and restores a
+//! state on every domain. Here the [`DomainStore`] keeps one *trail* of
+//! hidden `(variable, position, code)` entries instead: a search level
+//! records [`DomainStore::trail_len`] when it assigns and hands it back to
+//! [`DomainStore::undo_to`], so a node costs what it hid, not one state per
+//! variable. Restoration puts every value back at the position it was
+//! hidden from, so the visible order never depends on search history.
+//! Solvers therefore enumerate solutions in a canonical order — which is
+//! what makes analyzer-driven domain pre-pruning produce byte-identical
+//! spaces.
 
 use std::sync::Arc;
 
@@ -26,11 +31,6 @@ pub struct Domain {
     values: Vec<Value>,
     /// `codes[i]` is the code of `values[i]`.
     codes: Vec<u32>,
-    /// Hidden entries as (position they were removed from, code); restored
-    /// LIFO, which exactly inverts the removals. The value is
-    /// `declared[code]`.
-    hidden: Vec<(usize, u32)>,
-    states: Vec<usize>,
     /// The value list at construction, before any permanent removal: it
     /// decodes a code, and search-order heuristics tie-break on its length
     /// instead of [`Domain::len`] so that pre-pruning (which shrinks
@@ -50,8 +50,6 @@ impl Domain {
             declared: values.as_slice().into(),
             values,
             codes,
-            hidden: Vec::new(),
-            states: Vec::new(),
         }
     }
 
@@ -98,68 +96,32 @@ impl Domain {
     /// once per value, in order). Returns the number of removed values.
     pub fn retain<F: FnMut(&Value) -> bool>(&mut self, mut pred: F) -> usize {
         let before = self.values.len();
+        self.compact(|d, i| pred(&d.values[i]), |_, _| {});
+        before - self.values.len()
+    }
+
+    /// Keep the entries at the positions `keep` accepts, in order, and
+    /// report each dropped one to `dropped` as (position, code). The
+    /// position is the one a sequence of single removals would see: the
+    /// number of entries kept before it, so reinserting the dropped
+    /// entries in reverse order restores the domain exactly.
+    fn compact(
+        &mut self,
+        mut keep: impl FnMut(&Domain, usize) -> bool,
+        mut dropped: impl FnMut(usize, u32),
+    ) {
         let mut kept = 0;
-        for i in 0..before {
-            if pred(&self.values[i]) {
+        for i in 0..self.values.len() {
+            if keep(self, i) {
                 self.values.swap(kept, i);
                 self.codes.swap(kept, i);
                 kept += 1;
+            } else {
+                dropped(kept, self.codes[i]);
             }
         }
         self.values.truncate(kept);
         self.codes.truncate(kept);
-        before - kept
-    }
-
-    /// Record a restore point for [`Domain::pop_state`].
-    pub fn push_state(&mut self) {
-        self.states.push(self.hidden.len());
-    }
-
-    /// Restore all values hidden since the matching [`Domain::push_state`].
-    /// Values go back to the positions they were hidden from (LIFO
-    /// reinsertion exactly inverts the removals), so the visible order is
-    /// independent of what the search hid in between.
-    pub fn pop_state(&mut self) {
-        let mark = self.states.pop().unwrap_or(0);
-        while self.hidden.len() > mark {
-            let (pos, code) = self.hidden.pop().expect("hidden not empty");
-            let pos = pos.min(self.values.len());
-            self.values
-                .insert(pos, self.declared[code as usize].clone());
-            self.codes.insert(pos, code);
-        }
-    }
-
-    /// Temporarily hide `value` until the enclosing state is popped.
-    /// Returns `true` if the value was present and is now hidden.
-    pub fn hide_value(&mut self, value: &Value) -> bool {
-        if let Some(pos) = self.values.iter().position(|v| v == value) {
-            self.hide_at(pos);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Hide all values for which the predicate returns `false`.
-    /// Returns `true` if at least one value remains visible afterwards.
-    pub fn hide_where<F: FnMut(&Value) -> bool>(&mut self, mut keep: F) -> bool {
-        let mut i = 0;
-        while i < self.values.len() {
-            if keep(&self.values[i]) {
-                i += 1;
-            } else {
-                self.hide_at(i);
-            }
-        }
-        !self.values.is_empty()
-    }
-
-    fn hide_at(&mut self, pos: usize) {
-        self.values.remove(pos);
-        let code = self.codes.remove(pos);
-        self.hidden.push((pos, code));
     }
 
     /// Minimum numeric value in the visible domain, if all values are numeric.
@@ -181,10 +143,14 @@ impl Domain {
     }
 }
 
-/// The set of domains of all variables in a problem, indexed by variable id.
+/// The set of domains of all variables in a problem, indexed by variable
+/// id, with the trail that undoes forward checking's hides.
 #[derive(Debug, Clone, Default)]
 pub struct DomainStore {
     domains: Vec<Domain>,
+    /// Hidden entries as (variable, position it was hidden from, code),
+    /// oldest first. The value is the domain's `declared[code]`.
+    trail: Vec<(usize, usize, u32)>,
 }
 
 impl DomainStore {
@@ -195,7 +161,10 @@ impl DomainStore {
 
     /// Create a store from per-variable domains in variable-id order.
     pub fn from_domains(domains: Vec<Domain>) -> Self {
-        DomainStore { domains }
+        DomainStore {
+            domains,
+            trail: Vec::new(),
+        }
     }
 
     /// Add a domain, returning its variable id.
@@ -219,7 +188,7 @@ impl DomainStore {
         &self.domains[var]
     }
 
-    /// Mutable domain of variable `var`.
+    /// Mutable domain of variable `var`, for permanent removals.
     pub fn domain_mut(&mut self, var: usize) -> &mut Domain {
         &mut self.domains[var]
     }
@@ -229,18 +198,48 @@ impl DomainStore {
         self.domains.iter().enumerate()
     }
 
-    /// Push a restore state on every domain.
-    pub fn push_state_all(&mut self) {
-        for d in &mut self.domains {
-            d.push_state();
+    /// The number of hides [`DomainStore::undo_to`] can still undo: a
+    /// restore point.
+    pub fn trail_len(&self) -> usize {
+        self.trail.len()
+    }
+
+    /// Restore every value hidden since the trail was `mark` long, newest
+    /// first. Each goes back to the position it was hidden from (LIFO
+    /// reinsertion exactly inverts the removals), so the visible order is
+    /// independent of what the search hid in between.
+    pub fn undo_to(&mut self, mark: usize) {
+        while self.trail.len() > mark {
+            let (var, pos, code) = self.trail.pop().expect("trail longer than mark");
+            let domain = &mut self.domains[var];
+            domain
+                .values
+                .insert(pos, domain.declared[code as usize].clone());
+            domain.codes.insert(pos, code);
         }
     }
 
-    /// Pop a restore state from every domain.
-    pub fn pop_state_all(&mut self) {
-        for d in &mut self.domains {
-            d.pop_state();
-        }
+    /// Hide the values of `var` for which `keep` returns `false`, until
+    /// [`DomainStore::undo_to`] restores them. Returns `true` if at least
+    /// one value remains visible.
+    pub fn hide_where<F: FnMut(&Value) -> bool>(&mut self, var: usize, mut keep: F) -> bool {
+        self.hide(var, |d, i| keep(&d.values[i]))
+    }
+
+    /// [`DomainStore::hide_where`] over codes instead of values.
+    pub(crate) fn hide_codes_where<F: FnMut(u32) -> bool>(
+        &mut self,
+        var: usize,
+        mut keep: F,
+    ) -> bool {
+        self.hide(var, |d, i| keep(d.codes[i]))
+    }
+
+    fn hide(&mut self, var: usize, keep: impl FnMut(&Domain, usize) -> bool) -> bool {
+        let trail = &mut self.trail;
+        let domain = &mut self.domains[var];
+        domain.compact(keep, |pos, code| trail.push((var, pos, code)));
+        !domain.is_empty()
     }
 }
 
@@ -248,6 +247,15 @@ impl DomainStore {
 mod tests {
     use super::*;
     use crate::value::int_values;
+
+    fn store(domains: &[&[i64]]) -> DomainStore {
+        DomainStore::from_domains(
+            domains
+                .iter()
+                .map(|d| Domain::new(int_values(d.iter().copied())))
+                .collect(),
+        )
+    }
 
     #[test]
     fn basic_accessors() {
@@ -262,53 +270,40 @@ mod tests {
 
     #[test]
     fn hide_and_restore() {
-        let mut d = Domain::new(int_values([1, 2, 3, 4]));
-        d.push_state();
-        assert!(d.hide_value(&Value::Int(2)));
-        assert!(d.hide_value(&Value::Int(4)));
-        assert!(!d.hide_value(&Value::Int(9)));
-        assert_eq!(d.len(), 2);
-        d.pop_state();
-        assert_eq!(d.len(), 4);
-        assert!(d.contains(&Value::Int(2)));
-        assert!(d.contains(&Value::Int(4)));
+        let mut s = store(&[&[1, 2, 3, 4]]);
+        let mark = s.trail_len();
+        assert!(s.hide_where(0, |v| v.as_i64().unwrap() % 2 == 1));
+        assert_eq!(s.domain(0).values(), &int_values([1, 3])[..]);
+        assert_eq!(s.trail_len(), mark + 2);
+        s.undo_to(mark);
+        assert_eq!(s.domain(0).values(), &int_values([1, 2, 3, 4])[..]);
+        assert_eq!(s.trail_len(), mark);
     }
 
     #[test]
-    fn nested_states() {
-        let mut d = Domain::new(int_values([1, 2, 3, 4, 5]));
-        d.push_state();
-        d.hide_value(&Value::Int(1));
-        d.push_state();
-        d.hide_value(&Value::Int(2));
-        d.hide_value(&Value::Int(3));
-        assert_eq!(d.len(), 2);
-        d.pop_state();
-        assert_eq!(d.len(), 4);
-        d.pop_state();
-        assert_eq!(d.len(), 5);
-    }
-
-    #[test]
-    fn hide_where_keeps_matching() {
-        let mut d = Domain::new(int_values([1, 2, 3, 4, 5, 6]));
-        d.push_state();
-        let nonempty = d.hide_where(|v| v.as_i64().unwrap() % 2 == 0);
-        assert!(nonempty);
-        assert_eq!(d.values(), &int_values([2, 4, 6])[..]);
-        d.pop_state();
-        assert_eq!(d.len(), 6);
+    fn nested_marks_across_variables() {
+        let mut s = store(&[&[1, 2, 3, 4, 5], &[7, 8]]);
+        let outer = s.trail_len();
+        s.hide_where(0, |v| *v != Value::Int(1));
+        let inner = s.trail_len();
+        s.hide_where(0, |v| v.as_i64().unwrap() > 3);
+        s.hide_codes_where(1, |code| code == 1);
+        assert_eq!(s.domain(0).len(), 2);
+        assert_eq!(s.domain(1).codes(), &[1]);
+        s.undo_to(inner);
+        assert_eq!(s.domain(0).len(), 4);
+        assert_eq!(s.domain(1).len(), 2);
+        s.undo_to(outer);
+        assert_eq!(s.domain(0).values(), &int_values([1, 2, 3, 4, 5])[..]);
     }
 
     #[test]
     fn hide_where_can_empty_domain() {
-        let mut d = Domain::new(int_values([1, 3, 5]));
-        d.push_state();
-        let nonempty = d.hide_where(|v| v.as_i64().unwrap() % 2 == 0);
-        assert!(!nonempty);
-        assert!(d.is_empty());
-        d.pop_state();
-        assert_eq!(d.len(), 3);
+        let mut s = store(&[&[1, 3, 5]]);
+        assert!(!s.hide_where(0, |v| v.as_i64().unwrap() % 2 == 0));
+        assert!(s.domain(0).is_empty());
+        s.undo_to(0);
+        assert_eq!(s.domain(0).len(), 3);
     }
 
     #[test]
@@ -327,17 +322,17 @@ mod tests {
 
     #[test]
     fn codes_survive_hiding_and_restoring_after_pruning() {
-        let mut d = Domain::new(int_values([10, 20, 30, 40, 50, 60]));
-        d.retain(|v| v.as_i64().unwrap() != 20);
-        d.push_state();
-        assert!(d.hide_value(&Value::Int(40)));
-        d.push_state();
-        assert!(d.hide_where(|v| v.as_i64().unwrap() > 10));
-        assert_eq!(d.codes(), &[2, 4, 5]);
-        d.pop_state();
-        assert_eq!(d.codes(), &[0, 2, 4, 5]);
-        d.pop_state();
-        assert_eq!(d.codes(), &[0, 2, 3, 4, 5]);
+        let mut s = store(&[&[10, 20, 30, 40, 50, 60]]);
+        s.domain_mut(0).retain(|v| v.as_i64().unwrap() != 20);
+        s.hide_where(0, |v| *v != Value::Int(40));
+        let mark = s.trail_len();
+        assert!(s.hide_codes_where(0, |code| code != 0));
+        assert_eq!(s.domain(0).codes(), &[2, 4, 5]);
+        s.undo_to(mark);
+        assert_eq!(s.domain(0).codes(), &[0, 2, 4, 5]);
+        s.undo_to(0);
+        assert_eq!(s.domain(0).codes(), &[0, 2, 3, 4, 5]);
+        let d = s.domain(0);
         assert_eq!(d.values(), &int_values([10, 30, 40, 50, 60])[..]);
         for (&code, value) in d.codes().iter().zip(d.values()) {
             assert_eq!(&d.declared()[code as usize], value);
@@ -356,19 +351,6 @@ mod tests {
         });
         assert_eq!(d.codes(), &[1]);
         assert!(matches!(d.values()[0], Value::Float(_)));
-    }
-
-    #[test]
-    fn store_push_and_pop_all() {
-        let mut s = DomainStore::new();
-        s.push(Domain::new(int_values([1, 2, 3])));
-        s.push(Domain::new(int_values([1, 2])));
-        assert_eq!(s.len(), 2);
-        s.push_state_all();
-        s.domain_mut(1).hide_value(&Value::Int(1));
-        assert_eq!(s.domain(1).codes(), &[1]);
-        s.pop_state_all();
-        assert_eq!(s.domain(1).codes(), &[0, 1]);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! first variable alone load-balances badly when its domain is small, so the
 //! split deepens until there are enough subproblems to keep every core busy
 //! (see [`super::split`]). Every subproblem is solved with the same iterative
-//! optimized search; each worker collects its code rows in a private
+//! optimized search, sharing the one prepared plan and its constraint
+//! tables read-only; each worker collects its code rows in a private
 //! `Vec<u32>`, and the solver replays them into the caller's sink in
 //! subproblem order. Subproblems share no mutable state, and the split
 //! enumerates the leading variables' candidates in the order the
@@ -48,21 +49,20 @@ impl Solver for ParallelSolver {
 
     fn solve_into(&self, problem: &Problem, sink: &mut dyn RowSink) -> CspResult<SolveStats> {
         let mut stats = SolveStats::default();
-        let Some((domains, order, constraints_per_var)) =
-            OptimizedSolver::prepare(&self.config, problem, &mut stats)?
-        else {
+        let Some(prepared) = OptimizedSolver::prepare(&self.config, problem, &mut stats)? else {
             return Ok(stats);
         };
-        let forward_check = self.config.forward_check;
-        let prefixes = split_prefixes(&order, |v| domains.domain(v).len(), split_target());
+        let prefixes = split_prefixes(
+            &prepared.order,
+            |v| prepared.domains.domain(v).len(),
+            split_target(),
+        );
         if prefixes.is_empty() {
             // An empty split domain: the space has no configurations.
             return Ok(stats);
         }
 
-        let domains_ref = &domains;
-        let order_ref = &order;
-        let constraints_ref = &constraints_per_var;
+        let prepared = &prepared;
         let partials: Vec<CspResult<(Vec<u32>, SolveStats)>> = prefixes
             .par_iter()
             .enumerate()
@@ -74,9 +74,9 @@ impl Solver for ParallelSolver {
                 // distinct values that compare Python-equal (Int(2) and
                 // Float(2.0)), and an equality retain would keep both in
                 // every subproblem, duplicating rows vs the sequential run.
-                let mut local_domains = domains_ref.clone();
+                let mut local_domains = prepared.domains.clone();
                 for (level, &value_index) in prefix.iter().enumerate() {
-                    let var = order_ref[level];
+                    let var = prepared.order[level];
                     let mut position = 0usize;
                     local_domains.domain_mut(var).retain(|_| {
                         let keep = position == value_index;
@@ -86,15 +86,7 @@ impl Solver for ParallelSolver {
                 }
                 let mut rows: Vec<u32> = Vec::new();
                 let mut local_stats = SolveStats::default();
-                OptimizedSolver::search(
-                    problem,
-                    &mut local_domains,
-                    order_ref,
-                    constraints_ref,
-                    forward_check,
-                    &mut rows,
-                    &mut local_stats,
-                )?;
+                prepared.search(problem, &mut local_domains, &mut rows, &mut local_stats)?;
                 drop(
                     span.arg("nodes", local_stats.nodes)
                         .arg("solutions", local_stats.solutions),

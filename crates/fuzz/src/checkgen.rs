@@ -8,7 +8,7 @@
 //! That enumeration *is* the ground truth the analyzer's claims are
 //! checked against — see [`check_target`] for the oracle.
 
-use at_csp::Value;
+use at_csp::{OptimizedSolverConfig, Value};
 use at_searchspace::builder::{build_search_space_with, BuildOptions, Method};
 use at_searchspace::{Restriction, SearchSpaceSpec, TunableParameter};
 use rand::{Rng, SeedableRng};
@@ -117,6 +117,9 @@ fn brute_force(
 /// * **Pruned ≡ unpruned** — constructing with analyzer-driven domain
 ///   pre-pruning yields byte-identical arenas to constructing without it
 ///   (or both fail), for a deterministic and a search-based method.
+/// * **Optimized ≡ brute force** — the optimized solver searching in
+///   declaration order builds brute force's arena byte for byte, and in
+///   its default order the same rows (see [`solver_differential`]).
 pub fn check_target(input: &[u8]) -> Result<(), String> {
     let input = &input[..input.len().min(2048)];
     let source = String::from_utf8_lossy(input).into_owned();
@@ -260,6 +263,65 @@ pub fn check_target(input: &[u8]) -> Result<(), String> {
         }
     }
 
+    solver_differential(&spec, &source)
+}
+
+/// The optimized solver against brute force on the same spec. Its one
+/// restriction spans at most 243 tuples, so every constraint the lowering
+/// makes of it becomes one of the solver's bit tables: the tables must
+/// accept exactly the tuples brute force's evaluation accepts. Searched in
+/// declaration order, the optimized arena must equal brute force's byte
+/// for byte; in its default order it must hold the same rows.
+fn solver_differential(spec: &SearchSpaceSpec, source: &str) -> Result<(), String> {
+    let in_declaration_order = BuildOptions {
+        solver_config: Some(OptimizedSolverConfig {
+            variable_ordering: false,
+            ..Default::default()
+        }),
+        ..Default::default()
+    };
+    let ordered = build_search_space_with(spec, Method::Optimized, in_declaration_order);
+    let optimized = build_search_space_with(spec, Method::Optimized, BuildOptions::default());
+    let (ordered, optimized) = match (ordered, optimized) {
+        (Ok((ordered, _)), Ok((optimized, _))) => (ordered, optimized),
+        (Err(_), Err(_)) => return Ok(()),
+        (ordered, optimized) => {
+            return Err(format!(
+                "the search order changed constructibility for {source:?}: \
+                 declaration order={:?} default={:?}",
+                ordered.as_ref().err(),
+                optimized.as_ref().err()
+            ));
+        }
+    };
+    // The two methods lower the restriction differently, and a lowering
+    // may cleanly refuse a shape; the expression target holds the
+    // lowerings to the interpreter.
+    let Ok((brute, _)) = build_search_space_with(spec, Method::BruteForce, BuildOptions::default())
+    else {
+        return Ok(());
+    };
+    if ordered.arena() != brute.arena() {
+        return Err(format!(
+            "the optimized solver in declaration order built a different arena \
+             than brute force for {source:?}: {} vs {} rows",
+            ordered.len(),
+            brute.len()
+        ));
+    }
+    let sorted_rows = |arena: &[u32]| {
+        let mut rows: Vec<Vec<u32>> = arena
+            .chunks(spec.params.len().max(1))
+            .map(<[u32]>::to_vec)
+            .collect();
+        rows.sort_unstable();
+        rows
+    };
+    if sorted_rows(optimized.arena()) != sorted_rows(brute.arena()) {
+        return Err(format!(
+            "the optimized solver found different rows than brute force for {source:?}"
+        ));
+    }
     Ok(())
 }
 

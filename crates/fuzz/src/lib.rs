@@ -100,6 +100,11 @@
 //!   appears in no satisfying assignment.
 //! * **Pruned ≡ unpruned** — construction with analyzer-driven domain
 //!   pre-pruning yields byte-identical arenas to construction without it.
+//! * **Optimized ≡ brute force** — the optimized solver, searching in
+//!   declaration order, builds the brute-force arena byte for byte, and in
+//!   its default order holds the same rows. The spec is small enough that
+//!   every constraint becomes one of the solver's bit tables, so arbitrary
+//!   restriction strings (errors, floats, mixed types) reach them.
 //!
 //! ## Target `daemon_proto` — arbitrary bytes through the `ATSD` frame decoder
 //!

@@ -77,7 +77,7 @@ pub use arena::{ArenaStorage, CodeBacking};
 pub use builder::{build_search_space, build_search_space_with, BuildOptions, BuildReport, Method};
 pub use format::{spec_from_json, spec_to_json, FormatError, SpecFile};
 pub use neighbors::{neighbors, random_neighbor, NeighborIndex, NeighborMethod};
-pub use output::{to_columnar, to_csv, to_json_cache, to_named_maps, write_csv, write_json_cache};
+pub use output::{to_csv, to_json_cache, write_csv, write_json_cache};
 pub use param::TunableParameter;
 pub use restriction::Restriction;
 pub use sampling::{coverage_per_parameter, latin_hypercube_sample, sample_indices};

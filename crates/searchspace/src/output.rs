@@ -3,60 +3,22 @@
 //! The paper notes that rearranging solver output into a different structure
 //! per consumer can cost as much as the construction itself, and therefore
 //! provides output formats close to the internal representation. The resolved
-//! [`SearchSpace`] stores a flat index-encoded arena; this module provides
-//! the common decoded views on it:
-//!
-//! * a columnar view (one vector per parameter, useful for analysis),
-//! * name-keyed maps (the convenient but expensive dictionary format),
-//! * CSV and a JSON cache format compatible in spirit with Kernel Tuner's
-//!   cache files — both as `String` builders ([`to_csv`], [`to_json_cache`])
-//!   and as streaming [`std::io::Write`] variants ([`write_csv`],
-//!   [`write_json_cache`]) whose memory use is O(row), not O(space).
+//! [`SearchSpace`] stores a flat index-encoded arena; this module renders it
+//! as CSV and as a JSON cache format compatible in spirit with Kernel
+//! Tuner's cache files — both as `String` builders ([`to_csv`],
+//! [`to_json_cache`]) and as streaming [`std::io::Write`] variants
+//! ([`write_csv`], [`write_json_cache`]) whose memory use is O(row), not
+//! O(space).
 //!
 //! For a durable format that needs no decoding at all, see the `at_store`
 //! crate: it persists the `u32` code arena verbatim.
 
 use std::io::{self, Write};
 
-use rustc_hash::FxHashMap;
-
 use at_csp::Value;
 use at_obs::json::{quote, Json};
 
 use crate::space::SearchSpace;
-
-/// Columnar view: for each parameter, the values of all configurations.
-/// Cheap to produce: the internal representation is already columnar-coded,
-/// so each cell is one dictionary lookup and one `Value` clone.
-pub fn to_columnar(space: &SearchSpace) -> Vec<(String, Vec<Value>)> {
-    space
-        .params()
-        .iter()
-        .enumerate()
-        .map(|(d, p)| {
-            let column = space
-                .iter()
-                .map(|view| view.value(d).expect("parameter in range").clone())
-                .collect();
-            (p.name().to_string(), column)
-        })
-        .collect()
-}
-
-/// Dictionary view: one name→value map per configuration. This is the
-/// convenient format Python tuners expose; it is provided for compatibility
-/// but costs one hash map per configuration.
-pub fn to_named_maps(space: &SearchSpace) -> Vec<FxHashMap<String, Value>> {
-    space
-        .iter()
-        .map(|view| {
-            view.named()
-                .into_iter()
-                .map(|(name, value)| (name.to_string(), value.clone()))
-                .collect()
-        })
-        .collect()
-}
 
 /// CSV rendering with a header row of parameter names.
 ///
@@ -186,7 +148,6 @@ pub fn json_value(v: &Value) -> Json {
 mod tests {
     use super::*;
     use crate::param::TunableParameter;
-    use at_csp::value::int_values;
 
     fn space() -> SearchSpace {
         let params = vec![
@@ -198,25 +159,6 @@ mod tests {
             vec![Value::Int(2), Value::str("a,b")],
         ];
         SearchSpace::from_configs("out", params, configs).unwrap()
-    }
-
-    #[test]
-    fn columnar_view_transposes() {
-        let s = space();
-        let cols = to_columnar(&s);
-        assert_eq!(cols.len(), 2);
-        assert_eq!(cols[0].0, "x");
-        assert_eq!(cols[0].1, int_values([1, 2]));
-        assert_eq!(cols[1].1[1], Value::str("a,b"));
-    }
-
-    #[test]
-    fn named_maps_contain_every_parameter() {
-        let s = space();
-        let maps = to_named_maps(&s);
-        assert_eq!(maps.len(), 2);
-        assert_eq!(maps[0]["x"], Value::Int(1));
-        assert_eq!(maps[1]["mode"], Value::str("a,b"));
     }
 
     #[test]

@@ -17,24 +17,51 @@ struct RandomProblem {
     max_products: Vec<(usize, usize, i64)>,
     min_sums: Vec<(usize, usize, i64)>,
     parity: Option<(usize, i64)>,
+    /// `sum(all variables) % modulus != 0`, over every variable.
+    sum_not_divisible: Option<i64>,
 }
 
 fn random_problem() -> impl Strategy<Value = RandomProblem> {
-    let domain = proptest::collection::vec(1i64..20, 1..6);
-    let domains = proptest::collection::vec(domain, 2..5);
+    problem_with_domains(proptest::collection::vec(
+        proptest::collection::vec(1i64..20, 1..6),
+        2..5,
+    ))
+}
+
+/// Wider domains, so that the constraint over every variable often has
+/// more tuples than the optimized solver compiles into a table.
+fn wide_problem() -> impl Strategy<Value = RandomProblem> {
+    problem_with_domains(proptest::collection::vec(
+        proptest::collection::vec(1i64..60, 4..13),
+        3..6,
+    ))
+}
+
+fn problem_with_domains(
+    domains: impl Strategy<Value = Vec<Vec<i64>>>,
+) -> impl Strategy<Value = RandomProblem> {
     domains.prop_flat_map(|domains| {
         let n = domains.len();
         let max_products = proptest::collection::vec((0..n, 0..n, 1i64..200), 0..3).prop_map(|v| v);
         let min_sums = proptest::collection::vec((0..n, 0..n, 1i64..30), 0..2);
         let parity = proptest::option::of((0..n, 2i64..4));
-        (Just(domains), max_products, min_sums, parity).prop_map(
-            |(domains, max_products, min_sums, parity)| RandomProblem {
-                domains,
-                max_products,
-                min_sums,
-                parity,
-            },
+        let sum_not_divisible = proptest::option::of(2i64..5);
+        (
+            Just(domains),
+            max_products,
+            min_sums,
+            parity,
+            sum_not_divisible,
         )
+            .prop_map(
+                |(domains, max_products, min_sums, parity, sum_not_divisible)| RandomProblem {
+                    domains,
+                    max_products,
+                    min_sums,
+                    parity,
+                    sum_not_divisible,
+                },
+            )
     })
 }
 
@@ -63,6 +90,16 @@ fn build(problem: &RandomProblem) -> Problem {
         let name = format!("v{var}");
         p.add_function_constraint(&[&name], move |vals| {
             vals[0].as_i64().unwrap() % modulus == 0
+        })
+        .unwrap();
+    }
+    if let Some(modulus) = problem.sum_not_divisible {
+        let names: Vec<String> = (0..problem.domains.len())
+            .map(|i| format!("v{i}"))
+            .collect();
+        let scope: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
+        p.add_function_constraint(&scope, move |vals| {
+            vals.iter().map(|v| v.as_i64().unwrap()).sum::<i64>() % modulus != 0
         })
         .unwrap();
     }
@@ -97,6 +134,26 @@ proptest! {
         let mut parallel: Vec<u32> = Vec::new();
         ParallelSolver::new().solve_into(&problem, &mut parallel).unwrap();
         prop_assert_eq!(parallel, sequential);
+    }
+
+    #[test]
+    fn optimized_solver_in_declaration_order_pushes_brute_force_rows(rp in wide_problem()) {
+        // Equal vectors: with the search in declaration order, the table
+        // checks and the value checks must accept exactly brute force's
+        // rows, in its order, with forward checking on and off.
+        let problem = build(&rp);
+        let mut brute: Vec<u32> = Vec::new();
+        BruteForceSolver::new().solve_into(&problem, &mut brute).unwrap();
+        for forward_check in [false, true] {
+            let config = OptimizedSolverConfig {
+                variable_ordering: false,
+                forward_check,
+                ..Default::default()
+            };
+            let mut rows: Vec<u32> = Vec::new();
+            OptimizedSolver::with_config(config).solve_into(&problem, &mut rows).unwrap();
+            prop_assert_eq!(&rows, &brute, "forward_check {}", forward_check);
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! declared-domain codes, so the parallel solver's arena equals the
 //! sequential one's byte for byte, and so does a pre-pruned build's.
 
+use at_fuzz::fnv1a;
 use autotuning_searchspaces::cot::{
     build_chain_from_problem, enumerate_chain, enumerate_chain_into,
 };
@@ -15,7 +16,7 @@ use autotuning_searchspaces::searchspace::{
     build_search_space, build_search_space_with, BuildOptions, EncodingSink, Method,
     RestrictionLowering, SearchSpace, SearchSpaceSpec,
 };
-use autotuning_searchspaces::workloads::{atf_prl, dedispersion};
+use autotuning_searchspaces::workloads::{atf_prl, dedispersion, gemm, hotspot, microhh};
 
 const SOLVER_NAMES: [&str; 5] = [
     "brute-force",
@@ -254,6 +255,31 @@ fn pruned_construction_is_code_for_code_identical_on_a_workload_that_prunes() {
                 "{}: {config:?} is not a solution",
                 method.label()
             );
+        }
+    }
+}
+
+#[test]
+fn optimized_arenas_are_pinned_on_the_paper_workloads() {
+    // Row count and FNV-1a of the little-endian arena bytes, taken before
+    // the search moved into code space: the search order, the constraint
+    // tables and the trail must leave the rows and their order as they
+    // were. A change to the canonical row order re-derives these on
+    // purpose.
+    let pins = [
+        (dedispersion().spec, 2_793, 0x9696_7066_5c40_ae29u64),
+        (hotspot().spec, 134_909, 0x52de_ce9e_42a7_51ba),
+        (gemm().spec, 241_600, 0x22b6_98dd_99f9_4125),
+        (microhh().spec, 166_110, 0xb4c0_9f58_8cc3_791c),
+        (atf_prl(4).spec, 35_952, 0x72f5_0688_2e9c_b7a5),
+    ];
+    for (spec, rows, digest) in pins {
+        for method in [Method::Optimized, Method::ParallelOptimized] {
+            let (space, _) = build_search_space(&spec, method).unwrap();
+            let bytes: Vec<u8> = space.arena().iter().flat_map(|c| c.to_le_bytes()).collect();
+            let context = format!("{}/{}", spec.name, method.label());
+            assert_eq!(space.len(), rows, "{context}");
+            assert_eq!(fnv1a(&bytes), digest, "{context}");
         }
     }
 }
