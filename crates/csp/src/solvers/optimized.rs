@@ -250,53 +250,12 @@ impl OptimizedSolver {
             }
         }
         let order = Self::variable_order(problem, config.variable_ordering);
-        let mut tables = Vec::new();
-        let table_of: Vec<Option<usize>> = problem
-            .constraints()
-            .iter()
-            .map(|entry| {
-                let table = Table::build(entry.constraint.as_ref(), &entry.scope, problem)?;
-                tables.push(table);
-                Some(tables.len() - 1)
-            })
-            .collect();
-        let mut depth = vec![0; order.len()];
-        for (d, &var) in order.iter().enumerate() {
-            depth[var] = d;
-        }
-        let checks = problem
-            .constraints_per_variable()
-            .into_iter()
-            .enumerate()
-            .map(|(var, constraints)| {
-                constraints
-                    .into_iter()
-                    .map(|ci| {
-                        let scope = &problem.constraints()[ci].scope;
-                        let mut open_positions =
-                            (0..scope.len()).filter(|&k| depth[scope[k]] > depth[var]);
-                        match (table_of[ci], open_positions.next(), open_positions.next()) {
-                            (Some(table), None, _) => Check::Test(table),
-                            (Some(table), Some(open), None) if config.forward_check => {
-                                Check::Hide { table, open }
-                            }
-                            _ => Check::Own(ci),
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        drop(span.arg("tables", tables.len() as u64).arg(
+        let prepared = Prepared::plan(problem, domains, order, config.forward_check);
+        drop(span.arg("tables", prepared.tables.len() as u64).arg(
             "value_constraints",
-            (problem.num_constraints() - tables.len()) as u64,
+            (problem.num_constraints() - prepared.tables.len()) as u64,
         ));
-        Ok(Some(Prepared {
-            domains,
-            order,
-            checks,
-            tables,
-            forward_check: config.forward_check,
-        }))
+        Ok(Some(prepared))
     }
 
     /// Compute the search order: single-valued variables first, then
@@ -353,6 +312,60 @@ impl OptimizedSolver {
 }
 
 impl Prepared {
+    /// Compile the constraints over small scopes into tables and plan, for
+    /// each variable, the checks to run when the search in `order`
+    /// assigns it.
+    fn plan(
+        problem: &Problem,
+        domains: DomainStore,
+        order: Vec<usize>,
+        forward_check: bool,
+    ) -> Self {
+        let mut tables = Vec::new();
+        let table_of: Vec<Option<usize>> = problem
+            .constraints()
+            .iter()
+            .map(|entry| {
+                let table = Table::build(entry.constraint.as_ref(), &entry.scope, problem)?;
+                tables.push(table);
+                Some(tables.len() - 1)
+            })
+            .collect();
+        let mut depth = vec![0; order.len()];
+        for (d, &var) in order.iter().enumerate() {
+            depth[var] = d;
+        }
+        let checks = problem
+            .constraints_per_variable()
+            .into_iter()
+            .enumerate()
+            .map(|(var, constraints)| {
+                constraints
+                    .into_iter()
+                    .map(|ci| {
+                        let scope = &problem.constraints()[ci].scope;
+                        let mut open_positions =
+                            (0..scope.len()).filter(|&k| depth[scope[k]] > depth[var]);
+                        match (table_of[ci], open_positions.next(), open_positions.next()) {
+                            (Some(table), None, _) => Check::Test(table),
+                            (Some(table), Some(open), None) if forward_check => {
+                                Check::Hide { table, open }
+                            }
+                            _ => Check::Own(ci),
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        Prepared {
+            domains,
+            order,
+            checks,
+            tables,
+            forward_check,
+        }
+    }
+
     /// Core iterative search over `domains` (these prepared domains, or a
     /// copy the parallel split narrowed), streaming each solution into
     /// `sink` as it is found: the assigned codes live in one row buffer
