@@ -119,7 +119,7 @@ fn brute_force(
 ///   (or both fail), for a deterministic and a search-based method.
 /// * **Optimized ≡ brute force** — the optimized solver searching in
 ///   declaration order builds brute force's arena byte for byte, and in
-///   its default order the same rows (see [`solver_differential`]).
+///   its default order the same rows.
 pub fn check_target(input: &[u8]) -> Result<(), String> {
     let input = &input[..input.len().min(2048)];
     let source = String::from_utf8_lossy(input).into_owned();
