@@ -58,7 +58,9 @@ streaming:
 # second run is a hit and both runs export byte-identical spaces, then
 # re-run with --mmap and assert the summary reports a zero-copy load and
 # the export still matches, then verify the cache (which validates the IDX
-# checksums).
+# checksums). A gemm leg pins when the analyzer's findings print: a miss
+# constructs and writes gemm's AT0006 findings to stderr, and the --mmap
+# hit that follows writes nothing there.
 store:
 	$(CARGO) test -q --test store_roundtrip --test store_mmap
 	$(CARGO) build -p at_bench --bench store
@@ -73,6 +75,10 @@ store:
 	cmp target/store-smoke-out/cold.csv target/store-smoke-out/mmap.csv
 	$(CARGO) run --release -p at_cli --bin atss -- cache verify --cache-dir target/store-smoke
 	$(CARGO) run --release -p at_cli --bin atss -- cache verify --cache-dir target/store-smoke --json | grep '"damaged":0'
+	$(CARGO) run --release -q -p at_cli --bin atss -- construct --workload gemm --cache-dir target/store-smoke --format count 2> target/store-smoke-out/gemm-miss.err
+	grep -F "AT0006" target/store-smoke-out/gemm-miss.err
+	$(CARGO) run --release -q -p at_cli --bin atss -- construct --workload gemm --cache-dir target/store-smoke --mmap --format count 2> target/store-smoke-out/gemm-hit.err
+	test ! -s target/store-smoke-out/gemm-hit.err
 
 # The static-analysis self-check gate: run `atss check` over every built-in
 # workload and the spec template. Clean specs must stay clean; the

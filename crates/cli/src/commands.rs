@@ -54,6 +54,9 @@ COMMANDS:
                       --json              one-line atss.construct.v1 object instead
                                           of the human summary (export still goes
                                           through --format/--out)
+                      analyzer findings go to stderr when this command constructs
+                      the space (no cache, a cache miss, or a daemon build); a
+                      warm hit prints none, and `atss check` prints them on demand
     compare         Time several construction methods on one space
                       --workload <name> | --spec <file.json>
                       --methods <comma-separated labels>
@@ -75,6 +78,8 @@ COMMANDS:
                       --daemon <socket>   resolve through a running space-server
                                           (warm serves charge the attach, not a
                                           solve; local fallback when unreachable)
+                      analyzer findings go to stderr as for construct (never
+                      with --json); `atss check` prints them on demand
     cache           Manage an ATSS space cache directory
                       cache ls     --cache-dir <dir>
                       cache info   --cache-dir <dir> --workload <n>|--spec <f> [--method <m>]
@@ -255,14 +260,26 @@ type ObtainedSpace = (
 /// construction when it is unreachable), through a [`SpaceStore`] when
 /// `--cache-dir` is (zero-copy when `--mmap` is), by plain construction
 /// otherwise.
+///
+/// With `analyze`, the analyzer's findings go to stderr exactly when this
+/// command constructs the space: before a local build (so a failing
+/// construction still shows them first), or after a resolve the daemon
+/// answered by building. A hit serves a space whose findings were shown
+/// when it was built; `atss check` prints them on demand.
 fn obtain_space(
     args: &ParsedArgs,
     spec: &SearchSpaceSpec,
     method: Method,
+    analyze: bool,
 ) -> Result<ObtainedSpace, CliError> {
     let options = BuildOptions {
         prune: args.switch("prune"),
         ..Default::default()
+    };
+    let emit_findings_if = |builds: bool| {
+        if analyze && builds {
+            emit_check_warnings(spec);
+        }
     };
     if let Some(socket) = args.get("daemon") {
         // The daemon path: ship the spec, wait through any build, attach
@@ -270,7 +287,10 @@ fn obtain_space(
         // tuner, so every error falls back to local construction with a
         // note on stderr.
         match try_daemon_obtain(socket, spec, method, options.prune) {
-            Ok((space, served)) => return Ok((space, None, None, Some(served))),
+            Ok((space, served)) => {
+                emit_findings_if(served.built());
+                return Ok((space, None, None, Some(served)));
+            }
             Err(e) => {
                 eprintln!("atss: daemon at `{socket}` unavailable ({e}); constructing locally")
             }
@@ -283,6 +303,7 @@ fn obtain_space(
                     "--mmap loads from an ATSS cache; pass --cache-dir <dir> with it".to_string(),
                 ));
             }
+            emit_findings_if(true);
             let (space, report) = build_search_space_with(spec, method, options)
                 .map_err(|e| CliError::Run(format!("construction failed: {e}")))?;
             Ok((space, Some(report), None, None))
@@ -290,6 +311,16 @@ fn obtain_space(
         Some(dir) => {
             let store = SpaceStore::new(dir)
                 .map_err(|e| CliError::Run(format!("cache at `{dir}`: {e}")))?;
+            // A build unless an entry exists. A stale entry the store
+            // rebuilds stays unanalyzed: its findings were shown when it
+            // was first built.
+            let lowering = options
+                .lowering
+                .unwrap_or_else(|| method.default_lowering());
+            emit_findings_if(
+                SpecFingerprint::compute(spec, lowering)
+                    .map_or(true, |fp| !store.path_for(&fp).exists()),
+            );
             let load = if args.switch("mmap") {
                 LoadOptions::mmap_trusted()
             } else {
@@ -303,8 +334,9 @@ fn obtain_space(
     }
 }
 
-/// Implicit analyzer run for `construct`/`tune`: findings go to stderr
-/// and never block the command (use `atss check` for gating).
+/// Implicit analyzer run for `construct`/`tune` (see [`obtain_space`]):
+/// findings go to stderr and never block the command (use `atss check`
+/// for gating).
 fn emit_check_warnings(spec: &SearchSpaceSpec) {
     let report = at_check::check_spec(spec);
     if !report.is_clean() {
@@ -448,9 +480,8 @@ pub fn construct(args: &ParsedArgs) -> Result<String, CliError> {
     ])?;
     let obs = ObsSession::begin(args);
     let spec = resolve_spec(args)?;
-    emit_check_warnings(&spec);
     let method = resolve_method(args)?;
-    let (space, report, outcome, served) = obtain_space(args, &spec, method)?;
+    let (space, report, outcome, served) = obtain_space(args, &spec, method, true)?;
 
     // The traced window is the pipeline itself (parse -> check -> lower ->
     // solve -> encode -> store); rendering and export are outside it.
@@ -736,9 +767,6 @@ pub fn tune(args: &ParsedArgs) -> Result<String, CliError> {
     let name = args.require("workload")?;
     let workload = real_world_by_name(name)
         .ok_or_else(|| CliError::Run(format!("unknown workload `{name}`")))?;
-    if !args.switch("json") {
-        emit_check_warnings(&workload.spec);
-    }
     let strategy_name = args.get("strategy").unwrap_or("random");
     let strategy = strategy_by_name(strategy_name)
         .ok_or_else(|| CliError::Run(format!("unknown strategy `{strategy_name}`")))?;
@@ -759,7 +787,8 @@ pub fn tune(args: &ParsedArgs) -> Result<String, CliError> {
     // The end-to-end loop accepts a pre-loaded space: with --cache-dir, a
     // warm load charges milliseconds (not a full construction) to the
     // virtual tuning budget — the production deployment the ROADMAP aims at.
-    let (space, report, outcome, served) = obtain_space(args, &workload.spec, method)?;
+    let (space, report, outcome, served) =
+        obtain_space(args, &workload.spec, method, !args.switch("json"))?;
     // --construction-ms overrides the measured construction time with a
     // fixed virtual charge, making whole runs reproducible across process
     // invocations (the tune-smoke gate diffs two of them).

@@ -43,7 +43,8 @@ mod imp {
         pub socket: String,
         /// The daemon's `Ready` reply.
         pub resolved: Resolved,
-        /// The client-side attach (always zero-copy mmap, index trusted).
+        /// The client-side attach (zero-copy mmap of the entry the daemon
+        /// verified, index adopted without a second checksum).
         pub report: LoadReport,
         /// Wall-clock of connect + resolve (includes any build wait).
         pub resolve_time: Duration,
@@ -62,6 +63,16 @@ mod imp {
                 ServeKind::Built => "daemon-built",
                 ServeKind::Coalesced => "daemon-coalesced",
             }
+        }
+
+        /// Whether the daemon built the space for this request (it ran
+        /// the build, or this request waited on one already running)
+        /// rather than serving an entry that already existed.
+        pub fn built(&self) -> bool {
+            matches!(
+                self.resolved.served,
+                ServeKind::Built | ServeKind::Coalesced
+            )
         }
 
         /// Render the `daemon:` lines of the human summary format.
@@ -300,6 +311,11 @@ mod stub {
         /// See the Unix implementation.
         pub fn source_label(&self) -> &'static str {
             "daemon-unsupported"
+        }
+
+        /// See the Unix implementation.
+        pub fn built(&self) -> bool {
+            false
         }
 
         /// See the Unix implementation.

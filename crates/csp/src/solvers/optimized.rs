@@ -26,7 +26,9 @@
 //! under forward checking it hides that variable's codes whose bit is 0 —
 //! what the generic forward check hides. Every other check, and every
 //! constraint over a larger scope, calls the constraint's own
-//! [`Constraint::check`](crate::Constraint::check) on the assigned values.
+//! [`Constraint::check`](crate::Constraint::check) on the assigned values;
+//! the search assigns a value only to the variables those checks read, so
+//! a plan of table checks alone touches no [`Value`] during the search.
 //! Forward checking's hides go on the [`DomainStore`]'s one trail; a search
 //! level undoes its attempt by popping the trail back to where it was when
 //! the level was entered, so a node costs what it hid, not a state per
@@ -169,6 +171,9 @@ pub(crate) struct Prepared {
     pub(crate) order: Vec<usize>,
     checks: Vec<Vec<Check>>,
     tables: Vec<Table>,
+    /// Indexed by variable: whether a [`Check::Own`] reads its value, so
+    /// the search must keep it in the `Assignment`.
+    valued: Vec<bool>,
     forward_check: bool,
 }
 
@@ -251,10 +256,17 @@ impl OptimizedSolver {
         }
         let order = Self::variable_order(problem, config.variable_ordering);
         let prepared = Prepared::plan(problem, domains, order, config.forward_check);
-        drop(span.arg("tables", prepared.tables.len() as u64).arg(
-            "value_constraints",
-            (problem.num_constraints() - prepared.tables.len()) as u64,
-        ));
+        drop(
+            span.arg("tables", prepared.tables.len() as u64)
+                .arg(
+                    "value_constraints",
+                    (problem.num_constraints() - prepared.tables.len()) as u64,
+                )
+                .arg(
+                    "valued_variables",
+                    prepared.valued.iter().filter(|&&v| v).count() as u64,
+                ),
+        );
         Ok(Some(prepared))
     }
 
@@ -314,7 +326,7 @@ impl OptimizedSolver {
 impl Prepared {
     /// Compile the constraints over small scopes into tables and plan, for
     /// each variable, the checks to run when the search in `order`
-    /// assigns it.
+    /// assigns it, and which variables' values those checks read.
     fn plan(
         problem: &Problem,
         domains: DomainStore,
@@ -335,7 +347,7 @@ impl Prepared {
         for (d, &var) in order.iter().enumerate() {
             depth[var] = d;
         }
-        let checks = problem
+        let checks: Vec<Vec<Check>> = problem
             .constraints_per_variable()
             .into_iter()
             .enumerate()
@@ -357,11 +369,20 @@ impl Prepared {
                     .collect()
             })
             .collect();
+        let mut valued = vec![false; problem.num_variables()];
+        for check in checks.iter().flatten() {
+            if let Check::Own(ci) = *check {
+                for &var in &problem.constraints()[ci].scope {
+                    valued[var] = true;
+                }
+            }
+        }
         Prepared {
             domains,
             order,
             checks,
             tables,
+            valued,
             forward_check,
         }
     }
@@ -369,7 +390,8 @@ impl Prepared {
     /// Core iterative search over `domains` (these prepared domains, or a
     /// copy the parallel split narrowed), streaming each solution into
     /// `sink` as it is found: the assigned codes live in one row buffer
-    /// indexed by variable, which is pushed as is.
+    /// indexed by variable, which is pushed as is. Only the variables a
+    /// [`Check::Own`] reads also get their value in the `Assignment`.
     pub(crate) fn search(
         &self,
         problem: &Problem,
@@ -391,7 +413,9 @@ impl Prepared {
                 // Undo the previous attempt at this level before trying
                 // the next candidate (or before backtracking).
                 domains.undo_to(level.mark);
-                assignment.unassign(level.var);
+                if self.valued[level.var] {
+                    assignment.unassign(level.var);
+                }
             }
             let Some(&code) = level.codes.get(level.next) else {
                 live -= 1;
@@ -400,7 +424,9 @@ impl Prepared {
             level.next += 1;
             let var = level.var;
             row[var] = code;
-            assignment.assign(var, domains.domain(var).declared()[code as usize].clone());
+            if self.valued[var] {
+                assignment.assign(var, domains.domain(var).declared()[code as usize].clone());
+            }
             stats.nodes += 1;
             if !self.consistent(var, problem, &assignment, &row, domains, stats) {
                 stats.backtracks += 1;
@@ -619,6 +645,54 @@ mod tests {
         let bf = BruteForceSolver::new().solve(&p).unwrap();
         let opt = OptimizedSolver::new().solve(&p).unwrap();
         assert!(bf.solutions.same_solutions(&opt.solutions));
+    }
+
+    #[test]
+    fn values_are_assigned_only_where_an_own_check_reads_them() {
+        let mut p = Problem::new();
+        for name in ["x", "y", "z", "w"] {
+            p.add_variable(name, int_values(1..=20)).unwrap();
+        }
+        // 400 tuples: a table, checked by a bit test or a hide.
+        p.add_function_constraint(&["x", "y"], |v| {
+            (v[0].as_i64().unwrap() + v[1].as_i64().unwrap()) % 3 != 0
+        })
+        .unwrap();
+        let config = OptimizedSolverConfig {
+            variable_ordering: false,
+            ..Default::default()
+        };
+        let plan = |p: &Problem| {
+            OptimizedSolver::prepare(&config, p, &mut SolveStats::default())
+                .unwrap()
+                .unwrap()
+        };
+        let all_tables = plan(&p);
+        assert!(all_tables
+            .checks
+            .iter()
+            .flatten()
+            .all(|c| !matches!(c, Check::Own(_))));
+        assert_eq!(all_tables.valued, [false; 4]);
+
+        // 8,000 tuples over (y, z, w): the constraint's own check, which
+        // reads exactly its scope's values.
+        p.add_constraint(MaxSum::new(30.0), &["y", "z", "w"])
+            .unwrap();
+        let mixed = plan(&p);
+        assert!(mixed.checks[3].iter().any(|c| matches!(c, Check::Own(1))));
+        assert_eq!(mixed.valued, [false, true, true, true]);
+
+        let mut reference: Vec<u32> = Vec::new();
+        BruteForceSolver::new()
+            .solve_into(&p, &mut reference)
+            .unwrap();
+        let mut rows: Vec<u32> = Vec::new();
+        OptimizedSolver::with_config(config)
+            .solve_into(&p, &mut rows)
+            .unwrap();
+        assert!(!rows.is_empty());
+        assert_eq!(rows, reference);
     }
 
     #[test]

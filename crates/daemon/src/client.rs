@@ -1,10 +1,10 @@
 //! Client side of the `ATSD` protocol: connect, resolve, attach.
 //!
-//! The client never validates arena bytes itself: it asks the daemon for
-//! a validated path and mmaps it with `LoadOptions::mmap_trusted()` —
-//! O(header + index) attach (the index checksum and one pass over its
-//! slots), no solve, no arena copy, no arena CRC walk. See the
-//! [crate documentation](crate) for why that trust is sound.
+//! The client never checksums the file itself: it asks the daemon for a
+//! validated path and mmaps it with `LoadOptions::mmap_certified()` —
+//! O(header) plus one pass over the index slots, no solve, no arena copy,
+//! no arena or index CRC walk. See the [crate documentation](crate) for
+//! why that trust is sound.
 
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -48,10 +48,12 @@ pub struct Resolved {
 
 impl Resolved {
     /// Attach to the resolved space: zero-copy mmap of the daemon's
-    /// validated path with the persisted index trusted. This is the
-    /// O(header + index) step the whole protocol exists for.
+    /// validated path, adopting the persisted index without checksumming
+    /// it again (the daemon verified every checksum of this file before
+    /// its first serve; its hash version and structure are still
+    /// checked). This is the O(header) step the whole protocol exists for.
     pub fn attach(&self) -> Result<LoadedSpace, StoreError> {
-        load_space_from_path(&self.path, LoadOptions::mmap_trusted())
+        load_space_from_path(&self.path, LoadOptions::mmap_certified())
     }
 }
 

@@ -7,7 +7,7 @@
 //! resident copy of the arena. This crate is the active half: a
 //! long-lived daemon that *owns* a [`SpaceStore`](at_store::SpaceStore),
 //! dedupes concurrent builds, and hands clients validated paths to
-//! attach to in O(header + index).
+//! attach to in O(header) plus one pass over the index slots.
 //!
 //! ```text
 //!   tuner 1 ──┐                          ┌─ mmap ──► one resident
@@ -38,16 +38,20 @@
 //!
 //! ## The trust model
 //!
-//! A client attaches with `LoadOptions::mmap_trusted()` — zero-copy mmap,
-//! persisted index adopted, **no arena CRC walk**. That is sound because
-//! the daemon validated the exact file first: on first serve of an entry
-//! it runs the strict read (every checksum, index adoption with sampled
-//! verification), and entries it built itself were streamed through the
-//! writer and published by atomic rename. From then on the entry is
-//! *validated* and served O(header) (`peek_info` + the path). The entry
-//! cannot be deleted out from under a client either: every reply pins the
-//! entry ([`at_store::PinGuard`]) until the referencing connection
-//! closes, and the daemon's own GC sweeps skip pinned entries. What the
+//! A client attaches with `LoadOptions::mmap_certified()` — zero-copy
+//! mmap, persisted index adopted after its hash version and structural
+//! checks, **no arena or index CRC walk**. That is sound because the
+//! daemon validated the exact file first. On first touch of an existing
+//! entry it verifies every checksum: the strict read
+//! (`read_space_from_path`) when it serves the entry directly, or the
+//! verified copy in a build worker, which repairs a damaged index on disk
+//! and serves the entry only once the repaired file passes the strict
+//! read. Entries it built itself were written by its own writer and
+//! published by atomic rename. From then on the entry is *validated* and
+//! served O(header) (`peek_info` + the path). The entry cannot be deleted
+//! out from under a client either: every reply pins the entry
+//! ([`at_store::PinGuard`]) until the referencing connection closes, and
+//! the daemon's own GC sweeps skip pinned entries. What the
 //! trust model does **not** cover — by design — is an external writer
 //! scribbling on the cache directory; the deployment contract is that the
 //! daemon owns its cache directory, exactly like any database owns its
@@ -81,7 +85,7 @@
 //!     .with_expr("x * y <= 64");
 //! let mut client = DaemonClient::connect("/tmp/atssd.sock")?;
 //! let resolved = client.resolve_spec(&spec, Method::Optimized, false, |_| {})?;
-//! let loaded = resolved.attach()?;          // mmap, trusted index
+//! let loaded = resolved.attach()?;          // mmap, certified index
 //! assert_eq!(loaded.space.len() as u64, resolved.rows);
 //! handle.request_shutdown();
 //! # Ok::<(), Box<dyn std::error::Error>>(())

@@ -11,7 +11,7 @@
 //! *validated* set: the daemon fully validates a file once (checksums,
 //! index adoption) and afterwards serves it O(header) — a `peek_info`
 //! plus the path, which the client mmaps with
-//! `LoadOptions::mmap_trusted()`.
+//! `LoadOptions::mmap_certified()`, checking no checksum again.
 //!
 //! Entries are pinned ([`SpaceStore::pin`]) from the moment a reply
 //! references them until every connection holding that reply closes, so
@@ -673,23 +673,37 @@ fn spawn_build_worker(
         let result = match built {
             Ok(Ok((space, out))) => {
                 let fp = slot.fingerprint;
-                state.mark_validated(fp);
-                let kind = match out.status {
-                    CacheStatus::Hit => ServeKind::Validated,
-                    _ => {
-                        state.builds.fetch_add(1, Ordering::Relaxed);
-                        ServeKind::Built
-                    }
-                };
-                Ok(Served {
-                    fingerprint: fp,
-                    path: out.path.unwrap_or_else(|| state.store.path_for(&fp)),
-                    file_bytes: out.file_bytes,
-                    rows: space.len() as u64,
-                    kind,
-                    build_us: out.duration.as_micros() as u64,
-                    pin: Arc::new(state.store.pin(&fp)),
-                })
+                let path = out.path.unwrap_or_else(|| state.store.path_for(&fp));
+                // A hit whose persisted index the store rejected was
+                // repaired on disk best-effort. Clients adopt the index
+                // without its checksum, so the entry is served only once
+                // the file passes the strict read.
+                let unrepaired = out
+                    .load
+                    .as_ref()
+                    .is_some_and(|load| load.index_fallback().is_some())
+                    && read_space_from_path(&path).is_err();
+                if unrepaired {
+                    Err("the entry's damaged index could not be repaired".to_string())
+                } else {
+                    state.mark_validated(fp);
+                    let kind = match out.status {
+                        CacheStatus::Hit => ServeKind::Validated,
+                        _ => {
+                            state.builds.fetch_add(1, Ordering::Relaxed);
+                            ServeKind::Built
+                        }
+                    };
+                    Ok(Served {
+                        fingerprint: fp,
+                        path,
+                        file_bytes: out.file_bytes,
+                        rows: space.len() as u64,
+                        kind,
+                        build_us: out.duration.as_micros() as u64,
+                        pin: Arc::new(state.store.pin(&fp)),
+                    })
+                }
             }
             Ok(Err(e)) => Err(format!("build failed: {e}")),
             Err(_) => Err("build panicked".to_string()),

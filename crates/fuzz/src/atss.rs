@@ -2,7 +2,7 @@
 //!
 //! See the crate docs for the full oracle statements. Both targets treat
 //! the input bytes as a (possibly damaged) store file; the differential
-//! target additionally loads under both `LoadOptions` policies and
+//! target additionally loads under every `LoadOptions` policy and
 //! cross-checks every successful load against every other.
 
 use rand::{Rng, SeedableRng};
@@ -143,8 +143,8 @@ struct Loaded {
     index_rebuilt: bool,
 }
 
-/// Target 2: bytes (mutated valid files) through both `LoadOptions`
-/// policies. See the crate docs for the oracle.
+/// Target 2: bytes (mutated valid files) through every `LoadOptions`
+/// policy. See the crate docs for the oracle.
 pub fn load_differential_target(input: &[u8]) -> Result<(), String> {
     let strict = read_space_from_bytes(input).ok();
 
@@ -167,6 +167,7 @@ pub fn load_differential_target(input: &[u8]) -> Result<(), String> {
     for (label, options) in [
         ("verified copy", LoadOptions::default()),
         ("trusted mmap", LoadOptions::mmap_trusted()),
+        ("certified mmap", LoadOptions::mmap_certified()),
     ] {
         match reader.load(options) {
             Ok(loaded) => successes.push(Loaded {
@@ -177,8 +178,8 @@ pub fn load_differential_target(input: &[u8]) -> Result<(), String> {
             Err(e) => {
                 check_clean_error(&e, label)?;
                 if strict.is_some() {
-                    // The strict path checks strictly more than either
-                    // policy; what it accepts, both must serve (possibly
+                    // The strict path checks strictly more than any
+                    // policy; what it accepts, each must serve (possibly
                     // via a reported fallback).
                     return Err(format!(
                         "{label} failed ({e}) on bytes the strict reader accepts"

@@ -43,7 +43,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 pub enum Target {
     /// Arbitrary bytes through the strict store reader + peek differential.
     AtssReader,
-    /// Mutated valid store files through both `LoadOptions` policies.
+    /// Mutated valid store files through every `LoadOptions` policy.
     AtssLoadDifferential,
     /// Arbitrary strings through lexer → parser → fold → compile → VM.
     ExprPipeline,

@@ -46,12 +46,14 @@
 //!   but the same truncation or framing damage must classify the same
 //!   way.
 //!
-//! ## Target `atss_load_differential` — mutated valid files, both load policies
+//! ## Target `atss_load_differential` — mutated valid files, every load policy
 //!
 //! Writes a lightly mutated *valid* file to disk and loads it through
-//! [`at_store::StoreReader::load`] under both policies: the verified copy
-//! (`LoadOptions::default()`) and the trusted zero-copy mmap
-//! (`LoadOptions::mmap_trusted()`). Oracle:
+//! [`at_store::StoreReader::load`] under every policy: the verified copy
+//! (`LoadOptions::default()`), the trusted zero-copy mmap
+//! (`LoadOptions::mmap_trusted()`) and the daemon-certified zero-copy mmap
+//! (`LoadOptions::mmap_certified()`, which skips the index checksum).
+//! Oracle:
 //!
 //! * All successful loads are **code-for-code identical** (same name,
 //!   params, row count, arena bytes) to each other and — when the strict

@@ -2,8 +2,8 @@
 //!
 //! See the [crate documentation](crate) for the byte-by-byte layout. This
 //! build reads exactly the version it writes, [`FORMAT_VERSION`], and one
-//! parser walks the framing for every reader: [`peek_info`], both
-//! [`LoadOptions`] policies and [`read_space_from_bytes`]. The design
+//! parser walks the framing for every reader: [`peek_info`], every
+//! [`LoadOptions`] policy and [`read_space_from_bytes`]. The design
 //! constraints, in order:
 //!
 //! 1. **Close to the internal representation** (paper Section 4.3.4): the
@@ -26,7 +26,9 @@
 //!    a damaged `IDX` section always falls back to an index rebuild —
 //!    reported in the [`LoadReport`], and never a wrong lookup (the lookup
 //!    algorithm re-compares arena rows, so a bad table can only miss, not
-//!    misattribute).
+//!    misattribute). The daemon-certified mmap also skips the `IDX`
+//!    checksum, because the space-server that hands out the path verified
+//!    the whole file before its first serve.
 
 use std::borrow::Cow;
 use std::fs::File;
@@ -332,7 +334,7 @@ pub fn write_space_to_path(
 /// * [`LoadOptions::default`] — the **verified copy**: read the whole
 ///   file, verify every checksum (arena included), bounds-check every code
 ///   and adopt the persisted index only after sampled row lookups. The only
-///   path on big-endian targets.
+///   path on big-endian targets. Used by cache hits without `--mmap`.
 /// * [`LoadOptions::mmap_trusted`] — the **trusted zero-copy mmap**: serve
 ///   the arena and the persisted index slots as borrowed views into the
 ///   `mmap(2)`ed file, O(header + index checksum). The arena checksum is
@@ -340,21 +342,50 @@ pub fn write_space_to_path(
 ///   the code-range pass is skipped (decoding stays bounds-checked lazily);
 ///   the `IDX` checksum, hash version and table structure are still
 ///   checked before the table is adopted, and `cache verify` remains the
-///   full-validation tool. Falls back to the verified copy — recorded in
-///   the [`LoadReport`] — on non-Linux targets, big-endian targets, or
-///   mmap failure.
+///   full-validation tool. Used by a process that maps a cache entry on its
+///   own (`--mmap`).
+/// * [`LoadOptions::mmap_certified`] — the **daemon-certified zero-copy
+///   mmap**: the trusted mmap without the `IDX` checksum, so O(header) plus
+///   one pass over the slots. The hash version and the table structure are
+///   still checked. It is for a file whose every checksum was already
+///   verified by the space-server that owns it, and nothing else: a client
+///   attaching to a path the daemon handed out (`at_daemon`'s
+///   `Resolved::attach`; see that crate's trust model).
 ///
-/// Both policies parse the file with the same parser and reject every
-/// version but [`FORMAT_VERSION`].
+/// Both mmap policies fall back to the verified copy — recorded in the
+/// [`LoadReport`] — on non-Linux targets, big-endian targets, or mmap
+/// failure. Every policy parses the file with the same parser and rejects
+/// every version but [`FORMAT_VERSION`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LoadOptions {
-    mmap: bool,
+    policy: Policy,
+}
+
+/// The three [`LoadOptions`] policies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Policy {
+    #[default]
+    VerifiedCopy,
+    TrustedMmap,
+    CertifiedMmap,
 }
 
 impl LoadOptions {
-    /// The zero-copy fast path: mmap the arena, trust the persisted index.
+    /// The zero-copy fast path: mmap the arena, trust the persisted index
+    /// once its checksum matches.
     pub fn mmap_trusted() -> LoadOptions {
-        LoadOptions { mmap: true }
+        LoadOptions {
+            policy: Policy::TrustedMmap,
+        }
+    }
+
+    /// The zero-copy attach to a file the owning space-server verified:
+    /// mmap the arena and adopt the persisted index without checksumming
+    /// it again.
+    pub fn mmap_certified() -> LoadOptions {
+        LoadOptions {
+            policy: Policy::CertifiedMmap,
+        }
     }
 }
 
@@ -917,25 +948,29 @@ fn assemble(
     Ok((space, outcome))
 }
 
-/// Check the persisted index's checksum over `bytes` (the whole file) and
-/// its row-hash version, returning the section to adopt (`None` when the
-/// file has none) or why it is rejected.
+/// Check the persisted index's checksum over `bytes` (the whole file),
+/// unless `checksum` is false because the file's owner already verified
+/// it, and its row-hash version, returning the section to adopt (`None`
+/// when the file has none) or why it is rejected.
 fn usable_index<'p>(
     idx: &'p Option<ParsedIndex>,
     bytes: &[u8],
+    checksum: bool,
 ) -> Result<Option<&'p ParsedIndex>, String> {
     let Some(idx) = idx else {
         return Ok(None);
     };
     // CRC first: corruption that happens to land in the hash-version field
     // must read as "checksum mismatch", not as a version skew.
-    let crc = &bytes[idx.payload.end..idx.payload.end + 4];
-    let actual = {
-        let _span = at_obs::span("store-idx-crc", "store");
-        crc32(&bytes[idx.payload.clone()])
-    };
-    if actual != u32::from_le_bytes(crc.try_into().expect("4 bytes")) {
-        return Err("checksum mismatch".to_string());
+    if checksum {
+        let crc = &bytes[idx.payload.end..idx.payload.end + 4];
+        let actual = {
+            let _span = at_obs::span("store-idx-crc", "store");
+            crc32(&bytes[idx.payload.clone()])
+        };
+        if actual != u32::from_le_bytes(crc.try_into().expect("4 bytes")) {
+            return Err("checksum mismatch".to_string());
+        }
     }
     if idx.hash_version != INDEX_HASH_VERSION {
         return Err(format!(
@@ -1002,10 +1037,10 @@ impl StoreReader {
     /// actually happened: a requested path falls back rather than fails
     /// whenever the file itself is sound.
     pub fn load(&self, options: LoadOptions) -> Result<LoadedSpace, StoreError> {
-        let span =
-            at_obs::span("store-load", "store").arg("mmap_requested", u64::from(options.mmap));
+        let mmap = options.policy != Policy::VerifiedCopy;
+        let span = at_obs::span("store-load", "store").arg("mmap_requested", u64::from(mmap));
         let fell_back = |reason: String| ArenaOutcome::MmapFellBack { reason };
-        let loaded = if !options.mmap {
+        let loaded = if !mmap {
             self.load_copy(ArenaOutcome::Copied)
         } else if cfg!(target_endian = "big") {
             self.load_copy(fell_back("big-endian target".to_string()))
@@ -1015,7 +1050,7 @@ impl StoreReader {
                 MappedFile::map(&self.file)
             };
             match mapped {
-                Ok(map) => Self::load_mapped(Arc::new(map)),
+                Ok(map) => Self::load_mapped(Arc::new(map), options.policy == Policy::TrustedMmap),
                 Err(e) => self.load_copy(fell_back(e.to_string())),
             }
         }?;
@@ -1060,7 +1095,7 @@ impl StoreReader {
         if arena_crc != parsed.arena_crc {
             return Err(StoreError::corrupt("arena", "checksum mismatch"));
         }
-        let slots = usable_index(&parsed.idx, bytes)
+        let slots = usable_index(&parsed.idx, bytes, true)
             .map(|idx| idx.map(|idx| ArenaStorage::from(decode_codes(&bytes[idx.slots.clone()]))));
         let (space, index) = assemble(
             &parsed.info,
@@ -1080,12 +1115,13 @@ impl StoreReader {
         })
     }
 
-    /// The trusted zero-copy load: parse the mapped bytes, serve the arena
-    /// and the index slots as borrowed views. The arena checksum is
-    /// intentionally not verified here (see [`LoadOptions`]).
-    fn load_mapped(map: Arc<MappedFile>) -> Result<LoadedSpace, StoreError> {
+    /// The zero-copy load: parse the mapped bytes, serve the arena and the
+    /// index slots as borrowed views. The arena checksum is intentionally
+    /// not verified here, and the index checksum only with
+    /// `index_checksum` (see [`LoadOptions`]).
+    fn load_mapped(map: Arc<MappedFile>, index_checksum: bool) -> Result<LoadedSpace, StoreError> {
         let (parsed, params) = parse_file(map.bytes())?;
-        let slots = usable_index(&parsed.idx, map.bytes()).and_then(|idx| {
+        let slots = usable_index(&parsed.idx, map.bytes(), index_checksum).and_then(|idx| {
             idx.map(|idx| {
                 MappedCodes::new(Arc::clone(&map), idx.slots.start, idx.slots.len())
                     .map(|view| ArenaStorage::Shared(Arc::new(view)))
@@ -1115,7 +1151,7 @@ impl StoreReader {
 }
 
 /// The structural parse and the dictionary decode of a whole file in
-/// memory, the first step of both load policies.
+/// memory, the first step of every load policy.
 fn parse_file(bytes: &[u8]) -> Result<(ParsedFile, Vec<TunableParameter>), StoreError> {
     let _span = at_obs::span("store-parse", "store");
     let parsed = parse_structure(bytes)?;
@@ -1522,7 +1558,7 @@ mod tests {
     }
 
     #[test]
-    fn both_load_policies_serve_the_same_space() {
+    fn every_load_policy_serves_the_same_space() {
         let path = temp_path("policies.atss");
         let space = small_space();
         write_space_to_path(&space, &path).unwrap();
@@ -1537,15 +1573,17 @@ mod tests {
         );
         assert!(!copied.space.is_zero_copy());
 
-        let mapped = reader.load(LoadOptions::mmap_trusted()).unwrap();
-        spaces_identical(&space, &mapped.space);
-        assert_eq!(
-            mapped.report.index,
-            IndexOutcome::Adopted { verified: false }
-        );
-        if cfg!(target_os = "linux") {
-            assert!(mapped.report.is_zero_copy(), "{:?}", mapped.report);
-            assert!(mapped.space.is_zero_copy());
+        for options in [LoadOptions::mmap_trusted(), LoadOptions::mmap_certified()] {
+            let mapped = reader.load(options).unwrap();
+            spaces_identical(&space, &mapped.space);
+            assert_eq!(
+                mapped.report.index,
+                IndexOutcome::Adopted { verified: false }
+            );
+            if cfg!(target_os = "linux") {
+                assert!(mapped.report.is_zero_copy(), "{:?}", mapped.report);
+                assert!(mapped.space.is_zero_copy());
+            }
         }
     }
 
@@ -1560,22 +1598,26 @@ mod tests {
         let path = temp_path("spans.atss");
         write_space_to_path(&space, &path).unwrap();
         let reader = StoreReader::open(&path).unwrap();
+        let policies = [
+            LoadOptions::default(),
+            LoadOptions::mmap_trusted(),
+            LoadOptions::mmap_certified(),
+        ];
         at_obs::enable();
-        let copied = reader.load(LoadOptions::default());
-        let mapped = reader.load(LoadOptions::mmap_trusted());
+        let loads: Vec<_> = policies.iter().map(|&o| reader.load(o)).collect();
         at_obs::disable();
         let records = at_obs::drain();
-        assert!(copied.is_ok() && mapped.is_ok());
+        assert!(loads.iter().all(Result::is_ok));
+        // This test's `store-load` spans, in the order of `policies`.
+        let mut spans: Vec<_> = records
+            .iter()
+            .filter(|r| r.name == "store-load" && r.arg("rows") == Some(rows as u64))
+            .collect();
+        spans.sort_by_key(|r| r.start_ns);
+        assert_eq!(spans.len(), policies.len());
         // The names of the spans inside the `store-load` span of one load.
-        let parts = |mmap: u64| -> Vec<&str> {
-            let load = records
-                .iter()
-                .find(|r| {
-                    r.name == "store-load"
-                        && r.arg("rows") == Some(rows as u64)
-                        && r.arg("mmap_requested") == Some(mmap)
-                })
-                .expect("the store-load span");
+        let parts = |policy: usize| -> Vec<&str> {
+            let load = spans[policy];
             let end = load.start_ns + load.dur_ns;
             records
                 .iter()
@@ -1599,6 +1641,7 @@ mod tests {
                 parts(1),
                 ["store-map", "store-parse", "store-idx-crc", "store-adopt"]
             );
+            assert_eq!(parts(2), ["store-map", "store-parse", "store-adopt"]);
         }
     }
 
@@ -1703,9 +1746,42 @@ mod tests {
         assert!(read_space_from_bytes(&bytes).is_err(), "strict reader");
         let path = temp_path("hashver.atss");
         std::fs::write(&path, &bytes).unwrap();
-        let loaded = load_space_from_path(&path, LoadOptions::default()).unwrap();
-        let reason = loaded.report.index_fallback().unwrap();
-        assert!(reason.contains("hash version"), "{reason}");
-        spaces_identical(&space, &loaded.space);
+        // The certified mmap skips only the checksum: a version skew is
+        // still rejected.
+        for options in [LoadOptions::default(), LoadOptions::mmap_certified()] {
+            let loaded = load_space_from_path(&path, options).unwrap();
+            let reason = loaded.report.index_fallback().unwrap();
+            assert!(reason.contains("hash version"), "{reason}");
+            spaces_identical(&space, &loaded.space);
+        }
+    }
+
+    #[test]
+    fn the_certified_mmap_adopts_the_index_without_its_checksum() {
+        let space = small_space();
+        let mut bytes = Vec::new();
+        write_space(&space, &mut bytes).unwrap();
+        // A wrong stored CRC over intact slots: the trusted mmap rejects the
+        // table, the certified one (whose file the daemon verified) adopts
+        // it and serves every row.
+        let crc_at = parse_structure(bytes.as_slice())
+            .unwrap()
+            .idx
+            .unwrap()
+            .payload
+            .end;
+        bytes[crc_at] ^= 0x01;
+        let path = temp_path("certified.atss");
+        std::fs::write(&path, &bytes).unwrap();
+        let trusted = load_space_from_path(&path, LoadOptions::mmap_trusted()).unwrap();
+        assert!(trusted.report.index_fallback().is_some());
+        let certified = load_space_from_path(&path, LoadOptions::mmap_certified()).unwrap();
+        if cfg!(all(target_os = "linux", target_endian = "little")) {
+            assert_eq!(
+                certified.report.index,
+                IndexOutcome::Adopted { verified: false }
+            );
+        }
+        spaces_identical(&space, &certified.space);
     }
 }

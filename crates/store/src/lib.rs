@@ -12,15 +12,18 @@
 //! borrows both the arena and the table straight out of the page cache —
 //! O(header + index) work (the index checksum and one pass over its slots;
 //! no arena byte is read), one resident copy shared by every process that
-//! maps the same entry.
+//! maps the same entry. A client of the space-server (`at_daemon`) skips
+//! even the index checksum, because the server verified the whole file
+//! before handing out its path.
 //!
 //! Four layers:
 //!
 //! * [`write_space`] / [`StoreReader`] — the `ATSS` file format.
 //!   `write_space` persists a constructed space verbatim, once;
-//!   [`StoreReader::load`] takes one of two [`LoadOptions`] policies (the
-//!   verified copy, or the trusted zero-copy mmap) and returns a
-//!   [`LoadReport`] of what actually happened.
+//!   [`StoreReader::load`] takes one of three [`LoadOptions`] policies
+//!   (the verified copy, the trusted zero-copy mmap, or the
+//!   daemon-certified zero-copy mmap) and returns a [`LoadReport`] of what
+//!   actually happened.
 //! * [`mmap`] — the hand-rolled `mmap(2)` wrapper behind the zero-copy
 //!   path (Linux FFI against the already-linked C library; owned-copy
 //!   fallback elsewhere).
@@ -134,18 +137,22 @@
 //!
 //! # Trust policy of the zero-copy path
 //!
-//! [`StoreReader::load`] takes one of two [`LoadOptions`] policies, one per
-//! real use. [`LoadOptions::default`] is the verified copy: every checksum,
-//! every code range, and sampled lookups through the persisted table.
-//! [`LoadOptions::mmap_trusted`] is the zero-copy path: the arena checksum
-//! is *not* read (it would fault in every page), and it falls back to the
-//! verified copy wherever a mapping cannot be served. Under either policy
-//! the `IDX` checksum, hash version and structural invariants are verified
-//! before a single lookup goes through a persisted table, and an unusable
-//! table falls back to a rebuild that is **reported** in the returned
-//! [`LoadReport`] (and counted by `SpaceStore` metrics) — while the lookup
-//! algorithm itself re-compares arena rows, so even a semantically wrong
-//! table can only miss a row, never misattribute one.
+//! [`StoreReader::load`] takes one of three [`LoadOptions`] policies, one
+//! per real use. [`LoadOptions::default`] is the verified copy: every
+//! checksum, every code range, and sampled lookups through the persisted
+//! table. [`LoadOptions::mmap_trusted`] is the zero-copy path of a process
+//! on its own: the arena checksum is *not* read (it would fault in every
+//! page), and it falls back to the verified copy wherever a mapping cannot
+//! be served. Under both, the `IDX` checksum, hash version and structural
+//! invariants are verified before a single lookup goes through a persisted
+//! table, and an unusable table falls back to a rebuild that is
+//! **reported** in the returned [`LoadReport`] (and counted by `SpaceStore`
+//! metrics). [`LoadOptions::mmap_certified`] is the zero-copy attach of a
+//! space-server client: it skips the `IDX` checksum too, and keeps the
+//! hash version and structural checks, because the server verified every
+//! checksum of the file before it handed out the path. Under every policy
+//! the lookup algorithm re-compares arena rows, so even a semantically
+//! wrong table can only miss a row, never misattribute one.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]

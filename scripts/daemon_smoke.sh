@@ -5,7 +5,8 @@
 #   1. start `atss daemon run` on a fresh socket (background), wait for
 #      the socket and the pidfile;
 #   2. cold `construct --daemon` (summary must say the daemon *built*),
-#      then warm (must say *warm* + zero-copy mmap attach);
+#      then warm (must say *warm* + zero-copy mmap attach, and write
+#      nothing to stderr: a warm serve runs no analyzer);
 #   3. byte-compare daemon-resolved CSV exports between runs and against
 #      a daemonless local construction — the daemon must never change
 #      what a space contains;
@@ -45,8 +46,10 @@ done
 grep -E '^daemon: +built' "$BASE/cold.txt"
 grep -E '^daemon attach: +zero-copy \(mmap\)' "$BASE/cold.txt"
 
-# Warm resolve: no build, O(header) trusted mmap attach.
-"$ATSS" construct --workload dedispersion --daemon "$SOCK" --format summary > "$BASE/warm.txt"
+# Warm resolve: no build, O(header) mmap attach, nothing on stderr.
+"$ATSS" construct --workload dedispersion --daemon "$SOCK" --format summary > "$BASE/warm.txt" \
+  2> "$BASE/warm.err"
+test ! -s "$BASE/warm.err" || { echo "daemon-smoke: warm construct wrote to stderr" >&2; exit 1; }
 grep -E '^daemon: +warm' "$BASE/warm.txt"
 grep -F 'zero-copy (mmap)' "$BASE/warm.txt"
 grep -F 'construction time:    none' "$BASE/warm.txt"

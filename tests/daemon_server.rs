@@ -14,6 +14,9 @@
 //!   mid-request, an idle daemon still notices shutdown, and entries stay
 //!   pinned (GC-proof) while replies reference them.
 //! * **Latency** — a fresh connection is accepted as soon as it arrives.
+//! * **Trust** — clients attach without checksumming the index, so damage
+//!   already on disk is caught and repaired by the daemon before any
+//!   client attaches.
 
 #![cfg(unix)]
 
@@ -27,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use at_daemon::{Daemon, DaemonClient, DaemonConfig, ServeKind};
 use at_searchspace::{build_search_space, Method, SearchSpaceSpec, TunableParameter};
-use at_store::GcOptions;
+use at_store::{load_space_from_path, read_space_from_path, GcOptions, LoadOptions, SpaceStore};
 
 fn temp_base(tag: &str) -> PathBuf {
     let base = std::env::temp_dir().join(format!("atssd-it-{tag}-{}", std::process::id()));
@@ -436,4 +439,70 @@ fn an_idle_daemon_shuts_down_instead_of_hanging() {
     join.join().unwrap();
     assert_eq!(summary.connections, 0);
     assert!(!socket.exists(), "socket removed on shutdown");
+}
+
+#[test]
+fn a_damaged_index_on_disk_is_repaired_before_any_client_attaches() {
+    let base = temp_base("damaged-index");
+    let spec = demo_spec("damaged-index");
+    let (fresh, _) = build_search_space(&spec, Method::Optimized).unwrap();
+
+    // An entry written before the daemon starts, then damaged: one
+    // occupied `IDX` slot now names a neighbouring row. The slots end
+    // just before the section CRC and the 16-byte trailer.
+    let store = SpaceStore::new(base.join("cache")).unwrap();
+    let (_, outcome) = store.get_or_build(&spec, Method::Optimized).unwrap();
+    let path = outcome.path.unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let slots_end = bytes.len() - 16 - 4;
+    let slots_start = slots_end - 4 * fresh.index_slots().len();
+    let rows = fresh.len() as u32;
+    let slot_at = (slots_start..slots_end)
+        .step_by(4)
+        .find(|&at| {
+            let id = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+            id != u32::MAX && id ^ 1 < rows
+        })
+        .expect("an occupied slot");
+    bytes[slot_at] ^= 1;
+    std::fs::write(&path, &bytes).unwrap();
+    assert!(
+        read_space_from_path(&path).is_err(),
+        "the damage is visible"
+    );
+    if cfg!(all(target_os = "linux", target_endian = "little")) {
+        // The damage is invisible without the index checksum: attached
+        // directly, the table adopts and misses a row.
+        let unchecked = load_space_from_path(&path, LoadOptions::mmap_certified()).unwrap();
+        assert!(unchecked.report.index_fallback().is_none());
+        assert!(fresh
+            .iter()
+            .any(|view| unchecked.space.index_of(&view.to_vec()).is_none()));
+    }
+
+    let (handle, join, socket) = start_daemon(&base);
+    let resolved = DaemonClient::connect(&socket)
+        .unwrap()
+        .resolve_spec(&spec, Method::Optimized, false, |_| {})
+        .unwrap();
+    assert!(
+        matches!(resolved.served, ServeKind::Validated | ServeKind::Built),
+        "{:?}",
+        resolved.served
+    );
+    read_space_from_path(&resolved.path).expect("the daemon repaired the entry");
+    let attached = resolved.attach().unwrap();
+    assert_eq!(attached.space.len(), fresh.len());
+    assert_eq!(attached.space.arena(), fresh.arena());
+    for view in fresh.iter() {
+        assert_eq!(
+            attached.space.index_of(&view.to_vec()),
+            Some(view.id()),
+            "row {} not found",
+            view.id()
+        );
+    }
+
+    handle.request_shutdown();
+    join.join().unwrap();
 }
