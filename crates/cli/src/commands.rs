@@ -54,9 +54,11 @@ COMMANDS:
                       --json              one-line atss.construct.v1 object instead
                                           of the human summary (export still goes
                                           through --format/--out)
-                      analyzer findings go to stderr when this command constructs
-                      the space (no cache, a cache miss, or a daemon build); a
-                      warm hit prints none, and `atss check` prints them on demand
+                      analyzer findings go to stderr without --cache-dir, when
+                      no cache entry exists for the spec, or when the daemon
+                      runs the solver for this request; nothing prints when an
+                      entry exists (even if it is rebuilt), so use `atss check`
+                      to see a spec's findings on demand
     compare         Time several construction methods on one space
                       --workload <name> | --spec <file.json>
                       --methods <comma-separated labels>
@@ -78,8 +80,8 @@ COMMANDS:
                       --daemon <socket>   resolve through a running space-server
                                           (warm serves charge the attach, not a
                                           solve; local fallback when unreachable)
-                      analyzer findings go to stderr as for construct (never
-                      with --json); `atss check` prints them on demand
+                      analyzer findings go to stderr as for construct, and
+                      never with --json; `atss check` prints them on demand
     cache           Manage an ATSS space cache directory
                       cache ls     --cache-dir <dir>
                       cache info   --cache-dir <dir> --workload <n>|--spec <f> [--method <m>]
@@ -261,11 +263,14 @@ type ObtainedSpace = (
 /// `--cache-dir` is (zero-copy when `--mmap` is), by plain construction
 /// otherwise.
 ///
-/// With `analyze`, the analyzer's findings go to stderr exactly when this
-/// command constructs the space: before a local build (so a failing
-/// construction still shows them first), or after a resolve the daemon
-/// answered by building. A hit serves a space whose findings were shown
-/// when it was built; `atss check` prints them on demand.
+/// With `analyze`, the analyzer's findings go to stderr in three cases:
+/// before a build without `--cache-dir`; before the store call when no
+/// entry for the spec exists on disk (so a failing construction still
+/// shows them first); and after a resolve the daemon answered by running
+/// the solver for this request (`built` or `coalesced`). Nothing prints
+/// when an entry already exists, even if the store then rebuilds it, so
+/// an entry first built by another process or by `tune --json` never
+/// shows its findings here; `atss check` prints them on demand.
 fn obtain_space(
     args: &ParsedArgs,
     spec: &SearchSpaceSpec,
@@ -311,14 +316,10 @@ fn obtain_space(
         Some(dir) => {
             let store = SpaceStore::new(dir)
                 .map_err(|e| CliError::Run(format!("cache at `{dir}`: {e}")))?;
-            // A build unless an entry exists. A stale entry the store
-            // rebuilds stays unanalyzed: its findings were shown when it
-            // was first built.
-            let lowering = options
-                .lowering
-                .unwrap_or_else(|| method.default_lowering());
+            // Analyze unless an entry exists on disk, even one the store
+            // then finds stale and rebuilds.
             emit_findings_if(
-                SpecFingerprint::compute(spec, lowering)
+                SpecFingerprint::compute(spec, method.default_lowering())
                     .map_or(true, |fp| !store.path_for(&fp).exists()),
             );
             let load = if args.switch("mmap") {

@@ -65,9 +65,10 @@ mod imp {
             }
         }
 
-        /// Whether the daemon built the space for this request (it ran
-        /// the build, or this request waited on one already running)
-        /// rather than serving an entry that already existed.
+        /// Whether the daemon ran the solver for this request (`built`),
+        /// or this request waited on a solver run already going
+        /// (`coalesced`), rather than serving an entry that already
+        /// existed (`warm` or `validated`).
         pub fn built(&self) -> bool {
             matches!(
                 self.resolved.served,

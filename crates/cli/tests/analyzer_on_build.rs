@@ -1,8 +1,8 @@
-//! When `construct` prints the analyzer's findings: exactly when the
-//! command itself constructs the space. A cache hit serves a space whose
-//! findings were shown when it was built, so it prints nothing; a miss, a
-//! build without a cache and a daemon build print them to stderr before
-//! the command's own output, and a failing construction still prints them
+//! When `construct` prints the analyzer's findings: without `--cache-dir`,
+//! when no cache entry exists for the spec, and when the daemon runs the
+//! solver for the request. A cache hit prints nothing; a miss, a build
+//! without a cache and a daemon build print them to stderr before the
+//! command's own output, and a failing construction still prints them
 //! before its error.
 //!
 //! Findings go to stderr, so these tests drive the built `atss` binary.

@@ -32,9 +32,11 @@
 //! Concurrent `Resolve`s of the same fingerprint trigger **exactly one**
 //! solver run: the first request spawns a build worker, later requests
 //! subscribe to the same build slot and stream progress to their clients
-//! until the worker publishes the result ([`server`]). This is what the
-//! meta-tuning fleet needs: many tuner processes hammering the same spec
-//! cost one construction.
+//! until the worker publishes the result ([`server`]). A request that
+//! waited on a solver run is answered `Coalesced`; one that waited on the
+//! first validation of an entry already on disk shares its `Validated`
+//! answer. This is what the meta-tuning fleet needs: many tuner processes
+//! hammering the same spec cost one construction.
 //!
 //! ## The trust model
 //!

@@ -64,7 +64,8 @@ pub enum ServeKind {
     /// Entry was constructed (solver ran) for this request.
     Built = 2,
     /// Another request was already building this spec; this one waited
-    /// for that single flight and shares its result.
+    /// for that single flight and shares its result. A request that waits
+    /// on the validation of an existing entry is `Validated` instead.
     Coalesced = 3,
 }
 

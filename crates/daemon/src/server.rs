@@ -103,7 +103,7 @@ pub struct DaemonSummary {
     pub builds: u64,
     /// Requests served O(header) from the validated set.
     pub served_warm: u64,
-    /// Requests that joined another request's in-flight build.
+    /// Requests that waited on another request's solver run.
     pub coalesced: u64,
     /// Connections dropped for sending bytes that were not frames.
     pub proto_errors: u64,
@@ -606,7 +606,10 @@ fn resolve(
     };
     match wait_streaming(stream, &slot)? {
         Ok(mut served) => {
-            if !creator {
+            // A waiter on a solver run is coalesced; a waiter on the
+            // validation of an existing entry keeps `Validated`, since
+            // nothing was built for it.
+            if !creator && served.kind == ServeKind::Built {
                 served.kind = ServeKind::Coalesced;
             }
             Ok(served)

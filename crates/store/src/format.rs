@@ -1615,6 +1615,8 @@ mod tests {
             .collect();
         spans.sort_by_key(|r| r.start_ns);
         assert_eq!(spans.len(), policies.len());
+        let requested: Vec<_> = spans.iter().map(|r| r.arg("mmap_requested")).collect();
+        assert_eq!(requested, [Some(0), Some(1), Some(1)]);
         // The names of the spans inside the `store-load` span of one load.
         let parts = |policy: usize| -> Vec<&str> {
             let load = spans[policy];

@@ -200,6 +200,50 @@ fn warm_serves_are_validated_once_then_o_header() {
 }
 
 #[test]
+fn concurrent_resolves_of_an_existing_entry_are_never_builds() {
+    let base = temp_base("existing");
+    let spec = demo_spec("existing-entry");
+    // The entry is on disk before the daemon starts: the first resolve
+    // validates it, and a request that waits on that validation shares
+    // its `Validated` reply instead of reading as a coalesced build.
+    let store = SpaceStore::new(base.join("cache")).unwrap();
+    store.get_or_build(&spec, Method::Optimized).unwrap();
+    let (handle, join, socket) = start_daemon(&base);
+
+    const CLIENTS: usize = 8;
+    let start = std::sync::Barrier::new(CLIENTS);
+    let served: Vec<_> = thread::scope(|s| {
+        let threads: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                let mut client = DaemonClient::connect(&socket).unwrap();
+                let (spec, start) = (&spec, &start);
+                s.spawn(move || {
+                    start.wait();
+                    client
+                        .resolve_spec(spec, Method::Optimized, false, |_| {})
+                        .unwrap()
+                        .served
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+    assert!(served.contains(&ServeKind::Validated), "{served:?}");
+    for kind in &served {
+        assert!(
+            matches!(kind, ServeKind::Validated | ServeKind::Warm),
+            "{served:?}"
+        );
+    }
+    let status = handle.status_json();
+    assert!(status.contains("\"builds\":0"), "{status}");
+    assert!(status.contains("\"coalesced\":0"), "{status}");
+
+    handle.request_shutdown();
+    join.join().unwrap();
+}
+
+#[test]
 fn pinned_entries_survive_daemon_gc() {
     let base = temp_base("pin-gc");
     let socket = base.join("atssd.sock");
