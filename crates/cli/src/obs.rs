@@ -41,6 +41,12 @@ impl ObsSession {
     /// Start a session from a command's parsed flags. Enables the recorder
     /// (and clears any stale records) iff `--trace` or `--metrics` was
     /// passed.
+    ///
+    /// The process-wide allocation high-water mark is reset only for
+    /// `--metrics`, the one reader of `alloc_baseline`. Without it the
+    /// mark is left alone, so a host that measures the peak heap of
+    /// several in-process commands in a row (a benchmark around
+    /// `at_cli::run`) reads the peak of all of them, not only the last.
     pub fn begin(args: &ParsedArgs) -> ObsSession {
         let trace_path = args.get("trace").map(str::to_string);
         let metrics = args.switch("metrics");
@@ -53,7 +59,11 @@ impl ObsSession {
             trace_path,
             metrics,
             active,
-            alloc_baseline: at_obs::alloc::reset_peak(),
+            alloc_baseline: if metrics {
+                at_obs::alloc::reset_peak()
+            } else {
+                0
+            },
         }
     }
 
