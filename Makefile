@@ -36,29 +36,34 @@ smoke:
 # The streaming-construction gate: the sink-equivalence and cross-solver
 # regression suites, a smoke-build of the construction benchmark (time +
 # peak transient allocation per method), and the code contract end to end
-# through the release CLI on prl-4x4, which pre-pruning shrinks: each
-# method's CSV export must be byte-identical with and without --prune, and
-# the parallel solver's must equal the sequential one's.
+# through the release CLI on prl-4x4, which pre-pruning shrinks, and on
+# dedispersion, where the optimized and chain-of-trees searches emit rows
+# out of canonical order: each method's CSV export must be byte-identical
+# with and without --prune, and to brute force's (one row order for every
+# method), and the parallel solver's must equal the sequential one's.
 streaming:
 	$(CARGO) test -q --test sink_streaming --test proptest_solvers
 	$(CARGO) build -p at_bench --bench construction
 	rm -rf target/streaming-smoke
 	mkdir -p target/streaming-smoke
-	for m in optimized parallel-optimized chain-of-trees original brute-force; do \
-		$(CARGO) run --release -q -p at_cli --bin atss -- construct --workload prl-4x4 --method $$m --format csv --out target/streaming-smoke/$$m.csv && \
-		$(CARGO) run --release -q -p at_cli --bin atss -- construct --workload prl-4x4 --method $$m --prune --format csv --out target/streaming-smoke/$$m-pruned.csv && \
-		cmp target/streaming-smoke/$$m.csv target/streaming-smoke/$$m-pruned.csv || exit 1; \
+	for w in prl-4x4 dedispersion; do \
+	  for m in brute-force optimized parallel-optimized chain-of-trees original; do \
+		$(CARGO) run --release -q -p at_cli --bin atss -- construct --workload $$w --method $$m --format csv --out target/streaming-smoke/$$w-$$m.csv && \
+		$(CARGO) run --release -q -p at_cli --bin atss -- construct --workload $$w --method $$m --prune --format csv --out target/streaming-smoke/$$w-$$m-pruned.csv && \
+		cmp target/streaming-smoke/$$w-$$m.csv target/streaming-smoke/$$w-$$m-pruned.csv && \
+		cmp target/streaming-smoke/$$w-$$m.csv target/streaming-smoke/$$w-brute-force.csv || exit 1; \
+	  done; \
+	  cmp target/streaming-smoke/$$w-optimized.csv target/streaming-smoke/$$w-parallel-optimized.csv || exit 1; \
 	done
-	cmp target/streaming-smoke/optimized.csv target/streaming-smoke/parallel-optimized.csv
 
 # The persistence gate: the save/load round-trip + corruption proptest
-# suites (including the mmap/IDX suite), a smoke-build of the store bench
-# (which includes the warm_load_mmap group), and an end-to-end cache
-# round-trip through the CLI — construct twice with --cache-dir, assert the
-# second run is a hit and both runs export byte-identical spaces, then
-# re-run with --mmap and assert the summary reports a zero-copy load and
-# the export still matches, then verify the cache (which validates the IDX
-# checksums). A gemm leg pins when the analyzer's findings print: a miss
+# suites (including the mmap/rank-section suite), a smoke-build of the
+# store bench (which includes the warm_load_mmap group), and an end-to-end
+# cache round-trip through the CLI — construct twice with --cache-dir,
+# assert the second run is a hit and both runs export byte-identical
+# spaces, then re-run with --mmap and assert the summary reports a
+# zero-copy load and the export still matches, then verify the cache
+# (which checks every checksum and that the ranks strictly ascend). A gemm leg pins when the analyzer's findings print: a miss
 # constructs and writes gemm's AT0006 findings to stderr, and the --mmap
 # hit that follows writes nothing there.
 store:
@@ -164,9 +169,12 @@ daemon-smoke:
 	bash scripts/daemon_smoke.sh
 
 # The fuzzing gate (see README "Fuzzing & corpus policy"): replay every
-# checked-in regression input, then a short fixed-seed run of all three
-# targets so the differential oracles themselves are exercised on every
-# verify. Deterministic: same seed, same inputs, every run.
+# checked-in regression input — the store targets' inputs must be files of
+# the current ATSS format version, so none is rejected at the version
+# field before it reaches the code it regresses — then a short fixed-seed
+# run of all five targets so the differential oracles themselves are
+# exercised on every verify. Deterministic: same seed, same inputs, every
+# run.
 fuzz-smoke:
 	$(CARGO) test -q --test fuzz_corpus
 	$(CARGO) run --release -p at_fuzz -- all --iters 20000 --seed 24301 --no-write

@@ -7,8 +7,9 @@
 //! `build_search_space` and the finished `SearchSpace`. The counting
 //! global allocator (`at_obs::alloc`) reports the high-water mark of live
 //! heap bytes during one instrumented construction per method; with the
-//! encoding sink this is dominated by the `u32` arena itself rather than a
-//! decoded `Vec<Vec<Value>>` copy of every solution.
+//! encoding sink this is dominated by the `u64` rank array itself (or by the
+//! method's own search structures) rather than a decoded
+//! `Vec<Vec<Value>>` copy of every solution.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -44,7 +45,7 @@ fn report_peak_allocation() {
             let baseline = at_obs::alloc::reset_peak();
             let (space, report) = build_search_space(&spec, method).expect("construction");
             let peak = at_obs::alloc::peak_since(baseline);
-            let arena_bytes = space.len() * space.num_params() * std::mem::size_of::<u32>();
+            let arena_bytes = std::mem::size_of_val(space.arena());
             println!(
                 "  {:<14} {:<20} peak {:>12} B   arena {:>10} B   {} configs in {:.3?}",
                 spec.name,

@@ -1,10 +1,10 @@
 //! Criterion benchmarks of the resolved-search-space operations that
-//! optimization algorithms rely on (Section 4.4): hash lookups (both the
-//! value-row path and the encoded-row fast path), neighbor queries, sampling
-//! and the single-pass arena statistics.
+//! optimization algorithms rely on (Section 4.4): rank lookups (the
+//! value-row path, the encoded-row path and the bare binary search),
+//! neighbor queries, sampling and the single-pass rank statistics.
 //!
-//! A Hamming neighbor query is `Σ_p (|D_p| − 1)` encoded-row lookups, so
-//! `hamming_neighbors` reads as a multiple of `index_of_codes` in the same
+//! A Hamming neighbor query is `Σ_p (|D_p| − 1)` rank lookups, so
+//! `hamming_neighbors` reads as a multiple of `index_of_rank` in the same
 //! group: 39 lookups on dedispersion, 35 on microhh. `random_neighbor`
 //! stops at the first valid candidate of a random probe order, an expected
 //! `(K + 1) / (V + 1)` lookups for `K` candidates and `V` neighbors; it
@@ -42,13 +42,21 @@ fn bench_searchspace_ops(c: &mut Criterion) {
     let (space, _) = build_search_space(&dedispersion().spec, Method::Optimized).unwrap();
     let mid = ConfigId::from_index(space.len() / 2);
     let some_config = space.view(mid).unwrap().to_vec();
-    let some_codes = space.codes_of(mid).unwrap().to_vec();
+    let mut some_codes = Vec::new();
+    space.codes_into(mid, &mut some_codes);
+    let some_rank = space.rank_of(mid).unwrap();
 
     let mut group = c.benchmark_group("searchspace_ops/dedispersion");
     group.bench_function("contains", |b| b.iter(|| space.contains(&some_config)));
     group.bench_function("index_of", |b| b.iter(|| space.index_of(&some_config)));
     group.bench_function("index_of_codes", |b| {
         b.iter(|| space.index_of_codes(&some_codes))
+    });
+    group.bench_function("index_of_rank", |b| {
+        b.iter(|| space.index_of_rank(some_rank))
+    });
+    group.bench_function("decode_row", |b| {
+        b.iter(|| space.codes_into(mid, &mut some_codes))
     });
     group.bench_function("hamming_neighbors", |b| {
         b.iter(|| neighbors(&space, mid, NeighborMethod::Hamming).len())
@@ -77,10 +85,15 @@ fn bench_searchspace_ops(c: &mut Criterion) {
 
     let (space, _) = build_search_space(&microhh().spec, Method::Optimized).unwrap();
     let mid = ConfigId::from_index(space.len() / 2);
-    let some_codes = space.codes_of(mid).unwrap().to_vec();
+    let mut some_codes = Vec::new();
+    space.codes_into(mid, &mut some_codes);
+    let some_rank = space.rank_of(mid).unwrap();
     let mut group = c.benchmark_group("searchspace_ops/microhh");
     group.bench_function("index_of_codes", |b| {
         b.iter(|| space.index_of_codes(&some_codes))
+    });
+    group.bench_function("index_of_rank", |b| {
+        b.iter(|| space.index_of_rank(some_rank))
     });
     group.bench_function("hamming_neighbors", |b| {
         b.iter(|| neighbors(&space, mid, NeighborMethod::Hamming).len())

@@ -8,13 +8,12 @@
 //! groups then track the individual costs:
 //!
 //! * `store/cold_construct` — optimized-solver construction from scratch,
-//! * `store/warm_load_verified` — the verified copy: every checksum, the
-//!   code-range pass, and the persisted index adopted after sampled
-//!   lookups (the default `SpaceStore` hit path),
-//! * `store/warm_load_mmap` — the trusted zero-copy mmap: O(header + index)
-//!   work (the `IDX` checksum and one pass over the slots),
-//!   proving the paper's "serve from the representation" argument
-//!   end-to-end,
+//! * `store/warm_load_verified` — the verified copy: every checksum and
+//!   one pass that the ranks strictly ascend below the Cartesian size (the
+//!   default `SpaceStore` hit path),
+//! * `store/warm_load_mmap` — the trusted zero-copy mmap: O(header) work,
+//!   no rank byte read, proving the paper's "serve from the
+//!   representation" argument end-to-end,
 //! * `store/write` — persisting an already-resolved space.
 
 use std::time::{Duration, Instant};

@@ -10,8 +10,7 @@ use at_searchspace::{
     BuildOptions, BuildReport, Method, SearchSpace, SearchSpaceSpec, SpaceCharacteristics,
 };
 use at_store::{
-    CacheStatus, GcOptions, LoadOptions, SpaceStore, SpecFingerprint, StoreEntry, StoreError,
-    StoreOutcome,
+    CacheStatus, GcOptions, LoadOptions, SpaceStore, StoreEntry, StoreError, StoreOutcome,
 };
 use at_tuner::{all_strategy_names, strategy_by_name, tune_with_options, EvalOptions, TuningRun};
 use at_workloads::{all_real_world, performance_model_for, real_world_by_name, real_world_names};
@@ -319,8 +318,9 @@ fn obtain_space(
             // Analyze unless an entry exists on disk, even one the store
             // then finds stale and rebuilds.
             emit_findings_if(
-                SpecFingerprint::compute(spec, method.default_lowering())
-                    .map_or(true, |fp| !store.path_for(&fp).exists()),
+                store
+                    .entry_for(spec, method.default_lowering())
+                    .map_or(true, |entry| !entry.exists),
             );
             let load = if args.switch("mmap") {
                 LoadOptions::mmap_trusted()
@@ -441,7 +441,7 @@ fn construct_json(
     outcome: &Option<(StoreOutcome, SpaceStore)>,
     daemon: &Option<DaemonServed>,
 ) -> Json {
-    let arena_bytes = space.len() * space.num_params() * std::mem::size_of::<u32>();
+    let arena_bytes = std::mem::size_of_val(space.arena());
     Json::obj()
         .with("schema", "atss.construct.v1")
         .with("space", spec.name.as_str())
@@ -575,10 +575,9 @@ pub fn construct(args: &ParsedArgs) -> Result<String, CliError> {
             // ever held alongside.
             writeln!(
                 out,
-                "code arena:           {} bytes ({} configs x {} u32 codes)",
-                space.len() * space.num_params() * std::mem::size_of::<u32>(),
+                "rank arena:           {} bytes ({} configs x one u64 rank)",
+                std::mem::size_of_val(space.arena()),
                 space.len(),
-                space.num_params()
             )
             .expect("write to string");
             if let Some((outcome, store)) = &outcome {
@@ -987,7 +986,7 @@ pub fn capabilities(args: &ParsedArgs) -> Result<String, CliError> {
             [
                 "content-addressed-cache",
                 "mmap-zero-copy",
-                "persisted-index",
+                "sorted-ranks",
                 "crc-framing",
                 "verify",
                 "gc",
@@ -1126,26 +1125,21 @@ fn cache_ls(args: &ParsedArgs) -> Result<(String, SpaceStore), CliError> {
     let mut out = String::new();
     writeln!(
         out,
-        "{:<32} {:<16} {:>10} {:>8} {:>12} {:>4} {:>5}",
-        "fingerprint", "space", "configs", "params", "bytes", "ver", "idx"
+        "{:<32} {:<16} {:>10} {:>8} {:>12} {:>4}",
+        "fingerprint", "space", "configs", "params", "bytes", "ver"
     )
     .expect("write to string");
     let mut total: u64 = 0;
     for entry in &entries {
-        let (name, rows, params, version, idx) = match &entry.info {
+        let (name, rows, params, version) = match &entry.info {
             Some(info) => (
                 info.name.clone(),
                 info.num_rows.to_string(),
                 info.num_params.to_string(),
                 info.version.to_string(),
-                match info.index {
-                    Some(_) => "yes".to_string(),
-                    None => "no".to_string(),
-                },
             ),
             None => (
                 "<unreadable>".to_string(),
-                "-".to_string(),
                 "-".to_string(),
                 "-".to_string(),
                 "-".to_string(),
@@ -1153,14 +1147,13 @@ fn cache_ls(args: &ParsedArgs) -> Result<(String, SpaceStore), CliError> {
         };
         writeln!(
             out,
-            "{:<32} {:<16} {:>10} {:>8} {:>12} {:>4} {:>5}",
+            "{:<32} {:<16} {:>10} {:>8} {:>12} {:>4}",
             entry.fingerprint.to_hex(),
             name,
             rows,
             params,
             entry.bytes,
-            version,
-            idx
+            version
         )
         .expect("write to string");
         total += entry.bytes;
@@ -1182,10 +1175,10 @@ fn cache_info(args: &ParsedArgs) -> Result<(String, SpaceStore), CliError> {
     let store = resolve_store(args)?;
     let spec = resolve_spec(args)?;
     let method = resolve_method(args)?;
-    let lowering = method.default_lowering();
-    let fingerprint =
-        SpecFingerprint::compute(&spec, lowering).map_err(|e| CliError::Run(e.to_string()))?;
-    let path = store.path_for(&fingerprint);
+    let entry = store
+        .entry_for(&spec, method.default_lowering())
+        .map_err(|e| CliError::Run(e.to_string()))?;
+    let (fingerprint, path) = (entry.fingerprint, entry.path);
 
     let mut out = String::new();
     writeln!(out, "space:        {}", spec.name).expect("write to string");
@@ -1205,7 +1198,7 @@ fn cache_info(args: &ParsedArgs) -> Result<(String, SpaceStore), CliError> {
         }
     )
     .expect("write to string");
-    if path.exists() {
+    if entry.exists {
         match at_store::peek_info(&path) {
             Ok(info) => {
                 writeln!(out, "cached:       yes (format v{})", info.version)
@@ -1216,16 +1209,6 @@ fn cache_info(args: &ParsedArgs) -> Result<(String, SpaceStore), CliError> {
                     info.num_rows, info.num_params, info.file_bytes
                 )
                 .expect("write to string");
-                match info.index {
-                    Some(idx) => writeln!(
-                        out,
-                        "index:        persisted ({} slots, row-hash v{})",
-                        idx.num_slots, idx.hash_version
-                    )
-                    .expect("write to string"),
-                    None => writeln!(out, "index:        none (rebuilt on every load)")
-                        .expect("write to string"),
-                }
                 if args.switch("mmap") {
                     let start = std::time::Instant::now();
                     let loaded = at_store::load_space_from_path(&path, LoadOptions::mmap_trusted())
@@ -1238,17 +1221,6 @@ fn cache_info(args: &ParsedArgs) -> Result<(String, SpaceStore), CliError> {
                         loaded.report.describe()
                     )
                     .expect("write to string");
-                    // An index fallback means the persisted index was
-                    // rejected and silently repaired by an in-memory
-                    // rebuild — surface it so operators know the entry
-                    // is worth re-writing.
-                    if let Some(reason) = loaded.report.index_fallback() {
-                        writeln!(
-                            out,
-                            "index repair: persisted index rejected ({reason}); rebuilt in memory"
-                        )
-                        .expect("write to string");
-                    }
                 }
             }
             Err(e) => {
@@ -2066,7 +2038,7 @@ mod tests {
         assert!(warm.contains("cache stats:"), "{warm}");
         if cfg!(target_os = "linux") {
             assert!(warm.contains("zero-copy (mmap)"), "{warm}");
-            assert!(warm.contains("persisted index trusted"), "{warm}");
+            assert!(warm.contains("ranks trusted"), "{warm}");
         }
 
         // The zero-copy space exports byte-identically to the direct build.
@@ -2105,7 +2077,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_info_reports_the_persisted_index() {
+    fn cache_info_reports_the_persisted_entry() {
         let dir = fresh_cache_dir("info-idx");
         construct(&parsed(&[
             "construct",
@@ -2125,12 +2097,12 @@ mod tests {
             "--mmap",
         ]))
         .unwrap();
-        assert!(info.contains("format v2"), "{info}");
-        assert!(info.contains("index:        persisted"), "{info}");
-        assert!(info.contains("row-hash v1"), "{info}");
+        assert!(info.contains("format v3"), "{info}");
+        assert!(info.contains("2793 configs x 8 params"), "{info}");
         assert!(info.contains("mmap load:"), "{info}");
         let ls = cache(&parsed(&["cache", "ls", "--cache-dir", &dir])).unwrap();
-        assert!(ls.contains("yes"), "{ls}");
+        assert!(ls.contains("Dedispersion"), "{ls}");
+        assert!(!ls.contains("idx"), "{ls}");
     }
 
     #[test]

@@ -386,7 +386,7 @@ mod tests {
         .unwrap();
         assert!(cold.contains("daemon:               built"), "{cold}");
         assert!(cold.contains("zero-copy (mmap)"), "{cold}");
-        assert!(cold.contains("persisted index trusted"), "{cold}");
+        assert!(cold.contains("ranks trusted"), "{cold}");
 
         // Warm resolve: served O(header), no build report in the summary.
         let warm = run(&args(&[

@@ -34,7 +34,9 @@ pub struct ObsSession {
     trace_path: Option<String>,
     metrics: bool,
     active: bool,
-    alloc_baseline: usize,
+    /// The allocation window of a `--metrics` command; closing it (when
+    /// the session drops) gives the host its outer high-water mark back.
+    peak_window: Option<at_obs::alloc::PeakWindow>,
 }
 
 impl ObsSession {
@@ -42,11 +44,13 @@ impl ObsSession {
     /// (and clears any stale records) iff `--trace` or `--metrics` was
     /// passed.
     ///
-    /// The process-wide allocation high-water mark is reset only for
-    /// `--metrics`, the one reader of `alloc_baseline`. Without it the
-    /// mark is left alone, so a host that measures the peak heap of
-    /// several in-process commands in a row (a benchmark around
-    /// `at_cli::run`) reads the peak of all of them, not only the last.
+    /// A `--metrics` command measures its own allocation peak in a nested
+    /// [`at_obs::alloc::PeakWindow`]: the envelope reports only this
+    /// command's peak, and when the session ends the process-wide
+    /// high-water mark rises back to what it was before, if that was
+    /// higher. So a host that measures the peak heap of several in-process
+    /// commands in a row (a benchmark around `at_cli::run`) reads the peak
+    /// of all of them, `--metrics` or not.
     pub fn begin(args: &ParsedArgs) -> ObsSession {
         let trace_path = args.get("trace").map(str::to_string);
         let metrics = args.switch("metrics");
@@ -59,11 +63,7 @@ impl ObsSession {
             trace_path,
             metrics,
             active,
-            alloc_baseline: if metrics {
-                at_obs::alloc::reset_peak()
-            } else {
-                0
-            },
+            peak_window: metrics.then(at_obs::alloc::PeakWindow::open),
         }
     }
 
@@ -118,7 +118,11 @@ impl ObsSession {
         alloc.push("installed", Json::Bool(at_obs::alloc::installed()));
         alloc.push(
             "peak_bytes",
-            Json::U64(at_obs::alloc::peak_since(self.alloc_baseline) as u64),
+            Json::U64(
+                self.peak_window
+                    .as_ref()
+                    .map_or(0, at_obs::alloc::PeakWindow::peak) as u64,
+            ),
         );
         doc.push("alloc", alloc);
         for (name, section) in sections {

@@ -48,7 +48,7 @@ fn gemm_hit_line(source: &str) -> String {
     format!(
         "{{\"schema\":\"atss.construct.v1\",\"space\":\"GEMM\",\"method\":\"optimized\",\
          \"cartesian\":1327104,\"valid\":241600,\"construction_ms\":null,\
-         \"constraint_checks\":null,\"arena_bytes\":16428800,\"cache_source\":\"{source}\"}}\n"
+         \"constraint_checks\":null,\"arena_bytes\":1932800,\"cache_source\":\"{source}\"}}\n"
     )
 }
 

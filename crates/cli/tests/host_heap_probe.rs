@@ -1,7 +1,8 @@
 //! A host process that installs the counting allocator and runs several
 //! `atss` commands in-process (a benchmark around `at_cli::run`) reads
-//! the peak heap of all of them: a command resets the process-wide
-//! high-water mark only when `--metrics` asks it for its own peak.
+//! the peak heap of all of them: a `--metrics` command measures its own
+//! peak in a nested window, which gives the host's high-water mark back
+//! when it closes.
 
 use std::sync::Mutex;
 
@@ -19,6 +20,14 @@ fn atss(args: &[&str]) -> String {
     at_cli::run(&owned).expect("command succeeds")
 }
 
+/// Run both commands once, unmeasured: whichever test takes the lock
+/// first would otherwise count the process's one-time allocations (lazy
+/// statics that stay live) in its first measurement only.
+fn warm_up() {
+    drop(atss(BIG));
+    drop(atss(SMALL));
+}
+
 /// Peak heap of `f` above the live heap when it started.
 fn peak_of(f: impl FnOnce()) -> usize {
     let base = reset_peak();
@@ -32,6 +41,7 @@ const SMALL: &[&str] = &["check", "--workload", "gemm"];
 #[test]
 fn commands_without_metrics_leave_the_host_peak_alone() {
     let _guard = HEAP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    warm_up();
     assert!(at_obs::alloc::installed());
     let big = peak_of(|| drop(atss(BIG)));
     let small = peak_of(|| drop(atss(SMALL)));
@@ -48,6 +58,7 @@ fn commands_without_metrics_leave_the_host_peak_alone() {
 #[test]
 fn a_metrics_command_reports_only_its_own_peak() {
     let _guard = HEAP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    warm_up();
     let big = peak_of(|| drop(atss(BIG)));
     // Run after the big command, the small one's envelope leaves its peak out.
     drop(atss(BIG));
@@ -61,4 +72,26 @@ fn a_metrics_command_reports_only_its_own_peak() {
     );
     let own = alloc.get("peak_bytes").unwrap().as_i64().unwrap() as usize;
     assert!(own > 0 && own < big, "own peak {own}, first command {big}");
+}
+
+#[test]
+fn a_metrics_command_keeps_the_host_peak_of_the_commands_before_it() {
+    let _guard = HEAP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    warm_up();
+    let big = peak_of(|| drop(atss(BIG)));
+    let check_metrics = [SMALL, &["--metrics"]].concat();
+    let mut envelope = String::new();
+    // A cold construct, then a `--metrics` check: the host reads the
+    // construct's peak across both.
+    let pair = peak_of(|| {
+        drop(atss(BIG));
+        envelope = atss(&check_metrics);
+    });
+    assert!(pair >= big, "pair {pair} < the construct's peak {big}");
+
+    // The envelope still reports only the check's own peak.
+    let doc: serde_json::Value = serde_json::from_str(envelope.lines().last().unwrap()).unwrap();
+    let alloc = doc.get("alloc").unwrap();
+    let own = alloc.get("peak_bytes").unwrap().as_i64().unwrap() as usize;
+    assert!(own > 0 && own < big, "own peak {own}, construct {big}");
 }

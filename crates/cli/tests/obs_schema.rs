@@ -169,3 +169,95 @@ fn metrics_envelope_satisfies_the_schema() {
         );
     }
 }
+
+/// The `X` events of a Chrome trace file, as (name, args).
+fn trace_spans(path: &std::path::Path) -> Vec<(String, serde_json::Value)> {
+    let doc: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+    doc.as_array()
+        .unwrap()
+        .iter()
+        .filter(|event| event.get("ph").unwrap().as_str() == Some("X"))
+        .map(|event| {
+            let name = event.get("name").unwrap().as_str().unwrap().to_string();
+            (
+                name,
+                event
+                    .get("args")
+                    .cloned()
+                    .unwrap_or(serde_json::Value::Null),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn rank_spans_and_their_args_are_pinned() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("at-obs-schema-ranks-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let cache = dir.join("cache");
+    let trace = dir.join("trace.json");
+    let run = |extra: &[&str]| {
+        let mut args = vec![
+            "construct",
+            "--workload",
+            "dedispersion",
+            "--format",
+            "count",
+            "--trace",
+            trace.to_str().unwrap(),
+        ];
+        args.extend_from_slice(extra);
+        let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        at_cli::run(&owned).unwrap();
+        trace_spans(&trace)
+    };
+    let arg = |args: &serde_json::Value, key: &str| args.get(key).unwrap().as_i64().unwrap();
+
+    // `encode-finish` says whether it had to sort: chain-of-trees emits
+    // dedispersion's rows out of canonical order, the original solver in
+    // it. The arena is 8 bytes per row.
+    for (method, sorted) in [("chain-of-trees", 1), ("original", 0)] {
+        let spans = run(&["--method", method]);
+        let (_, args) = spans
+            .iter()
+            .find(|(name, _)| name == "encode-finish")
+            .expect("encode-finish span");
+        assert_eq!(arg(args, "sorted"), sorted, "{method}");
+        assert_eq!(arg(args, "arena_bytes"), 8 * arg(args, "rows"), "{method}");
+    }
+
+    // A cold build fills the cache; the verified copy then checks the
+    // ranks in their own span, and the trusted mmap reads no rank byte.
+    run(&["--cache-dir", cache.to_str().unwrap()]);
+    let names = |spans: Vec<(String, serde_json::Value)>| -> Vec<String> {
+        spans
+            .into_iter()
+            .map(|(name, _)| name)
+            .filter(|name| name.starts_with("store-"))
+            .collect()
+    };
+    let copied = names(run(&["--cache-dir", cache.to_str().unwrap()]));
+    assert_eq!(
+        copied,
+        [
+            "store-load",
+            "store-read",
+            "store-parse",
+            "store-arena-crc",
+            "store-rank-check"
+        ],
+        "{copied:?}"
+    );
+    if cfg!(all(target_os = "linux", target_endian = "little")) {
+        let mapped = names(run(&["--cache-dir", cache.to_str().unwrap(), "--mmap"]));
+        assert_eq!(
+            mapped,
+            ["store-load", "store-map", "store-parse"],
+            "{mapped:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

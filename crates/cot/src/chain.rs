@@ -1,29 +1,8 @@
 //! The chain of trees: linked per-group trees and whole-space operations.
 
 use at_csp::Value;
-use rand::Rng;
 
 use crate::tree::{GroupTree, TreeNode};
-
-/// Draw a uniform index in `[0, span)` by rejection sampling over two `u64`
-/// draws.
-///
-/// The word is assembled from two full 64-bit draws; words falling in the
-/// final partial block of `span`-sized buckets above `zone` would bias the
-/// low residues, so they are rejected and redrawn (rejection probability is
-/// `(2^128 mod span) / 2^128`, i.e. at most one in two and practically zero
-/// for realistic chain sizes).
-fn uniform_u128<R: Rng>(rng: &mut R, span: u128) -> u128 {
-    debug_assert!(span > 0, "cannot sample an empty range");
-    let rem = (u128::MAX % span + 1) % span; // 2^128 mod span
-    let zone = u128::MAX - rem;
-    loop {
-        let word = ((rng.next_u64() as u128) << 64) | rng.next_u64() as u128;
-        if word <= zone {
-            return word % span;
-        }
-    }
-}
 
 /// A chain of per-group trees representing a constrained search space.
 #[derive(Debug, Clone)]
@@ -75,27 +54,6 @@ impl ChainOfTrees {
         self.trees.iter().any(|t| t.leaf_count == 0)
     }
 
-    /// The configuration at `index` (0 ≤ index < `size()`), decoded mixed-radix
-    /// over the group sizes. Values are returned in declaration order.
-    pub fn configuration(&self, index: u128) -> Option<Vec<Value>> {
-        if index >= self.size() || self.is_empty() {
-            return None;
-        }
-        let mut remaining = index;
-        let mut values: Vec<Option<Value>> = vec![None; self.names.len()];
-        // Least-significant group last for a stable lexicographic-ish order.
-        for tree in self.trees.iter().rev() {
-            let radix = tree.leaf_count as u128;
-            let digit = (remaining % radix) as usize;
-            remaining /= radix;
-            let combo = tree.combination(digit)?;
-            for (pos, &param) in tree.params.iter().enumerate() {
-                values[param] = Some(combo[pos].clone());
-            }
-        }
-        values.into_iter().collect()
-    }
-
     /// Visit every configuration in the space as a row of codes in
     /// declaration order (each node's [`TreeNode::code`]) without
     /// materializing the set: the row is one reused buffer, updated in
@@ -103,8 +61,8 @@ impl ChainOfTrees {
     /// complete, so the whole walk allocates O(params), not
     /// O(size × params). Returning an error from `visit` aborts the walk.
     ///
-    /// The visit order matches [`ChainOfTrees::configuration`]: the last
-    /// tree varies fastest.
+    /// Each tree is walked depth first, its nodes in code order, and the
+    /// last tree varies fastest.
     pub fn for_each_code_row<E, F>(&self, mut visit: F) -> Result<(), E>
     where
         F: FnMut(&[u32]) -> Result<(), E>,
@@ -157,48 +115,30 @@ impl ChainOfTrees {
     }
 
     /// Enumerate every configuration in the space (values in declaration
-    /// order), in [`ChainOfTrees::configuration`] order. Intended for
-    /// validation on spaces that fit in memory; use
-    /// [`ChainOfTrees::for_each_code_row`] to stream instead.
+    /// order), in [`ChainOfTrees::for_each_code_row`] order. Intended for
+    /// validation on spaces that fit in memory; stream the code rows
+    /// instead where the space is large.
     pub fn enumerate(&self) -> Vec<Vec<Value>> {
-        (0..self.size())
-            .map(|index| self.configuration(index).expect("index below size"))
-            .collect()
-    }
-
-    /// Sample a configuration uniformly at random by index.
-    ///
-    /// The index is drawn as a full-width `u128` by rejection sampling
-    /// over two `u64` draws, so it is unbiased at any chain size.
-    /// (An earlier version cast `size()` through `u64`, which panicked on
-    /// chains of exactly `2^64` configurations and made every configuration
-    /// beyond index `u64::MAX - 1` unreachable on larger chains.)
-    pub fn sample_uniform<R: Rng>(&self, rng: &mut R) -> Option<Vec<Value>> {
-        if self.is_empty() {
-            return None;
-        }
-        let index = uniform_u128(rng, self.size());
-        self.configuration(index)
-    }
-
-    /// Sample by walking each tree from the root, picking a uniformly random
-    /// child at every level. This is the "naive" tree sampling the paper
-    /// notes is *biased towards the sparser parts* of the chain-of-trees:
-    /// paths through sparsely populated subtrees are over-represented.
-    pub fn sample_path_biased<R: Rng>(&self, rng: &mut R) -> Option<Vec<Value>> {
-        if self.is_empty() {
-            return None;
-        }
-        let mut values: Vec<Option<Value>> = vec![None; self.names.len()];
+        // Each parameter's declared values, which its codes index.
+        let mut declared: Vec<&[Value]> = vec![&[]; self.names.len()];
         for tree in &self.trees {
-            let mut nodes = &tree.roots;
-            for level in 0..tree.depth() {
-                let node = &nodes[rng.gen_range(0..nodes.len())];
-                values[tree.params[level]] = Some(tree.declared[level][node.code as usize].clone());
-                nodes = &node.children;
+            for (level, &param) in tree.params.iter().enumerate() {
+                declared[param] = &tree.declared[level];
             }
         }
-        values.into_iter().collect()
+        let mut rows = Vec::new();
+        self.for_each_code_row(|codes| -> Result<(), std::convert::Infallible> {
+            rows.push(
+                codes
+                    .iter()
+                    .zip(&declared)
+                    .map(|(&code, values)| values[code as usize].clone())
+                    .collect(),
+            );
+            Ok(())
+        })
+        .expect("the visit never fails");
+        rows
     }
 }
 
@@ -208,8 +148,6 @@ mod tests {
     use crate::tree::{GroupConstraint, GroupTree};
     use at_csp::value::int_values;
     use at_csp::{Domain, MaxProduct};
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
     use std::collections::HashSet;
     use std::sync::Arc;
 
@@ -266,41 +204,7 @@ mod tests {
     }
 
     #[test]
-    fn indexed_configurations_cover_the_space_exactly_once() {
-        let chain = small_chain();
-        let mut seen = HashSet::new();
-        for i in 0..chain.size() {
-            let row = chain.configuration(i).unwrap();
-            assert!(seen.insert(as_tuple(&row)), "duplicate at index {i}");
-        }
-        assert_eq!(seen, reference());
-        assert!(chain.configuration(chain.size()).is_none());
-    }
-
-    #[test]
-    fn uniform_sampling_hits_every_configuration() {
-        let chain = small_chain();
-        let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let mut seen = HashSet::new();
-        for _ in 0..2000 {
-            seen.insert(as_tuple(&chain.sample_uniform(&mut rng).unwrap()));
-        }
-        assert_eq!(seen, reference());
-    }
-
-    #[test]
-    fn biased_sampling_yields_valid_configurations() {
-        let chain = small_chain();
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let expected = reference();
-        for _ in 0..200 {
-            let row = chain.sample_path_biased(&mut rng).unwrap();
-            assert!(expected.contains(&as_tuple(&row)));
-        }
-    }
-
-    #[test]
-    fn code_rows_decode_to_the_indexed_configurations_in_order() {
+    fn code_rows_come_depth_first_with_the_last_tree_fastest() {
         let chain = small_chain();
         let mut rows: Vec<Vec<u32>> = Vec::new();
         chain
@@ -310,12 +214,35 @@ mod tests {
             })
             .unwrap();
         assert_eq!(rows.len() as u128, chain.size());
-        let (xy, z) = ([1i64, 2, 4], [10i64, 20]);
-        for (i, row) in rows.iter().enumerate() {
-            let decoded = (xy[row[0] as usize], xy[row[1] as usize], z[row[2] as usize]);
-            let indexed = chain.configuration(i as u128).unwrap();
-            assert_eq!(decoded, as_tuple(&indexed), "row {i}");
-        }
+        // (x, y) in code order with x*y <= 8, each followed by both z.
+        let xy = [
+            (0, 0),
+            (0, 1),
+            (0, 2),
+            (1, 0),
+            (1, 1),
+            (1, 2),
+            (2, 0),
+            (2, 1),
+        ];
+        let expected: Vec<Vec<u32>> = xy
+            .iter()
+            .flat_map(|&(x, y)| [vec![x, y, 0], vec![x, y, 1]])
+            .collect();
+        assert_eq!(rows, expected);
+        let decoded: Vec<(i64, i64, i64)> = chain.enumerate().iter().map(|r| as_tuple(r)).collect();
+        let (values, z) = ([1i64, 2, 4], [10i64, 20]);
+        let from_codes: Vec<(i64, i64, i64)> = rows
+            .iter()
+            .map(|r| {
+                (
+                    values[r[0] as usize],
+                    values[r[1] as usize],
+                    z[r[2] as usize],
+                )
+            })
+            .collect();
+        assert_eq!(decoded, from_codes);
     }
 
     #[test]
@@ -334,68 +261,6 @@ mod tests {
         assert_eq!(seen, 3);
     }
 
-    /// A chain of `num_binary` independent two-value parameters: its size is
-    /// exactly `2^num_binary`, letting tests cross the `u64` boundary with a
-    /// structure that is cheap to build.
-    fn huge_chain(num_binary: usize) -> ChainOfTrees {
-        let names = (0..num_binary).map(|i| format!("p{i}")).collect();
-        let trees = (0..num_binary)
-            .map(|i| GroupTree::build(vec![i], &[&Domain::new(int_values([0, 1]))], &[]))
-            .collect();
-        ChainOfTrees::new(names, trees)
-    }
-
-    #[test]
-    fn sampling_a_chain_of_exactly_two_pow_64_configurations() {
-        // Regression: `size as u64` truncated 2^64 to 0, so the index draw
-        // panicked on an empty range.
-        let chain = huge_chain(64);
-        assert_eq!(chain.size(), 1u128 << 64);
-        let mut rng = ChaCha8Rng::seed_from_u64(17);
-        for _ in 0..32 {
-            let row = chain.sample_uniform(&mut rng).unwrap();
-            assert_eq!(row.len(), 64);
-        }
-    }
-
-    #[test]
-    fn sampling_reaches_beyond_the_u64_boundary() {
-        // Regression: with the truncating cast every drawn index stayed
-        // below 2^64, so the first (most significant) parameter could never
-        // take its second value on a chain of size 2^65.
-        let chain = huge_chain(65);
-        assert!(chain.size() > u64::MAX as u128);
-        let mut rng = ChaCha8Rng::seed_from_u64(23);
-        let mut high_half_seen = false;
-        for _ in 0..64 {
-            let row = chain.sample_uniform(&mut rng).unwrap();
-            assert_eq!(row.len(), 65);
-            high_half_seen |= row[0].as_i64() == Some(1);
-        }
-        assert!(
-            high_half_seen,
-            "64 draws from a 2^65 space never reached the high half \
-             (probability 2^-64 under a correct sampler)"
-        );
-    }
-
-    #[test]
-    fn uniform_u128_stays_in_range_and_covers_small_spans() {
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let mut seen = [false; 7];
-        for _ in 0..500 {
-            let x = uniform_u128(&mut rng, 7);
-            seen[x as usize] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-        for _ in 0..100 {
-            let span = 3u128 << 100;
-            assert!(uniform_u128(&mut rng, span) < span);
-            assert!(uniform_u128(&mut rng, u128::MAX) < u128::MAX);
-            assert_eq!(uniform_u128(&mut rng, 1), 0);
-        }
-    }
-
     #[test]
     fn empty_chain_reports_empty() {
         let t = GroupTree::build(
@@ -411,8 +276,6 @@ mod tests {
         assert!(chain.is_empty());
         assert_eq!(chain.size(), 0);
         assert!(chain.enumerate().is_empty());
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        assert!(chain.sample_uniform(&mut rng).is_none());
     }
 
     #[test]

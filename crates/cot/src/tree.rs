@@ -90,31 +90,6 @@ impl GroupTree {
         self.params.len()
     }
 
-    /// The `index`-th valid combination in deterministic (depth-first) order.
-    pub fn combination(&self, mut index: usize) -> Option<Vec<Value>> {
-        if index >= self.leaf_count {
-            return None;
-        }
-        let mut path: Vec<Value> = Vec::with_capacity(self.depth());
-        let mut nodes = &self.roots;
-        loop {
-            let mut chosen: Option<&TreeNode> = None;
-            for node in nodes {
-                if index < node.leaves {
-                    chosen = Some(node);
-                    break;
-                }
-                index -= node.leaves;
-            }
-            let node = chosen?;
-            path.push(self.declared[path.len()][node.code as usize].clone());
-            if path.len() == self.depth() {
-                return Some(path);
-            }
-            nodes = &node.children;
-        }
-    }
-
     /// Total number of tree nodes (a memory-use proxy).
     pub fn node_count(&self) -> usize {
         fn count(node: &TreeNode) -> usize {
@@ -219,19 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn indexed_combinations_are_valid_and_exhaustive() {
-        let tree = product_group();
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..tree.leaf_count {
-            let combo = tree.combination(i).unwrap();
-            let p = combo[0].as_i64().unwrap() * combo[1].as_i64().unwrap();
-            assert!((32..=256).contains(&p));
-            assert!(seen.insert((combo[0].as_i64(), combo[1].as_i64())));
-        }
-        assert!(tree.combination(tree.leaf_count).is_none());
-    }
-
-    #[test]
     fn nodes_carry_declared_codes_of_a_pruned_domain() {
         // Pruning 1 and 2 from x leaves codes 2.. on the surviving nodes.
         let mut x = Domain::new(int_values([1, 2, 4, 8, 16, 32]));
@@ -240,7 +202,7 @@ mod tests {
         let tree = GroupTree::build(vec![0, 1], &[&x, &y], &[]);
         let codes: Vec<u32> = tree.roots.iter().map(|n| n.code).collect();
         assert_eq!(codes, vec![2, 3, 4, 5]);
-        assert_eq!(tree.combination(0).unwrap(), int_values([4, 1]));
+        assert_eq!(tree.declared[0][tree.roots[0].code as usize], Value::Int(4));
         assert_eq!(tree.roots[0].children[1].code, 1);
     }
 

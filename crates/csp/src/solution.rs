@@ -76,14 +76,6 @@ pub struct SolutionSet {
 }
 
 impl SolutionSet {
-    /// Create an empty set over the given variable names.
-    pub fn new(names: Vec<String>) -> Self {
-        SolutionSet {
-            names: names.into(),
-            rows: Vec::new(),
-        }
-    }
-
     /// Create from pre-computed rows.
     pub fn from_rows(names: Vec<String>, rows: Vec<Vec<Value>>) -> Self {
         SolutionSet {
@@ -105,12 +97,6 @@ impl SolutionSet {
     /// True when there are no solutions.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// Append a solution row (values in variable order).
-    pub fn push(&mut self, row: Vec<Value>) {
-        debug_assert_eq!(row.len(), self.names.len());
-        self.rows.push(row);
     }
 
     /// The raw rows.
@@ -194,46 +180,51 @@ mod tests {
     }
 
     #[test]
-    fn push_and_views() {
-        let mut s = SolutionSet::new(names(&["x", "y"]));
-        assert!(s.is_empty());
-        s.push(int_values([1, 2]));
-        s.push(int_values([3, 4]));
+    fn views() {
+        let s = SolutionSet::from_rows(
+            names(&["x", "y"]),
+            vec![int_values([1, 2]), int_values([3, 4])],
+        );
+        assert!(!s.is_empty());
         assert_eq!(s.len(), 2);
         assert_eq!(s.row(1), &int_values([3, 4])[..]);
         let named = s.named_row(0);
         assert_eq!(named[0], ("x", &Value::Int(1)));
         assert_eq!(s.iter().count(), 2);
+        assert!(SolutionSet::from_rows(names(&["x"]), Vec::new()).is_empty());
     }
 
     #[test]
     fn same_solutions_order_independent() {
-        let mut a = SolutionSet::new(names(&["x", "y"]));
-        a.push(int_values([1, 2]));
-        a.push(int_values([3, 4]));
-        let mut b = SolutionSet::new(names(&["x", "y"]));
-        b.push(int_values([3, 4]));
-        b.push(int_values([1, 2]));
+        let a = SolutionSet::from_rows(
+            names(&["x", "y"]),
+            vec![int_values([1, 2]), int_values([3, 4])],
+        );
+        let b = SolutionSet::from_rows(
+            names(&["x", "y"]),
+            vec![int_values([3, 4]), int_values([1, 2])],
+        );
         assert!(a.same_solutions(&b));
-        b.push(int_values([5, 6]));
-        assert!(!a.same_solutions(&b));
+        let c = SolutionSet::from_rows(
+            names(&["x", "y"]),
+            vec![int_values([3, 4]), int_values([1, 2]), int_values([5, 6])],
+        );
+        assert!(!a.same_solutions(&c));
     }
 
     #[test]
     fn same_solutions_handles_column_permutation() {
-        let mut a = SolutionSet::new(names(&["x", "y"]));
-        a.push(int_values([1, 2]));
-        let mut b = SolutionSet::new(names(&["y", "x"]));
-        b.push(int_values([2, 1]));
+        let a = SolutionSet::from_rows(names(&["x", "y"]), vec![int_values([1, 2])]);
+        let b = SolutionSet::from_rows(names(&["y", "x"]), vec![int_values([2, 1])]);
         assert!(a.same_solutions(&b));
     }
 
     #[test]
     fn canonicalize_sorts() {
-        let mut s = SolutionSet::new(names(&["x"]));
-        s.push(int_values([3]));
-        s.push(int_values([1]));
-        s.push(int_values([2]));
+        let mut s = SolutionSet::from_rows(
+            names(&["x"]),
+            vec![int_values([3]), int_values([1]), int_values([2])],
+        );
         s.canonicalize();
         let vals: Vec<i64> = s.iter().map(|r| r[0].as_i64().unwrap()).collect();
         assert_eq!(vals, vec![1, 2, 3]);
@@ -246,25 +237,23 @@ mod tests {
         // and sets containing them were conflated.
         let r1 = vec![Value::str("a\u{1}"), Value::str("b")];
         let r2 = vec![Value::str("a"), Value::str("\u{1}b")];
-        let mut a = SolutionSet::new(names(&["x", "y"]));
-        a.push(r1.clone());
-        a.push(r2.clone());
-        let mut b = SolutionSet::new(names(&["x", "y"]));
-        b.push(r2.clone());
-        b.push(r2.clone());
+        let a = SolutionSet::from_rows(names(&["x", "y"]), vec![r1.clone(), r2.clone()]);
+        let b = SolutionSet::from_rows(names(&["x", "y"]), vec![r2.clone(), r2.clone()]);
         assert!(!a.same_solutions(&b), "distinct rows must not collide");
-        let mut c = SolutionSet::new(names(&["x", "y"]));
-        c.push(r2);
-        c.push(r1);
+        let c = SolutionSet::from_rows(names(&["x", "y"]), vec![r2, r1]);
         assert!(a.same_solutions(&c), "same rows in another order match");
     }
 
     #[test]
     fn canonicalize_orders_adversarial_strings_structurally() {
-        let mut s = SolutionSet::new(names(&["x", "y"]));
-        s.push(vec![Value::str("a"), Value::str("\u{1}b")]);
-        s.push(vec![Value::str("a\u{1}"), Value::str("b")]);
-        s.push(vec![Value::str("a"), Value::str("b")]);
+        let mut s = SolutionSet::from_rows(
+            names(&["x", "y"]),
+            vec![
+                vec![Value::str("a"), Value::str("\u{1}b")],
+                vec![Value::str("a\u{1}"), Value::str("b")],
+                vec![Value::str("a"), Value::str("b")],
+            ],
+        );
         let mut t = s.clone();
         // shuffle t's rows, canonicalize both: identical order must result
         t.rows.reverse();
@@ -272,10 +261,14 @@ mod tests {
         t.canonicalize();
         assert_eq!(s.rows(), t.rows());
         // numerics sort before strings, and mixed int/float compare by value
-        let mut n = SolutionSet::new(names(&["x"]));
-        n.push(vec![Value::str("0")]);
-        n.push(vec![Value::Float(2.5)]);
-        n.push(vec![Value::Int(3)]);
+        let mut n = SolutionSet::from_rows(
+            names(&["x"]),
+            vec![
+                vec![Value::str("0")],
+                vec![Value::Float(2.5)],
+                vec![Value::Int(3)],
+            ],
+        );
         n.canonicalize();
         assert_eq!(n.row(0), &[Value::Float(2.5)][..]);
         assert_eq!(n.row(1), &[Value::Int(3)][..]);
@@ -287,12 +280,14 @@ mod tests {
         // 2^53 and 2^53 + 1 round to the same f64; integer-like pairs must
         // compare exactly on i64 so the canonical order is truly canonical.
         let big = 1i64 << 53;
-        let mut a = SolutionSet::new(names(&["x"]));
-        a.push(vec![Value::Int(big + 1)]);
-        a.push(vec![Value::Int(big)]);
-        let mut b = SolutionSet::new(names(&["x"]));
-        b.push(vec![Value::Int(big)]);
-        b.push(vec![Value::Int(big + 1)]);
+        let mut a = SolutionSet::from_rows(
+            names(&["x"]),
+            vec![vec![Value::Int(big + 1)], vec![Value::Int(big)]],
+        );
+        let mut b = SolutionSet::from_rows(
+            names(&["x"]),
+            vec![vec![Value::Int(big)], vec![Value::Int(big + 1)]],
+        );
         a.canonicalize();
         b.canonicalize();
         assert_eq!(a.rows(), b.rows());
@@ -303,15 +298,16 @@ mod tests {
     fn canonicalize_orders_python_equal_variants_deterministically() {
         // Int(2) and Float(2.0) are Python-equal but structurally distinct;
         // the canonical order must not depend on the input order.
-        let mut a = SolutionSet::new(names(&["x"]));
-        a.push(vec![Value::Float(2.0)]);
-        a.push(vec![Value::Int(2)]);
-        a.push(vec![Value::Bool(true)]);
-        a.push(vec![Value::Int(1)]);
-        let mut b = SolutionSet::new(names(&["x"]));
-        for row in a.rows().iter().rev() {
-            b.push(row.clone());
-        }
+        let mut a = SolutionSet::from_rows(
+            names(&["x"]),
+            vec![
+                vec![Value::Float(2.0)],
+                vec![Value::Int(2)],
+                vec![Value::Bool(true)],
+                vec![Value::Int(1)],
+            ],
+        );
+        let mut b = SolutionSet::from_rows(names(&["x"]), a.rows().iter().rev().cloned().collect());
         a.canonicalize();
         b.canonicalize();
         assert_eq!(a.rows(), b.rows());
@@ -342,10 +338,8 @@ mod tests {
             [2, 0, 1],
             [2, 1, 0],
         ] {
-            let mut s = SolutionSet::new(names(&["x"]));
-            for &i in &perm {
-                s.push(rows[i].clone());
-            }
+            let permuted = perm.iter().map(|&i| rows[i].clone()).collect();
+            let mut s = SolutionSet::from_rows(names(&["x"]), permuted);
             s.canonicalize();
             let got: Vec<Vec<Value>> = s.rows().to_vec();
             match &reference {
@@ -357,10 +351,8 @@ mod tests {
 
     #[test]
     fn extend_merges() {
-        let mut a = SolutionSet::new(names(&["x"]));
-        a.push(int_values([1]));
-        let mut b = SolutionSet::new(names(&["x"]));
-        b.push(int_values([2]));
+        let mut a = SolutionSet::from_rows(names(&["x"]), vec![int_values([1])]);
+        let b = SolutionSet::from_rows(names(&["x"]), vec![int_values([2])]);
         a.extend(b);
         assert_eq!(a.len(), 2);
     }

@@ -1,10 +1,9 @@
 //! Client side of the `ATSD` protocol: connect, resolve, attach.
 //!
 //! The client never checksums the file itself: it asks the daemon for a
-//! validated path and mmaps it with `LoadOptions::mmap_certified()` —
-//! O(header) plus one pass over the index slots, no solve, no arena copy,
-//! no arena or index CRC walk. See the [crate documentation](crate) for
-//! why that trust is sound.
+//! validated path and mmaps it with `LoadOptions::mmap_trusted()` —
+//! O(header), no solve, no rank copy, no CRC walk. See the
+//! [crate documentation](crate) for why that trust is sound.
 
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -47,13 +46,13 @@ pub struct Resolved {
 }
 
 impl Resolved {
-    /// Attach to the resolved space: zero-copy mmap of the daemon's
-    /// validated path, adopting the persisted index without checksumming
-    /// it again (the daemon verified every checksum of this file before
-    /// its first serve; its hash version and structure are still
-    /// checked). This is the O(header) step the whole protocol exists for.
+    /// Attach to the resolved space: the trusted zero-copy mmap of the
+    /// daemon's validated path, which reads no rank byte (the daemon
+    /// verified every checksum of this file, and its rank order, before
+    /// its first serve). This is the O(header) step the whole protocol
+    /// exists for.
     pub fn attach(&self) -> Result<LoadedSpace, StoreError> {
-        load_space_from_path(&self.path, LoadOptions::mmap_certified())
+        load_space_from_path(&self.path, LoadOptions::mmap_trusted())
     }
 }
 

@@ -4,14 +4,14 @@
 //! solved **once** and then served from a representation close to its
 //! internal form. The store crate delivers the passive half: any number
 //! of processes can `mmap` the same `ATSS` cache entry and share one
-//! resident copy of the arena. This crate is the active half: a
+//! resident copy of its ranks. This crate is the active half: a
 //! long-lived daemon that *owns* a [`SpaceStore`](at_store::SpaceStore),
 //! dedupes concurrent builds, and hands clients validated paths to
-//! attach to in O(header) plus one pass over the index slots.
+//! attach to in O(header).
 //!
 //! ```text
 //!   tuner 1 ──┐                          ┌─ mmap ──► one resident
-//!   tuner 2 ──┼─ Unix socket ─► atssd ───┤            arena in the
+//!   tuner 2 ──┼─ Unix socket ─► atssd ───┤            ranks in the
 //!   tuner N ──┘   (ATSD frames)  │       └─ mmap ──►  page cache
 //!                                └─ SpaceStore (solve once, validate once)
 //! ```
@@ -40,24 +40,24 @@
 //!
 //! ## The trust model
 //!
-//! A client attaches with `LoadOptions::mmap_certified()` — zero-copy
-//! mmap, persisted index adopted after its hash version and structural
-//! checks, **no arena or index CRC walk**. That is sound because the
-//! daemon validated the exact file first. On first touch of an existing
-//! entry it verifies every checksum: the strict read
-//! (`read_space_from_path`) when it serves the entry directly, or the
-//! verified copy in a build worker, which repairs a damaged index on disk
-//! and serves the entry only once the repaired file passes the strict
-//! read. Entries it built itself were written by its own writer and
-//! published by atomic rename. From then on the entry is *validated* and
-//! served O(header) (`peek_info` + the path). The entry cannot be deleted
-//! out from under a client either: every reply pins the entry
-//! ([`at_store::PinGuard`]) until the referencing connection closes, and
-//! the daemon's own GC sweeps skip pinned entries. What the
-//! trust model does **not** cover — by design — is an external writer
-//! scribbling on the cache directory; the deployment contract is that the
-//! daemon owns its cache directory, exactly like any database owns its
-//! data files.
+//! A client attaches with `LoadOptions::mmap_trusted()` — zero-copy mmap
+//! of the rank section, O(header), **no rank CRC walk and no rank-order
+//! pass**. That is sound because the daemon validated the exact file
+//! first. On first touch of an existing entry it runs the verified copy:
+//! every checksum, and one pass that the ranks strictly ascend below the
+//! Cartesian size — the strict read (`read_space_from_path`) when it
+//! serves the entry directly, or the cache's verified load in a build
+//! worker, which rebuilds a damaged entry before serving it. Entries it
+//! built itself were written by its own writer and published by atomic
+//! rename. From then on the entry is *validated* and served O(header)
+//! (`peek_info` + the path). The entry cannot be deleted out from under a
+//! client either: every reply pins the entry ([`at_store::PinGuard`])
+//! until the referencing connection closes, and the daemon's own GC
+//! sweeps skip pinned entries. What the trust model does **not** cover —
+//! by design — is an external writer scribbling on the cache directory;
+//! the deployment contract is that the daemon owns its cache directory,
+//! exactly like any database owns its data files. Even then a forged rank
+//! section can only give wrong answers, never unsafety.
 //!
 //! ## Lifecycle
 //!
@@ -87,7 +87,7 @@
 //!     .with_expr("x * y <= 64");
 //! let mut client = DaemonClient::connect("/tmp/atssd.sock")?;
 //! let resolved = client.resolve_spec(&spec, Method::Optimized, false, |_| {})?;
-//! let loaded = resolved.attach()?;          // mmap, certified index
+//! let loaded = resolved.attach()?;          // mmap, O(header)
 //! assert_eq!(loaded.space.len() as u64, resolved.rows);
 //! handle.request_shutdown();
 //! # Ok::<(), Box<dyn std::error::Error>>(())

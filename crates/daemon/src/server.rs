@@ -8,10 +8,11 @@
 //! solver run — the first request spawns the worker, the rest subscribe
 //! to its build slot and stream [`Frame::Building`] progress to their
 //! clients while they wait. Completed entries are remembered in a
-//! *validated* set: the daemon fully validates a file once (checksums,
-//! index adoption) and afterwards serves it O(header) — a `peek_info`
-//! plus the path, which the client mmaps with
-//! `LoadOptions::mmap_certified()`, checking no checksum again.
+//! *validated* set: the daemon fully validates a file once (every
+//! checksum, and the ranks strictly ascending below the Cartesian size)
+//! and afterwards serves it O(header) — a `peek_info` plus the path, which
+//! the client mmaps with `LoadOptions::mmap_trusted()`, checking no
+//! checksum again.
 //!
 //! Entries are pinned ([`SpaceStore::pin`]) from the moment a reply
 //! references them until every connection holding that reply closes, so
@@ -521,8 +522,8 @@ fn serve_existing(state: &Arc<ServerState>, fp: &SpecFingerprint) -> Option<Serv
             Err(_) => state.unmark_validated(fp),
         }
     }
-    // Full validation: every checksum, index adoption with sampled
-    // verification. This is the moment the daemon takes responsibility
+    // Full validation: every checksum, and one pass that the ranks strictly
+    // ascend below the Cartesian size. This is the moment the daemon takes responsibility
     // for the bytes its clients will mmap without re-checking.
     match read_space_from_path(&path) {
         Ok((space, info)) => {
@@ -564,12 +565,14 @@ fn resolve(
         code: 400,
         message: format!("unknown method `{method_label}`"),
     })?;
-    let fp = SpecFingerprint::compute(&spec, method.default_lowering()).map_err(|e| {
-        ResolveError::Reply {
+    let fp = state
+        .store
+        .entry_for(&spec, method.default_lowering())
+        .map_err(|e| ResolveError::Reply {
             code: 422,
             message: e.to_string(),
-        }
-    })?;
+        })?
+        .fingerprint;
 
     // Fast path: validated entry on disk.
     if state.is_validated(&fp) {
@@ -677,36 +680,23 @@ fn spawn_build_worker(
             Ok(Ok((space, out))) => {
                 let fp = slot.fingerprint;
                 let path = out.path.unwrap_or_else(|| state.store.path_for(&fp));
-                // A hit whose persisted index the store rejected was
-                // repaired on disk best-effort. Clients adopt the index
-                // without its checksum, so the entry is served only once
-                // the file passes the strict read.
-                let unrepaired = out
-                    .load
-                    .as_ref()
-                    .is_some_and(|load| load.index_fallback().is_some())
-                    && read_space_from_path(&path).is_err();
-                if unrepaired {
-                    Err("the entry's damaged index could not be repaired".to_string())
-                } else {
-                    state.mark_validated(fp);
-                    let kind = match out.status {
-                        CacheStatus::Hit => ServeKind::Validated,
-                        _ => {
-                            state.builds.fetch_add(1, Ordering::Relaxed);
-                            ServeKind::Built
-                        }
-                    };
-                    Ok(Served {
-                        fingerprint: fp,
-                        path,
-                        file_bytes: out.file_bytes,
-                        rows: space.len() as u64,
-                        kind,
-                        build_us: out.duration.as_micros() as u64,
-                        pin: Arc::new(state.store.pin(&fp)),
-                    })
-                }
+                state.mark_validated(fp);
+                let kind = match out.status {
+                    CacheStatus::Hit => ServeKind::Validated,
+                    _ => {
+                        state.builds.fetch_add(1, Ordering::Relaxed);
+                        ServeKind::Built
+                    }
+                };
+                Ok(Served {
+                    fingerprint: fp,
+                    path,
+                    file_bytes: out.file_bytes,
+                    rows: space.len() as u64,
+                    kind,
+                    build_us: out.duration.as_micros() as u64,
+                    pin: Arc::new(state.store.pin(&fp)),
+                })
             }
             Ok(Err(e)) => Err(format!("build failed: {e}")),
             Err(_) => Err("build panicked".to_string()),

@@ -42,29 +42,26 @@
 //!   the file source with the in-memory one: peek must never *reject* a
 //!   file the strict reader accepts, and when both accept they must agree
 //!   on every metadata field. Peek may accept damage the strict reader
-//!   rejects (it skips the arena and index checksums and the code checks),
-//!   but the same truncation or framing damage must classify the same
-//!   way.
+//!   rejects (it skips the rank checksum and the rank-order pass), but the
+//!   same truncation or framing damage must classify the same way.
 //!
-//! ## Target `atss_load_differential` — mutated valid files, every load policy
+//! ## Target `atss_load_differential` — mutated valid files, both load policies
 //!
 //! Writes a lightly mutated *valid* file to disk and loads it through
-//! [`at_store::StoreReader::load`] under every policy: the verified copy
-//! (`LoadOptions::default()`), the trusted zero-copy mmap
-//! (`LoadOptions::mmap_trusted()`) and the daemon-certified zero-copy mmap
-//! (`LoadOptions::mmap_certified()`, which skips the index checksum).
-//! Oracle:
+//! [`at_store::StoreReader::load`] under both policies: the verified copy
+//! (`LoadOptions::default()`) and the trusted zero-copy mmap
+//! (`LoadOptions::mmap_trusted()`, which checks neither the rank checksum
+//! nor the rank order). Oracle:
 //!
-//! * All successful loads are **code-for-code identical** (same name,
-//!   params, row count, arena bytes) to each other and — when the strict
-//!   reader accepts the file — to the strict read.
-//! * Every successful load answers membership queries **consistently**:
-//!   any id `index_of_codes` returns points back at exactly the queried
-//!   codes, and when the index is known good (the load report says it was
-//!   rebuilt from the arena, or the strict reader fully validated the
-//!   file) every present row is found. A damaged persisted index may surface as a *reported*
-//!   fallback ([`at_store::LoadReport::index_fallback`]), a clean error,
-//!   or a miss — never a misattribution.
+//! * When the strict reader accepts the file, every successful load is
+//!   **rank-for-rank identical** (same name, params, row count, rank
+//!   bytes) to the strict read.
+//! * Every successful load **decodes in range and answers membership
+//!   consistently**, whatever its ranks: every decoded code lies inside
+//!   its dictionary, any id `index_of_codes` returns decodes back to
+//!   exactly the queried codes, and when the strict reader validated the
+//!   file every present row is found. Forged ranks under the trusted mmap
+//!   may make a lookup miss — never panic, and never misattribute.
 //!
 //! ## Target `expr_pipeline` — restriction strings, fold/compile differential
 //!
@@ -103,8 +100,8 @@
 //! * **Pruned ≡ unpruned** — construction with analyzer-driven domain
 //!   pre-pruning yields byte-identical arenas to construction without it.
 //! * **Optimized ≡ brute force** — the optimized solver, searching in
-//!   declaration order, builds the brute-force arena byte for byte, and in
-//!   its default order holds the same rows. The spec is small enough that
+//!   declaration order and in its default order alike, builds the
+//!   brute-force arena byte for byte. The spec is small enough that
 //!   every constraint becomes one of the solver's bit tables, so arbitrary
 //!   restriction strings (errors, floats, mixed types) reach them.
 //!

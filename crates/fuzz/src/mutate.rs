@@ -131,10 +131,10 @@ pub struct Section {
 
 /// Map the section layout of a well-formed `ATSS` file, mirroring the
 /// documented format: magic+version, CRC-framed `HDR\0` and `PAR\0`
-/// sections, `ARN\0` tag + alignment pad, the verbatim arena, an optional
-/// CRC-framed `IDX\0` section, and the 16-byte trailer. Returns `None` for
-/// files this simple walker cannot account for — the fuzzer then falls
-/// back to generic mutations.
+/// sections, `RNK\0` tag + alignment pad, the verbatim ranks (8 bytes per
+/// row, filling the file up to the trailer), and the 16-byte trailer.
+/// Returns `None` for files this simple walker cannot account for — the
+/// fuzzer then falls back to generic mutations.
 pub fn map_sections(bytes: &[u8]) -> Option<Vec<Section>> {
     const TRAILER_LEN: usize = 16;
     let mut sections = Vec::new();
@@ -168,54 +168,33 @@ pub fn map_sections(bytes: &[u8]) -> Option<Vec<Section>> {
         pos = end;
     }
 
-    // Arena tag + pad, then the arena itself up to either the IDX tag or
-    // the trailer.
+    // Rank tag + pad, then the ranks: one u64 per row the trailer
+    // declares, ending exactly at the trailer.
     let pad = u32::from_le_bytes(bytes.get(pos + 4..pos + 8)?.try_into().ok()?) as usize;
-    if pad > 3 {
+    if pad > 7 {
         return None;
     }
-    let arena_at = pos.checked_add(8 + pad)?;
-    if arena_at > trailer_at {
+    let ranks_at = pos.checked_add(8 + pad)?;
+    if ranks_at > trailer_at {
         return None;
     }
     sections.push(Section {
-        name: "arena-frame",
-        range: pos..arena_at,
+        name: "ranks-frame",
+        range: pos..ranks_at,
     });
-
-    // Arena length from the trailer row count and the header's param
-    // count (name string length + name + u32 count).
-    let hdr_payload_at = 8 + 12;
-    let name_len = u32::from_le_bytes(
-        bytes
-            .get(hdr_payload_at..hdr_payload_at + 4)?
-            .try_into()
-            .ok()?,
-    ) as usize;
-    let nparams_at = hdr_payload_at.checked_add(4)?.checked_add(name_len)?;
-    let num_params =
-        u32::from_le_bytes(bytes.get(nparams_at..nparams_at + 4)?.try_into().ok()?) as usize;
     let num_rows = u64::from_le_bytes(
         bytes
             .get(trailer_at + 4..trailer_at + 12)?
             .try_into()
             .ok()?,
     ) as usize;
-    let arena_len = num_rows.checked_mul(num_params)?.checked_mul(4)?;
-    let after_arena = arena_at.checked_add(arena_len)?;
-    if after_arena > trailer_at {
+    if ranks_at.checked_add(num_rows.checked_mul(8)?)? != trailer_at {
         return None;
     }
     sections.push(Section {
-        name: "arena",
-        range: arena_at..after_arena,
+        name: "ranks",
+        range: ranks_at..trailer_at,
     });
-    if after_arena < trailer_at {
-        sections.push(Section {
-            name: "index",
-            range: after_arena..trailer_at,
-        });
-    }
     sections.push(Section {
         name: "trailer",
         range: trailer_at..bytes.len(),
@@ -225,9 +204,10 @@ pub fn map_sections(bytes: &[u8]) -> Option<Vec<Section>> {
 
 /// Apply one `ATSS`-aware mutation: pick a section and damage it in a way
 /// that exercises that section's validation (byte flips inside the region,
-/// CRC-field damage, boundary truncation, trailer row-count tweaks,
-/// alignment-pad tweaks). Falls back to a generic mutation when the input
-/// has no recognizable layout.
+/// CRC-field damage, boundary truncation, trailer row-count tweaks, and
+/// forged ranks under a recomputed CRC, which only the rank-order pass can
+/// catch and the trusted mmap must serve without panicking). Falls back to
+/// a generic mutation when the input has no recognizable layout.
 pub fn mutate_atss(rng: &mut ChaCha8Rng, data: &mut Vec<u8>) {
     let Some(sections) = map_sections(data) else {
         mutate_once(rng, data);
@@ -239,7 +219,7 @@ pub fn mutate_atss(rng: &mut ChaCha8Rng, data: &mut Vec<u8>) {
         mutate_once(rng, data);
         return;
     }
-    match rng.gen_range(0u32..6) {
+    match rng.gen_range(0u32..7) {
         // Flip a byte inside the section.
         0 | 1 => {
             let at = rng.gen_range(range.start..range.end);
@@ -261,7 +241,8 @@ pub fn mutate_atss(rng: &mut ChaCha8Rng, data: &mut Vec<u8>) {
                     0 => rows.wrapping_add(1),
                     1 => rows.wrapping_sub(1),
                     2 => 0,
-                    3 => u64::MAX / 8,
+                    // The first count whose rank bytes overflow a u64.
+                    3 => (u64::MAX >> 3) + 1,
                     _ => u64::MAX,
                 };
                 data[rows_at..rows_at + 8].copy_from_slice(&new.to_le_bytes());
@@ -277,6 +258,23 @@ pub fn mutate_atss(rng: &mut ChaCha8Rng, data: &mut Vec<u8>) {
                     *b ^= fill;
                 }
             }
+        }
+        // Forge one rank — a random value, or its neighbour's — and
+        // recompute the rank CRC in the trailer, so the checksum passes
+        // and the rank order or range is what is wrong.
+        5 if section.name == "ranks" && data.len() == range.end + 16 => {
+            let rows = range.len() / 8;
+            let at = range.start + 8 * rng.gen_range(0..rows);
+            let forged = if rows > 1 && rng.gen_bool(0.5) {
+                let other = if at == range.start { at + 8 } else { at - 8 };
+                u64::from_le_bytes(data[other..other + 8].try_into().expect("8 bytes"))
+            } else {
+                rng.gen_range(0..u64::MAX)
+            };
+            data[at..at + 8].copy_from_slice(&forged.to_le_bytes());
+            let crc = at_store::checksum::crc32(&data[range.clone()]);
+            let crc_at = range.end + 12;
+            data[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
         }
         // Duplicate the whole section in place (framing confusion).
         _ => {
@@ -320,9 +318,8 @@ mod tests {
                 "magic+version",
                 "header",
                 "params",
-                "arena-frame",
-                "arena",
-                "index",
+                "ranks-frame",
+                "ranks",
                 "trailer"
             ]
         );

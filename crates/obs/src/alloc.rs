@@ -14,6 +14,9 @@
 //! let peak = at_obs::alloc::peak_since(baseline);
 //! ```
 //!
+//! A [`PeakWindow`] measures a region the same way, and on close gives
+//! the high-water mark back to whoever measures around it.
+//!
 //! The counters are relaxed atomics updated on every alloc/dealloc —
 //! a few nanoseconds per allocation, the same cost the benches have
 //! always paid. Binaries that do not install the allocator still link
@@ -106,18 +109,74 @@ pub fn peak_since(baseline: usize) -> usize {
     PEAK.load(Ordering::Relaxed).saturating_sub(baseline)
 }
 
+/// A nested measurement window over the high-water mark.
+///
+/// [`PeakWindow::open`] saves the mark as it stands, then resets it to the
+/// live size, so [`PeakWindow::peak`] reports only what the window
+/// allocated. Closing the window (dropping it) raises the mark back to the
+/// larger of the saved and the inner mark, so whoever measures around the
+/// window — a host running several commands in process — still reads the
+/// peak of everything inside it. [`reset_peak`] without a window gives the
+/// outer peak away.
+#[derive(Debug)]
+pub struct PeakWindow {
+    outer: usize,
+    baseline: usize,
+}
+
+impl PeakWindow {
+    /// Open a window: save the current mark, then reset it.
+    pub fn open() -> PeakWindow {
+        let outer = PEAK.load(Ordering::Relaxed);
+        let baseline = reset_peak();
+        PeakWindow { outer, baseline }
+    }
+
+    /// Peak transient bytes above the live size at [`PeakWindow::open`].
+    pub fn peak(&self) -> usize {
+        peak_since(self.baseline)
+    }
+}
+
+impl Drop for PeakWindow {
+    fn drop(&mut self) {
+        PEAK.fetch_max(self.outer, Ordering::Relaxed);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     // The test binary does not install the allocator, so the counters
-    // stay untouched — which is itself the documented behavior.
+    // stay untouched — which is itself the documented behavior — until
+    // the test drives them by hand.
     #[test]
-    fn probes_report_zero_when_not_installed() {
+    fn probes_report_zero_when_not_installed_and_windows_nest() {
         assert!(!installed());
         assert_eq!(live_bytes(), 0);
         let baseline = reset_peak();
         let _v: Vec<u64> = (0..1024).collect();
         assert_eq!(peak_since(baseline), 0);
+
+        // A window over counters driven by hand (one test, so nothing runs
+        // beside it): an outer peak of 900 bytes over 100 live, then a
+        // window that peaks lower.
+        let saved = (LIVE.load(Ordering::Relaxed), PEAK.load(Ordering::Relaxed));
+        LIVE.store(100, Ordering::Relaxed);
+        PEAK.store(900, Ordering::Relaxed);
+        let window = PeakWindow::open();
+        assert_eq!(peak_bytes(), 100, "the window starts from the live size");
+        PEAK.fetch_max(400, Ordering::Relaxed);
+        assert_eq!(window.peak(), 300);
+        drop(window);
+        assert_eq!(peak_bytes(), 900, "the outer peak survives the window");
+        // An inner peak above the outer one stays.
+        let window = PeakWindow::open();
+        PEAK.fetch_max(1500, Ordering::Relaxed);
+        drop(window);
+        assert_eq!(peak_bytes(), 1500);
+        LIVE.store(saved.0, Ordering::Relaxed);
+        PEAK.store(saved.1, Ordering::Relaxed);
     }
 }

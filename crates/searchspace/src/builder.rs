@@ -135,10 +135,11 @@ pub fn build_search_space(
 /// finished space afterwards. Construction streams: the chosen solver (or
 /// the chain-of-trees enumerator) pushes each solution as a row of value
 /// codes into an [`EncodingSink`] the moment it is found, and the sink
-/// appends it to the space's arena. The lowered problem declares each
-/// variable with its parameter's value list, so a solver's codes are the
-/// arena's codes, even when pre-pruning shrank the domains. No decoded row
-/// of the solutions is ever materialized.
+/// appends the row's rank. The lowered problem declares each variable with
+/// its parameter's value list, so a solver's codes are the dictionary
+/// codes the ranks number, even when pre-pruning shrank the domains. No
+/// decoded row of the solutions is ever materialized, and every method
+/// yields the same space.
 pub fn build_search_space_with(
     spec: &SearchSpaceSpec,
     method: Method,
@@ -160,7 +161,7 @@ pub fn build_search_space_with(
     );
     // Solvers emit code rows in variable declaration order, each code an
     // index into the variable's declared domain — exactly the spec's
-    // parameters and their dictionaries, which the arena's codes index.
+    // parameters and their dictionaries, which the ranks number.
     debug_assert!(
         problem.num_variables() == spec.params.len()
             && spec.params.iter().enumerate().all(|(v, p)| {
@@ -210,7 +211,7 @@ pub fn build_search_space_with(
     let num_valid = sink.rows();
     let space = sink
         .finish()
-        .map_err(|e| CspError::Solver(format!("indexing the resolved space failed: {e}")))?;
+        .map_err(|e| CspError::Solver(format!("finishing the resolved space failed: {e}")))?;
     let report = BuildReport {
         method,
         duration: start.elapsed(),

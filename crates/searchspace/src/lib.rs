@@ -10,12 +10,13 @@
 //! * [`Method`] / [`build_search_space`] — construct the space with any of
 //!   the paper's construction methods and obtain a [`BuildReport`] with
 //!   timing and solver statistics.
-//! * [`SearchSpace`] — the resolved space: a compact columnar,
-//!   index-encoded configuration arena with [`ConfigId`] handles,
-//!   borrowing [`ConfigView`] decoding, hash lookups, true parameter
-//!   bounds, neighbor queries and sampling. Hamming neighbor queries probe
-//!   the same membership table as `index_of` (`Σ(|D_p| − 1)` lookups per
-//!   query), so no neighbor index is ever built.
+//! * [`SearchSpace`] — the resolved space: one strictly ascending `u64`
+//!   rank per configuration (its mixed-radix index in the Cartesian
+//!   product), with [`ConfigId`] handles, lazily decoding [`ConfigView`]s,
+//!   binary-search lookups, true parameter bounds, neighbor queries and
+//!   sampling. Hamming neighbor queries are rank arithmetic plus one
+//!   lookup per candidate (`Σ(|D_p| − 1)` lookups per query), so no
+//!   neighbor index is ever built.
 //!
 //! ```
 //! use at_searchspace::prelude::*;
@@ -38,8 +39,8 @@
 //! # The code contract
 //!
 //! A *code* is the index of a value in its parameter's value list — the
-//! parameter's dictionary. The arena stores codes, and construction
-//! produces them directly:
+//! parameter's dictionary. A rank numbers a row of codes, and construction
+//! produces the codes directly:
 //!
 //! * [`SearchSpaceSpec::to_problem`] declares variable `i` with parameter
 //!   `i`'s value list, in order, so a value's declared-domain index in the
@@ -48,10 +49,11 @@
 //!   domains but not from the declared ones, so codes do not change.
 //! * Every solver, and the chain-of-trees walk, pushes each solution into an
 //!   [`at_csp::sink::RowSink`] as those codes, in declaration order; an
-//!   [`EncodingSink`] appends them to the arena, and
-//!   [`EncodingSink::finish`] adopts the arena through
-//!   [`SearchSpace::from_code_rows`], which rejects a code outside its
-//!   dictionary as [`SpaceError::CodeOutOfRange`].
+//!   [`EncodingSink`] checks each code against its dictionary (a bad one
+//!   is [`SpaceError::CodeOutOfRange`]) and appends the row's rank, and
+//!   [`EncodingSink::finish`] sorts the ranks only when a method did not
+//!   emit them in canonical order. So all six construction methods yield
+//!   the same ranks, and a [`ConfigId`] does not depend on the method.
 //! * Values appear only at the edges: [`SearchSpace::from_configs`] and
 //!   [`SearchSpace::from_solutions`] encode decoded rows through the
 //!   reverse dictionaries, as `index_of` does, and [`ConfigView`] and the
@@ -60,7 +62,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod builder;
 pub mod format;
 pub mod neighbors;
@@ -72,8 +73,8 @@ pub mod sink;
 pub mod space;
 pub mod spec;
 pub mod stats;
+pub mod storage;
 
-pub use arena::{ArenaStorage, CodeBacking};
 pub use builder::{build_search_space, build_search_space_with, BuildOptions, BuildReport, Method};
 pub use format::{spec_from_json, spec_to_json, FormatError, SpecFile};
 pub use neighbors::{neighbors, random_neighbor, NeighborIndex, NeighborMethod};
@@ -82,13 +83,13 @@ pub use param::TunableParameter;
 pub use restriction::Restriction;
 pub use sampling::{coverage_per_parameter, latin_hypercube_sample, sample_indices};
 pub use sink::EncodingSink;
-pub use space::{Adoption, ConfigId, ConfigView, SearchSpace, SpaceError, INDEX_HASH_VERSION};
+pub use space::{ConfigId, ConfigView, RankCheck, SearchSpace, SpaceError};
 pub use spec::{RestrictionLowering, SearchSpaceSpec};
 pub use stats::SpaceCharacteristics;
+pub use storage::{RankBacking, RankStorage};
 
 /// Commonly used items in one import.
 pub mod prelude {
-    pub use crate::arena::ArenaStorage;
     pub use crate::builder::{
         build_search_space, build_search_space_with, BuildOptions, BuildReport, Method,
     };
@@ -97,8 +98,9 @@ pub mod prelude {
     pub use crate::restriction::Restriction;
     pub use crate::sampling::{latin_hypercube_sample, sample_indices};
     pub use crate::sink::EncodingSink;
-    pub use crate::space::{Adoption, ConfigId, ConfigView, SearchSpace, SpaceError};
+    pub use crate::space::{ConfigId, ConfigView, SearchSpace, SpaceError};
     pub use crate::spec::{RestrictionLowering, SearchSpaceSpec};
     pub use crate::stats::SpaceCharacteristics;
+    pub use crate::storage::RankStorage;
     pub use at_csp::Value;
 }

@@ -2,30 +2,25 @@
 //!
 //! Optimization strategies such as genetic algorithms, hill climbing and
 //! simulated annealing repeatedly ask for the valid neighbors of a
-//! configuration. Because the space is fully resolved, validity is a hash
-//! lookup (Section 4.4), so neighbors never need re-checking against the
+//! configuration. Because the space is fully resolved, validity is a lookup
+//! (Section 4.4), so neighbors never need re-checking against the
 //! constraints.
 //!
-//! # Hamming queries probe the membership table
+//! # Hamming queries are rank arithmetic
 //!
 //! A Hamming-distance-1 neighbor differs from the queried row at exactly one
-//! position `p`. [`neighbors`] finds them all by substituting every other
-//! code `c ≠ codes[p]` of every parameter into a copy of the row and looking
-//! the candidate up with [`SearchSpace::index_of_codes`]; the hits come back
-//! sorted by id. A query costs `Σ_p (|D_p| − 1)` lookups (35 on MicroHH, 71
-//! on Hotspot), independent of the size of the space, and there is nothing
-//! to build: no index, no memory beyond one row-sized buffer and the result.
+//! position `p`. Changing code `c` to `c'` there moves the row's rank by
+//! `(c' − c) · stride_p` (see [`SearchSpace::strides`]), so [`neighbors`]
+//! computes each candidate's rank from the queried rank alone and looks it
+//! up with [`SearchSpace::index_of_rank`]; the hits come back sorted by id.
+//! A query costs `Σ_p (|D_p| − 1)` lookups (35 on MicroHH, 71 on Hotspot),
+//! independent of the size of the space, and there is nothing to build: no
+//! index, no copied row, and no memory beyond the result.
 //!
-//! Every returned id is a valid neighbor, because a lookup only returns an
-//! id after comparing its arena row with the candidate. Completeness rests
-//! on the membership table, exactly as for [`SearchSpace::index_of`]: a
-//! row the table cannot find (say, a trusted but stale persisted table) is
-//! missed, never replaced by a wrong one.
-//!
-//! **Duplicate rows.** [`SearchSpace::from_configs`] accepts repeated rows.
-//! A neighbor row that occurs several times is returned once, as its first
-//! occurrence — the id `index_of` gives. Solver- and store-built spaces
-//! never repeat rows.
+//! Every returned id is a valid neighbor, because a lookup only returns the
+//! id whose rank equals the candidate's. A space never repeats a row
+//! ([`SearchSpace::from_configs`] and construction reject duplicates), so
+//! each neighbor row has exactly one id.
 //!
 //! # One random neighbor: probe in random order, stop at the first hit
 //!
@@ -34,20 +29,22 @@
 //! [`random_neighbor`] instead of listing the whole ring. For `Hamming` it
 //! visits the `K = Σ_p (|D_p| − 1)` candidate rows in a uniformly random
 //! order, drawn one Fisher–Yates step at a time, and returns the first one
-//! the membership table finds. The first valid entry of a uniform
-//! permutation is uniform over the valid entries, so the answer is
-//! distributed exactly like a uniform pick from [`neighbors`]; it costs
-//! `(K + 1) / (V + 1)` lookups in expectation for `V` valid neighbors
-//! (about 1.7 on MicroHH) instead of `K` (35). A row without neighbors
-//! costs the full `K` lookups and gives `None`.
+//! the space contains. The first valid entry of a uniform permutation is
+//! uniform over the valid entries, so the answer is distributed exactly
+//! like a uniform pick from [`neighbors`]; it costs `(K + 1) / (V + 1)`
+//! lookups in expectation for `V` valid neighbors (about 1.7 on MicroHH)
+//! instead of `K` (35). A row without neighbors costs the full `K` lookups
+//! and gives `None`. The shuffle lives on the stack for rings of up to 128
+//! candidates, which covers every built-in workload, so a draw allocates
+//! nothing.
 //!
 //! The code-distance variants ([`NeighborMethod::Adjacent`],
 //! [`NeighborMethod::StrictlyAdjacent`]) scan the whole space, which is also
 //! the reference definition the Hamming probe is tested against.
 //! [`random_neighbor`] picks from that scan with one `gen_range`.
 //!
-//! All queries operate on [`ConfigId`]s and the space's encoded code rows —
-//! no configuration is decoded to [`at_csp::Value`]s anywhere in this module.
+//! All queries operate on [`ConfigId`]s, ranks and codes — no configuration
+//! is decoded to [`at_csp::Value`]s anywhere in this module.
 
 use rand::Rng;
 
@@ -68,8 +65,8 @@ pub enum NeighborMethod {
 
 /// An empty stand-in for the former Hamming neighbor index.
 ///
-/// Hamming queries no longer need an index: [`neighbors`] probes the
-/// space's membership table directly. The type survives only because the
+/// Hamming queries no longer need an index: [`neighbors`] looks candidate
+/// ranks up in the space directly. The type survives only because the
 /// repository benchmark (`perfbench/src/traced.rs`) still times
 /// `NeighborIndex::build`; remove it together with that call.
 #[derive(Debug, Default)]
@@ -85,30 +82,36 @@ impl NeighborIndex {
 /// Neighbors of the configuration with the given id according to `method`,
 /// sorted by id. An id outside the space has no neighbors.
 ///
-/// `Hamming` queries probe the membership table (see the
+/// `Hamming` queries probe candidate ranks (see the
 /// [module documentation](self)); the code-distance variants scan.
 pub fn neighbors(space: &SearchSpace, id: ConfigId, method: NeighborMethod) -> Vec<ConfigId> {
-    let Some(codes) = space.codes_of(id) else {
+    let Some(rank) = space.rank_of(id) else {
         return Vec::new();
     };
     match method {
-        NeighborMethod::Hamming => probe_hamming(space, codes),
+        NeighborMethod::Hamming => probe_hamming(space, rank),
         _ => scan_neighbors(space, id, method),
     }
 }
 
-/// The Hamming neighbors of the row `codes`: every one-position
-/// substitution that the membership table finds, sorted by id.
-fn probe_hamming(space: &SearchSpace, codes: &[u32]) -> Vec<ConfigId> {
-    let mut candidate = codes.to_vec();
+/// The rank of the row `rank` with parameter `pos` set to `code`.
+#[inline]
+fn substitute(space: &SearchSpace, rank: u64, pos: usize, code: u32) -> u64 {
+    let stride = space.strides()[pos];
+    let own = u64::from(space.code_at(rank, pos));
+    // `own * stride <= rank`, since `own` is `(rank / stride) % |D_pos|`.
+    (rank - own * stride).wrapping_add(u64::from(code) * stride)
+}
+
+/// The Hamming neighbors of the row with rank `rank`: every one-position
+/// substitution the space contains, sorted by id.
+fn probe_hamming(space: &SearchSpace, rank: u64) -> Vec<ConfigId> {
     let mut out = Vec::new();
     for (pos, param) in space.params().iter().enumerate() {
-        let own = codes[pos];
+        let own = space.code_at(rank, pos);
         for code in (0..param.len() as u32).filter(|&c| c != own) {
-            candidate[pos] = code;
-            out.extend(space.index_of_codes(&candidate));
+            out.extend(space.index_of_rank(substitute(space, rank, pos, code)));
         }
-        candidate[pos] = own;
     }
     out.sort_unstable();
     out
@@ -130,9 +133,9 @@ pub fn random_neighbor<R: Rng + ?Sized>(
     method: NeighborMethod,
     rng: &mut R,
 ) -> Option<ConfigId> {
-    let codes = space.codes_of(id)?;
+    let rank = space.rank_of(id)?;
     match method {
-        NeighborMethod::Hamming => draw_hamming(space, codes, rng),
+        NeighborMethod::Hamming => draw_hamming(space, rank, rng),
         _ => {
             let list = scan_neighbors(space, id, method);
             (!list.is_empty()).then(|| list[rng.gen_range(0..list.len())])
@@ -140,23 +143,32 @@ pub fn random_neighbor<R: Rng + ?Sized>(
     }
 }
 
-/// Probe the one-position substitutions of the row `codes` in a uniformly
-/// random order and return the first one the membership table finds.
+/// Rings up to this many candidates shuffle on the stack.
+const STACK_CANDIDATES: usize = 128;
+
+/// Probe the one-position substitutions of the row with rank `rank` in a
+/// uniformly random order and return the first one the space contains.
 ///
 /// Candidate `k` of the `Σ_p (|D_p| − 1)` is the `k`-th substitution in
 /// parameter order, skipping each parameter's own code. The order is a
 /// Fisher–Yates shuffle of the candidate numbers that stops at the first
 /// hit.
-fn draw_hamming<R: Rng + ?Sized>(
-    space: &SearchSpace,
-    codes: &[u32],
-    rng: &mut R,
-) -> Option<ConfigId> {
+fn draw_hamming<R: Rng + ?Sized>(space: &SearchSpace, rank: u64, rng: &mut R) -> Option<ConfigId> {
     let params = space.params();
     let others = |pos: usize| params[pos].len().saturating_sub(1);
     let total: usize = (0..params.len()).map(others).sum();
-    let mut order: Vec<usize> = (0..total).collect();
-    let mut candidate = codes.to_vec();
+    let mut on_stack = [0usize; STACK_CANDIDATES];
+    let mut on_heap = Vec::new();
+    let order: &mut [usize] = match on_stack.get_mut(..total) {
+        Some(order) => order,
+        None => {
+            on_heap.resize(total, 0);
+            &mut on_heap
+        }
+    };
+    for (k, slot) in order.iter_mut().enumerate() {
+        *slot = k;
+    }
     for i in 0..total {
         let j = rng.gen_range(i..total);
         order.swap(i, j);
@@ -165,27 +177,27 @@ fn draw_hamming<R: Rng + ?Sized>(
             offset -= others(pos);
             pos += 1;
         }
-        let (own, code) = (codes[pos], offset as u32);
-        candidate[pos] = code + u32::from(code >= own);
-        let hit = space.index_of_codes(&candidate);
+        let (own, code) = (space.code_at(rank, pos), offset as u32);
+        let candidate = substitute(space, rank, pos, code + u32::from(code >= own));
+        let hit = space.index_of_rank(candidate);
         if hit.is_some() {
             return hit;
         }
-        candidate[pos] = own;
     }
     None
 }
 
 fn scan_neighbors(space: &SearchSpace, id: ConfigId, method: NeighborMethod) -> Vec<ConfigId> {
-    let reference = space.codes_of(id).expect("valid id");
+    let (mut reference, mut codes) = (Vec::new(), Vec::new());
+    space.codes_into(id, &mut reference);
     let mut out = Vec::new();
-    for candidate in space.ids() {
-        if candidate == id {
+    for view in space.iter() {
+        if view.id() == id {
             continue;
         }
-        let codes = space.codes_of(candidate).expect("valid id");
-        if is_neighbor(reference, codes, method) {
-            out.push(candidate);
+        view.codes_into(&mut codes);
+        if is_neighbor(&reference, &codes, method) {
+            out.push(view.id());
         }
     }
     out
@@ -275,39 +287,33 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_neighbor_rows_resolve_to_their_first_occurrence() {
-        // (1,2) appears at ids 1 and 3; (1,1) at ids 0 and 4.
-        let params = vec![
-            TunableParameter::ints("x", [1, 2]),
-            TunableParameter::ints("y", [1, 2]),
-        ];
-        let configs = vec![
-            int_values([1, 1]),
-            int_values([1, 2]),
-            int_values([2, 1]),
-            int_values([1, 2]),
-            int_values([1, 1]),
-        ];
-        let s = SearchSpace::from_configs("dup", params, configs).unwrap();
-        let id = ConfigId::from_index;
-        // Every copy of a neighbor row is a scan hit; the probe returns the
-        // copy `index_of` resolves to, once.
-        assert_eq!(
-            scan_neighbors(&s, id(0), NeighborMethod::Hamming),
-            vec![id(1), id(2), id(3)]
-        );
-        assert_eq!(
-            neighbors(&s, id(0), NeighborMethod::Hamming),
-            vec![id(1), id(2)]
-        );
-        assert_eq!(s.index_of(&int_values([1, 2])), Some(id(1)));
-        // A duplicate is not its own neighbor, and both copies of the queried
-        // row get the same answer.
-        assert_eq!(
-            neighbors(&s, id(4), NeighborMethod::Hamming),
-            vec![id(1), id(2)]
-        );
-        assert_eq!(neighbors(&s, id(3), NeighborMethod::Hamming), vec![id(0)]);
+    fn neighbors_are_the_same_whatever_order_the_rows_came_in() {
+        let s = space();
+        let mut rows: Vec<Vec<Value>> = s.iter_decoded().collect();
+        rows.reverse();
+        let reversed = SearchSpace::from_configs("grid", s.params().to_vec(), rows).unwrap();
+        assert_eq!(reversed.arena(), s.arena());
+        for method in METHODS {
+            for id in s.ids() {
+                assert_eq!(neighbors(&s, id, method), neighbors(&reversed, id, method));
+            }
+        }
+    }
+
+    #[test]
+    fn hamming_candidates_move_the_rank_by_whole_strides() {
+        let s = space();
+        // (2, 2) has codes (1, 1) and rank 4; strides are (3, 1).
+        let center = s.index_of(&int_values([2, 2])).unwrap();
+        assert_eq!(s.rank_of(center), Some(4));
+        assert_eq!(substitute(&s, 4, 0, 0), 1);
+        assert_eq!(substitute(&s, 4, 0, 2), 7);
+        assert_eq!(substitute(&s, 4, 1, 2), 5);
+        let ranks: Vec<u64> = neighbors(&s, center, NeighborMethod::Hamming)
+            .into_iter()
+            .map(|n| s.rank_of(n).unwrap())
+            .collect();
+        assert_eq!(ranks, [1, 3, 5, 7]);
     }
 
     #[test]
@@ -433,36 +439,24 @@ mod tests {
     }
 
     #[test]
-    fn random_neighbor_resolves_duplicate_rows_to_their_first_occurrence() {
-        // (1,2) appears at ids 1 and 3; (1,1) at ids 0 and 4.
+    fn a_ring_larger_than_the_stack_buffer_draws_like_a_small_one() {
+        // 200 values: 199 candidates, beyond the stack buffer.
         let params = vec![
-            TunableParameter::ints("x", [1, 2]),
-            TunableParameter::ints("y", [1, 2]),
+            TunableParameter::ints("x", 0..200),
+            TunableParameter::ints("y", [0, 1]),
         ];
-        let configs = vec![
-            int_values([1, 1]),
-            int_values([1, 2]),
-            int_values([2, 1]),
-            int_values([1, 2]),
-            int_values([1, 1]),
-        ];
-        let s = SearchSpace::from_configs("dup", params, configs).unwrap();
-        let id = ConfigId::from_index;
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        for query in [id(0), id(4)] {
-            let mut counts = [0usize; 5];
-            for _ in 0..400 {
-                let pick = random_neighbor(&s, query, NeighborMethod::Hamming, &mut rng);
-                counts[pick.unwrap().index()] += 1;
-            }
-            // Only the first copy of (1,2) is drawn, as often as (2,1).
-            assert_eq!(counts[0] + counts[3] + counts[4], 0, "{counts:?}");
-            assert!(counts[1] > 150 && counts[2] > 150, "{counts:?}");
+        let configs = vec![int_values([0, 0]), int_values([150, 0]), int_values([7, 1])];
+        let s = SearchSpace::from_configs("wide", params, configs).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let origin = s.index_of(&int_values([0, 0])).unwrap();
+        let ring = neighbors(&s, origin, NeighborMethod::Hamming);
+        assert_eq!(ring.len(), 1);
+        for _ in 0..20 {
+            assert_eq!(
+                random_neighbor(&s, origin, NeighborMethod::Hamming, &mut rng),
+                Some(ring[0])
+            );
         }
-        assert_eq!(
-            random_neighbor(&s, id(3), NeighborMethod::Hamming, &mut rng),
-            Some(id(0))
-        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The paper notes that rearranging solver output into a different structure
 //! per consumer can cost as much as the construction itself, and therefore
 //! provides output formats close to the internal representation. The resolved
-//! [`SearchSpace`] stores a flat index-encoded arena; this module renders it
+//! [`SearchSpace`] stores one sorted rank per configuration; this module renders it
 //! as CSV and as a JSON cache format compatible in spirit with Kernel
 //! Tuner's cache files — both as `String` builders ([`to_csv`],
 //! [`to_json_cache`]) and as streaming [`std::io::Write`] variants
@@ -11,7 +11,7 @@
 //! O(space).
 //!
 //! For a durable format that needs no decoding at all, see the `at_store`
-//! crate: it persists the `u32` code arena verbatim.
+//! crate: it persists the rank array verbatim.
 
 use std::io::{self, Write};
 

@@ -86,16 +86,16 @@ pub fn latin_hypercube_sample<R: Rng>(
         // Snap to the nearest valid configuration by normalized value code.
         let mut best = ConfigId::from_index(0);
         let mut best_dist = f64::INFINITY;
-        for id in space.ids() {
-            let codes = space.codes_of(id).expect("valid id");
+        for view in space.iter() {
             let mut dist = 0.0;
             for d in 0..dims {
-                let diff = codes[d] as f64 * inv_sizes[d] - target[d];
+                let code = space.code_at(view.rank(), d);
+                let diff = code as f64 * inv_sizes[d] - target[d];
                 dist += diff * diff;
             }
             if dist < best_dist {
                 best_dist = dist;
-                best = id;
+                best = view.id();
             }
         }
         picked.push(best);
@@ -115,8 +115,8 @@ pub fn coverage_per_parameter(space: &SearchSpace, samples: &[ConfigId]) -> Vec<
             let total = occurring[d].len().max(1);
             let mut seen = std::collections::HashSet::new();
             for &id in samples {
-                if let Some(codes) = space.codes_of(id) {
-                    seen.insert(codes[d]);
+                if let Some(code) = space.view(id).and_then(|view| view.code(d)) {
+                    seen.insert(code);
                 }
             }
             seen.len() as f64 / total as f64

@@ -1,24 +1,27 @@
-//! Streaming construction: append solver code rows straight to the arena.
+//! Streaming construction: rank each solver row as it is pushed.
 //!
 //! [`EncodingSink`] is the bridge between the CSP solvers' streaming output
-//! ([`at_csp::sink::RowSink`]) and the columnar [`SearchSpace`]
-//! representation. A solver pushes each solution as the codes of its
-//! values — their indices in the variables' declared domains — and for a
-//! problem lowered from a [`SearchSpaceSpec`](crate::SearchSpaceSpec) those
-//! are exactly the parameters' dictionary codes, because
+//! ([`at_csp::sink::RowSink`]) and the [`SearchSpace`] representation. A
+//! solver pushes each solution as the codes of its values — their indices
+//! in the variables' declared domains — and for a problem lowered from a
+//! [`SearchSpaceSpec`](crate::SearchSpaceSpec) those are exactly the
+//! parameters' dictionary codes, because
 //! [`SearchSpaceSpec::to_problem`](crate::SearchSpaceSpec::to_problem)
 //! declares each variable with its parameter's value list, in order. So the
-//! sink appends every row to the arena as it comes: construction decodes
-//! and re-encodes nothing, and never materializes a `Vec<Vec<Value>>` of
-//! the space. Every space built from a spec passes through one sink inside
+//! sink checks each code against its dictionary (a bad one is
+//! [`SpaceError::CodeOutOfRange`]) and appends the row's `u64` rank:
+//! construction decodes nothing, holds 8 bytes per row, and never
+//! materializes a `Vec<Vec<Value>>` of the space. Every space built from a
+//! spec passes through one sink inside
 //! [`build_search_space_with`](crate::build_search_space_with); `at_store`
 //! persists the finished space afterwards.
 //!
-//! [`EncodingSink::finish`] adopts the arena through
-//! [`SearchSpace::from_code_rows`], whose one bounds-checking pass turns a
-//! code outside its parameter's dictionary into
-//! [`SpaceError::CodeOutOfRange`], and builds the membership hash table
-//! exactly once.
+//! [`EncodingSink::new`] computes the rank strides, so a Cartesian product
+//! above `u64::MAX` is [`SpaceError::TooLarge`] before any solve.
+//! [`EncodingSink::finish`] checks whether the ranks ascend, as they do for
+//! a method that emits the canonical row order, and sorts them only when
+//! they do not; a row pushed twice is [`SpaceError::DuplicateRow`]. So
+//! every method yields the same space, byte for byte.
 //!
 //! ```
 //! use at_csp::prelude::*;
@@ -43,69 +46,92 @@ use at_csp::sink::RowSink;
 use at_csp::{CspError, CspResult};
 
 use crate::param::TunableParameter;
-use crate::space::{SearchSpace, SpaceError};
+use crate::space::{canonicalize, rank_strides, SearchSpace, SpaceError};
 
-/// A [`RowSink`] that appends solver code rows to a [`SearchSpace`] arena.
+/// A [`RowSink`] that ranks solver code rows into a [`SearchSpace`].
 /// See the [module docs](self).
 #[derive(Debug)]
 pub struct EncodingSink {
     name: String,
     params: Vec<TunableParameter>,
-    codes: Vec<u32>,
-    rows: usize,
+    strides: Vec<u64>,
+    ranks: Vec<u64>,
+    /// Whether every pushed rank was above its predecessor.
+    ascending: bool,
 }
 
 impl EncodingSink {
     /// Create a sink over the given parameters (their value lists are the
     /// per-parameter dictionaries the pushed codes index). Rows pushed later
-    /// must be in parameter declaration order. Codes are checked against the
-    /// dictionaries in [`EncodingSink::finish`], so creation does not fail.
+    /// must be in parameter declaration order. Fails with
+    /// [`SpaceError::TooLarge`] when the parameters' Cartesian product
+    /// does not fit a `u64` rank.
     pub fn new(name: impl Into<String>, params: Vec<TunableParameter>) -> Result<Self, SpaceError> {
+        let (strides, _) = rank_strides(&params)?;
         Ok(EncodingSink {
             name: name.into(),
             params,
-            codes: Vec::new(),
-            rows: 0,
+            strides,
+            ranks: Vec::new(),
+            ascending: true,
         })
     }
 
     /// Number of rows pushed so far.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.ranks.len()
     }
 
-    /// Build the [`SearchSpace`] from the accumulated arena: one
-    /// bounds-checking pass over the codes, then the membership hash table,
-    /// built here exactly once.
+    /// Build the [`SearchSpace`] from the pushed ranks: sorted only when a
+    /// method did not emit them in canonical order, and rejected as
+    /// [`SpaceError::DuplicateRow`] when a row was pushed twice.
     pub fn finish(self) -> Result<SearchSpace, SpaceError> {
         let EncodingSink {
             name,
             params,
-            codes,
-            rows,
+            strides,
+            mut ranks,
+            ascending,
         } = self;
-        let _span = at_obs::span("encode-finish", "construct")
-            .arg("rows", rows as u64)
+        let span = at_obs::span("encode-finish", "construct")
+            .arg("rows", ranks.len() as u64)
             .arg(
                 "arena_bytes",
-                (codes.len() * std::mem::size_of::<u32>()) as u64,
+                (ranks.len() * std::mem::size_of::<u64>()) as u64,
             );
-        SearchSpace::from_code_rows(name, params, rows, codes)
+        let sorted = canonicalize(&mut ranks, ascending, &strides, &params)?;
+        drop(span.arg("sorted", u64::from(sorted)));
+        SearchSpace::from_canonical_ranks(name, params, ranks, strides)
     }
 }
 
 impl RowSink for EncodingSink {
     fn push_codes(&mut self, codes: &[u32]) -> CspResult<()> {
+        let row = self.ranks.len();
         if codes.len() != self.params.len() {
             let error = SpaceError::RowLength {
-                row: self.rows,
+                row,
                 expected: self.params.len(),
                 found: codes.len(),
             };
             return Err(CspError::Solver(format!("encoding sink: {error}")));
         }
-        self.codes.extend_from_slice(codes);
-        self.rows += 1;
+        let mut rank = 0u64;
+        for ((&code, &stride), param) in codes.iter().zip(&self.strides).zip(&self.params) {
+            if code as usize >= param.len() {
+                let error = SpaceError::CodeOutOfRange {
+                    param: param.name().to_string(),
+                    code,
+                    row,
+                };
+                return Err(CspError::Solver(format!("encoding sink: {error}")));
+            }
+            rank += u64::from(code) * stride;
+        }
+        if let Some(&last) = self.ranks.last() {
+            self.ascending &= rank > last;
+        }
+        self.ranks.push(rank);
         Ok(())
     }
 }
@@ -134,7 +160,16 @@ mod tests {
         let decoded = vec![int_values([1, 1]), int_values([2, 2]), int_values([4, 1])];
         let reference = SearchSpace::from_configs("demo", params(), decoded).unwrap();
         assert_eq!(streamed.arena(), reference.arena());
-        assert_eq!(streamed.arena(), rows.concat());
+        assert_eq!(streamed.arena(), [0, 3, 4]);
+    }
+
+    #[test]
+    fn rows_out_of_canonical_order_are_sorted_at_finish() {
+        let mut sink = EncodingSink::new("demo", params()).unwrap();
+        for row in [[2, 0], [0, 0], [1, 1]] {
+            sink.push_codes(&row).unwrap();
+        }
+        assert_eq!(sink.finish().unwrap().arena(), [0, 3, 4]);
     }
 
     #[test]
@@ -149,16 +184,38 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_codes_fail_at_finish() {
+    fn out_of_range_codes_are_rejected_when_pushed() {
         let mut sink = EncodingSink::new("demo", params()).unwrap();
         sink.push_codes(&[0, 0]).unwrap();
-        sink.push_codes(&[3, 1]).unwrap();
-        match sink.finish() {
-            Err(SpaceError::CodeOutOfRange { param, code, row }) => {
-                assert_eq!((param.as_str(), code, row), ("x", 3, 1));
+        let err = sink.push_codes(&[3, 1]).unwrap_err().to_string();
+        let expected = SpaceError::CodeOutOfRange {
+            param: "x".to_string(),
+            code: 3,
+            row: 1,
+        };
+        assert!(err.contains(&expected.to_string()), "{err}");
+        assert_eq!(sink.rows(), 1);
+    }
+
+    #[test]
+    fn a_row_pushed_twice_fails_at_finish() {
+        for rows in [[[0, 1], [0, 1], [2, 0]], [[2, 0], [0, 1], [2, 0]]] {
+            let mut sink = EncodingSink::new("demo", params()).unwrap();
+            for row in &rows {
+                sink.push_codes(row).unwrap();
             }
-            other => panic!("expected CodeOutOfRange, got {other:?}"),
+            let err = sink.finish().unwrap_err();
+            assert!(matches!(err, SpaceError::DuplicateRow { .. }), "{err}");
         }
+    }
+
+    #[test]
+    fn a_cartesian_product_beyond_u64_fails_before_any_row() {
+        let params: Vec<TunableParameter> = (0..17)
+            .map(|i| TunableParameter::ints(format!("p{i}"), 0..16))
+            .collect();
+        let err = EncodingSink::new("huge", params).unwrap_err();
+        assert!(matches!(err, SpaceError::TooLarge { .. }), "{err}");
     }
 
     #[test]

@@ -1,38 +1,51 @@
 //! The fully resolved search space representation.
 //!
 //! After construction, optimization algorithms need efficient access to the
-//! valid configurations: indexed access for sampling, hash lookups to test
+//! valid configurations: indexed access for sampling, lookups to test
 //! membership and find a configuration's id, the *true* parameter bounds
 //! (which constraints may have shrunk relative to the declared domains), and
 //! neighbor queries. This mirrors Kernel Tuner's `SearchSpace` class
 //! (Section 4.4 of the paper).
 //!
-//! # Representation
+//! # Representation: one sorted rank per configuration
 //!
-//! At millions of configurations the representation — not just the
-//! construction — dominates memory and lookup cost, so the space is stored
-//! *columnar and index-encoded*: each parameter's distinct values live once
-//! in its [`TunableParameter`] (the per-parameter dictionary), and a
-//! configuration is a row of `u32` *value codes* in a single flat arena
-//! (`len × num_params` entries, stride = `num_params`). Membership tests and
-//! id lookups go through an open-addressing hash table over the encoded rows,
-//! so no `Vec<Value>` keys are ever cloned. Configurations are addressed by
-//! [`ConfigId`] and decoded lazily through a borrowing [`ConfigView`].
+//! Each parameter's distinct values live once in its [`TunableParameter`]
+//! (the per-parameter dictionary), and a configuration is a row of value
+//! *codes*, one per parameter. The space stores each row as its **rank**:
+//! its mixed-radix index in the Cartesian product, last parameter fastest.
+//! Parameter `p` has stride `stride_p = Π_{q>p} |D_q|`, and a row's rank is
+//! `Σ_p code_p · stride_p`.
+//!
+//! * The ranks are kept **strictly ascending**, which is lexicographic
+//!   order over codes in declaration order — the *canonical* row order. A
+//!   [`ConfigId`] is a position in that order, so it does not depend on
+//!   the construction method that produced the space.
+//! * Membership and id lookup compute the rank and binary-search for it.
+//! * A code is `(rank / stride_p) % |D_p|`: [`ConfigView`] decodes lazily,
+//!   and no decoded code can ever leave its dictionary, whatever the ranks.
+//! * A Hamming neighbor that changes parameter `p` from `c` to `c'` is
+//!   `rank + (c' − c) · stride_p`, so neighbor probes copy no row.
+//!
+//! A space costs 8 bytes per configuration plus the dictionaries. A
+//! Cartesian product above `u64::MAX` is rejected up front as
+//! [`SpaceError::TooLarge`]; a space is a set, so a repeated row is
+//! [`SpaceError::DuplicateRow`].
 
 use std::fmt;
 
 use at_csp::{SolutionSet, Value};
 use rustc_hash::FxHashMap;
 
-use crate::arena::ArenaStorage;
 use crate::param::TunableParameter;
+use crate::storage::RankStorage;
 
 /// Identifier of a configuration within one [`SearchSpace`].
 ///
-/// A `ConfigId` is a typed index into the space's configuration arena: ids
-/// are dense (`0..space.len()`) and stable for the lifetime of the space they
-/// came from. They are intentionally cheap (`u32`) so optimizers can store
-/// populations, neighbor lists and evaluation caches as plain id collections.
+/// A `ConfigId` is a typed index into the space's rank array: ids are dense
+/// (`0..space.len()`), follow the canonical row order, and are stable for
+/// the lifetime of the space they came from. They are intentionally cheap
+/// (`u32`) so optimizers can store populations, neighbor lists and
+/// evaluation caches as plain id collections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConfigId(u32);
 
@@ -81,12 +94,17 @@ pub enum SpaceError {
         /// The actual row length.
         found: usize,
     },
-    /// The space does not fit the `u32` code/id encoding.
+    /// The space does not fit its encoding: more configurations or values
+    /// than `u32` ids and codes address, or a Cartesian product above
+    /// `u64::MAX`, which ranks cannot number.
     TooLarge {
-        /// What overflowed (number of configurations or parameter values).
+        /// What overflowed (configurations, parameter values, or the
+        /// Cartesian product).
         what: &'static str,
-        /// The overflowing count.
-        count: usize,
+        /// The overflowing count (saturated at `u128::MAX`).
+        count: u128,
+        /// The largest count the encoding allows.
+        limit: u128,
     },
     /// A pre-encoded configuration row referenced a value code outside the
     /// corresponding parameter's dictionary.
@@ -105,14 +123,27 @@ pub enum SpaceError {
         /// The expected length (`rows × params`).
         expected: usize,
     },
-    /// A persisted membership index was structurally or semantically
-    /// unusable for the arena it was loaded with (wrong slot count, an
-    /// out-of-range occupant, a full table, or a sampled row the index
-    /// cannot find). Loaders treat this as "rebuild the index", never as
-    /// "serve wrong lookups".
-    IndexInvalid {
-        /// What exactly was wrong.
-        detail: String,
+    /// A configuration occurs more than once. A space is a set: a solver
+    /// that emits a row twice is at fault, and so is a stored rank array
+    /// that repeats a rank.
+    DuplicateRow {
+        /// The codes of the repeated configuration.
+        codes: Vec<u32>,
+    },
+    /// A stored rank array is not in ascending order.
+    UnsortedRanks {
+        /// The position of the first rank below its predecessor.
+        row: usize,
+    },
+    /// A stored rank is at least the Cartesian size, so it numbers no
+    /// configuration.
+    RankOutOfRange {
+        /// The position of the offending rank.
+        row: usize,
+        /// The offending rank.
+        rank: u64,
+        /// The Cartesian size every rank must stay below.
+        cartesian: u64,
     },
 }
 
@@ -131,8 +162,8 @@ impl fmt::Display for SpaceError {
                 f,
                 "configuration {row}: expected {expected} values, found {found}"
             ),
-            SpaceError::TooLarge { what, count } => {
-                write!(f, "{what} ({count}) exceeds the u32 encoding limit")
+            SpaceError::TooLarge { what, count, limit } => {
+                write!(f, "{what} ({count}) exceeds the encoding limit of {limit}")
             }
             SpaceError::CodeOutOfRange { param, code, row } => write!(
                 f,
@@ -142,54 +173,31 @@ impl fmt::Display for SpaceError {
                 f,
                 "encoded arena holds {len} codes where {expected} were expected"
             ),
-            SpaceError::IndexInvalid { detail } => {
-                write!(f, "persisted membership index is unusable: {detail}")
+            SpaceError::DuplicateRow { codes } => {
+                write!(
+                    f,
+                    "the configuration with codes {codes:?} occurs more than once"
+                )
             }
+            SpaceError::UnsortedRanks { row } => {
+                write!(f, "rank {row} is below its predecessor")
+            }
+            SpaceError::RankOutOfRange {
+                row,
+                rank,
+                cartesian,
+            } => write!(
+                f,
+                "rank {row} ({rank}) is not below the Cartesian size {cartesian}"
+            ),
         }
     }
 }
 
 impl std::error::Error for SpaceError {}
 
-/// Sentinel for an empty hash-table slot (no configuration id).
-const EMPTY_SLOT: u32 = u32::MAX;
-
-/// Version of the row-hash function the membership table is built over.
-///
-/// The table's slot positions are a function of the internal `hash_codes`
-/// row hash, and since
-/// persisted store files (`at_store`'s `IDX` section) carry the table
-/// verbatim, the hash is part of the on-disk contract: **changing
-/// `hash_codes` in any observable way requires bumping this constant**, so
-/// loaders detect a table built by a different hash and fall back to a
-/// rebuild instead of missing rows. The function itself must also stay
-/// platform-independent (it is: pure `u64` arithmetic on little-endian
-/// decoded codes).
-pub const INDEX_HASH_VERSION: u32 = 1;
-
-/// Hash a row of value codes: the slot function of the membership table,
-/// which every lookup (`index_of`, `index_of_codes`, Hamming neighbor
-/// probes) goes through. Persisted membership tables depend on it
-/// byte-for-byte (see [`INDEX_HASH_VERSION`]).
-///
-/// Rows are hashed two codes per step with a rotate-multiply mix (in the
-/// style of `FxHasher`): half the multiply chain of a per-code FNV walk,
-/// which is what bounds membership-table builds over hundreds of thousands
-/// of rows — including every warm `at_store` load. The final fold spreads
-/// the well-mixed high bits into the low bits the table masks on.
-pub(crate) fn hash_codes(codes: &[u32]) -> u64 {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut chunks = codes.chunks_exact(2);
-    for pair in &mut chunks {
-        let v = (pair[0] as u64) | ((pair[1] as u64) << 32);
-        h = (h.rotate_left(5) ^ v).wrapping_mul(SEED);
-    }
-    if let Some(&last) = chunks.remainder().first() {
-        h = (h.rotate_left(5) ^ last as u64).wrapping_mul(SEED);
-    }
-    h ^ (h >> 32)
-}
+/// Sentinel for an integer with no code in a dense reverse dictionary.
+const NO_CODE: u32 = u32::MAX;
 
 /// Per-parameter reverse dictionary: value → code.
 ///
@@ -203,7 +211,7 @@ pub(crate) fn hash_codes(codes: &[u32]) -> u64 {
 #[derive(Debug, Clone)]
 pub(crate) enum CodeLookup {
     /// All-integer-like dictionary with a compact range: `table[v - min]`
-    /// holds the code, or [`EMPTY_SLOT`] for integers not in the dictionary.
+    /// holds the code, or [`NO_CODE`] for integers not in the dictionary.
     IntDense { min: i64, table: Box<[u32]> },
     /// All-integer-like dictionary with a wide range: binary search.
     IntSorted(Box<[(i64, u32)]>),
@@ -234,7 +242,7 @@ impl CodeLookup {
         // A dense table costs 4 bytes per slot in [min, max]; accept it while
         // it stays within a small constant factor of the dictionary itself.
         if range <= (4 * values.len() as u64).max(256) {
-            let mut table = vec![EMPTY_SLOT; range as usize + 1].into_boxed_slice();
+            let mut table = vec![NO_CODE; range as usize + 1].into_boxed_slice();
             for (code, &i) in ints.iter().enumerate() {
                 table[(i - min) as usize] = code as u32;
             }
@@ -258,7 +266,7 @@ impl CodeLookup {
                 let i = value.as_i64()?;
                 let offset = usize::try_from(i.checked_sub(*min)?).ok()?;
                 let code = *table.get(offset)?;
-                (code != EMPTY_SLOT).then_some(code)
+                (code != NO_CODE).then_some(code)
             }
             CodeLookup::IntSorted(entries) => {
                 let i = value.as_i64()?;
@@ -272,191 +280,119 @@ impl CodeLookup {
     }
 }
 
-/// How much of a persisted membership table, and of the arena it indexes,
-/// is checked before the table is adopted.
+/// How much of a stored rank array [`SearchSpace::from_rank_storage`]
+/// checks before serving it.
 ///
-/// Adoption is *structurally* safe either way: the lookup algorithm
-/// compares the candidate arena row against the queried codes before
-/// returning an id, so a wrong table can only ever produce a **missed** row
-/// (a false `None`), never a misattributed one — and the structural checks
-/// run unconditionally (the arena holds exactly `num_rows` whole rows, the
-/// slot count is a power of two, every occupant is in range, and at least
-/// one slot is empty so probing terminates). Code checking is about
-/// *eagerness of error reporting*, not memory safety: every later decode
-/// indexes its dictionary through a bounds-checked slice access, so an
-/// out-of-dictionary code can only ever panic cleanly — never decode to a
-/// wrong value and never touch invalid memory.
+/// Either way the space is memory-safe: a lookup is a binary search, which
+/// is memory-safe over any `u64`s, and decoding takes a modulo, so no
+/// decoded code can leave its dictionary. Ranks that are unsorted or out
+/// of range can only make lookups answer wrongly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Adoption {
-    /// Bounds-check every code in one branch-free per-column maxima pass
-    /// (O(arena); an out-of-dictionary code is reported up front as
-    /// [`SpaceError::CodeOutOfRange`]), and look up evenly spaced arena
-    /// rows, requiring each to be found — a cheap screen against a table
-    /// that was persisted for a different arena.
-    Verified,
-    /// The structural checks alone (O(header + index)) — the trusted
-    /// zero-copy load path, where an O(arena) walk would defeat the
-    /// O(header) goal and the file carries checksums for explicit
-    /// verification instead.
-    Trusted,
+pub enum RankCheck {
+    /// One pass: the ranks must strictly ascend and stay below the
+    /// Cartesian size ([`SpaceError::UnsortedRanks`],
+    /// [`SpaceError::DuplicateRow`], [`SpaceError::RankOutOfRange`]).
+    Verify,
+    /// O(1) shape checks only — the trusted zero-copy load, where an O(rows)
+    /// walk would defeat the O(header) goal and the file carries a checksum
+    /// for explicit verification instead.
+    Trust,
 }
 
-/// Open-addressing (linear probing) hash table mapping encoded rows to
-/// configuration ids. Stores only `u32` ids — the keys are the arena rows
-/// themselves, so the whole membership index costs ~4–8 bytes per
-/// configuration instead of a cloned `Vec<Value>` key per configuration.
-///
-/// The slots live in an [`ArenaStorage`] so a table persisted in an `ATSS`
-/// `IDX` section can be adopted zero-copy from a memory-mapped file
-/// ([`RowTable::adopt`]) instead of rebuilt.
-#[derive(Debug, Clone)]
-struct RowTable {
-    slots: ArenaStorage,
-    mask: usize,
+/// The mixed-radix strides of `params` (`stride_p = Π_{q>p} |D_q|`) and
+/// the Cartesian size `Π_p |D_p|`, or [`SpaceError::TooLarge`] when that
+/// product does not fit a `u64` rank.
+pub(crate) fn rank_strides(params: &[TunableParameter]) -> Result<(Vec<u64>, u64), SpaceError> {
+    let mut strides = vec![0u64; params.len()];
+    let mut size: u64 = 1;
+    for (stride, param) in strides.iter_mut().zip(params).rev() {
+        *stride = size;
+        size = size
+            .checked_mul(param.len() as u64)
+            .ok_or_else(|| SpaceError::TooLarge {
+                what: "Cartesian product",
+                count: params
+                    .iter()
+                    .fold(1u128, |a, p| a.saturating_mul(p.len() as u128)),
+                limit: u64::MAX as u128,
+            })?;
+    }
+    Ok((strides, size))
 }
 
-impl RowTable {
-    /// Build the table over the `num_configs` rows of `arena` (row `i` is
-    /// `arena[i * stride..(i + 1) * stride]`).
-    fn build(num_configs: usize, stride: usize, arena: &[u32]) -> RowTable {
-        // Keep the load factor under ~7/8.
-        let capacity = (num_configs * 8 / 7 + 1).next_power_of_two().max(8);
-        let mask = capacity - 1;
-        let mut slots = vec![EMPTY_SLOT; capacity];
-        for id in 0..num_configs {
-            let codes = &arena[id * stride..(id + 1) * stride];
-            let mut slot = (hash_codes(codes) as usize) & mask;
-            loop {
-                let occupant = slots[slot];
-                if occupant == EMPTY_SLOT {
-                    slots[slot] = id as u32;
-                    break;
-                }
-                let other = &arena[occupant as usize * stride..(occupant as usize + 1) * stride];
-                if other == codes {
-                    // Duplicate row: the first occurrence keeps the slot.
-                    break;
-                }
-                slot = (slot + 1) & mask;
-            }
-        }
-        RowTable {
-            slots: ArenaStorage::from(slots),
-            mask,
-        }
+/// Reject a space with `rows` configurations when its ids would not fit.
+fn check_row_count(rows: usize) -> Result<(), SpaceError> {
+    if rows >= u32::MAX as usize {
+        return Err(SpaceError::TooLarge {
+            what: "number of configurations",
+            count: rows as u128,
+            limit: u32::MAX as u128 - 1,
+        });
     }
+    Ok(())
+}
 
-    /// How many evenly spaced rows [`Adoption::Verified`] looks up.
-    const VERIFY_SAMPLES: usize = 64;
-
-    /// Adopt persisted slots instead of rebuilding. The structural checks
-    /// (slot count, occupant range, a free slot for probe termination) are
-    /// unconditional; [`Adoption::Verified`] also looks up sampled rows.
-    fn adopt(
-        slots: ArenaStorage,
-        num_configs: usize,
-        stride: usize,
-        arena: &[u32],
-        adoption: Adoption,
-    ) -> Result<RowTable, SpaceError> {
-        let invalid = |detail: String| SpaceError::IndexInvalid { detail };
-        let n = slots.len();
-        if !n.is_power_of_two() || n < 8 {
-            return Err(invalid(format!(
-                "slot count {n} is not a power of two >= 8"
-            )));
-        }
-        // One branch-free pass, like `validate_code_arena`: count the free
-        // slots and take the largest occupant + 1 (the wrapping add maps
-        // `EMPTY_SLOT` to 0). Counting in `u32` per 2^16-slot block keeps
-        // every lane 32 bits wide, so the loop vectorizes. Only an
-        // out-of-range maximum pays for a second pass, which names the first
-        // offender in slot order.
-        let (mut free, mut max_plus_one) = (0usize, 0u32);
-        for block in slots.as_slice().chunks(1 << 16) {
-            let (block_free, block_max) = block.iter().fold((0u32, 0u32), |(f, m), &occupant| {
-                let shifted = occupant.wrapping_add(1);
-                (f + u32::from(shifted == 0), m.max(shifted))
-            });
-            free += block_free as usize;
-            max_plus_one = max_plus_one.max(block_max);
-        }
-        if max_plus_one as usize > num_configs {
-            let occupant = slots
-                .as_slice()
-                .iter()
-                .copied()
-                .find(|&o| o != EMPTY_SLOT && o as usize >= num_configs)
-                .expect("the maximum is out of range");
-            return Err(invalid(format!(
-                "occupant {occupant} out of range for {num_configs} rows"
-            )));
-        }
-        if free == 0 {
-            return Err(invalid("no empty slot; probing would not terminate".into()));
-        }
-        let table = RowTable { slots, mask: n - 1 };
-        if adoption == Adoption::Verified {
-            let step = (num_configs / Self::VERIFY_SAMPLES).max(1);
-            for id in (0..num_configs).step_by(step) {
-                let codes = &arena[id * stride..(id + 1) * stride];
-                if table.lookup(codes, stride, arena).is_none() {
-                    return Err(invalid(format!(
-                        "sampled row {id} is missing from the table"
-                    )));
-                }
-            }
-        }
-        Ok(table)
+/// Put `ranks` into canonical order: sort them unless `ascending` says they
+/// already strictly ascend, then reject a repeated row. Returns whether a
+/// sort ran.
+pub(crate) fn canonicalize(
+    ranks: &mut [u64],
+    ascending: bool,
+    strides: &[u64],
+    params: &[TunableParameter],
+) -> Result<bool, SpaceError> {
+    if ascending {
+        return Ok(false);
     }
-
-    /// Look up the id of an encoded row.
-    fn lookup(&self, codes: &[u32], stride: usize, arena: &[u32]) -> Option<u32> {
-        let slots = self.slots.as_slice();
-        let mut slot = (hash_codes(codes) as usize) & self.mask;
-        loop {
-            let occupant = slots[slot];
-            if occupant == EMPTY_SLOT {
-                return None;
-            }
-            let i = occupant as usize;
-            if &arena[i * stride..(i + 1) * stride] == codes {
-                return Some(occupant);
-            }
-            slot = (slot + 1) & self.mask;
-        }
+    ranks.sort_unstable();
+    if let Some(pair) = ranks.windows(2).find(|pair| pair[0] == pair[1]) {
+        return Err(SpaceError::DuplicateRow {
+            codes: decode_rank(pair[0], strides, params),
+        });
     }
+    Ok(true)
+}
+
+/// Whether `ranks` strictly ascend.
+pub(crate) fn strictly_ascending(ranks: &[u64]) -> bool {
+    ranks.windows(2).all(|pair| pair[0] < pair[1])
+}
+
+/// The codes of the row with rank `rank`.
+fn decode_rank(rank: u64, strides: &[u64], params: &[TunableParameter]) -> Vec<u32> {
+    strides
+        .iter()
+        .zip(params)
+        .map(|(&stride, p)| ((rank / stride) % p.len() as u64) as u32)
+        .collect()
 }
 
 /// A fully resolved, indexed search space.
 ///
-/// See the [module documentation](self) for the storage layout. The memory
-/// footprint is `4 × num_params` bytes per configuration (the code arena)
-/// plus ~5 bytes per configuration of hash-table slots, plus the
-/// per-parameter value dictionaries — independent of how many times each
-/// value occurs.
+/// See the [module documentation](self) for the representation. The memory
+/// footprint is 8 bytes per configuration (its rank) plus the
+/// per-parameter value dictionaries — independent of how many parameters a
+/// configuration has and how many times each value occurs.
 #[derive(Debug, Clone)]
 pub struct SearchSpace {
     name: String,
     params: Vec<TunableParameter>,
-    /// Number of valid configurations.
-    num_configs: usize,
-    /// Flat arena of per-parameter value codes; row `i` occupies
-    /// `codes[i * stride .. (i + 1) * stride]` with `stride = params.len()`.
-    /// Owned for in-process construction, or a borrowed view into a shared
-    /// backing (a memory-mapped store file) for zero-copy loads.
-    codes: ArenaStorage,
+    /// One strictly ascending rank per configuration. Owned for in-process
+    /// construction, or a borrowed view into a shared backing (a
+    /// memory-mapped store file) for zero-copy loads.
+    ranks: RankStorage,
+    /// `strides[p] = Π_{q>p} |D_q|`.
+    strides: Vec<u64>,
     /// Per-parameter reverse dictionaries: value → code.
     value_codes: Vec<CodeLookup>,
-    /// Hash index from encoded row to configuration id.
-    table: RowTable,
 }
 
 impl SearchSpace {
     /// Build the representation from the solver output.
     ///
     /// The solution columns must be in parameter declaration order (which is
-    /// how [`crate::build_search_space`] lowers specifications).
+    /// how [`crate::build_search_space`] lowers specifications). Rows may
+    /// come in any order; the space holds them in canonical order.
     pub fn from_solutions(
         name: impl Into<String>,
         params: Vec<TunableParameter>,
@@ -466,9 +402,11 @@ impl SearchSpace {
     }
 
     /// Build the representation from raw configuration rows (declaration
-    /// order). Returns [`SpaceError::UnknownValue`] when a row contains a
-    /// value outside its parameter's declared value list — silently encoding
-    /// such a row would corrupt every code-based operation downstream.
+    /// order, rows in any order). Returns [`SpaceError::UnknownValue`] when
+    /// a row contains a value outside its parameter's declared value list —
+    /// silently encoding such a row would corrupt every code-based
+    /// operation downstream — and [`SpaceError::DuplicateRow`] when a row
+    /// occurs twice.
     pub fn from_configs(
         name: impl Into<String>,
         params: Vec<TunableParameter>,
@@ -484,14 +422,10 @@ impl SearchSpace {
         num_configs: usize,
         rows: impl Iterator<Item = &'v [Value]>,
     ) -> Result<Self, SpaceError> {
-        if num_configs > EMPTY_SLOT as usize {
-            return Err(SpaceError::TooLarge {
-                what: "number of configurations",
-                count: num_configs,
-            });
-        }
+        check_row_count(num_configs)?;
         let lookups = reverse_dictionaries(&params)?;
-        let mut codes: Vec<u32> = Vec::with_capacity(num_configs * params.len());
+        let (strides, _) = rank_strides(&params)?;
+        let mut ranks: Vec<u64> = Vec::with_capacity(num_configs);
         for (row_index, row) in rows.enumerate() {
             if row.len() != params.len() {
                 return Err(SpaceError::RowLength {
@@ -500,7 +434,10 @@ impl SearchSpace {
                     found: row.len(),
                 });
             }
-            for (value, (param, lookup)) in row.iter().zip(params.iter().zip(&lookups)) {
+            let mut rank = 0u64;
+            for ((value, stride), (param, lookup)) in
+                row.iter().zip(&strides).zip(params.iter().zip(&lookups))
+            {
                 let code = lookup
                     .code_of(value)
                     .ok_or_else(|| SpaceError::UnknownValue {
@@ -508,148 +445,158 @@ impl SearchSpace {
                         value: value.clone(),
                         row: row_index,
                     })?;
-                codes.push(code);
+                rank += u64::from(code) * stride;
             }
+            ranks.push(rank);
         }
+        let ascending = strictly_ascending(&ranks);
+        canonicalize(&mut ranks, ascending, &strides, &params)?;
         Ok(Self::from_parts(
             name.into(),
             params,
-            num_configs,
-            codes.into(),
+            ranks.into(),
+            strides,
             lookups,
         ))
     }
 
     /// Adopt pre-encoded configuration rows: `codes` is a flat arena of
     /// `num_rows × params.len()` per-parameter value codes in row-major,
-    /// declaration order — exactly the layout the space stores internally,
-    /// so construction performs no decoding and no per-row hashing beyond
-    /// the one membership-table build every constructor needs.
+    /// declaration order, rows in any order.
     ///
-    /// This is the adoption point for streaming construction: an encoding
-    /// sink (see [`crate::EncodingSink`]) appends the solver's code rows in
-    /// this layout and hands the arena over here. The codes are
-    /// bounds-checked against the parameter dictionaries in one cheap pass
-    /// ([`SpaceError::CodeOutOfRange`] otherwise); a ragged arena
-    /// (`codes.len() != num_rows × params.len()`) is rejected as
-    /// [`SpaceError::RaggedArena`].
-    ///
-    /// For an arena borrowed from a shared backing (a memory-mapped store
-    /// file), use [`SearchSpace::from_code_storage`]; to also adopt a
-    /// persisted membership table, [`SearchSpace::from_code_storage_with_index`].
+    /// Each code is bounds-checked against its dictionary
+    /// ([`SpaceError::CodeOutOfRange`] otherwise) and the row ranked; a
+    /// ragged arena (`codes.len() != num_rows × params.len()`) is
+    /// [`SpaceError::RaggedArena`], and a repeated row
+    /// [`SpaceError::DuplicateRow`]. Streaming construction goes through
+    /// [`crate::EncodingSink`] instead, which ranks each row as it is
+    /// pushed.
     pub fn from_code_rows(
         name: impl Into<String>,
         params: Vec<TunableParameter>,
         num_rows: usize,
         codes: Vec<u32>,
     ) -> Result<Self, SpaceError> {
-        Self::from_code_storage(name, params, num_rows, codes.into())
-    }
-
-    /// [`SearchSpace::from_code_rows`] over any [`ArenaStorage`] backing —
-    /// the zero-copy adoption point: a `Shared` storage is served in place
-    /// (nothing is copied), an `Owned` one is adopted as before. Validation
-    /// is identical either way.
-    pub fn from_code_storage(
-        name: impl Into<String>,
-        params: Vec<TunableParameter>,
-        num_rows: usize,
-        codes: ArenaStorage,
-    ) -> Result<Self, SpaceError> {
-        let value_codes = reverse_dictionaries(&params)?;
-        validate_code_arena(&params, num_rows, codes.as_slice())?;
-        if num_rows > EMPTY_SLOT as usize {
-            return Err(SpaceError::TooLarge {
-                what: "number of configurations",
-                count: num_rows,
-            });
+        let stride = params.len();
+        num_rows
+            .checked_mul(stride)
+            .filter(|&len| len == codes.len())
+            .ok_or(SpaceError::RaggedArena {
+                len: codes.len(),
+                expected: num_rows.saturating_mul(stride),
+            })?;
+        check_row_count(num_rows)?;
+        let (strides, _) = rank_strides(&params)?;
+        let mut ranks = Vec::with_capacity(num_rows);
+        for row_index in 0..num_rows {
+            let row = &codes[row_index * stride..(row_index + 1) * stride];
+            let mut rank = 0u64;
+            for ((&code, &s), param) in row.iter().zip(&strides).zip(&params) {
+                if code as usize >= param.len() {
+                    return Err(SpaceError::CodeOutOfRange {
+                        param: param.name().to_string(),
+                        code,
+                        row: row_index,
+                    });
+                }
+                rank += u64::from(code) * s;
+            }
+            ranks.push(rank);
         }
-        Ok(Self::from_parts(
-            name.into(),
-            params,
-            num_rows,
-            codes,
-            value_codes,
-        ))
+        let ascending = strictly_ascending(&ranks);
+        canonicalize(&mut ranks, ascending, &strides, &params)?;
+        Self::from_canonical_ranks(name.into(), params, ranks, strides)
     }
 
-    /// [`SearchSpace::from_code_storage`], additionally adopting a
-    /// persisted membership table instead of rebuilding it — the warm-load
-    /// fast path. `slots` is the open-addressing slot array exactly as a
-    /// previous build exposed it via [`SearchSpace::index_slots`] (and as
-    /// `at_store` persists it in the `IDX` section); `adoption` decides how
-    /// much of the table and the arena is checked first (see [`Adoption`]
-    /// — structural safety checks always run). An unusable table is
-    /// [`SpaceError::IndexInvalid`]; callers are expected to fall back to
-    /// the rebuilding path *and report it*.
-    pub fn from_code_storage_with_index(
+    /// Serve a stored rank array — the adoption point of the persistence
+    /// layer. A `Shared` storage is served in place (nothing is copied), an
+    /// `Owned` one is adopted. `check` decides how much of the array is
+    /// checked first (see [`RankCheck`]); the row count must fit a
+    /// [`ConfigId`] and a non-empty array needs a non-empty Cartesian
+    /// product either way.
+    pub fn from_rank_storage(
         name: impl Into<String>,
         params: Vec<TunableParameter>,
-        num_rows: usize,
-        codes: ArenaStorage,
-        slots: ArenaStorage,
-        adoption: Adoption,
+        ranks: RankStorage,
+        check: RankCheck,
     ) -> Result<Self, SpaceError> {
+        check_row_count(ranks.len())?;
         let value_codes = reverse_dictionaries(&params)?;
-        match adoption {
-            Adoption::Verified => validate_code_arena(&params, num_rows, codes.as_slice())?,
-            Adoption::Trusted => {
-                // Only the O(1) shape check: the arena must still hold
-                // exactly `num_rows` whole rows.
-                let expected = num_rows.checked_mul(params.len());
-                if expected != Some(codes.len()) {
-                    return Err(SpaceError::RaggedArena {
-                        len: codes.len(),
-                        expected: expected.unwrap_or(usize::MAX),
+        let (strides, cartesian) = rank_strides(&params)?;
+        let slice = ranks.as_slice();
+        match check {
+            RankCheck::Verify => {
+                if let Some(row) = (1..slice.len()).find(|&i| slice[i] <= slice[i - 1]) {
+                    return Err(if slice[row] == slice[row - 1] {
+                        SpaceError::DuplicateRow {
+                            codes: decode_rank(slice[row], &strides, &params),
+                        }
+                    } else {
+                        SpaceError::UnsortedRanks { row }
+                    });
+                }
+                if let Some(&last) = slice.last().filter(|&&last| last >= cartesian) {
+                    return Err(SpaceError::RankOutOfRange {
+                        row: slice.len() - 1,
+                        rank: last,
+                        cartesian,
+                    });
+                }
+            }
+            RankCheck::Trust => {
+                // Decoding divides by the dictionary sizes: rows over an
+                // empty product cannot exist, and would not decode.
+                if cartesian == 0 && !slice.is_empty() {
+                    return Err(SpaceError::RankOutOfRange {
+                        row: 0,
+                        rank: slice[0],
+                        cartesian,
                     });
                 }
             }
         }
-        if num_rows > EMPTY_SLOT as usize {
-            return Err(SpaceError::TooLarge {
-                what: "number of configurations",
-                count: num_rows,
-            });
-        }
-        let table = RowTable::adopt(slots, num_rows, params.len(), codes.as_slice(), adoption)?;
-        Ok(SearchSpace {
-            name: name.into(),
+        Ok(Self::from_parts(
+            name.into(),
             params,
-            num_configs: num_rows,
-            codes,
+            ranks,
+            strides,
             value_codes,
-            table,
-        })
+        ))
     }
 
-    /// Build directly from encoded rows (used by [`SearchSpace::filter`]).
+    /// A space over ranks that [`canonicalize`] put in canonical order.
+    pub(crate) fn from_canonical_ranks(
+        name: String,
+        params: Vec<TunableParameter>,
+        ranks: Vec<u64>,
+        strides: Vec<u64>,
+    ) -> Result<Self, SpaceError> {
+        check_row_count(ranks.len())?;
+        let value_codes = reverse_dictionaries(&params)?;
+        Ok(Self::from_parts(
+            name,
+            params,
+            ranks.into(),
+            strides,
+            value_codes,
+        ))
+    }
+
+    /// Assemble a space from canonical ranks.
     fn from_parts(
         name: String,
         params: Vec<TunableParameter>,
-        num_configs: usize,
-        codes: ArenaStorage,
+        ranks: RankStorage,
+        strides: Vec<u64>,
         value_codes: Vec<CodeLookup>,
     ) -> Self {
-        let table = RowTable::build(num_configs, params.len(), codes.as_slice());
         SearchSpace {
             name,
             params,
-            num_configs,
-            codes,
+            ranks,
+            strides,
             value_codes,
-            table,
         }
-    }
-
-    #[inline]
-    fn stride(&self) -> usize {
-        self.params.len()
-    }
-
-    #[inline]
-    fn row(&self, index: usize) -> &[u32] {
-        let stride = self.stride();
-        &self.codes.as_slice()[index * stride..(index + 1) * stride]
     }
 
     /// The space's name.
@@ -667,19 +614,19 @@ impl SearchSpace {
         self.params.iter().map(|p| p.name()).collect()
     }
 
-    /// Number of tunable parameters (the arena stride).
+    /// Number of tunable parameters.
     pub fn num_params(&self) -> usize {
         self.params.len()
     }
 
     /// Number of valid configurations.
     pub fn len(&self) -> usize {
-        self.num_configs
+        self.ranks.len()
     }
 
     /// True when the space has no valid configuration.
     pub fn is_empty(&self) -> bool {
-        self.num_configs == 0
+        self.ranks.is_empty()
     }
 
     /// The Cartesian size of the unconstrained space.
@@ -702,20 +649,25 @@ impl SearchSpace {
 
     /// The id at a raw dense index, if in range.
     pub fn id_at(&self, index: usize) -> Option<ConfigId> {
-        (index < self.num_configs).then(|| ConfigId::from_index(index))
+        (index < self.len()).then(|| ConfigId::from_index(index))
     }
 
-    /// Iterate over all configuration ids (`0..len`).
+    /// Iterate over all configuration ids (`0..len`), in canonical order.
     pub fn ids(&self) -> impl ExactSizeIterator<Item = ConfigId> + DoubleEndedIterator {
-        (0..self.num_configs as u32).map(ConfigId)
+        (0..self.len() as u32).map(ConfigId)
     }
 
     /// Iterate over all configurations as borrowing [`ConfigView`]s.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = ConfigView<'_>> + DoubleEndedIterator {
-        (0..self.num_configs as u32).map(move |i| ConfigView {
-            space: self,
-            id: ConfigId(i),
-        })
+        self.ranks
+            .as_slice()
+            .iter()
+            .enumerate()
+            .map(move |(i, &rank)| ConfigView {
+                space: self,
+                id: ConfigId(i as u32),
+                rank,
+            })
     }
 
     /// Iterate over all configurations decoded to owned value rows.
@@ -728,47 +680,83 @@ impl SearchSpace {
 
     /// A borrowing view of the configuration with the given id.
     pub fn view(&self, id: ConfigId) -> Option<ConfigView<'_>> {
-        (id.index() < self.num_configs).then_some(ConfigView { space: self, id })
+        let rank = self.rank_of(id)?;
+        Some(ConfigView {
+            space: self,
+            id,
+            rank,
+        })
     }
 
-    /// The encoded row (per-parameter value codes) of a configuration.
-    pub fn codes_of(&self, id: ConfigId) -> Option<&[u32]> {
-        (id.index() < self.num_configs).then(|| self.row(id.index()))
+    /// The rank of a configuration: its mixed-radix index in the Cartesian
+    /// product (see the [module documentation](self)).
+    #[inline]
+    pub fn rank_of(&self, id: ConfigId) -> Option<u64> {
+        self.ranks.as_slice().get(id.index()).copied()
     }
 
-    /// The whole code arena: `len × num_params` per-parameter value codes in
-    /// row-major declaration order (row `i` occupies
-    /// `arena[i * num_params .. (i + 1) * num_params]`).
+    /// The id of the configuration with the given rank, if it is valid.
+    #[inline]
+    pub fn index_of_rank(&self, rank: u64) -> Option<ConfigId> {
+        self.ranks
+            .as_slice()
+            .binary_search(&rank)
+            .ok()
+            .map(|i| ConfigId(i as u32))
+    }
+
+    /// The mixed-radix strides: `strides()[p] = Π_{q>p} |D_q|`, so a row's
+    /// rank is `Σ_p code_p · strides()[p]`.
+    pub fn strides(&self) -> &[u64] {
+        &self.strides
+    }
+
+    /// The code of parameter `param` in the row with rank `rank`:
+    /// `(rank / stride) % |D_param|`, always inside the dictionary.
+    ///
+    /// # Panics
+    ///
+    /// When `param` is not a parameter index, or its dictionary is empty
+    /// (then no row exists to decode).
+    #[inline]
+    pub fn code_at(&self, rank: u64, param: usize) -> u32 {
+        ((rank / self.strides[param]) % self.params[param].len() as u64) as u32
+    }
+
+    /// Decode the codes of a configuration into `out` (cleared first), the
+    /// allocation-free way to read a row in code space. Returns `false`,
+    /// leaving `out` empty, for an id outside the space.
+    pub fn codes_into(&self, id: ConfigId, out: &mut Vec<u32>) -> bool {
+        out.clear();
+        let Some(rank) = self.rank_of(id) else {
+            return false;
+        };
+        out.extend((0..self.params.len()).map(|p| self.code_at(rank, p)));
+        true
+    }
+
+    /// The rank array: one strictly ascending `u64` per configuration, in
+    /// id order.
     ///
     /// This is the space's internal representation, exposed verbatim so
     /// persistence layers (`at_store`) can write it without decoding a
-    /// single configuration; [`SearchSpace::from_code_rows`] is the inverse
-    /// adoption point.
-    pub fn arena(&self) -> &[u32] {
-        self.codes.as_slice()
+    /// single configuration; [`SearchSpace::from_rank_storage`] is the
+    /// inverse adoption point. Two spaces over the same parameters hold the
+    /// same configurations exactly when their arenas are equal.
+    pub fn arena(&self) -> &[u64] {
+        self.ranks.as_slice()
     }
 
-    /// The arena's storage (owned, or a shared zero-copy view into e.g. a
-    /// memory-mapped store file).
-    pub fn arena_storage(&self) -> &ArenaStorage {
-        &self.codes
+    /// The rank array's storage (owned, or a shared zero-copy view into
+    /// e.g. a memory-mapped store file).
+    pub fn arena_storage(&self) -> &RankStorage {
+        &self.ranks
     }
 
-    /// True when the arena is served zero-copy from a shared backing (a
+    /// True when the ranks are served zero-copy from a shared backing (a
     /// memory-mapped store file) instead of owned memory.
     pub fn is_zero_copy(&self) -> bool {
-        self.codes.is_shared()
-    }
-
-    /// The membership table's open-addressing slot array, exposed verbatim
-    /// so persistence layers can write it (`at_store`'s `IDX` section);
-    /// [`SearchSpace::from_code_storage_with_index`] is the inverse
-    /// adoption point. Slot semantics: `slots().len()` is a power of two,
-    /// a slot holds a configuration id or `u32::MAX` for empty, and slot
-    /// positions are a function of the row hash (see
-    /// [`INDEX_HASH_VERSION`]).
-    pub fn index_slots(&self) -> &[u32] {
-        self.table.slots.as_slice()
+        self.ranks.is_shared()
     }
 
     /// Encode a value row into per-parameter codes. Returns `false` (leaving
@@ -777,7 +765,7 @@ impl SearchSpace {
     /// part of any space over these parameters.
     pub fn encode_into(&self, config: &[Value], out: &mut Vec<u32>) -> bool {
         out.clear();
-        if config.len() != self.stride() {
+        if config.len() != self.num_params() {
             return false;
         }
         for (value, lookup) in config.iter().zip(self.value_codes.iter()) {
@@ -803,48 +791,55 @@ impl SearchSpace {
 
     /// The id of a configuration given as a value row, if valid.
     ///
-    /// The row is encoded on the fly (no allocation beyond a small code
-    /// buffer) and looked up by hashing the encoded row.
+    /// The row is ranked on the fly, value by value (no allocation), and
+    /// the rank binary-searched.
     pub fn index_of(&self, config: &[Value]) -> Option<ConfigId> {
-        let mut buf = [0u32; 16];
-        if config.len() <= buf.len() {
-            // Fast path: encode into a stack buffer.
-            if config.len() != self.stride() {
+        if config.len() != self.num_params() {
+            return None;
+        }
+        let mut rank = 0u64;
+        for ((value, lookup), &stride) in config
+            .iter()
+            .zip(self.value_codes.iter())
+            .zip(&self.strides)
+        {
+            rank += u64::from(lookup.code_of(value)?) * stride;
+        }
+        self.index_of_rank(rank)
+    }
+
+    /// The rank of an encoded row, if it has one code per parameter and
+    /// every code is inside its dictionary (whether or not the row is
+    /// valid).
+    fn rank_of_codes(&self, codes: &[u32]) -> Option<u64> {
+        if codes.len() != self.num_params() {
+            return None;
+        }
+        let mut rank = 0u64;
+        for ((&code, param), &stride) in codes.iter().zip(&self.params).zip(&self.strides) {
+            if code as usize >= param.len() {
                 return None;
             }
-            for (slot, (value, lookup)) in buf
-                .iter_mut()
-                .zip(config.iter().zip(self.value_codes.iter()))
-            {
-                *slot = lookup.code_of(value)?;
-            }
-            self.index_of_codes(&buf[..config.len()])
-        } else {
-            let codes = self.encode(config)?;
-            self.index_of_codes(&codes)
+            rank += u64::from(code) * stride;
         }
+        Some(rank)
     }
 
     /// The id of a configuration given as an already-encoded row, if valid.
     /// This is the allocation-free fast path for callers that work in code
-    /// space (crossover, mutation, snapping).
+    /// space (crossover, snapping).
     pub fn index_of_codes(&self, codes: &[u32]) -> Option<ConfigId> {
-        if codes.len() != self.stride() || self.num_configs == 0 {
-            return None;
-        }
-        self.table
-            .lookup(codes, self.stride(), self.codes.as_slice())
-            .map(ConfigId)
+        self.index_of_rank(self.rank_of_codes(codes)?)
     }
 
     /// For each parameter, a `values()`-aligned occurrence mask: `true` when
     /// the value occurs in at least one valid configuration. Computed in a
-    /// single pass over the arena.
+    /// single pass over the ranks.
     fn occurrence_masks(&self) -> Vec<Vec<bool>> {
         let mut masks: Vec<Vec<bool>> = self.params.iter().map(|p| vec![false; p.len()]).collect();
-        for row in self.codes.as_slice().chunks_exact(self.stride().max(1)) {
-            for (mask, &code) in masks.iter_mut().zip(row.iter()) {
-                mask[code as usize] = true;
+        for &rank in self.ranks.as_slice() {
+            for (p, mask) in masks.iter_mut().enumerate() {
+                mask[self.code_at(rank, p) as usize] = true;
             }
         }
         masks
@@ -875,7 +870,7 @@ impl SearchSpace {
     /// For each parameter, the values that actually occur in at least one
     /// valid configuration (in declared order). Constraints often make some
     /// declared values unreachable; optimizers should not waste samples
-    /// there. Computed in one pass over the arena.
+    /// there. Computed in one pass over the ranks.
     pub fn occurring_values(&self) -> Vec<Vec<Value>> {
         self.occurrence_masks()
             .iter()
@@ -894,24 +889,19 @@ impl SearchSpace {
 
     /// A new search space containing only the configurations for which the
     /// predicate holds (e.g. restricting to a promising region before a
-    /// second tuning pass). The surviving code rows are copied directly —
-    /// no configuration is ever decoded.
+    /// second tuning pass). The surviving ranks are copied in order — no
+    /// configuration is decoded unless the predicate reads it.
     pub fn filter<F: Fn(ConfigView<'_>) -> bool>(&self, predicate: F) -> SearchSpace {
-        let mut codes: Vec<u32> = Vec::new();
-        // Counted separately from the arena length: with zero parameters the
-        // arena stays empty no matter how many rows survive.
-        let mut kept = 0usize;
-        for view in self.iter() {
-            if predicate(view) {
-                codes.extend_from_slice(view.codes());
-                kept += 1;
-            }
-        }
+        let ranks: Vec<u64> = self
+            .iter()
+            .filter(|&view| predicate(view))
+            .map(|view| view.rank)
+            .collect();
         SearchSpace::from_parts(
             self.name.clone(),
             self.params.clone(),
-            kept,
-            codes.into(),
+            ranks.into(),
+            self.strides.clone(),
             self.value_codes.clone(),
         )
     }
@@ -922,7 +912,7 @@ impl SearchSpace {
     /// position back to an id with [`ConfigId::from_index`].
     pub fn partition(&self, parts: usize) -> Vec<std::ops::Range<usize>> {
         let parts = parts.max(1);
-        let n = self.num_configs;
+        let n = self.len();
         let base = n / parts;
         let remainder = n % parts;
         let mut ranges = Vec::with_capacity(parts);
@@ -936,56 +926,6 @@ impl SearchSpace {
     }
 }
 
-/// Bounds-check a pre-encoded arena against the parameter dictionaries.
-///
-/// This sits on the warm store-load path, over arenas of millions of codes:
-/// validate via one branch-free per-column maxima pass, and only walk cells
-/// individually (to name the offending row) when a column's maximum
-/// actually exceeds its dictionary. The pass is about *eager, well-typed*
-/// error reporting, not memory safety: decoding always goes through
-/// bounds-checked slice indexing, so an out-of-dictionary code that skips
-/// this pass ([`Adoption::Trusted`]) surfaces as a clean panic at
-/// first decode rather than as an eager [`SpaceError::CodeOutOfRange`].
-fn validate_code_arena(
-    params: &[TunableParameter],
-    num_rows: usize,
-    codes: &[u32],
-) -> Result<(), SpaceError> {
-    let stride = params.len();
-    num_rows
-        .checked_mul(stride)
-        .filter(|&len| len == codes.len())
-        .ok_or(SpaceError::RaggedArena {
-            len: codes.len(),
-            expected: num_rows.saturating_mul(stride),
-        })?;
-    let stride_nz = stride.max(1);
-    let mut maxima = vec![0u32; stride];
-    for row in codes.chunks_exact(stride_nz) {
-        for (m, &code) in maxima.iter_mut().zip(row.iter()) {
-            *m = (*m).max(code);
-        }
-    }
-    let out_of_range = maxima
-        .iter()
-        .zip(params.iter())
-        .any(|(&m, p)| m as usize >= p.len());
-    if out_of_range {
-        for (row_index, row) in codes.chunks_exact(stride_nz).enumerate() {
-            for (d, &code) in row.iter().enumerate() {
-                if code as usize >= params[d].len() {
-                    return Err(SpaceError::CodeOutOfRange {
-                        param: params[d].name().to_string(),
-                        code,
-                        row: row_index,
-                    });
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Build the per-parameter value → code reverse dictionaries.
 pub(crate) fn reverse_dictionaries(
     params: &[TunableParameter],
@@ -993,10 +933,11 @@ pub(crate) fn reverse_dictionaries(
     params
         .iter()
         .map(|p| {
-            if p.len() >= EMPTY_SLOT as usize {
+            if p.len() >= NO_CODE as usize {
                 return Err(SpaceError::TooLarge {
                     what: "parameter values",
-                    count: p.len(),
+                    count: p.len() as u128,
+                    limit: NO_CODE as u128 - 1,
                 });
             }
             Ok(CodeLookup::build(p.values()))
@@ -1006,13 +947,15 @@ pub(crate) fn reverse_dictionaries(
 
 /// A borrowing, lazily decoding view of one configuration.
 ///
-/// A view is a `(space, id)` pair: nothing is decoded until a cell is
-/// accessed, and decoding a cell is a dictionary lookup
-/// (`params[d].values()[code]`) that borrows from the space.
+/// A view is a `(space, id, rank)` triple: nothing is decoded until a cell
+/// is accessed, and decoding a cell is one division, one modulo and a
+/// dictionary lookup (`params[d].values()[code]`) that borrows from the
+/// space.
 #[derive(Clone, Copy)]
 pub struct ConfigView<'a> {
     space: &'a SearchSpace,
     id: ConfigId,
+    rank: u64,
 }
 
 impl<'a> ConfigView<'a> {
@@ -1021,25 +964,36 @@ impl<'a> ConfigView<'a> {
         self.id
     }
 
-    /// The encoded row (per-parameter value codes).
-    pub fn codes(&self) -> &'a [u32] {
-        self.space.row(self.id.index())
+    /// The rank of the viewed configuration.
+    pub fn rank(&self) -> u64 {
+        self.rank
+    }
+
+    /// The code of parameter `d`, if in range.
+    pub fn code(&self, d: usize) -> Option<u32> {
+        (d < self.len()).then(|| self.space.code_at(self.rank, d))
+    }
+
+    /// Decode the codes into a caller-provided buffer (cleared first).
+    pub fn codes_into(&self, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend((0..self.len()).map(|d| self.space.code_at(self.rank, d)));
     }
 
     /// Number of parameters (cells) in the configuration.
     pub fn len(&self) -> usize {
-        self.space.stride()
+        self.space.num_params()
     }
 
     /// True when the space has no parameters.
     pub fn is_empty(&self) -> bool {
-        self.space.stride() == 0
+        self.space.num_params() == 0
     }
 
     /// The decoded value of parameter `d`, if in range.
     pub fn value(&self, d: usize) -> Option<&'a Value> {
-        let code = *self.codes().get(d)? as usize;
-        self.space.params.get(d).map(|p| &p.values()[code])
+        let code = self.code(d)? as usize;
+        Some(&self.space.params[d].values()[code])
     }
 
     /// The decoded value of parameter `d` as an `f64`, if numeric.
@@ -1049,11 +1003,13 @@ impl<'a> ConfigView<'a> {
 
     /// Iterate over the decoded values in declaration order (borrowing).
     pub fn values(&self) -> impl ExactSizeIterator<Item = &'a Value> + '_ {
-        let params = &self.space.params;
-        self.codes()
+        let space = self.space;
+        let rank = self.rank;
+        space
+            .params
             .iter()
-            .zip(params.iter())
-            .map(|(&code, p)| &p.values()[code as usize])
+            .enumerate()
+            .map(move |(d, p)| &p.values()[space.code_at(rank, d) as usize])
     }
 
     /// Decode into an owned value row.
@@ -1070,11 +1026,13 @@ impl<'a> ConfigView<'a> {
 
     /// The configuration as `(name, value)` pairs.
     pub fn named(&self) -> Vec<(&'a str, &'a Value)> {
-        self.space
+        let space = self.space;
+        let rank = self.rank;
+        space
             .params
             .iter()
-            .map(|p| p.name())
-            .zip(self.values())
+            .enumerate()
+            .map(|(d, p)| (p.name(), &p.values()[space.code_at(rank, d) as usize]))
             .collect()
     }
 }
@@ -1125,6 +1083,12 @@ mod tests {
         SearchSpace::from_configs("demo", params, configs).unwrap()
     }
 
+    fn codes(s: &SearchSpace, id: usize) -> Vec<u32> {
+        let mut out = Vec::new();
+        assert!(s.codes_into(ConfigId::from_index(id), &mut out));
+        out
+    }
+
     #[test]
     fn basic_accessors() {
         let s = space();
@@ -1143,7 +1107,20 @@ mod tests {
     }
 
     #[test]
-    fn hash_index_lookups() {
+    fn ranks_are_mixed_radix_indices_last_parameter_fastest() {
+        let s = space();
+        assert_eq!(s.strides(), &[2, 1]);
+        // (x, y) codes (0,0) (0,1) (1,0) (1,1) (2,0)
+        assert_eq!(s.arena(), &[0, 1, 2, 3, 4]);
+        assert_eq!(s.rank_of(ConfigId::from_index(4)), Some(4));
+        assert_eq!(s.rank_of(ConfigId::from_index(5)), None);
+        assert_eq!(s.index_of_rank(3), Some(ConfigId::from_index(3)));
+        assert_eq!(s.index_of_rank(5), None); // (4, 2) is invalid
+        assert_eq!((s.code_at(5, 0), s.code_at(5, 1)), (2, 1));
+    }
+
+    #[test]
+    fn membership_lookups() {
         let s = space();
         assert!(s.contains(&int_values([2, 2])));
         assert!(!s.contains(&int_values([4, 2])));
@@ -1158,8 +1135,11 @@ mod tests {
     #[test]
     fn code_rows_match_parameter_positions() {
         let s = space();
-        assert_eq!(s.codes_of(ConfigId::from_index(4)).unwrap(), &[2, 0]);
-        assert_eq!(s.codes_of(ConfigId::from_index(1)).unwrap(), &[0, 1]);
+        assert_eq!(codes(&s, 4), [2, 0]);
+        assert_eq!(codes(&s, 1), [0, 1]);
+        let mut out = vec![7];
+        assert!(!s.codes_into(ConfigId::from_index(5), &mut out));
+        assert!(out.is_empty());
         assert_eq!(
             s.index_of_codes(&[2, 0]),
             Some(ConfigId::from_index(4)),
@@ -1167,17 +1147,22 @@ mod tests {
         );
         assert_eq!(s.index_of_codes(&[2, 1]), None); // (4, 2) is invalid
         assert_eq!(s.index_of_codes(&[0]), None); // wrong arity
+        assert_eq!(s.index_of_codes(&[3, 0]), None); // outside x's dictionary
+        assert_eq!(s.rank_of_codes(&[2, 1]), Some(5));
     }
 
     #[test]
     fn encode_decode_round_trip() {
         let s = space();
+        let mut row = Vec::new();
         for view in s.iter() {
             let decoded = view.to_vec();
             let codes = s.encode(&decoded).unwrap();
-            assert_eq!(codes, view.codes());
+            view.codes_into(&mut row);
+            assert_eq!(codes, row);
             assert_eq!(s.index_of_codes(&codes), Some(view.id()));
             assert_eq!(s.index_of(&decoded), Some(view.id()));
+            assert_eq!(s.rank_of_codes(&codes), Some(view.rank()));
         }
         assert_eq!(s.encode(&int_values([3, 1])), None); // 3 not in x's domain
     }
@@ -1220,6 +1205,8 @@ mod tests {
         assert_eq!(view.value(0), Some(&Value::Int(4)));
         assert_eq!(view.as_f64(1), Some(1.0));
         assert_eq!(view.value(2), None);
+        assert_eq!(view.code(1), Some(0));
+        assert_eq!(view.code(2), None);
         assert_eq!(view[1], Value::Int(1));
         assert_eq!(view.len(), 2);
         assert!(!view.is_empty());
@@ -1261,7 +1248,7 @@ mod tests {
         assert_eq!(filtered.len(), 3);
         assert!(filtered.contains(&int_values([4, 1])));
         assert!(!filtered.contains(&int_values([1, 2])));
-        // indices are rebuilt for the subspace
+        // ids are dense in the subspace
         assert_eq!(
             filtered.index_of(&int_values([1, 1])),
             Some(ConfigId::from_index(0))
@@ -1288,7 +1275,7 @@ mod tests {
     fn from_solutions_roundtrip() {
         let sols = SolutionSet::from_rows(
             vec!["x".to_string(), "y".to_string()],
-            vec![int_values([1, 1]), int_values([2, 1])],
+            vec![int_values([2, 1]), int_values([1, 1])],
         );
         let s = SearchSpace::from_solutions(
             "rt",
@@ -1300,17 +1287,36 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s.len(), 2);
+        // Rows come out in canonical order, whatever order they went in.
+        assert_eq!(
+            s.view(ConfigId::from_index(0)).unwrap().to_vec(),
+            int_values([1, 1])
+        );
+    }
+
+    #[test]
+    fn rows_in_any_order_give_the_canonical_space() {
+        let s = space();
+        let params = s.params().to_vec();
+        let mut rows: Vec<Vec<Value>> = s.iter_decoded().collect();
+        rows.reverse();
+        rows.swap(1, 3);
+        let shuffled = SearchSpace::from_configs("demo", params.clone(), rows).unwrap();
+        assert_eq!(shuffled.arena(), s.arena());
+        let codes = vec![2, 0, 0, 0, 1, 1, 0, 1, 1, 0];
+        let adopted = SearchSpace::from_code_rows("demo", params, 5, codes).unwrap();
+        assert_eq!(adopted.arena(), s.arena());
     }
 
     #[test]
     fn shared_storage_space_is_identical_to_owned() {
         let owned = space();
         let backing = std::sync::Arc::new(owned.arena().to_vec());
-        let shared = SearchSpace::from_code_storage(
+        let shared = SearchSpace::from_rank_storage(
             "demo",
             owned.params().to_vec(),
-            owned.len(),
-            ArenaStorage::Shared(backing),
+            RankStorage::Shared(backing),
+            RankCheck::Verify,
         )
         .unwrap();
         assert!(shared.is_zero_copy());
@@ -1324,185 +1330,91 @@ mod tests {
     }
 
     #[test]
-    fn adopted_index_answers_like_a_rebuilt_one() {
+    fn verified_rank_arrays_must_ascend_within_the_cartesian_size() {
         let s = space();
-        let slots = s.index_slots().to_vec();
-        assert!(slots.len().is_power_of_two());
-        for adoption in [Adoption::Trusted, Adoption::Verified] {
-            let adopted = SearchSpace::from_code_storage_with_index(
-                "demo",
-                s.params().to_vec(),
-                s.len(),
-                ArenaStorage::from(s.arena().to_vec()),
-                ArenaStorage::from(slots.clone()),
-                adoption,
-            )
-            .unwrap();
-            for view in s.iter() {
-                assert_eq!(adopted.index_of(&view.to_vec()), Some(view.id()));
+        let adopt = |ranks: Vec<u64>, check| {
+            SearchSpace::from_rank_storage("demo", s.params().to_vec(), ranks.into(), check)
+        };
+        assert_eq!(
+            adopt(vec![0, 2, 1], RankCheck::Verify).unwrap_err(),
+            SpaceError::UnsortedRanks { row: 2 }
+        );
+        assert_eq!(
+            adopt(vec![0, 3, 3], RankCheck::Verify).unwrap_err(),
+            SpaceError::DuplicateRow { codes: vec![1, 1] }
+        );
+        assert_eq!(
+            adopt(vec![0, 6], RankCheck::Verify).unwrap_err(),
+            SpaceError::RankOutOfRange {
+                row: 1,
+                rank: 6,
+                cartesian: 6
             }
-            assert_eq!(adopted.index_of(&int_values([4, 2])), None);
-            assert_eq!(adopted.index_slots(), s.index_slots());
-        }
+        );
+        assert!(adopt(vec![0, 5], RankCheck::Verify).is_ok());
+        assert!(adopt(Vec::new(), RankCheck::Verify).unwrap().is_empty());
     }
 
     #[test]
-    fn broken_index_slots_are_rejected_not_adopted() {
+    fn trusted_forged_ranks_answer_wrongly_but_decode_in_range() {
         let s = space();
-        let arena = ArenaStorage::from(s.arena().to_vec());
-        let adopt = |slots: Vec<u32>, adoption| {
-            SearchSpace::from_code_storage_with_index(
-                "demo",
-                s.params().to_vec(),
-                s.len(),
-                arena.clone(),
-                ArenaStorage::from(slots),
-                adoption,
-            )
-        };
-        // Not a power of two.
-        let err = adopt(vec![EMPTY_SLOT; 9], Adoption::Trusted).unwrap_err();
-        assert!(matches!(err, SpaceError::IndexInvalid { .. }), "{err}");
-        // Occupant out of range.
-        let mut slots = s.index_slots().to_vec();
-        let occupied = slots.iter().position(|&o| o != EMPTY_SLOT).unwrap();
-        slots[occupied] = 99;
-        assert!(adopt(slots, Adoption::Trusted).is_err());
-        // A full table would make probing non-terminating.
-        assert!(adopt(vec![0u32; 8], Adoption::Trusted).is_err());
-        // An empty table passes the structural checks but cannot answer for
-        // any row: only the verified adoption's sampled lookups catch it.
-        let empty = vec![EMPTY_SLOT; 8];
-        assert!(adopt(empty.clone(), Adoption::Trusted).is_ok());
-        let err = adopt(empty, Adoption::Verified).unwrap_err();
-        assert!(matches!(err, SpaceError::IndexInvalid { .. }), "{err}");
-    }
-
-    /// The detail text of an [`SpaceError::IndexInvalid`] adoption error.
-    fn invalid_detail(result: Result<SearchSpace, SpaceError>) -> String {
-        match result {
-            Err(SpaceError::IndexInvalid { detail }) => detail,
-            other => panic!("expected IndexInvalid, got {other:?}"),
+        let forged = vec![u64::MAX, 7, 7, 0, 12_345];
+        let t = SearchSpace::from_rank_storage(
+            "forged",
+            s.params().to_vec(),
+            forged.into(),
+            RankCheck::Trust,
+        )
+        .unwrap();
+        for view in t.iter() {
+            for (d, p) in t.params().iter().enumerate() {
+                assert!((view.code(d).unwrap() as usize) < p.len());
+            }
+            let _ = t.index_of(&view.to_vec());
         }
-    }
-
-    #[test]
-    fn adoption_errors_name_the_first_offender_in_slot_order() {
-        let s = space();
-        let adopt = |slots: Vec<u32>| {
-            SearchSpace::from_code_storage_with_index(
-                "demo",
-                s.params().to_vec(),
-                s.len(),
-                ArenaStorage::from(s.arena().to_vec()),
-                ArenaStorage::from(slots),
-                Adoption::Trusted,
-            )
-        };
-        // Two out-of-range occupants: the earlier slot is named, not the
-        // larger occupant.
-        let mut slots = s.index_slots().to_vec();
-        let occupied: Vec<usize> = (0..slots.len())
-            .filter(|&i| slots[i] != EMPTY_SLOT)
-            .collect();
-        slots[occupied[0]] = 50;
-        slots[occupied[1]] = 99;
-        assert_eq!(
-            invalid_detail(adopt(slots)),
-            "occupant 50 out of range for 5 rows"
-        );
-        // The row count itself is the first id out of range.
-        let mut slots = s.index_slots().to_vec();
-        slots[occupied[2]] = 5;
-        assert_eq!(
-            invalid_detail(adopt(slots)),
-            "occupant 5 out of range for 5 rows"
-        );
-        // A full table.
-        assert_eq!(
-            invalid_detail(adopt(vec![0u32; 8])),
-            "no empty slot; probing would not terminate"
-        );
-        // A full table with an out-of-range occupant reports the occupant.
-        let mut full = vec![1u32; 8];
-        full[6] = 7;
-        assert_eq!(
-            invalid_detail(adopt(full)),
-            "occupant 7 out of range for 5 rows"
-        );
-        // The largest in-range occupant is fine.
-        let mut slots = vec![EMPTY_SLOT; 8];
-        slots[0] = 4;
-        assert!(adopt(slots).is_ok());
-    }
-
-    #[test]
-    fn adoption_checks_zero_row_spaces_and_empty_tables() {
-        let params = vec![TunableParameter::ints("x", [1, 2])];
-        let adopt = |slots: Vec<u32>, adoption| {
-            SearchSpace::from_code_storage_with_index(
-                "none",
-                params.clone(),
-                0,
-                ArenaStorage::from(Vec::new()),
-                ArenaStorage::from(slots),
-                adoption,
-            )
-        };
-        for adoption in [Adoption::Trusted, Adoption::Verified] {
-            // A stray occupant 0 names a row a zero-row space lacks.
-            let mut stray = vec![EMPTY_SLOT; 8];
-            stray[3] = 0;
-            assert_eq!(
-                invalid_detail(adopt(stray, adoption)),
-                "occupant 0 out of range for 0 rows"
-            );
-            // An all-empty table is the right table for no rows.
-            let empty = adopt(vec![EMPTY_SLOT; 16], adoption).unwrap();
-            assert!(empty.is_empty());
-            assert_eq!(empty.index_of(&int_values([1])), None);
-            assert_eq!(empty.index_slots(), &[EMPTY_SLOT; 16][..]);
-        }
-    }
-
-    #[test]
-    fn trusted_validation_defers_code_checks_but_not_shape_checks() {
-        let s = space();
-        let slots = ArenaStorage::from(s.index_slots().to_vec());
-        let mut arena = s.arena().to_vec();
-        arena[0] = 99; // out of every dictionary's range
-        let build = |arena: Vec<u32>, rows: usize, adoption| {
-            SearchSpace::from_code_storage_with_index(
-                "demo",
-                s.params().to_vec(),
-                rows,
-                ArenaStorage::from(arena),
-                slots.clone(),
-                adoption,
-            )
-        };
-        // Verified: the bad code is reported eagerly.
+        // Over an empty product no row can decode: rejected even trusted.
+        let empty = vec![
+            TunableParameter::ints("x", [1, 2]),
+            TunableParameter::new("none", Vec::new()),
+        ];
+        let err = SearchSpace::from_rank_storage("e", empty, vec![0].into(), RankCheck::Trust)
+            .unwrap_err();
         assert!(matches!(
-            build(arena.clone(), s.len(), Adoption::Verified),
-            Err(SpaceError::CodeOutOfRange { .. })
-        ));
-        // Trusted: adoption succeeds (decoding stays bounds-checked and
-        // would panic on the bad cell, never decode wrongly)...
-        assert!(build(arena.clone(), s.len(), Adoption::Trusted).is_ok());
-        // ...but a ragged arena is still rejected even when trusted.
-        arena.pop();
-        assert!(matches!(
-            build(arena, s.len(), Adoption::Trusted),
-            Err(SpaceError::RaggedArena { .. })
+            err,
+            SpaceError::RankOutOfRange { cartesian: 0, .. }
         ));
     }
 
     #[test]
-    fn duplicate_rows_resolve_to_the_first_occurrence() {
+    fn duplicate_rows_are_rejected() {
         let params = vec![TunableParameter::ints("x", [1, 2])];
         let configs = vec![int_values([1]), int_values([2]), int_values([1])];
-        let s = SearchSpace::from_configs("dup", params, configs).unwrap();
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.index_of(&int_values([1])), Some(ConfigId::from_index(0)));
+        let err = SearchSpace::from_configs("dup", params.clone(), configs).unwrap_err();
+        assert_eq!(err, SpaceError::DuplicateRow { codes: vec![0] });
+        assert!(err.to_string().contains("more than once"), "{err}");
+        let err = SearchSpace::from_code_rows("dup", params, 2, vec![1, 1]).unwrap_err();
+        assert_eq!(err, SpaceError::DuplicateRow { codes: vec![1] });
+    }
+
+    #[test]
+    fn cartesian_products_beyond_u64_are_too_large() {
+        // 17 parameters of 16 values: 2^68 configurations.
+        let params: Vec<TunableParameter> = (0..17)
+            .map(|i| TunableParameter::ints(format!("p{i}"), 0..16))
+            .collect();
+        let err = SearchSpace::from_configs("huge", params, Vec::new()).unwrap_err();
+        match err {
+            SpaceError::TooLarge { what, count, limit } => {
+                assert_eq!(what, "Cartesian product");
+                assert_eq!(count, 1u128 << 68);
+                assert_eq!(limit, u64::MAX as u128);
+            }
+            other => panic!("expected TooLarge, got {other:?}"),
+        }
+        // 16 parameters of 15 values fit: 15^16 < 2^64.
+        let params: Vec<TunableParameter> = (0..16)
+            .map(|i| TunableParameter::ints(format!("p{i}"), 0..15))
+            .collect();
+        assert!(rank_strides(&params).is_ok());
     }
 }

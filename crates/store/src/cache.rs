@@ -1,30 +1,29 @@
 //! The content-addressed construction cache: solve once, serve forever.
 //!
 //! A [`SpaceStore`] is a directory of `ATSS` files keyed by
-//! [`SpecFingerprint`]: `<dir>/<32-hex>.atss`. The contract of
-//! [`SpaceStore::get_or_build`]:
+//! [`SpecFingerprint`]: `<dir>/<32-hex>.atss`. [`SpaceStore::entry_for`]
+//! is the one place that turns a spec into its key and path. The contract
+//! of [`SpaceStore::get_or_build`]:
 //!
 //! * **hit** — the file exists, passes validation per the caller's
 //!   [`LoadOptions`] (the default verified copy checks magic, version,
-//!   every checksum and arena/trailer agreement; the trusted zero-copy
-//!   mmap trades the arena checksum for O(header + index) serving) and
-//!   becomes a `SearchSpace` with zero re-solving; its mtime is touched so
-//!   LRU eviction sees the use. A hit whose persisted `IDX` section is
-//!   unusable still hits (the index is rebuilt from the arena), but the
-//!   condition is **reported** — in the outcome's [`LoadReport`], in the
-//!   `index_fallbacks` metric — and the entry is repaired in place, always
-//!   from checksum-verified bytes.
+//!   every checksum and that the ranks strictly ascend below the Cartesian
+//!   size; the trusted zero-copy mmap trades the rank checksum and that
+//!   pass for O(header) serving) and becomes a `SearchSpace` with zero
+//!   re-solving; its mtime is touched so LRU eviction sees the use.
 //! * **miss** — the space is constructed with the requested method by
 //!   [`build_search_space_with`], then written once by
 //!   [`write_space`](crate::write_space) to a temporary file, which is
-//!   atomically renamed into place only after the index section and
-//!   trailer are written. Concurrent builders of the same spec race
-//!   benignly: each writes its own temp file and the last rename wins with
-//!   identical content.
+//!   atomically renamed into place only after the trailer is written.
+//!   Concurrent builders of the same spec race benignly: each writes its
+//!   own temp file and the last rename wins with identical content — every
+//!   method yields the same ranks.
 //! * **stale or corrupt** — any content error (flipped byte, truncation,
-//!   unreadable format version, crashed half-write) is treated as a miss:
-//!   the entry is rebuilt and overwritten (counted in the `rebuilds`
-//!   metric). A corrupt cache can never serve a corrupt space.
+//!   unreadable format version, crashed half-write, ranks out of order) is
+//!   treated as a miss: the entry is rebuilt and overwritten (counted in
+//!   the `rebuilds` metric). A corrupt cache can never serve a corrupt
+//!   space through the verified copy; a zero-copy hit never rewrites the
+//!   entry it trusted.
 //! * **uncacheable** — specifications with closure restrictions have no
 //!   canonical content (see [`crate::fingerprint`]); they are built
 //!   normally and never persisted.
@@ -36,8 +35,8 @@
 //! long-lived server hands out paths into the cache directory, and an
 //! entry must not be deleted while a client it was promised to may still
 //! be attaching. [`SpaceStore::metrics`] exposes process-lifetime
-//! hit/miss/rebuild/index-fallback counters, warm-load latency, the live
-//! pin count and the pin-skips GC has performed.
+//! hit/miss/rebuild counters, warm-load latency, the live pin count and
+//! the pin-skips GC has performed.
 
 use std::collections::HashMap;
 use std::fs::{self, File};
@@ -48,7 +47,8 @@ use std::time::{Duration, Instant, SystemTime};
 
 use at_obs::json::Json;
 use at_searchspace::{
-    build_search_space_with, BuildOptions, BuildReport, Method, SearchSpace, SearchSpaceSpec,
+    build_search_space_with, BuildOptions, BuildReport, Method, RestrictionLowering, SearchSpace,
+    SearchSpaceSpec,
 };
 
 use crate::error::StoreError;
@@ -102,8 +102,8 @@ pub struct StoreOutcome {
     /// The construction report — present exactly when solving happened
     /// (miss / uncacheable); a hit performs no solving.
     pub report: Option<BuildReport>,
-    /// How a hit was loaded (zero-copy? persisted index adopted?);
-    /// `None` when the space was constructed.
+    /// How a hit was loaded (zero-copy or copied); `None` when the space
+    /// was constructed.
     pub load: Option<LoadReport>,
 }
 
@@ -118,8 +118,6 @@ pub struct StoreMetrics {
     /// Misses caused by an existing entry failing validation (a rebuild
     /// repaired it), as opposed to a cold first build.
     rebuilds: AtomicU64,
-    /// Warm loads whose persisted index was unusable and rebuilt.
-    index_fallbacks: AtomicU64,
     /// Entries evicted by [`SpaceStore::gc`] sweeps.
     gc_evictions: AtomicU64,
     /// Pinned entries a gc sweep wanted to evict but skipped.
@@ -153,11 +151,6 @@ impl StoreMetrics {
         self.rebuilds.load(Ordering::Relaxed)
     }
 
-    /// Warm loads whose persisted index section was rejected and rebuilt.
-    pub fn index_fallbacks(&self) -> u64 {
-        self.index_fallbacks.load(Ordering::Relaxed)
-    }
-
     /// Entries evicted by gc sweeps over this store's lifetime.
     pub fn gc_evictions(&self) -> u64 {
         self.gc_evictions.load(Ordering::Relaxed)
@@ -188,7 +181,6 @@ impl StoreMetrics {
             .with("misses", self.misses())
             .with("rebuilds", self.rebuilds())
             .with("uncacheable", self.uncacheable())
-            .with("index_fallbacks", self.index_fallbacks())
             .with("gc_evictions", self.gc_evictions())
             .with("gc_pin_skips", self.gc_pin_skips())
             .with("pinned", self.pinned_now())
@@ -209,13 +201,12 @@ impl StoreMetrics {
             n => format!(", {n} pinned"),
         };
         format!(
-            "{} hits / {} misses ({} rebuilds) / {} uncacheable, {} index fallbacks, \
+            "{} hits / {} misses ({} rebuilds) / {} uncacheable, \
              {} gc evictions{pins}{latency}",
             self.hits(),
             self.misses(),
             self.rebuilds(),
             self.uncacheable(),
-            self.index_fallbacks(),
             self.gc_evictions(),
         )
     }
@@ -267,6 +258,19 @@ pub struct StoreEntry {
     /// Header metadata, if the header is readable (`None` for a file too
     /// damaged to peek into — `verify`/`gc` still handle it).
     pub info: Option<StoreInfo>,
+}
+
+/// Where a spec's entry lives: its cache key, its path, and whether a file
+/// is there ([`SpaceStore::entry_for`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EntryKey {
+    /// The cache key.
+    pub fingerprint: SpecFingerprint,
+    /// The on-disk path of the entry.
+    pub path: PathBuf,
+    /// Whether a file existed at `path` when the key was made. It may be
+    /// stale: a hit still validates the file, and a miss rebuilds it.
+    pub exists: bool,
 }
 
 /// Bounds enforced by one [`SpaceStore::gc_with`] sweep. Both bounds
@@ -341,6 +345,25 @@ impl SpaceStore {
         self.dir.join(format!("{}.atss", fingerprint.to_hex()))
     }
 
+    /// The entry for `spec` under `lowering` (the restriction lowering a
+    /// method builds with: `BuildOptions::lowering`, or
+    /// `Method::default_lowering`). A spec with closure restrictions has
+    /// no entry: [`StoreError::Unfingerprintable`].
+    pub fn entry_for(
+        &self,
+        spec: &SearchSpaceSpec,
+        lowering: RestrictionLowering,
+    ) -> Result<EntryKey, StoreError> {
+        let fingerprint = SpecFingerprint::compute(spec, lowering)?;
+        let path = self.path_for(&fingerprint);
+        let exists = path.exists();
+        Ok(EntryKey {
+            fingerprint,
+            path,
+            exists,
+        })
+    }
+
     /// Pin an entry against gc eviction for the lifetime of the returned
     /// guard. Pins nest (same fingerprint may be pinned by several guards)
     /// and are shared across clones of this store; see [`PinGuard`].
@@ -395,13 +418,6 @@ impl SpaceStore {
     /// load options — the full-control entry point: `load` picks the warm
     /// path (the verified copy or the trusted zero-copy mmap; see
     /// [`LoadOptions`]).
-    ///
-    /// A warm load whose persisted index section is unusable still hits —
-    /// the index is rebuilt from the arena — but the condition is reported
-    /// (outcome's [`LoadReport`], the `index_fallbacks` metric) and the
-    /// entry is repaired in place with a freshly written file. After a
-    /// zero-copy hit the repair writes what the verified copy serves, so a
-    /// damaged arena is never stamped with a fresh checksum.
     pub fn get_or_build_with_options(
         &self,
         spec: &SearchSpaceSpec,
@@ -414,42 +430,20 @@ impl SpaceStore {
             .unwrap_or_else(|| method.default_lowering());
         // `Err(reason)`: the spec cannot be content-addressed, so it is
         // built but never persisted.
-        let key = match SpecFingerprint::compute(spec, lowering) {
-            Ok(fingerprint) => Ok((fingerprint, self.path_for(&fingerprint))),
+        let key = match self.entry_for(spec, lowering) {
+            Ok(key) => Ok(key),
             Err(StoreError::Unfingerprintable(reason)) => Err(reason),
             Err(e) => return Err(e),
         };
 
         // Warm path: serve the validated entry, or fall through to rebuild
         // on *any* content problem.
-        if let Some((fingerprint, path)) = key.as_ref().ok().filter(|(_, path)| path.exists()) {
+        if let Some(key) = key.as_ref().ok().filter(|key| key.exists) {
             let start = Instant::now();
-            match StoreReader::open(path).and_then(|r| r.load(load)) {
+            match StoreReader::open(&key.path).and_then(|r| r.load(load)) {
                 Ok(loaded) => {
                     let duration = start.elapsed();
-                    touch(path);
-                    if loaded.report.index_fallback().is_some() {
-                        self.metrics.index_fallbacks.fetch_add(1, Ordering::Relaxed);
-                        // Repair the stale index in place — best-effort,
-                        // and only ever from checksum-verified bytes: a
-                        // zero-copy load skipped the arena CRC, so writing
-                        // its space back would stamp a fresh valid CRC
-                        // over a possibly-rotted arena, laundering the
-                        // corruption past every future validation.
-                        if loaded.report.is_zero_copy() {
-                            let reverified = StoreReader::open(path)
-                                .and_then(|r| r.load(LoadOptions::default()));
-                            if let Ok(verified) = reverified {
-                                let _ = persist(&verified.space, path);
-                            }
-                            // A content error here means the arena itself
-                            // is damaged: leave the entry for `verify`/the
-                            // next copying load to catch; the space we
-                            // serve carries the documented mmap trust.
-                        } else {
-                            let _ = persist(&loaded.space, path);
-                        }
-                    }
+                    touch(&key.path);
                     self.metrics.hits.fetch_add(1, Ordering::Relaxed);
                     self.metrics
                         .load_nanos
@@ -466,8 +460,8 @@ impl SpaceStore {
                         loaded.space,
                         StoreOutcome {
                             status: CacheStatus::Hit,
-                            fingerprint: Some(*fingerprint),
-                            path: Some(path.clone()),
+                            fingerprint: Some(key.fingerprint),
+                            path: Some(key.path.clone()),
                             file_bytes: loaded.info.file_bytes,
                             duration,
                             report: None,
@@ -495,7 +489,9 @@ impl SpaceStore {
                 at_obs::event("cache-uncacheable", "store", &[]);
                 (CacheStatus::Uncacheable(reason), None, None, 0)
             }
-            Ok((fingerprint, path)) => {
+            Ok(EntryKey {
+                fingerprint, path, ..
+            }) => {
                 let summary = persist(&space, &path)?;
                 report.duration = start.elapsed();
                 self.metrics.misses.fetch_add(1, Ordering::Relaxed);
@@ -753,14 +749,12 @@ mod tests {
         let (cold, out) = store.get_or_build(&spec, Method::Optimized).unwrap();
         let path = out.path.unwrap();
 
-        // Flip one arena byte on disk (located precisely: the bytes after
-        // the arena belong to the IDX section, whose damage is repaired on
-        // load rather than treated as a stale entry).
+        // Flip one rank byte on disk.
         let mut bytes = fs::read(&path).unwrap();
-        let arena = crate::format::parse_structure(bytes.as_slice())
+        let ranks = crate::format::parse_structure(bytes.as_slice())
             .unwrap()
-            .arena;
-        let mid = arena.start + arena.len() / 2;
+            .ranks;
+        let mid = ranks.start + ranks.len() / 2;
         bytes[mid] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
 
@@ -1004,9 +998,10 @@ mod tests {
         assert!(store.metrics().mean_load_time().is_some());
 
         // Damage the entry: the next get is a miss counted as a rebuild.
-        let path = store.path_for(
-            &SpecFingerprint::compute(&spec, Method::Optimized.default_lowering()).unwrap(),
-        );
+        let path = store
+            .entry_for(&spec, Method::Optimized.default_lowering())
+            .unwrap()
+            .path;
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() / 4]).unwrap();
         store.get_or_build(&spec, Method::Optimized).unwrap();
@@ -1018,71 +1013,25 @@ mod tests {
     }
 
     #[test]
-    fn stale_index_hits_with_a_report_and_is_repaired() {
-        let store = fresh_store("stale-index");
-        let spec = spec("stale", 16);
-        let (original, out) = store.get_or_build(&spec, Method::Optimized).unwrap();
-        let path = out.path.unwrap();
-
-        // Damage one byte of the IDX slot array (last byte before the CRC
-        // + trailer): the arena stays sound.
-        let mut bytes = fs::read(&path).unwrap();
-        let pristine_len = bytes.len();
-        let at = pristine_len - 16 - 4 - 1;
-        bytes[at] ^= 0x04;
-        fs::write(&path, &bytes).unwrap();
-
-        let (served, out) = store.get_or_build(&spec, Method::Optimized).unwrap();
-        assert!(
-            out.status.is_hit(),
-            "index damage must not force a re-solve"
-        );
-        let report = out.load.unwrap();
-        assert!(report.index_fallback().unwrap().contains("checksum"));
-        assert_eq!(store.metrics().index_fallbacks(), 1);
-        spaces_identical(&original, &served);
-
-        // The entry was repaired in place: the next load adopts the index.
-        let (served, out) = store.get_or_build(&spec, Method::Optimized).unwrap();
-        assert!(out.status.is_hit());
-        assert!(out.load.unwrap().index_fallback().is_none(), "repaired");
-        spaces_identical(&original, &served);
-    }
-
-    #[test]
-    fn zero_copy_index_fallback_never_launders_a_corrupt_arena() {
+    fn a_zero_copy_hit_never_rewrites_a_damaged_entry() {
         let store = fresh_store("launder");
         let spec = spec("laundered", 16);
         let (_, out) = store.get_or_build(&spec, Method::Optimized).unwrap();
         let path = out.path.unwrap();
 
-        // Damage the arena AND the IDX section. The arena damage swaps two
-        // distinct in-dictionary codes within one column — undetectable by
-        // code-range validation, only by the arena CRC (the exact shape
-        // that could be laundered). The zero-copy load trusts the arena by
-        // design, so it still hits — but the repair machinery must not
-        // rewrite the entry from unverified bytes (that would stamp a
-        // fresh valid CRC over the rot).
+        // Swap two adjacent ranks: each rank stays in range, only the
+        // order and the rank CRC give the damage away. The zero-copy load
+        // trusts the ranks by design, so it still hits — but it must leave
+        // the entry as it found it, detectably damaged, rather than stamp
+        // a fresh valid CRC over it.
         let mut bytes = fs::read(&path).unwrap();
-        let arena = crate::format::parse_structure(bytes.as_slice())
+        let ranks = crate::format::parse_structure(bytes.as_slice())
             .unwrap()
-            .arena;
-        let (arena_at, arena_len) = (arena.start, arena.len());
-        let stride_bytes = 2 * 4; // two params
-        let (a, b) = (0..arena_len / stride_bytes - 1)
-            .map(|row| {
-                (
-                    arena_at + row * stride_bytes,
-                    arena_at + (row + 1) * stride_bytes,
-                )
-            })
-            .find(|&(a, b)| bytes[a..a + 4] != bytes[b..b + 4])
-            .expect("two adjacent rows differing in column 0");
-        let cell: [u8; 4] = bytes[a..a + 4].try_into().unwrap();
-        bytes.copy_within(b..b + 4, a);
-        bytes[b..b + 4].copy_from_slice(&cell);
-        let len = bytes.len();
-        bytes[len - 16 - 4 - 1] ^= 0x04; // IDX slot byte
+            .ranks;
+        let first = ranks.start;
+        let first_rank: [u8; 8] = bytes[first..first + 8].try_into().unwrap();
+        bytes.copy_within(first + 8..first + 16, first);
+        bytes[first + 8..first + 16].copy_from_slice(&first_rank);
         fs::write(&path, &bytes).unwrap();
 
         let (_, out) = store
@@ -1095,12 +1044,8 @@ mod tests {
             .unwrap();
         if cfg!(target_os = "linux") {
             assert!(out.status.is_hit(), "mmap trust semantics");
-            assert!(out.load.unwrap().index_fallback().is_some());
-            // The entry must still be detectably damaged afterwards.
-            assert!(
-                read_space_from_path(&path).is_err(),
-                "repair must not launder an unverified arena"
-            );
+            assert_eq!(fs::read(&path).unwrap(), bytes, "the entry is untouched");
+            assert!(read_space_from_path(&path).is_err());
         }
 
         // A default (copying, CRC-verified) get now rebuilds and repairs.
@@ -1110,45 +1055,28 @@ mod tests {
     }
 
     #[test]
-    fn zero_copy_index_fallback_is_repaired_from_verified_bytes() {
-        let store = fresh_store("mmap-repair");
-        let spec = spec("remapped", 16);
-        let (original, out) = store.get_or_build(&spec, Method::Optimized).unwrap();
-        let path = out.path.unwrap();
-
-        // Damage one byte of the IDX slot array: the arena stays sound, so
-        // the repair may rewrite the entry from the verified copy.
-        let mut bytes = fs::read(&path).unwrap();
-        let len = bytes.len();
-        bytes[len - 16 - 4 - 1] ^= 0x04;
-        fs::write(&path, &bytes).unwrap();
-
-        let get_mapped = || {
-            store
-                .get_or_build_with_options(
-                    &spec,
-                    Method::Optimized,
-                    BuildOptions::default(),
-                    LoadOptions::mmap_trusted(),
-                )
-                .unwrap()
-        };
-        let (served, out) = get_mapped();
-        assert!(out.status.is_hit());
-        let report = out.load.unwrap();
-        assert!(report.index_fallback().unwrap().contains("checksum"));
-        spaces_identical(&original, &served);
-        read_space_from_path(&path).expect("the repaired entry passes the strict reader");
-
-        // The next mapped load adopts the rewritten index.
-        let (served, out) = get_mapped();
-        assert!(out.status.is_hit());
-        let report = out.load.unwrap();
-        assert!(report.index_fallback().is_none(), "{report:?}");
-        if cfg!(target_os = "linux") {
-            assert!(report.is_zero_copy(), "{report:?}");
-        }
-        spaces_identical(&original, &served);
+    fn entry_for_names_the_entry_get_or_build_serves() {
+        let store = fresh_store("entry-for");
+        let spec = spec("keyed", 16);
+        let lowering = Method::Optimized.default_lowering();
+        let before = store.entry_for(&spec, lowering).unwrap();
+        assert!(!before.exists);
+        let (_, out) = store.get_or_build(&spec, Method::Optimized).unwrap();
+        let after = store.entry_for(&spec, lowering).unwrap();
+        assert!(after.exists);
+        assert_eq!(Some(after.fingerprint), out.fingerprint);
+        assert_eq!(Some(&after.path), out.path.as_ref());
+        assert_eq!(
+            (before.fingerprint, before.path),
+            (after.fingerprint, after.path)
+        );
+        let closure = spec.with_restriction(Restriction::func(&["x"], "x >= 2", |v| {
+            v[0].as_i64().unwrap() >= 2
+        }));
+        assert!(matches!(
+            store.entry_for(&closure, lowering),
+            Err(StoreError::Unfingerprintable(_))
+        ));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A hand-rolled `mmap(2)` wrapper: zero-copy file views without new deps.
 //!
-//! The zero-copy load path serves a `SearchSpace` arena (and optionally its
-//! membership-table slots) straight out of the store file. The container
+//! The zero-copy load path serves a `SearchSpace`'s rank array straight
+//! out of the store file. The container
 //! policy is "no new dependencies", so instead of the `memmap2` crate this
 //! module declares the two syscalls it needs against the C library Rust
 //! already links on Linux. Everything else — platform gating, alignment,
@@ -10,11 +10,11 @@
 //! * **Platform**: real mapping on `target_os = "linux"` only (the constants
 //!   below are Linux's). Elsewhere [`MappedFile::map`] returns
 //!   [`MapError::Unsupported`] and callers fall back to the copying load.
-//! * **Alignment**: `mmap` returns page-aligned memory, so a `&[u32]` view
-//!   at byte offset `o` is valid iff `o % 4 == 0`. The `ATSS` layout
-//!   guarantees this for the arena and `IDX` sections, and the parser
-//!   rejects a file whose arena does not start on a 4-byte offset.
-//! * **Lifetime**: [`MappedCodes`] owns an `Arc` of the mapping, so a view
+//! * **Alignment**: `mmap` returns page-aligned memory, so a `&[u64]` view
+//!   at byte offset `o` is valid iff `o % 8 == 0`. The `ATSS` layout
+//!   guarantees this for the rank section, and the parser rejects a file
+//!   whose ranks do not start on an 8-byte offset.
+//! * **Lifetime**: [`MappedRanks`] owns an `Arc` of the mapping, so a view
 //!   can never outlive the `munmap`. The mapping is `MAP_PRIVATE` and
 //!   `PROT_READ`: the file cannot be written through it, and writes *to*
 //!   the file by others do not tear our pages' consistency guarantees any
@@ -24,7 +24,7 @@ use std::fmt;
 use std::fs::File;
 use std::sync::Arc;
 
-use at_searchspace::CodeBacking;
+use at_searchspace::RankBacking;
 
 /// Why a file could not be mapped. Callers treat every variant as "use the
 /// copying load instead"; none of them is a content error.
@@ -34,7 +34,7 @@ pub enum MapError {
     Unsupported,
     /// The `mmap(2)` call itself failed (errno in the payload).
     Syscall(i32),
-    /// A requested `u32` view is not 4-byte aligned or out of the mapped
+    /// A requested `u64` view is not 8-byte aligned or out of the mapped
     /// range. The store parser only hands out aligned, in-bounds ranges,
     /// so for a parsed file this is a bug, not damage.
     BadRange {
@@ -52,7 +52,7 @@ impl fmt::Display for MapError {
             MapError::Syscall(errno) => write!(f, "mmap failed (errno {errno})"),
             MapError::BadRange { offset, len } => write!(
                 f,
-                "cannot view {len} bytes at offset {offset} as aligned u32s"
+                "cannot view {len} bytes at offset {offset} as aligned u64s"
             ),
         }
     }
@@ -188,57 +188,56 @@ impl Drop for MappedFile {
     }
 }
 
-/// A `u32` view over an aligned byte range of a [`MappedFile`] — the
-/// [`CodeBacking`] the zero-copy load hands to
-/// [`at_searchspace::ArenaStorage::Shared`]. Keeps the mapping alive via
-/// `Arc`, so views into the same file (arena + index slots) share one
-/// mapping.
+/// A `u64` view over an aligned byte range of a [`MappedFile`] — the
+/// [`RankBacking`] the zero-copy load hands to
+/// [`at_searchspace::RankStorage::Shared`]. Keeps the mapping alive via
+/// `Arc`, so the view can never outlive the `munmap`.
 #[derive(Debug, Clone)]
-pub struct MappedCodes {
+pub struct MappedRanks {
     map: Arc<MappedFile>,
-    /// Byte offset of the view (4-byte aligned, checked at construction).
+    /// Byte offset of the view (8-byte aligned, checked at construction).
     offset: usize,
-    /// Number of `u32` codes in the view.
-    num_codes: usize,
+    /// Number of `u64` ranks in the view.
+    num_ranks: usize,
 }
 
-impl MappedCodes {
+impl MappedRanks {
     /// A view of `len_bytes` bytes at `offset`. Fails unless the range is
-    /// in bounds, 4-byte aligned and a whole number of `u32`s.
+    /// in bounds, 8-byte aligned and a whole number of `u64`s.
     pub fn new(map: Arc<MappedFile>, offset: usize, len_bytes: usize) -> Result<Self, MapError> {
         let bad = MapError::BadRange {
             offset,
             len: len_bytes,
         };
-        if !offset.is_multiple_of(4) || !len_bytes.is_multiple_of(4) {
+        if !offset.is_multiple_of(8) || !len_bytes.is_multiple_of(8) {
             return Err(bad);
         }
         let end = offset.checked_add(len_bytes).ok_or(bad.clone())?;
         if end > map.len() {
             return Err(bad);
         }
-        Ok(MappedCodes {
+        Ok(MappedRanks {
             map,
             offset,
-            num_codes: len_bytes / 4,
+            num_ranks: len_bytes / 8,
         })
     }
 }
 
-impl CodeBacking for MappedCodes {
-    fn codes(&self) -> &[u32] {
-        if self.num_codes == 0 {
+impl RankBacking for MappedRanks {
+    fn ranks(&self) -> &[u64] {
+        if self.num_ranks == 0 {
             return &[];
         }
         // SAFETY: construction checked that the byte range is in bounds and
-        // 4-byte aligned; `mmap` memory is page-aligned so `base + offset`
-        // is u32-aligned; the mapping outlives `self` via the Arc; every
-        // bit pattern is a valid u32. This assumes a little-endian target —
+        // 8-byte aligned; `mmap` memory is page-aligned so `base + offset`
+        // is u64-aligned; the mapping outlives `self` via the Arc; every
+        // bit pattern is a valid u64. This assumes a little-endian target —
         // the zero-copy path is only taken on LE (see `format.rs`), BE
         // targets always copy-and-convert.
         unsafe {
             let base = self.map.bytes().as_ptr().add(self.offset);
-            std::slice::from_raw_parts(base.cast::<u32>(), self.num_codes)
+            std::slice::from_raw_parts(base.cast::<u64>(), self.num_ranks)
         }
     }
 }
@@ -259,16 +258,16 @@ mod tests {
 
     #[test]
     #[cfg(target_os = "linux")]
-    fn maps_a_file_and_reads_codes() {
-        let codes: Vec<u32> = (0..1000).collect();
-        let bytes: Vec<u8> = codes.iter().flat_map(|c| c.to_le_bytes()).collect();
+    fn maps_a_file_and_reads_ranks() {
+        let ranks: Vec<u64> = (0..1000).map(|r| r << 33).collect();
+        let bytes: Vec<u8> = ranks.iter().flat_map(|r| r.to_le_bytes()).collect();
         let path = temp_file(&bytes);
         let map = Arc::new(MappedFile::map(&File::open(&path).unwrap()).unwrap());
         assert_eq!(map.bytes(), &bytes[..]);
-        let view = MappedCodes::new(Arc::clone(&map), 0, bytes.len()).unwrap();
-        assert_eq!(view.codes(), &codes[..]);
-        let tail = MappedCodes::new(Arc::clone(&map), 4, 8).unwrap();
-        assert_eq!(tail.codes(), &[1, 2]);
+        let view = MappedRanks::new(Arc::clone(&map), 0, bytes.len()).unwrap();
+        assert_eq!(view.ranks(), &ranks[..]);
+        let tail = MappedRanks::new(Arc::clone(&map), 8, 16).unwrap();
+        assert_eq!(tail.ranks(), &[1 << 33, 2 << 33]);
     }
 
     #[test]
@@ -276,10 +275,10 @@ mod tests {
     fn rejects_misaligned_and_out_of_range_views() {
         let path = temp_file(&[0u8; 64]);
         let map = Arc::new(MappedFile::map(&File::open(&path).unwrap()).unwrap());
-        assert!(MappedCodes::new(Arc::clone(&map), 2, 8).is_err());
-        assert!(MappedCodes::new(Arc::clone(&map), 0, 6).is_err());
-        assert!(MappedCodes::new(Arc::clone(&map), 60, 8).is_err());
-        assert!(MappedCodes::new(Arc::clone(&map), 64, 0).is_ok());
+        assert!(MappedRanks::new(Arc::clone(&map), 4, 8).is_err());
+        assert!(MappedRanks::new(Arc::clone(&map), 0, 12).is_err());
+        assert!(MappedRanks::new(Arc::clone(&map), 64, 8).is_err());
+        assert!(MappedRanks::new(Arc::clone(&map), 64, 0).is_ok());
     }
 
     #[test]
@@ -289,7 +288,7 @@ mod tests {
         let map = Arc::new(MappedFile::map(&File::open(&path).unwrap()).unwrap());
         assert!(map.is_empty());
         assert_eq!(map.bytes(), &[] as &[u8]);
-        let view = MappedCodes::new(map, 0, 0).unwrap();
-        assert_eq!(view.codes(), &[] as &[u32]);
+        let view = MappedRanks::new(map, 0, 0).unwrap();
+        assert_eq!(view.ranks(), &[] as &[u64]);
     }
 }

@@ -67,14 +67,14 @@ impl DifferentialEvolution {
         for _ in 0..self.snap_candidates.max(1) {
             let candidate = ConfigId::from_index(ctx.rng().gen_range(0..n));
             let space = ctx.space();
-            let codes = space.codes_of(candidate).expect("valid id");
-            let dist: f64 = codes
+            let rank = space.rank_of(candidate).expect("valid id");
+            let dist: f64 = target
                 .iter()
-                .zip(target.iter())
                 .zip(space.params().iter())
-                .map(|((&c, &t), param)| {
+                .enumerate()
+                .map(|(d, (&t, param))| {
                     let scale = param.len().max(1) as f64;
-                    let diff = (c as f64 - t) / scale;
+                    let diff = (space.code_at(rank, d) as f64 - t) / scale;
                     diff * diff
                 })
                 .sum();
@@ -132,21 +132,19 @@ impl Strategy for DifferentialEvolution {
                     population[partners[1]].0,
                     population[partners[2]].0,
                 );
-                // mutation + binomial crossover in code space: borrow the
-                // four encoded rows straight from the arena (no decode, no
-                // clone — `space()` outlives the `rng()` borrows below)
+                // mutation + binomial crossover in code space: decode each
+                // cell of the four rows from its rank as it is needed (no
+                // row copy — `space()` outlives the `rng()` borrows below)
                 let space = ctx.space();
-                let ai = space.codes_of(a).expect("valid id");
-                let bi = space.codes_of(b).expect("valid id");
-                let ci = space.codes_of(c).expect("valid id");
-                let target = space.codes_of(population[i].0).expect("valid id");
+                let rank = |id: ConfigId| space.rank_of(id).expect("valid id");
+                let ranks = [a, b, c, population[i].0].map(rank);
+                let code = |row: usize, d: usize| space.code_at(ranks[row], d) as f64;
                 let forced = ctx.rng().gen_range(0..dims);
                 let mut trial = vec![0.0f64; dims];
                 for (d, slot) in trial.iter_mut().enumerate() {
-                    let mutant =
-                        ai[d] as f64 + self.differential_weight * (bi[d] as f64 - ci[d] as f64);
+                    let mutant = code(0, d) + self.differential_weight * (code(1, d) - code(2, d));
                     let cross = ctx.rng().gen_bool(self.crossover_rate) || d == forced;
-                    *slot = if cross { mutant } else { target[d] as f64 };
+                    *slot = if cross { mutant } else { code(3, d) };
                 }
                 trials.push(self.snap(ctx, &trial));
             }

@@ -42,9 +42,12 @@ impl Default for GeneticAlgorithm {
 }
 
 impl GeneticAlgorithm {
-    /// Single-point crossover on the encoded code rows, snapped back into
-    /// the valid space through the hash index — no `Value` is ever cloned.
-    /// Returns `None` when the offspring is not a valid configuration.
+    /// Single-point crossover in rank arithmetic: the child takes parent
+    /// `a`'s codes before the cut and parent `b`'s from it on, which is the
+    /// rank `a − a % S + b % S` for `S = Π_{q≥cut} |D_q|`, the stride of
+    /// the parameter just before the cut. No row is copied and no `Value`
+    /// cloned. Returns `None` when the offspring is not a valid
+    /// configuration.
     fn crossover(
         &self,
         ctx: &mut TuningContext<'_>,
@@ -54,12 +57,14 @@ impl GeneticAlgorithm {
         let dims = ctx.space().num_params();
         let cut = ctx.rng().gen_range(1..dims.max(2));
         let space = ctx.space();
-        let a = space.codes_of(parent_a)?;
-        let b = space.codes_of(parent_b)?;
-        let mut child = Vec::with_capacity(dims);
-        child.extend_from_slice(&a[..cut.min(a.len())]);
-        child.extend_from_slice(&b[cut.min(b.len())..]);
-        space.index_of_codes(&child)
+        let (a, b) = (space.rank_of(parent_a)?, space.rank_of(parent_b)?);
+        let suffix = cut
+            .min(dims)
+            .checked_sub(1)
+            .map_or(1, |before| space.strides()[before]);
+        // Wrapping only matters for a forged rank array, where a wrong
+        // child is in-contract but a panic is not.
+        space.index_of_rank((a - a % suffix).wrapping_add(b % suffix))
     }
 
     /// Tournament selection from the current population.

@@ -7,7 +7,7 @@
 //! `SearchSpace` abstraction matters — without the resolved space, a
 //! particle landing on an invalid combination would waste a kernel
 //! compilation just to discover the constraint violation. Snapping first
-//! tries the exact rounded position through the encoded-row hash index and
+//! tries the exact rounded position through the encoded-row lookup and
 //! only falls back to a bounded random sample of valid configurations, so
 //! snap cost is independent of space size.
 //!
@@ -61,7 +61,7 @@ struct Particle {
 
 impl ParticleSwarm {
     /// Snap a continuous position in value-code space to a valid
-    /// configuration id: exact hit through the encoded-row hash index when
+    /// configuration id: exact hit through the encoded-row lookup when
     /// the rounded position is valid, otherwise the nearest (normalized code
     /// distance) of a bounded random sample of valid configurations.
     fn snap(&self, ctx: &mut TuningContext<'_>, position: &[f64]) -> ConfigId {
@@ -80,14 +80,14 @@ impl ParticleSwarm {
         for _ in 0..self.snap_candidates.max(1) {
             let candidate = ConfigId::from_index(ctx.rng().gen_range(0..n));
             let space = ctx.space();
-            let codes = space.codes_of(candidate).expect("valid id");
-            let dist: f64 = codes
+            let rank = space.rank_of(candidate).expect("valid id");
+            let dist: f64 = position
                 .iter()
-                .zip(position.iter())
                 .zip(space.params().iter())
-                .map(|((&c, &p), param)| {
+                .enumerate()
+                .map(|(dim, (&p, param))| {
                     let scale = param.len().max(1) as f64;
-                    let d = (c as f64 - p) / scale;
+                    let d = (space.code_at(rank, dim) as f64 - p) / scale;
                     d * d
                 })
                 .sum();

@@ -172,8 +172,8 @@ impl<'a> TuningContext<'a> {
 
     /// The search space being tuned. The returned reference lives for the
     /// whole tuning run (`'a`), not just this borrow of the context, so
-    /// strategies can hold arena slices across `rng()`/`evaluate_batch()`
-    /// calls.
+    /// strategies can hold it (and decode ranks through it) across
+    /// `rng()`/`evaluate_batch()` calls.
     pub fn space(&self) -> &'a SearchSpace {
         self.space
     }

@@ -27,6 +27,10 @@ import sys
 
 errors = []
 
+# The audited sites may move, but not multiply unnoticed: raising this cap
+# is a reviewed change of its own.
+MAX_SITES = 17
+
 ALLOWED = {
     "crates/store/src/mmap.rs",
     "crates/store/src/format.rs",
@@ -60,6 +64,9 @@ for path in sources:
         window = lines[max(0, i - 6) : i]
         if not any("SAFETY:" in w for w in window):
             errors.append(f"{path}:{i + 1}: unsafe site without a `// SAFETY:` comment")
+
+if audited > MAX_SITES:
+    errors.append(f"{audited} unsafe sites, more than the {MAX_SITES} audited")
 
 for lib in sorted(glob.glob("crates/*/src/lib.rs")):
     with open(lib) as f:

@@ -14,9 +14,9 @@
 //!   mid-request, an idle daemon still notices shutdown, and entries stay
 //!   pinned (GC-proof) while replies reference them.
 //! * **Latency** — a fresh connection is accepted as soon as it arrives.
-//! * **Trust** — clients attach without checksumming the index, so damage
-//!   already on disk is caught and repaired by the daemon before any
-//!   client attaches.
+//! * **Trust** — clients attach without checksumming the ranks or checking
+//!   their order, so damage already on disk is caught and repaired by the
+//!   daemon before any client attaches.
 
 #![cfg(unix)]
 
@@ -486,39 +486,33 @@ fn an_idle_daemon_shuts_down_instead_of_hanging() {
 }
 
 #[test]
-fn a_damaged_index_on_disk_is_repaired_before_any_client_attaches() {
-    let base = temp_base("damaged-index");
-    let spec = demo_spec("damaged-index");
+fn a_damaged_rank_section_on_disk_is_repaired_before_any_client_attaches() {
+    let base = temp_base("damaged-ranks");
+    let spec = demo_spec("damaged-ranks");
     let (fresh, _) = build_search_space(&spec, Method::Optimized).unwrap();
 
-    // An entry written before the daemon starts, then damaged: one
-    // occupied `IDX` slot now names a neighbouring row. The slots end
-    // just before the section CRC and the 16-byte trailer.
+    // An entry written before the daemon starts, then damaged: two
+    // adjacent ranks swap places, so every rank stays in range and only
+    // the rank CRC and the order give the damage away. The ranks end just
+    // before the 16-byte trailer.
     let store = SpaceStore::new(base.join("cache")).unwrap();
     let (_, outcome) = store.get_or_build(&spec, Method::Optimized).unwrap();
     let path = outcome.path.unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
-    let slots_end = bytes.len() - 16 - 4;
-    let slots_start = slots_end - 4 * fresh.index_slots().len();
-    let rows = fresh.len() as u32;
-    let slot_at = (slots_start..slots_end)
-        .step_by(4)
-        .find(|&at| {
-            let id = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-            id != u32::MAX && id ^ 1 < rows
-        })
-        .expect("an occupied slot");
-    bytes[slot_at] ^= 1;
+    let last = bytes.len() - 16 - 8;
+    let last_rank: [u8; 8] = bytes[last..last + 8].try_into().unwrap();
+    bytes.copy_within(last - 8..last, last);
+    bytes[last - 8..last].copy_from_slice(&last_rank);
     std::fs::write(&path, &bytes).unwrap();
     assert!(
         read_space_from_path(&path).is_err(),
         "the damage is visible"
     );
     if cfg!(all(target_os = "linux", target_endian = "little")) {
-        // The damage is invisible without the index checksum: attached
-        // directly, the table adopts and misses a row.
-        let unchecked = load_space_from_path(&path, LoadOptions::mmap_certified()).unwrap();
-        assert!(unchecked.report.index_fallback().is_none());
+        // The damage is invisible to the trusted attach: mapped directly,
+        // the unsorted ranks make a lookup miss its row.
+        let unchecked = load_space_from_path(&path, LoadOptions::mmap_trusted()).unwrap();
+        assert!(unchecked.report.is_zero_copy());
         assert!(fresh
             .iter()
             .any(|view| unchecked.space.index_of(&view.to_vec()).is_none()));

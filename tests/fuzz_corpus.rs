@@ -54,6 +54,34 @@ fn fixed_seed_smoke() {
     }
 }
 
+/// The store targets' regression inputs are files of the current format:
+/// an input of an older version is rejected at the version field and
+/// regresses nothing past it. A format revision regenerates them
+/// (`cargo test -p at_fuzz --lib dump_regression_corpus -- --ignored`).
+#[test]
+fn store_corpus_inputs_are_in_the_current_format() {
+    let mut checked = 0;
+    for dir in ["atss_reader", "atss_load_differential"] {
+        for entry in std::fs::read_dir(corpus_root().join(dir)).expect("store corpus dir") {
+            let path = entry.expect("readable entry").path();
+            let bytes = std::fs::read(&path).unwrap();
+            assert_eq!(&bytes[..4], b"ATSS", "{}", path.display());
+            let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+            assert_eq!(
+                version,
+                autotuning_searchspaces::store::FORMAT_VERSION,
+                "{}",
+                path.display()
+            );
+            checked += 1;
+        }
+    }
+    assert!(
+        checked >= 6,
+        "store corpus looks truncated: {checked} inputs"
+    );
+}
+
 /// The corpus directory names must all be valid target names, so a typo'd
 /// directory cannot silently skip replay.
 #[test]

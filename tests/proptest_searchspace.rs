@@ -81,12 +81,13 @@ fn materialize(space: &RandomSpace) -> (Vec<TunableParameter>, Vec<Vec<Value>>) 
 /// The reference definition of Hamming neighbors: every configuration whose
 /// code row differs from `id`'s in exactly one position, in id order.
 fn hamming_scan(space: &SearchSpace, id: ConfigId) -> Vec<ConfigId> {
-    let row = space.codes_of(id).unwrap();
+    let (mut row, mut other) = (Vec::new(), Vec::new());
+    assert!(space.codes_into(id, &mut row));
     space
         .ids()
         .filter(|&j| {
-            let other = space.codes_of(j).unwrap();
-            row.iter().zip(other).filter(|(a, b)| a != b).count() == 1
+            space.codes_into(j, &mut other);
+            row.iter().zip(&other).filter(|(a, b)| a != b).count() == 1
         })
         .collect()
 }
@@ -129,9 +130,12 @@ proptest! {
                 prop_assert_eq!(view.value(d), Some(expected));
             }
             prop_assert_eq!(view.to_vec(), row.clone());
-            // The codes round-trip through encode and the hash index.
+            // The codes round-trip through encode and the rank lookup.
             let codes = space.encode(row).unwrap();
-            prop_assert_eq!(codes.as_slice(), view.codes());
+            let mut decoded_codes = Vec::new();
+            view.codes_into(&mut decoded_codes);
+            prop_assert_eq!(&codes, &decoded_codes);
+            prop_assert_eq!(space.rank_of(id), Some(view.rank()));
             prop_assert_eq!(space.index_of(row), Some(id));
             prop_assert_eq!(space.index_of_codes(&codes), Some(id));
             // Codes point at the right dictionary entries.

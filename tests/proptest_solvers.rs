@@ -1,14 +1,17 @@
 //! Property-based tests: on randomly generated small constraint problems,
 //! every solver and the chain-of-trees construction must agree with brute
 //! force, and decomposed expression lowering must not change the space.
+//! Spaces are compared as `SearchSpace` arenas, byte for byte: every method
+//! yields the canonical row order.
 
 use proptest::prelude::*;
 
-use autotuning_searchspaces::cot::{build_chain_from_problem, enumerate_chain};
+use autotuning_searchspaces::cot::{build_chain_from_problem, enumerate_chain_into};
 use autotuning_searchspaces::csp::prelude::*;
-use autotuning_searchspaces::csp::sink::CountingSink;
+use autotuning_searchspaces::csp::sink::{CountingSink, RowSink};
 use autotuning_searchspaces::csp::solver_by_name;
 use autotuning_searchspaces::csp::value::int_values;
+use autotuning_searchspaces::searchspace::{EncodingSink, TunableParameter};
 
 /// A randomly generated small problem description.
 #[derive(Debug, Clone)]
@@ -106,23 +109,58 @@ fn build(problem: &RandomProblem) -> Problem {
     p
 }
 
+/// The rank arena of the space `fill` streams into a sink over `problem`'s
+/// variables (each declared domain is its parameter's dictionary).
+fn arena(problem: &Problem, fill: impl FnOnce(&mut dyn RowSink)) -> Vec<u64> {
+    let params = (0..problem.num_variables())
+        .map(|v| {
+            TunableParameter::new(
+                problem.variable_name(v),
+                problem.domain(v).declared().to_vec(),
+            )
+        })
+        .collect();
+    let mut sink = EncodingSink::new("prop", params).unwrap();
+    fill(&mut sink);
+    sink.finish().unwrap().arena().to_vec()
+}
+
+/// The arena `solver` builds for `problem`.
+fn solver_arena(problem: &Problem, solver: &dyn Solver) -> Vec<u64> {
+    arena(problem, |sink| {
+        solver.solve_into(problem, sink).unwrap();
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn optimized_solver_matches_brute_force(rp in random_problem()) {
         let problem = build(&rp);
-        let brute = BruteForceSolver::new().solve(&problem).unwrap();
-        let optimized = OptimizedSolver::new().solve(&problem).unwrap();
-        prop_assert!(brute.solutions.same_solutions(&optimized.solutions));
+        let brute = solver_arena(&problem, &BruteForceSolver::new());
+        prop_assert_eq!(solver_arena(&problem, &OptimizedSolver::new()), brute);
     }
 
     #[test]
     fn parallel_solver_matches_brute_force(rp in random_problem()) {
         let problem = build(&rp);
-        let brute = BruteForceSolver::new().solve(&problem).unwrap();
-        let parallel = ParallelSolver::new().solve(&problem).unwrap();
-        prop_assert!(brute.solutions.same_solutions(&parallel.solutions));
+        let brute = solver_arena(&problem, &BruteForceSolver::new());
+        prop_assert_eq!(solver_arena(&problem, &ParallelSolver::new()), brute);
+    }
+
+    #[test]
+    fn every_method_builds_the_same_arena(rp in random_problem()) {
+        // All six construction methods, byte for byte.
+        let problem = build(&rp);
+        let brute = solver_arena(&problem, &BruteForceSolver::new());
+        for name in ["original", "optimized", "parallel", "blocking-clause"] {
+            let solver = solver_by_name(name).unwrap();
+            prop_assert_eq!(&solver_arena(&problem, solver.as_ref()), &brute, "{}", name);
+        }
+        let chain = build_chain_from_problem(&problem);
+        let from_chain = arena(&problem, |sink| enumerate_chain_into(&chain, sink).unwrap());
+        prop_assert_eq!(&from_chain, &brute, "chain-of-trees");
     }
 
     #[test]
@@ -159,11 +197,11 @@ proptest! {
     #[test]
     fn chain_of_trees_matches_brute_force(rp in random_problem()) {
         let problem = build(&rp);
-        let brute = BruteForceSolver::new().solve(&problem).unwrap();
+        let brute = solver_arena(&problem, &BruteForceSolver::new());
         let chain = build_chain_from_problem(&problem);
-        let from_chain = enumerate_chain(&chain);
-        prop_assert_eq!(chain.size(), brute.solutions.len() as u128);
-        prop_assert!(brute.solutions.same_solutions(&from_chain));
+        let from_chain = arena(&problem, |sink| enumerate_chain_into(&chain, sink).unwrap());
+        prop_assert_eq!(chain.size(), brute.len() as u128);
+        prop_assert_eq!(from_chain, brute);
     }
 
     #[test]
@@ -196,7 +234,7 @@ proptest! {
     #[test]
     fn solver_config_variants_match_brute_force(rp in random_problem()) {
         let problem = build(&rp);
-        let brute = BruteForceSolver::new().solve(&problem).unwrap();
+        let brute = solver_arena(&problem, &BruteForceSolver::new());
         for forward_check in [false, true] {
             let cfg = OptimizedSolverConfig {
                 variable_ordering: !forward_check,
@@ -204,8 +242,8 @@ proptest! {
                 forward_check,
                 arc_consistency: forward_check,
             };
-            let result = OptimizedSolver::with_config(cfg).solve(&problem).unwrap();
-            prop_assert!(brute.solutions.same_solutions(&result.solutions));
+            let solver = OptimizedSolver::with_config(cfg);
+            prop_assert_eq!(&solver_arena(&problem, &solver), &brute, "forward_check {}", forward_check);
         }
     }
 }

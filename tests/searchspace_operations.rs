@@ -26,8 +26,8 @@ fn hamming_neighbors_are_symmetric_and_valid_on_a_sample() {
         for &j in &ns {
             assert!(j.index() < space.len());
             // exactly one parameter differs (compare the encoded rows)
-            let a = space.codes_of(i).unwrap();
-            let b = space.codes_of(j).unwrap();
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            assert!(space.codes_into(i, &mut a) && space.codes_into(j, &mut b));
             let differing = a.iter().zip(b.iter()).filter(|(x, y)| x != y).count();
             assert_eq!(differing, 1);
             // symmetry
@@ -113,7 +113,10 @@ fn membership_and_index_lookup_agree_with_enumeration() {
         let config = view.to_vec();
         assert!(space.contains(&config));
         assert_eq!(space.index_of(&config), Some(view.id()));
-        assert_eq!(space.index_of_codes(view.codes()), Some(view.id()));
+        let mut codes = Vec::new();
+        view.codes_into(&mut codes);
+        assert_eq!(space.index_of_codes(&codes), Some(view.id()));
+        assert_eq!(space.index_of_rank(view.rank()), Some(view.id()));
     }
 }
 

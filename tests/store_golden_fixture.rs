@@ -1,7 +1,8 @@
-//! Golden-file coverage of the v2 `ATSS` byte layout.
+//! Golden-file coverage of the v3 `ATSS` byte layout.
 //!
-//! `tests/fixtures/v2-small.atss` is a checked-in file written by the v2
-//! writer for the space constructed by [`fixture_space`]. The tests here
+//! `tests/fixtures/v3-small.atss` is a checked-in file written by the v3
+//! writer for the space constructed by [`fixture_space`]. (The v1 and v2
+//! fixtures beside it stay as rejection cases for `store_mmap`.) The tests here
 //! pin the byte layout end to end: any change to the on-disk format —
 //! section ordering, framing, padding, value encoding, checksums — fails
 //! loudly against the golden bytes instead of silently shipping a file
@@ -19,12 +20,12 @@ use autotuning_searchspaces::store::{
 };
 
 fn fixture_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v2-small.atss")
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v3-small.atss")
 }
 
 /// The space persisted in the fixture: one parameter of every persistable
 /// value type, with a restriction so the row set is not a full cross
-/// product (membership lookups must consult the real index).
+/// product (membership lookups must search the real ranks).
 fn fixture_space() -> SearchSpace {
     let params = vec![
         TunableParameter::ints("block_size_x", [1, 2, 4, 8]),
@@ -51,7 +52,7 @@ fn fixture_space() -> SearchSpace {
             }
         }
     }
-    SearchSpace::from_configs("v2-fixture", params, configs).unwrap()
+    SearchSpace::from_configs("v3-fixture", params, configs).unwrap()
 }
 
 /// Read one framed metadata section (tag, u64 payload length, payload,
@@ -75,7 +76,7 @@ fn read_section<'a>(bytes: &'a [u8], pos: &mut usize, expect_tag: &[u8; 4]) -> &
 #[test]
 fn fixture_matches_documented_byte_layout() {
     let bytes = std::fs::read(fixture_path()).expect(
-        "tests/fixtures/v2-small.atss is checked in; regenerate with \
+        "tests/fixtures/v3-small.atss is checked in; regenerate with \
          `cargo test --test store_golden_fixture -- --ignored bless`",
     );
     let space = fixture_space();
@@ -92,7 +93,7 @@ fn fixture_matches_documented_byte_layout() {
     // HDR section: name (u32 length + bytes) then parameter count.
     let hdr = read_section(&bytes, &mut pos, b"HDR\0");
     let name_len = u32::from_le_bytes(hdr[0..4].try_into().unwrap()) as usize;
-    assert_eq!(&hdr[4..4 + name_len], b"v2-fixture");
+    assert_eq!(&hdr[4..4 + name_len], b"v3-fixture");
     assert_eq!(
         u32::from_le_bytes(hdr[4 + name_len..8 + name_len].try_into().unwrap()),
         num_params as u32
@@ -121,30 +122,33 @@ fn fixture_matches_documented_byte_layout() {
     assert_eq!(&par[p + 4..p + 4 + p1_len], b"precision");
     assert_eq!(par[p + 4 + p1_len + 4], 4, "Str value tag");
 
-    // ARN tag, u32 pad length, pad zeros; the arena must start 4-aligned.
-    assert_eq!(&bytes[pos..pos + 4], b"ARN\0");
+    // RNK tag, u32 pad length, pad zeros; the ranks must start 8-aligned.
+    assert_eq!(&bytes[pos..pos + 4], b"RNK\0");
     let pad = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap()) as usize;
-    assert!(pad <= 3, "pad is at most 3 bytes, found {pad}");
+    assert!(pad <= 7, "pad is at most 7 bytes, found {pad}");
     assert!(bytes[pos + 8..pos + 8 + pad].iter().all(|&b| b == 0));
-    let arena_offset = pos + 8 + pad;
-    assert_eq!(arena_offset % 4, 0, "arena offset must be 4-byte aligned");
+    let ranks_offset = pos + 8 + pad;
+    assert_eq!(ranks_offset % 8, 0, "rank offset must be 8-byte aligned");
 
-    // Arena: rows × num_params little-endian u32 codes, verbatim.
-    let arena_len = rows * num_params * 4;
-    let arena = &bytes[arena_offset..arena_offset + arena_len];
-    let decoded: Vec<u32> = arena
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+    // Ranks: one little-endian u64 per row, strictly ascending, verbatim.
+    // A rank is the row's mixed-radix index, last parameter fastest: here
+    // the strides are 2*2*2, 2*2, 2 and 1.
+    let ranks_len = rows * 8;
+    let ranks = &bytes[ranks_offset..ranks_offset + ranks_len];
+    let decoded: Vec<u64> = ranks
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
         .collect();
     assert_eq!(decoded, space.arena());
-    pos = arena_offset + arena_len;
+    assert!(decoded.windows(2).all(|pair| pair[0] < pair[1]));
+    // (1, "half", 0.5, false) is rank 0; (1, "half", 0.5, true) rank 1;
+    // the dropped corner (8, "half", *, false) would be ranks 24 and 26.
+    assert_eq!(&decoded[..3], &[0, 1, 2]);
+    assert!(!decoded.contains(&24) && !decoded.contains(&26));
+    assert_eq!(decoded.last(), Some(&31));
+    pos = ranks_offset + ranks_len;
 
-    // IDX section: hash version, slot count, then that many u32 slots.
-    let idx = read_section(&bytes, &mut pos, b"IDX\0");
-    let num_slots = u32::from_le_bytes(idx[4..8].try_into().unwrap()) as usize;
-    assert_eq!(idx.len(), 8 + num_slots * 4, "IDX payload length");
-
-    // 16-byte trailer: END tag, u64 row count, u32 arena CRC — and nothing
+    // 16-byte trailer: END tag, u64 row count, u32 rank CRC — and nothing
     // after it.
     assert_eq!(&bytes[pos..pos + 4], b"END\0");
     assert_eq!(
@@ -153,7 +157,7 @@ fn fixture_matches_documented_byte_layout() {
     );
     assert_eq!(
         u32::from_le_bytes(bytes[pos + 12..pos + 16].try_into().unwrap()),
-        crc32(arena)
+        crc32(ranks)
     );
     assert_eq!(pos + 16, bytes.len(), "trailer ends the file");
 }
@@ -173,7 +177,6 @@ fn writer_reproduces_the_golden_bytes() {
 fn fixture_loads_back_to_the_reference_space() {
     let (loaded, info) = read_space_from_path(fixture_path()).unwrap();
     assert_eq!(info.version, FORMAT_VERSION);
-    assert!(info.index.is_some(), "v2 files carry a membership table");
     let reference = fixture_space();
     assert_eq!(loaded.name(), reference.name());
     assert_eq!(loaded.arena(), reference.arena());
@@ -187,7 +190,7 @@ fn fixture_loads_back_to_the_reference_space() {
 /// an intentional format change:
 /// `cargo test --test store_golden_fixture -- --ignored bless`
 #[test]
-#[ignore = "writes tests/fixtures/v2-small.atss; run explicitly to bless"]
+#[ignore = "writes tests/fixtures/v3-small.atss; run explicitly to bless"]
 fn bless_regenerate_fixture() {
     write_space_to_path(&fixture_space(), fixture_path()).unwrap();
 }

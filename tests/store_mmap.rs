@@ -1,15 +1,16 @@
-//! Zero-copy load equivalence and `IDX`-section corruption coverage.
+//! Zero-copy load equivalence and rank-section corruption coverage.
 //!
-//! The v2 `ATSS` contract under test:
+//! The v3 `ATSS` contract under test:
 //!
-//! * an mmap-loaded space is code-for-code and `index_of`-identical to an
+//! * an mmap-loaded space is rank-for-rank and `index_of`-identical to an
 //!   owned (copying) load and to the cold build — for arbitrary generated
 //!   spaces and the real workloads;
-//! * damage to the persisted membership table (byte flips, truncation) is
-//!   never served: the load either fails cleanly or falls back to a
-//!   *reported* index rebuild, and every lookup stays correct;
-//! * a v1 file (the checked-in fixture) is rejected by every reader with
-//!   `UnsupportedVersion`: this build reads only the version it writes.
+//! * damage to the rank section never passes the verified copy, and the
+//!   trusted mmap, which does not look, serves it without panicking,
+//!   decoding every code in range and never misattributing a lookup;
+//! * v1 and v2 files (the checked-in fixtures) are rejected by every
+//!   reader with `UnsupportedVersion`: this build reads only the version
+//!   it writes.
 
 use proptest::prelude::*;
 
@@ -50,11 +51,6 @@ fn assert_all_load_paths_identical(reference: &SearchSpace, path: &std::path::Pa
     let reader = StoreReader::open(path).unwrap();
     for options in [LoadOptions::default(), LoadOptions::mmap_trusted()] {
         let loaded = reader.load(options).unwrap();
-        assert!(
-            loaded.report.index_fallback().is_none(),
-            "pristine file must not fall back: {:?}",
-            loaded.report
-        );
         if options == LoadOptions::mmap_trusted() && cfg!(target_os = "linux") {
             assert!(loaded.report.is_zero_copy());
             assert!(loaded.space.is_zero_copy());
@@ -141,48 +137,48 @@ proptest! {
         assert_all_load_paths_identical(&space, &path);
     }
 
-    /// Any damage to the region after the arena (the IDX section) must
-    /// yield either a clean error or a correct space with a *reported*
-    /// index rebuild — never a wrong lookup.
+    /// Any damage to the rank section must fail the verified copy with a
+    /// clean content error, which the cache and the daemon turn into a
+    /// rebuild before any client attaches. The trusted mmap does not look:
+    /// it may serve the damaged ranks, but never panics, decodes every
+    /// code inside its dictionary and never misattributes a lookup.
     #[test]
-    fn damaged_index_sections_never_produce_wrong_lookups(
+    fn damaged_rank_sections_never_pass_the_verified_copy(
         desc in random_space(),
         pos in 0.0f64..1.0,
         mask in 1u8..255,
     ) {
         let (params, rows) = materialize(&desc);
         let space = SearchSpace::from_configs("dmg", params, rows).unwrap();
+        if space.is_empty() {
+            return; // no rank byte to damage
+        }
         let mut bytes = Vec::new();
         write_space(&space, &mut bytes).unwrap();
-        // The IDX section spans from arena end to the trailer. Recompute
-        // its range from the written layout: everything between the end of
-        // the (empty-or-not) arena and the last 16 bytes.
+        // The ranks end at the 16-byte trailer, one u64 per row.
         let trailer_at = bytes.len() - 16;
-        let arena_bytes = space.len() * space.num_params() * 4;
-        let idx_start = trailer_at - (4 + 8 + 8 + space.index_slots().len() * 4 + 4);
-        prop_assert!(idx_start >= arena_bytes, "layout sanity");
-        let at = idx_start + ((trailer_at - 1 - idx_start) as f64 * pos) as usize;
+        let ranks_at = trailer_at - space.len() * 8;
+        let at = ranks_at + ((trailer_at - 1 - ranks_at) as f64 * pos) as usize;
         bytes[at] ^= mask;
 
         let path = temp_dir("prop-dmg").join("damaged.atss");
         std::fs::write(&path, &bytes).unwrap();
-        for options in [LoadOptions::default(), LoadOptions::mmap_trusted()] {
-            match load_space_from_path(&path, options) {
-                Ok(loaded) => {
-                    // Damage to the index itself must have been detected
-                    // and reported; either way every lookup is correct.
-                    prop_assert!(
-                        loaded.report.index_fallback().is_some(),
-                        "flip at {at} adopted silently: {:?}",
-                        loaded.report
-                    );
-                    assert_spaces_identical(&space, &loaded.space);
-                }
-                Err(e) => {
-                    // Structural damage (e.g. the section frame): a clean
-                    // content error, which the cache turns into a rebuild.
-                    prop_assert!(e.is_content_error(), "unexpected error kind: {e}");
-                }
+        let err = load_space_from_path(&path, LoadOptions::default()).unwrap_err();
+        prop_assert!(err.is_content_error(), "unexpected error kind: {err}");
+        prop_assert!(read_space_from_path(&path).is_err());
+
+        let trusted = load_space_from_path(&path, LoadOptions::mmap_trusted()).unwrap();
+        let served = &trusted.space;
+        prop_assert_eq!(served.len(), space.len());
+        let (mut codes, mut found_codes) = (Vec::new(), Vec::new());
+        for view in served.iter() {
+            view.codes_into(&mut codes);
+            for (&code, param) in codes.iter().zip(served.params()) {
+                prop_assert!((code as usize) < param.len());
+            }
+            if let Some(found) = served.index_of_codes(&codes) {
+                served.codes_into(found, &mut found_codes);
+                prop_assert_eq!(&found_codes, &codes);
             }
         }
     }
@@ -219,30 +215,40 @@ fn real_workloads_load_identically_through_every_path() {
     }
 }
 
-#[test]
-fn v1_fixture_is_rejected_by_every_reader() {
-    // `tests/fixtures/v1-small.atss` was written by the version 1 writer
-    // and checked in. This build reads only the version it writes.
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1-small.atss");
-    let is_v1_rejection = |what: &str, e: StoreError| match e {
-        StoreError::UnsupportedVersion {
-            found: 1,
-            supported,
-        } => {
-            assert_eq!(supported, FORMAT_VERSION, "{what}")
+/// Every reader rejects the checked-in fixture written by format
+/// `version` with `UnsupportedVersion`: this build reads only the version
+/// it writes.
+fn assert_rejected_by_every_reader(fixture: &str, version: u32) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(fixture);
+    let is_rejection = |what: &str, e: StoreError| match e {
+        StoreError::UnsupportedVersion { found, supported } => {
+            assert_eq!(found, version, "{what}");
+            assert_eq!(supported, FORMAT_VERSION, "{what}");
         }
         other => panic!("{what}: {other}"),
     };
-    is_v1_rejection("peek_info", peek_info(&path).unwrap_err());
-    is_v1_rejection(
+    is_rejection("peek_info", peek_info(&path).unwrap_err());
+    is_rejection(
         "read_space_from_path",
         read_space_from_path(&path).unwrap_err(),
     );
     for options in [LoadOptions::default(), LoadOptions::mmap_trusted()] {
-        is_v1_rejection(
+        is_rejection(
             &format!("{options:?}"),
             load_space_from_path(&path, options).unwrap_err(),
         );
     }
+}
+
+#[test]
+fn v1_fixture_is_rejected_by_every_reader() {
+    // Written by the version 1 writer (code arena, no index section).
+    assert_rejected_by_every_reader("tests/fixtures/v1-small.atss", 1);
+}
+
+#[test]
+fn v2_fixture_is_rejected_by_every_reader() {
+    // Written by the version 2 writer (code arena plus `IDX` section), in
+    // whatever row order its builder emitted.
+    assert_rejected_by_every_reader("tests/fixtures/v2-small.atss", 2);
 }

@@ -116,7 +116,11 @@ proptest! {
         prop_assert_eq!(summary.bytes_written as usize, bytes.len());
         let (loaded, info) = read_space_from_bytes(&bytes).unwrap();
         prop_assert_eq!(info.version, FORMAT_VERSION);
-        prop_assert!(info.index.is_some(), "v2 files persist the membership table");
+        prop_assert_eq!(
+            info.file_bytes as usize,
+            bytes.len(),
+            "the file is the preamble, 8 bytes per rank and the trailer"
+        );
         prop_assert_eq!(info.num_rows, space.len());
         assert_spaces_identical(&space, &loaded);
         // Rows outside the space stay outside after a round trip.
